@@ -5,7 +5,6 @@ from .codegen import CodeGenerator, DriveProgram, generate_drive_program
 from .costmodel import (
     NestedPrediction,
     aggregate_cost_ns,
-    choose_execution_path,
     estimate_flat_plan_ns,
     join_cost_ns,
     predict_nested,
@@ -50,7 +49,6 @@ __all__ = [
     "SubqueryProgram",
     "TwoLevelResultVector",
     "aggregate_cost_ns",
-    "choose_execution_path",
     "estimate_flat_plan_ns",
     "generate_drive_program",
     "index_pays_off",

@@ -15,9 +15,9 @@ Two halves:
   by ``S - Ch`` where ``Ch`` counts the cache hits implied by
   duplicate parameters.
 
-``choose_execution_path`` compares the nested prediction with an
-analytic estimate of the unnested plan and picks the cheaper — the
-optimizer integration the paper describes at the end of Section IV.
+``predict_paths`` puts the nested prediction next to an analytic
+estimate of the unnested plan; ``NestGPU.prepare`` picks the cheaper —
+the optimizer integration the paper describes at the end of Section IV.
 """
 
 from __future__ import annotations
@@ -142,24 +142,6 @@ def sort_cost_ns(spec: DeviceSpec, rows: float, row_bytes: float) -> float:
 # ---------------------------------------------------------------------------
 # exchange costs (multi-device plans)
 # ---------------------------------------------------------------------------
-
-
-def link_transfer_ns(interconnect, src: int, dst: int, nbytes: float) -> float:
-    """One peer copy: per-message latency plus bytes at link bandwidth."""
-    link = interconnect.link(src, dst)
-    return link.latency_ns + nbytes / link.bytes_per_ns
-
-
-def broadcast_cost_ns(spec: DeviceSpec, shards: int, nbytes: float) -> float:
-    """Replicating ``nbytes`` of host-resident table onto every shard.
-
-    Full copies are staged from the host over each shard's own PCIe
-    link; the shards load concurrently, so the *critical-path* cost is
-    one full copy — but every shard's clock is busy for it, which is
-    exactly what charging h2d per member models.  Returned here is the
-    per-shard (= critical path) time the optimizer compares.
-    """
-    return nbytes / spec.pcie_bytes_per_ns
 
 
 def repartition_cost_ns(
@@ -330,11 +312,7 @@ def estimate_flat_plan_ns(
 
 
 def _join_matches(catalog, node: Join, left_rows: float, right_rows: float) -> float:
-    """FK-join heuristic: output ~ probe side over key distinctness."""
-    distinct = 0.0
-    for key in (node.left_key, node.right_key):
-        if isinstance(key, ColRef):
-            distinct = max(distinct, 1.0)
+    """FK-join heuristic: output ~ the larger (probe) side."""
     return max(left_rows, right_rows)
 
 
@@ -550,11 +528,3 @@ def predict_paths(system, nested_prepared, unnested_prepared) -> tuple[float, fl
         selectivity=getattr(system, "selectivity", None),
     )
     return nested.total_ms, unnested_ns / 1e6
-
-
-def choose_execution_path(system, nested_prepared, unnested_prepared) -> str:
-    """Pick 'nested' or 'unnested' for a query that supports both."""
-    nested_ms, unnested_ms = predict_paths(
-        system, nested_prepared, unnested_prepared
-    )
-    return "nested" if nested_ms <= unnested_ms else "unnested"

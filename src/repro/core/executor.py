@@ -16,10 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..engine import EngineOptions, ExecutionContext
-from ..errors import UnnestingError
+from ..errors import PlanError, UnnestingError
 from ..gpu import Device, DeviceSpec, ExecutionStats
 from ..obs.tracer import NULL_TRACER
-from ..plan import Binder, PlanBuilder, try_exists_semijoin
+from ..plan import Binder, PlanBuilder, prune_scan_columns, try_exists_semijoin
 from ..plan.nodes import Scan
 from ..sql import parse
 from ..storage import Catalog
@@ -34,6 +34,18 @@ from .fusion import (
 )
 from .runtime import Runtime, SubqueryProgram
 from .subquery import AdaptiveGovernor, AdaptiveSwitch
+
+
+_MODES = ("auto", "nested", "unnested")
+
+
+def _check_mode(mode: str) -> str:
+    """The one mode check (engine construction and every ``prepare``)."""
+    if mode not in _MODES:
+        raise PlanError(
+            f"unknown mode {mode!r} (expected one of {', '.join(_MODES)})"
+        )
+    return mode
 
 
 def _sql_snippet(sql: str, limit: int = 120) -> str:
@@ -135,9 +147,7 @@ class NestGPU:
         self.catalog = catalog
         self.device_spec = device or DeviceSpec.v100()
         self.options = options or EngineOptions()
-        if mode not in ("auto", "nested", "unnested"):
-            raise ValueError(f"unknown mode {mode!r}")
-        self.mode = mode
+        self.mode = _check_mode(mode)
         self.magic_sets = magic_sets
         # observability defaults; both overridable per call
         self.tracer = NULL_TRACER if tracer is None else tracer
@@ -190,33 +200,46 @@ class NestGPU:
     def prepare(
         self, sql: str, mode: str | None = None, tracer=None,
     ) -> PreparedQuery:
-        """Parse, plan, and generate the drive program without running."""
-        tracer = self.tracer if tracer is None else tracer
-        chosen = mode or self.mode
-        stmt = parse(sql)
-        block = Binder(self.catalog).bind(stmt)
-        has_correlated = any(
-            descriptor.is_correlated
-            for blk in block.all_blocks()
-            for descriptor in blk.subqueries
-        )
-        if not has_correlated:
-            return self._prepare_nested(sql, choice="flat", tracer=tracer)
-        if chosen == "nested":
-            return self._prepare_nested(sql, tracer=tracer)
-        if chosen == "unnested":
-            return self._prepare_unnested(sql, tracer=tracer)
-        # auto: ask the cost model; nested is the only option when the
-        # query cannot be unnested
-        try:
-            unnested = self._prepare_unnested(sql, tracer=tracer)
-        except UnnestingError:
-            return self._prepare_nested(sql, tracer=tracer)
-        nested = self._prepare_nested(sql, tracer=tracer)
-        from .costmodel import predict_paths
+        """Parse, plan, and generate the drive program without running.
 
-        with tracer.span("costmodel", "phase"):
-            nested_ms, unnested_ms = predict_paths(self, nested, unnested)
+        The one compile pipeline: the statement is lexed, parsed and
+        bound exactly once here, and every candidate path is compiled
+        from that one bound block (:meth:`_compile_candidate`).
+        """
+        tracer = self.tracer if tracer is None else tracer
+        chosen = _check_mode(mode or self.mode)
+        with tracer.span("prepare", "phase", mode=chosen) as span:
+            with tracer.span("parse", "phase"):
+                stmt = parse(sql)
+            with tracer.span("bind", "phase"):
+                block = Binder(self.catalog).bind(stmt)
+            has_correlated = any(
+                descriptor.is_correlated
+                for blk in block.all_blocks()
+                for descriptor in blk.subqueries
+            )
+            if not has_correlated:
+                return self._compile_candidate(block, "flat", sql, tracer)
+            if chosen != "auto":
+                return self._compile_candidate(block, chosen, sql, tracer)
+            # auto: ask the cost model; nested is the only option when
+            # the query cannot be unnested — a refusal that is counted
+            # and shown, not silent
+            self._count("plan.unnest.attempted")
+            try:
+                unnested = self._compile_candidate(
+                    block, "unnested", sql, tracer
+                )
+            except UnnestingError as refusal:
+                self._count("plan.unnest.refused")
+                if span is not None:
+                    span.set_attrs(unnest_refused=str(refusal))
+                return self._compile_candidate(block, "nested", sql, tracer)
+            nested = self._compile_candidate(block, "nested", sql, tracer)
+            from .costmodel import predict_paths
+
+            with tracer.span("costmodel", "phase"):
+                nested_ms, unnested_ms = predict_paths(self, nested, unnested)
         if nested_ms <= unnested_ms:
             nested.predicted_ms = nested_ms
             # the loser rides along: if the nested run turns out slower
@@ -395,10 +418,13 @@ class NestGPU:
 
             tracer = self.tracer if self.tracer.enabled else None
             return explain_analyze(self, sql, mode, tracer=tracer).render()
+        return self.explain_prepared(self.prepare(sql, mode))
+
+    def explain_prepared(self, prepared: PreparedQuery) -> str:
+        """EXPLAIN rendered from an already-compiled query."""
         from ..plan.invariants import mark_invariants
         from ..plan.nodes import explain as explain_plan
 
-        prepared = self.prepare(sql, mode)
         lines = [f"execution path: {prepared.choice}"]
         decision = prepared.fusion_decision
         if decision.source != "off":
@@ -520,46 +546,32 @@ class NestGPU:
         visit(plan, 0)
         return depths
 
-    def _prepare_nested(
-        self, sql: str, choice: str = "nested", tracer=NULL_TRACER,
+    def _count(self, name: str) -> None:
+        if self.metrics is not None:
+            self.metrics.counter(name).inc()
+
+    def _compile_candidate(
+        self, block, choice: str, sql: str, tracer,
     ) -> PreparedQuery:
-        with tracer.span("parse", "phase", path=choice):
-            stmt = parse(sql)
-        with tracer.span("bind", "phase", path=choice):
-            block = Binder(self.catalog).bind(stmt)
+        """Compile one candidate path (flat/nested/unnested) from the
+        bound block: plan build, plan-level rewrites, codegen."""
+        unnest = choice == "unnested"
         with tracer.span("plan", "phase", path=choice):
             builder = PlanBuilder(
-                self.catalog, exact_selectivity=self.selectivity
+                self.catalog, unnest=unnest, magic_sets=self.magic_sets,
+                exact_selectivity=self.selectivity,
             )
             plan = builder.build(block)
-            # the EXISTS -> semi-join fast path (paper: Q4) is part of the
-            # nested engine's plan-level optimizations; re-prune because the
-            # rewrite introduces fresh scans
-            plan = try_exists_semijoin(plan, block)
-            from ..plan.optimizer import prune_scan_columns
-
-            prune_scan_columns(plan, self.catalog)
+            if not unnest:
+                # the EXISTS -> semi-join fast path (paper: Q4) is part of
+                # the nested engine's plan-level optimizations; re-prune
+                # because the rewrite introduces fresh scans
+                plan = try_exists_semijoin(plan, block)
+                prune_scan_columns(plan, self.catalog)
         with tracer.span("codegen", "phase", path=choice):
             program, decision = self._generate_with_fusion(builder, plan)
         return PreparedQuery(
             block, plan, program, choice, sql=sql, fusion_decision=decision
-        )
-
-    def _prepare_unnested(self, sql: str, tracer=NULL_TRACER) -> PreparedQuery:
-        with tracer.span("parse", "phase", path="unnested"):
-            stmt = parse(sql)
-        with tracer.span("bind", "phase", path="unnested"):
-            block = Binder(self.catalog).bind(stmt)
-        with tracer.span("plan", "phase", path="unnested"):
-            builder = PlanBuilder(
-                self.catalog, unnest=True, magic_sets=self.magic_sets,
-                exact_selectivity=self.selectivity,
-            )
-            plan = builder.build(block)
-        with tracer.span("codegen", "phase", path="unnested"):
-            program, decision = self._generate_with_fusion(builder, plan)
-        return PreparedQuery(
-            block, plan, program, "unnested", sql=sql, fusion_decision=decision
         )
 
     def _generate_with_fusion(self, builder, plan):

@@ -210,6 +210,8 @@ class ShardedPrepared:
 
     solo: PreparedQuery
     strategy: str
+    #: the per-shard body program; the solo program when the group
+    #: runs it unsplit (``solo`` / ``coordinator`` strategies)
     program: DriveProgram | None = None
     body: Plan | None = None
     tail: list = field(default_factory=list)
@@ -222,6 +224,13 @@ class ShardedPrepared:
     per_shard_bytes: list[int] = field(default_factory=list)
     sql: str = ""
 
+    def __post_init__(self):
+        if self.program is None:
+            self.program = self.solo.program
+
+    # the PreparedQuery read surface, so callers holding either kind of
+    # prepared artifact read the same attributes
+
     @property
     def choice(self) -> str:
         return self.solo.choice
@@ -229,6 +238,10 @@ class ShardedPrepared:
     @property
     def predicted_ms(self) -> float | None:
         return self.solo.predicted_ms
+
+    @property
+    def fusion_decision(self):
+        return self.solo.fusion_decision
 
 
 class _ShardState:
@@ -390,9 +403,7 @@ class ShardedEngine:
 
     def drive_source(self, sql: str, mode: str | None = None) -> str:
         """The generated per-shard drive program (for inspection)."""
-        prepared = self.prepare(sql, mode)
-        program = prepared.program or prepared.solo.program
-        return program.source
+        return self.prepare(sql, mode).program.source
 
     def explain(self, sql: str, mode: str | None = None,
                 analyze: bool = False) -> str:
@@ -407,7 +418,7 @@ class ShardedEngine:
             return self.planner.explain(sql, mode, analyze=True)
         prepared = self.prepare(sql, mode)
         if prepared.strategy == "solo":
-            return self.planner.explain(sql, mode)
+            return self.planner.explain_prepared(prepared.solo)
         lines = [
             f"device group: {self.shards} x {self.device_spec.name} "
             f"over {self.interconnect.name}",

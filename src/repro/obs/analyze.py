@@ -135,8 +135,8 @@ class AnalyzeReport:
                 f"   cost model predicted: {r.predicted_ms:.4f} ms"
                 f" ({err:+.1f}%)"
             )
-        decision = getattr(p, "fusion_decision", None)
-        if decision is not None and decision.source != "off":
+        decision = p.fusion_decision
+        if decision.source != "off":
             fusion = f"fusion: {decision.describe()}"
             if r.stats.fused_launches:
                 fusion += (

@@ -131,8 +131,7 @@ class PlanCache:
         with self._lock:
             doomed = [
                 k for k, prepared in self._entries.items()
-                if getattr(prepared, "fusion_decision", None) is not None
-                and prepared.fusion_decision.source == "tuned"
+                if prepared.fusion_decision.source == "tuned"
             ]
             for k in doomed:
                 del self._entries[k]

@@ -437,16 +437,10 @@ class EngineSession:
 
     def explain(self, sql: str, mode: str | None = None,
                 analyze: bool = False) -> str:
-        if self.sharded is not None and not analyze:
-            return self.sharded.explain(sql, mode)
-        return self.engine.explain(sql, mode, analyze=analyze)
+        return (self.sharded or self.engine).explain(sql, mode, analyze=analyze)
 
     def drive_source(self, sql: str, mode: str | None = None) -> str:
-        if self.sharded is not None:
-            prepared = self.sharded.prepare(sql, mode)
-            program = prepared.program or prepared.solo.program
-            return program.source
-        return self.engine.drive_source(sql, mode)
+        return (self.sharded or self.engine).drive_source(sql, mode)
 
     # -- admission support ------------------------------------------------
 
@@ -461,15 +455,11 @@ class EngineSession:
         device admits only its own placements, so per-device capacity
         is the binding constraint, not the group total.
         """
-        per_shard = getattr(prepared, "per_shard_bytes", None)
-        if per_shard:
-            return max(per_shard)
-        program = getattr(prepared, "program", None)
-        if program is None:
-            program = prepared.solo.program
+        if self.sharded is not None:
+            return max(prepared.per_shard_bytes)
         return sum(
             self.catalog.table(table).column(column).nbytes
-            for table, column in preload_columns(self.catalog, program)
+            for table, column in preload_columns(self.catalog, prepared.program)
         )
 
     @property

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import NestGPU
 from repro.engine import EngineOptions
-from repro.errors import UnnestingError
+from repro.errors import PlanError, UnnestingError
 from repro.tpch import queries
 
 from conftest import rows_set
@@ -39,6 +39,30 @@ class TestNestedVsUnnested:
     def test_auto_mode_on_q5_falls_back_to_nested(self, db):
         result = db.execute(queries.PAPER_Q5)
         assert result.plan_choice == "nested"
+
+    def test_auto_refusal_is_counted_and_shown(self, tpch_small):
+        from repro.obs import MetricsRegistry, Tracer
+
+        metrics, tracer = MetricsRegistry(), Tracer()
+        db = NestGPU(tpch_small, metrics=metrics, tracer=tracer)
+        db.prepare(queries.PAPER_Q5)  # the unnester refuses
+        db.prepare(queries.TPCH_Q17)  # both candidates compile
+        counters = metrics.to_dict()["counters"]
+        assert counters["plan.unnest.attempted"] == 2
+        assert counters["plan.unnest.refused"] == 1
+        refused, costed = (root.attrs for root in tracer.roots)
+        assert refused["mode"] == "auto" and "unnest_refused" in refused
+        assert "unnest_refused" not in costed
+
+    @pytest.mark.parametrize("mode", ["nestd", "AUTO", "flat"])
+    def test_unknown_mode_is_a_plan_error(self, tpch_small, db, mode):
+        # per call (it used to run auto silently) and at construction
+        with pytest.raises(PlanError, match="unknown mode"):
+            db.prepare(queries.TPCH_Q17, mode=mode)
+        with pytest.raises(PlanError, match="unknown mode"):
+            db.execute("SELECT n_name FROM nation", mode=mode)
+        with pytest.raises(PlanError, match="unknown mode"):
+            NestGPU(tpch_small, mode=mode)
 
     def test_q2_has_results(self, db):
         result = db.execute(queries.TPCH_Q2, mode="nested")

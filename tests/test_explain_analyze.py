@@ -72,6 +72,18 @@ class TestExplainAnalyze:
         names = {e["name"] for e in events}
         assert {"query", "execute", "preload"} <= names
 
+    def test_trace_has_one_parse_and_one_bind_span(self, analyzed):
+        """One compile pipeline: however many candidate paths auto mode
+        compiled, the statement was parsed and bound exactly once."""
+        _, _, report = analyzed
+        (query,) = report.tracer.roots
+        names = [span.name for span in query.find_all("phase")]
+        assert names.count("parse") == 1
+        assert names.count("bind") == 1
+        assert names.count("prepare") == 1
+        # plan + codegen run once per candidate path
+        assert names.count("plan") == names.count("codegen") >= 1
+
     def test_explain_analyze_via_engine_api(self, tpch_small):
         text = NestGPU(tpch_small).explain(
             ALL_EVALUATION_QUERIES["tpch_q17"], analyze=True

@@ -187,7 +187,7 @@ def test_depth2_correlated_probe_falls_back_to_full_run(fuzz_catalog):
 def test_select_list_subquery_estimable_in_auto(fuzz_catalog):
     # found while wiring auto into the differential matrix: the flat
     # estimator had no LeftLookup / SubqueryColumn cases, so any
-    # SELECT-list subquery crashed choose_execution_path with
+    # SELECT-list subquery crashed auto-mode path prediction with
     # "cannot estimate node"
     sql = (
         "SELECT p_partkey, (SELECT min(l_orderkey) FROM lineitem "

@@ -193,6 +193,34 @@ class TestDeadlines:
         assert slow.engine.admission.in_use == 0
 
 
+class TestBadMode:
+    """The mode arrives unchecked from the wire; the compile pipeline's
+    entry check turns it into a query error, never a silent auto run."""
+
+    def test_execute_with_unknown_mode_is_a_query_error(self, fast):
+        client = fast.client()
+        with pytest.raises(NetClientError) as exc_info:
+            client.execute(SQL, mode="bogus")
+        assert exc_info.value.code == ErrorCode.QUERY_ERROR
+        assert "unknown mode" in str(exc_info.value)
+        fast.settle()
+        assert fast.engine.admission.in_use == 0
+        assert len(fast.session.plan_cache) == 0
+        # the connection and the engine keep working
+        assert client.execute(SQL).num_rows > 0
+        client.close()
+
+    def test_prepared_statement_mode_is_checked_on_execute(self, fast):
+        client = fast.client()
+        stmt_id = client.prepare(SQL, mode="bogus")
+        with pytest.raises(NetClientError) as exc_info:
+            client.execute(stmt_id=stmt_id)
+        assert exc_info.value.code == ErrorCode.QUERY_ERROR
+        fast.settle()
+        assert fast.engine.admission.in_use == 0
+        client.close()
+
+
 class TestBackpressure:
     def test_full_queue_carries_retry_after(self, catalog):
         harness = Harness(

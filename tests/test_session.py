@@ -7,7 +7,7 @@ from conftest import rows_set
 
 from repro.core import NestGPU
 from repro.engine import ColumnResidency
-from repro.errors import DeviceMemoryError
+from repro.errors import DeviceMemoryError, PlanError
 from repro.gpu import Device, DeviceSpec
 from repro.serve import EngineSession, render_param
 from repro.tpch import ALL_EVALUATION_QUERIES, generate_tpch
@@ -118,6 +118,18 @@ class TestStandingState:
         assert built > 0
         session.execute(sql)
         assert len(session.index_cache) == built
+
+
+class TestBadMode:
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_unknown_mode_raises_and_caches_nothing(self, catalog, shards):
+        with EngineSession(catalog, shards=shards) as session:
+            with pytest.raises(PlanError, match="unknown mode"):
+                session.execute(Q4, mode="bogus")
+            assert len(session.plan_cache) == 0
+            assert session.queries_run == 0
+            # the session is still usable
+            assert session.execute(Q4, mode="nested").num_rows > 0
 
 
 class TestColumnResidencyEviction:
