@@ -11,7 +11,7 @@ a reported figure.
 from repro.core.calibrator import CostCoefficients
 from repro.gpu import DeviceSpec
 from repro.obs import MetricsRegistry
-from repro.serve import EngineSession, QueryScheduler, paper_mix_statements
+from repro.serve import AsyncEngine, EngineSession, paper_mix_statements
 from repro.tpch import generate_tpch
 
 from conftest import save_report
@@ -30,9 +30,10 @@ def calibration_recovery():
         coefficients=stale,
     ) as session:
         def run_pass():
-            scheduler = QueryScheduler(session, streams=2)
-            scheduler.submit_all(statements)
-            scheduler.run()
+            AsyncEngine(
+                session, workers=2,
+                queue_capacity=max(64, len(statements)), autostart=False,
+            ).run_batch(statements)
 
         run_pass()
         boundary = len(metrics.query_log)

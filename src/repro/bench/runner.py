@@ -201,17 +201,14 @@ def run_throughput(
     count; ``time_ms`` is the modelled batch makespan, with the serial
     sum, speedup and plan-cache hit ratio in ``extra``.
 
-    ``concurrent=True`` swaps the modelled-placement
-    :class:`~repro.serve.QueryScheduler` for the real-execution
-    :class:`~repro.serve.AsyncEngine` — one worker thread per stream —
-    and adds the measured wall-clock batch time to ``extra``.
+    Every cell runs the one :class:`~repro.serve.AsyncEngine`: drained
+    on the calling thread with earliest-free stream placement by
+    default, on one worker thread per stream with ``concurrent=True``;
+    ``extra`` carries the measured wall-clock batch time either way.
     """
-    from ..serve import (
-        AsyncEngine,
-        EngineSession,
-        QueryScheduler,
-        paper_mix_statements,
-    )
+    import time as _time
+
+    from ..serve import AsyncEngine, EngineSession, paper_mix_statements
 
     sweep = Sweep("throughput")
     for scale_factor in scale_factors:
@@ -221,29 +218,23 @@ def run_throughput(
             with EngineSession(
                 catalog, mode=mode, shards=shards, interconnect=interconnect,
             ) as session:
-                extra = {}
-                if concurrent:
-                    import time as _time
-
-                    engine = AsyncEngine(session, workers=streams)
-                    wall_start = _time.perf_counter()
-                    engine.submit_all(workload)
-                    drained = engine.drain(timeout=drain_timeout_s)
+                engine = AsyncEngine(
+                    session, workers=streams,
+                    queue_capacity=max(64, len(workload)),
+                    autostart=concurrent,
+                )
+                wall_start = _time.perf_counter()
+                try:
+                    report = engine.run_batch(workload, drain_timeout_s)
                     wall_ms = (_time.perf_counter() - wall_start) * 1e3
+                finally:
                     engine.shutdown(drain=False, timeout=10.0)
-                    if not drained:
-                        sweep.add(Measurement(
-                            f"{streams}-workers", scale_factor, None,
-                            note="drain timeout",
-                        ))
-                        continue
-                    report = engine.report()
-                    extra["wall_ms"] = wall_ms
-                else:
-                    scheduler = QueryScheduler(session, streams=streams)
-                    scheduler.submit_all(workload)
-                    report = scheduler.run()
                 label = f"{streams}-workers" if concurrent else f"{streams}-streams"
+                if report is None:
+                    sweep.add(Measurement(
+                        label, scale_factor, None, note="drain timeout",
+                    ))
+                    continue
                 sweep.add(
                     Measurement(
                         label,
@@ -263,7 +254,7 @@ def run_throughput(
                                 session.sharded.group.interconnect_bytes()
                                 if session.sharded is not None else 0
                             ),
-                            **extra,
+                            "wall_ms": wall_ms,
                         },
                     )
                 )

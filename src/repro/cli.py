@@ -78,28 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro.cli",
         description="Run SQL against the NestGPU reproduction on micro-scale TPC-H.",
     )
-    parser.add_argument(
-        "--scale", type=float, default=1.0,
-        help="TPC-H micro scale factor (default 1)",
-    )
-    parser.add_argument(
-        "--mode", choices=("auto", "nested", "unnested"), default="auto",
-        help="execution mode (default: the cost model decides)",
-    )
-    parser.add_argument(
-        "--device", choices=("v100", "gtx1080", "a100"), default="v100",
-        help="simulated device preset",
-    )
-    parser.add_argument(
-        "--shards", type=int, default=1,
-        help="modelled devices in the group (default 1: the solo "
-        "engine, bit-identical)",
-    )
-    parser.add_argument(
-        "--interconnect", choices=("pcie", "nvlink", "nvswitch"),
-        default="pcie",
-        help="peer fabric between shards (default pcie)",
-    )
+    add_engine_arguments(parser)
     parser.add_argument(
         "-q", "--query", help="run one statement and exit",
     )
@@ -137,11 +116,35 @@ def build_parser() -> argparse.ArgumentParser:
         help="use the planner's selectivity heuristics instead of exact "
         "predicate counting at optimization time",
     )
-    add_fusion_arguments(parser)
     return parser
 
 
-def add_fusion_arguments(parser) -> None:
+def add_engine_arguments(parser) -> None:
+    """The engine-shape flags every front end shares (the shell,
+    ``serve`` and ``net serve``); :func:`make_session` and
+    :func:`make_engine` read them back."""
+    parser.add_argument(
+        "--scale", type=float, default=1.0,
+        help="TPC-H micro scale factor (default 1)",
+    )
+    parser.add_argument(
+        "--mode", choices=("auto", "nested", "unnested"), default="auto",
+        help="execution mode (default: the cost model decides)",
+    )
+    parser.add_argument(
+        "--device", choices=("v100", "gtx1080", "a100"), default="v100",
+        help="simulated device preset",
+    )
+    parser.add_argument(
+        "--shards", type=int, default=1,
+        help="modelled devices in the group (default 1: the solo "
+        "engine, bit-identical)",
+    )
+    parser.add_argument(
+        "--interconnect", choices=("pcie", "nvlink", "nvswitch"),
+        default="pcie",
+        help="peer fabric between shards (default pcie)",
+    )
     parser.add_argument(
         "--fusion", choices=("off", "on", "auto"), default="off",
         help="kernel fusion over data-path chains: 'on' forces fused "
@@ -175,37 +178,47 @@ def device_preset(args) -> DeviceSpec:
     }[args.device]()
 
 
+def _usage_error(exc: ValueError) -> SystemExit:
+    """An engine-shape flag the engine refused (``--shards 0``): print
+    it the way argparse would and exit 2."""
+    print(f"error: {exc}", file=sys.stderr)
+    return SystemExit(2)
+
+
 def make_engine(args, tracer=None, metrics=None):
     device = device_preset(args)
     catalog = generate_tpch(args.scale)
-    shards = getattr(args, "shards", 1)
-    if shards > 1:
-        from .core import ShardedEngine
-        from .gpu.spec import InterconnectSpec
+    if args.shards == 1:
+        return NestGPU(
+            catalog, device=device, options=engine_options(args),
+            mode=args.mode, tracer=tracer, metrics=metrics,
+        )
+    from .core import ShardedEngine
+    from .gpu.spec import InterconnectSpec
 
+    try:
         return ShardedEngine(
             catalog, device=device, options=engine_options(args),
-            mode=args.mode, shards=shards,
+            mode=args.mode, shards=args.shards,
             interconnect=InterconnectSpec.from_name(args.interconnect),
             tracer=tracer, metrics=metrics,
         )
-    return NestGPU(
-        catalog, device=device, options=engine_options(args), mode=args.mode,
-        tracer=tracer, metrics=metrics,
-    )
+    except ValueError as exc:
+        raise _usage_error(exc) from None
 
 
-def make_session(args, tracer=None, metrics=None):
+def make_session(args, tracer=None, metrics=None, coefficients=None):
     from .serve import EngineSession
 
-    device = device_preset(args)
-    catalog = generate_tpch(args.scale)
-    return EngineSession(
-        catalog, device=device, options=engine_options(args), mode=args.mode,
-        tracer=tracer, metrics=metrics,
-        shards=getattr(args, "shards", 1),
-        interconnect=getattr(args, "interconnect", "pcie"),
-    )
+    try:
+        return EngineSession(
+            generate_tpch(args.scale), device=device_preset(args),
+            options=engine_options(args), mode=args.mode,
+            tracer=tracer, metrics=metrics, coefficients=coefficients,
+            shards=args.shards, interconnect=args.interconnect,
+        )
+    except ValueError as exc:
+        raise _usage_error(exc) from None
 
 
 def run_statement(db: NestGPU, sql: str, explain: bool = False,

@@ -41,6 +41,7 @@ import json
 import signal
 import sys
 
+from ..cli import add_engine_arguments, make_session
 from ..engine import EngineOptions
 from ..errors import ReproError
 from ..gpu import DeviceSpec
@@ -48,7 +49,6 @@ from ..obs.telemetry import SLObjective
 from ..serve.concurrent import AsyncEngine
 from ..serve.plancache import normalize_sql
 from ..serve.scheduler import paper_mix_statements
-from ..serve.session import EngineSession
 from ..tpch import generate_tpch
 from .client import NetClientError, ReproNetClient
 from .protocol import decode_rows, encode_rows
@@ -73,8 +73,7 @@ def build_net_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     serve = sub.add_parser("serve", help="run the socket server")
-    serve.add_argument("--scale", type=float, default=1.0,
-                       help="TPC-H micro scale factor (default 1)")
+    add_engine_arguments(serve)
     serve.add_argument("--concurrency", type=int, default=2, metavar="N",
                        help="engine worker threads (default 2)")
     serve.add_argument("--policy", choices=AsyncEngine.POLICIES,
@@ -82,16 +81,6 @@ def build_net_parser() -> argparse.ArgumentParser:
                        help="scheduling policy (default priority-FIFO)")
     serve.add_argument("--queue-capacity", type=int, default=64,
                        help="bounded submission queue depth (default 64)")
-    serve.add_argument("--mode", choices=("auto", "nested", "unnested"),
-                       default="auto", help="execution mode")
-    serve.add_argument("--device", choices=("v100", "gtx1080", "a100"),
-                       default="v100", help="simulated device preset")
-    serve.add_argument("--shards", type=int, default=1,
-                       help="modelled devices in the group (default 1)")
-    serve.add_argument("--interconnect",
-                       choices=("pcie", "nvlink", "nvswitch"),
-                       default="pcie",
-                       help="peer fabric between shards (default pcie)")
     serve.add_argument("--host", default="127.0.0.1",
                        help="bind address (default 127.0.0.1)")
     serve.add_argument("--port", type=int, default=0,
@@ -112,9 +101,6 @@ def build_net_parser() -> argparse.ArgumentParser:
                             "on shutdown")
     serve.add_argument("--flight-recorder-capacity", type=int, default=1024,
                        help="flight-recorder ring size (default 1024)")
-    from ..cli import add_fusion_arguments
-
-    add_fusion_arguments(serve)
 
     run = sub.add_parser("run", help="drive a server as one tenant")
     _add_connection_args(run)
@@ -177,22 +163,7 @@ def _serve(args) -> int:
     except (ReproError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    device = {
-        "v100": DeviceSpec.v100,
-        "gtx1080": DeviceSpec.gtx1080,
-        "a100": DeviceSpec.a100,
-    }[args.device]()
-    if args.shards < 1:
-        print("error: --shards must be >= 1", file=sys.stderr)
-        return 2
-    from ..cli import fusion_mode
-
-    session = EngineSession(
-        generate_tpch(args.scale), device=device,
-        options=EngineOptions(fusion=fusion_mode(args)),
-        mode=args.mode, metrics=MetricsRegistry(),
-        shards=args.shards, interconnect=args.interconnect,
-    )
+    session = make_session(args, metrics=MetricsRegistry())
     try:
         slo_default = SLObjective(args.slo_ms, args.slo_target)
     except ValueError as exc:

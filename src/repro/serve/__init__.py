@@ -1,13 +1,14 @@
 """The serving layer: sessions, plan caching, and modelled streams.
 
 One :class:`EngineSession` owns the simulated device for its whole
-lifetime; the :class:`QueryScheduler` drains a submission queue over
-it across modelled concurrent streams, and the :class:`AsyncEngine`
-executes submissions for real on a worker pool (one worker per
-modelled stream) with admission control, deadlines and backpressure.
-See :mod:`repro.serve.session`, :mod:`repro.serve.scheduler` and
-:mod:`repro.serve.concurrent` for the model, and
-``python -m repro.cli serve`` for the command-line entry.
+lifetime; the :class:`AsyncEngine` drains a submission queue over it
+with admission control, deadlines and backpressure — on a worker pool
+(one thread per modelled stream) or, with no threads at all, on the
+calling thread — and places every executed query on the modelled
+stream timeline.  See :mod:`repro.serve.session`,
+:mod:`repro.serve.concurrent` and :mod:`repro.serve.scheduler` for
+the model, and ``python -m repro.cli serve`` for the command-line
+entry.
 """
 
 from .concurrent import (
@@ -27,7 +28,6 @@ from .plancache import PlanCache, normalize_sql
 from .scheduler import (
     PAPER_MIX,
     AdmissionError,
-    QueryScheduler,
     ScheduledQuery,
     WorkloadReport,
     paper_mix_statements,
@@ -55,7 +55,6 @@ __all__ = [
     "ThreadGuard",
     "PAPER_MIX",
     "PlanCache",
-    "QueryScheduler",
     "ScheduledQuery",
     "SessionPrepared",
     "WorkloadReport",

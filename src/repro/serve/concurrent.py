@@ -1,11 +1,13 @@
-"""Concurrent real execution behind the scheduler: the AsyncEngine.
+"""The serving engine: one scheduler, two drive modes.
 
-PR 4's :class:`~repro.serve.scheduler.QueryScheduler` only *models*
-multi-stream placement — queries execute serially on the calling
-thread.  The :class:`AsyncEngine` executes them **for real** on a
-worker pool, one worker per modelled stream, all sharing one
+The :class:`AsyncEngine` runs submitted statements over one shared
 :class:`~repro.serve.session.EngineSession` (device, pools, residency,
-plan/index caches) under the session's lock:
+plan/index caches).  Who drains the queue is the only difference
+between its two modes: **threaded** (the default) starts one worker
+thread per modelled stream; **inline** (``autostart=False`` +
+:meth:`AsyncEngine.run_batch`) drains on the calling thread with no
+threads at all, which makes the whole run — dequeue order, placement,
+makespan — deterministic.  Everything else is one code path:
 
 * **submission** goes through a thread-safe *bounded* queue; a full
   queue rejects with :class:`BackpressureError` carrying a
@@ -19,10 +21,11 @@ plan/index caches) under the session's lock:
   (FIFO within a priority, higher priorities first);
 * **execution** holds the session lock for the whole run — the
   modelled device, like a single real GPU stream, runs one query at a
-  time — while the modelled per-stream clocks place each measured
-  duration exactly as the PR 4 scheduler would, so at one worker the
-  modelled totals are bit-identical to the modelled scheduler and to
-  a solo engine;
+  time — and, still under the lock, the engine's
+  :class:`~repro.serve.scheduler.StreamTimeline` places the measured
+  duration on the modelled per-stream clocks: the worker's own stream
+  when threaded, the earliest-free one when inline.  At one worker the
+  two modes agree bit for bit, with each other and with a solo engine;
 * **deadlines** cancel a query that has not reached the device in
   time, and explicit :meth:`QueryTicket.cancel` works until device
   execution starts; both always release any admission reservation;
@@ -73,8 +76,8 @@ from ..obs.telemetry import (
 from ..obs.tracer import Tracer
 from .scheduler import (
     AdmissionError,
-    QueryScheduler,
     ScheduledQuery,
+    StreamTimeline,
     WorkloadReport,
 )
 from .session import EngineSession
@@ -591,11 +594,14 @@ class QueryTicket:
 
 
 class AsyncEngine:
-    """Concurrent query execution over one shared EngineSession.
+    """Query execution over one shared EngineSession.
 
     One worker thread per modelled stream pulls from the bounded
     submission queue, plans concurrently, reserves HBM through the
     :class:`AdmissionController`, and executes under the session lock.
+    With ``autostart=False`` no thread runs and :meth:`run_batch`
+    drains the queue on the calling thread instead — same policy,
+    admission, checkpoints and accounting, deterministic placement.
     ``guard=`` installs a :class:`~repro.serve.threadguard.ThreadGuard`
     over the session's device state for race detection in tests.
 
@@ -622,8 +628,6 @@ class AsyncEngine:
         slo_default: SLObjective | None = None,
         flight_recorder_capacity: int = 1024,
     ):
-        if workers < 1:
-            raise ValueError("need at least one worker")
         if queue_capacity < 1:
             raise ValueError("queue capacity must be positive")
         if policy not in self.POLICIES:
@@ -658,11 +662,11 @@ class AsyncEngine:
         self._accepting = True
         self._stop = False
         self._service_ema_s: float | None = None
-        # modelled per-stream clocks + in-flight placements, guarded by
-        # the session lock (only the executing worker touches them)
-        self._free_at = [0.0] * workers
-        self._model_in_flight: list[tuple[float, int]] = []
-        self.bus_ns = 0.0
+        # modelled placement, guarded by the session lock (only the
+        # executing worker touches it)
+        self._timeline = StreamTimeline(
+            workers, session.device_capacity_bytes
+        )
         self.guard = guard
         if guard is not None:
             guard.install_session(session)
@@ -787,6 +791,25 @@ class AsyncEngine:
     def submit_all(self, statements) -> list[QueryTicket]:
         return [self.submit(sql) for sql in statements]
 
+    def run_batch(
+        self, statements, timeout: float | None = None,
+    ) -> WorkloadReport | None:
+        """Submit a closed batch and see it through; returns the report.
+
+        A started engine waits for its workers — ``None`` if they do
+        not drain within ``timeout``.  An engine built with
+        ``autostart=False`` serves everything pending on the calling
+        thread (``timeout`` has nothing to bound) and places each
+        query on the earliest-free modelled stream.
+        """
+        self.submit_all(statements)
+        if not self._started:
+            while (ticket := self._next_ticket(block=False)) is not None:
+                self._serve(ticket, None)
+        elif not self.drain(timeout):
+            return None
+        return self.report()
+
     def _retry_after_locked(self) -> float:
         # `is None` — a genuine measured EMA of 0.0 (sub-resolution
         # services) must not be mistaken for "no sample yet"
@@ -796,20 +819,27 @@ class AsyncEngine:
     # -- the worker ------------------------------------------------------
 
     def _worker_loop(self, worker_id: int) -> None:
-        while True:
-            ticket = self._next_ticket()
-            if ticket is None:
-                return
-            try:
-                self._run_ticket(ticket, worker_id)
-            except BaseException as exc:  # never kill a worker silently
-                if not ticket.done():
-                    self._finish(
-                        ticket, "error",
-                        detail=f"{type(exc).__name__}: {exc}",
-                    )
+        while (ticket := self._next_ticket()) is not None:
+            self._serve(ticket, worker_id)
 
-    def _next_ticket(self) -> QueryTicket | None:
+    def _serve(self, ticket: QueryTicket, worker_id: int | None) -> None:
+        """Take one dequeued ticket to a terminal state.
+
+        ``worker_id`` is the calling worker's (and so the modelled
+        stream's) id, or ``None`` on the inline drain.
+        """
+        try:
+            self._run_ticket(ticket, worker_id)
+        except BaseException as exc:  # never leave a ticket dangling
+            if not ticket.done():
+                self._finish(
+                    ticket, "error",
+                    detail=f"{type(exc).__name__}: {exc}",
+                )
+            if not isinstance(exc, Exception):
+                raise  # an interrupt or exit still unwinds its thread
+
+    def _next_ticket(self, block: bool = True) -> QueryTicket | None:
         with self._work:
             while True:
                 if self._pending:
@@ -818,7 +848,7 @@ class AsyncEngine:
                     best.status = "waiting"
                     self._note_picked_locked(best)
                     return best
-                if self._stop:
+                if self._stop or not block:
                     return None
                 self._work.wait()
 
@@ -858,7 +888,7 @@ class AsyncEngine:
                 f"qos.tenant.{tenant or 'default'}.starvation_age_s"
             ).set(now - submitted)
 
-    def _run_ticket(self, ticket: QueryTicket, worker_id: int) -> None:
+    def _run_ticket(self, ticket: QueryTicket, worker_id: int | None) -> None:
         session = self.session
         if ticket._cancel:
             self._finish(ticket, "cancelled", detail="cancelled while queued")
@@ -909,7 +939,7 @@ class AsyncEngine:
         ticket: QueryTicket,
         prepared: PreparedQuery,
         plan_cache_hit: bool,
-        worker_id: int,
+        worker_id: int | None,
     ) -> None:
         session = self.session
         # last cancellation checkpoint: the status flip to 'running'
@@ -945,29 +975,18 @@ class AsyncEngine:
             )
         try:
             with session.lock:
-                # modelled placement, exactly the PR 4 list-scheduling rule:
-                # this stream's clock, pushed past modelled completions while
-                # the in-flight working sets would overflow HBM
-                start = QueryScheduler._admit(
-                    self._free_at[worker_id],
-                    ticket.working_set_bytes,
-                    session.device_capacity_bytes,
-                    self._model_in_flight,
-                )
                 result = session.run(
                     prepared,
                     plan_cache_hit=plan_cache_hit,
                     span_attrs=span_attrs,
                     tracer=query_tracer,
                 )
-                ticket.start_ns = start
-                ticket.duration_ns = result.stats.total_ns
-                ticket.queue_wait_ns = start
-                self._free_at[worker_id] = start + result.stats.total_ns
-                self._model_in_flight.append(
-                    (start + result.stats.total_ns, ticket.working_set_bytes)
+                ticket.stream, ticket.start_ns, ticket.duration_ns = (
+                    self._timeline.place(
+                        ticket.working_set_bytes, result, worker_id,
+                    )
                 )
-                self.bus_ns += result.stats.transfer_time_ns
+                ticket.queue_wait_ns = ticket.start_ns
             ticket.wall_end_s = time.perf_counter()
         finally:
             if query_tracer is not None:
@@ -1130,15 +1149,12 @@ class AsyncEngine:
     # -- reporting -------------------------------------------------------
 
     def report(self) -> WorkloadReport:
-        """The batch as a :class:`WorkloadReport` (one lane per worker).
-
-        Same shape the modelled scheduler produces — ``to_dict``,
-        ``chrome_trace``, ``summary`` all apply — with wall-clock
-        timings alongside the modelled ones on every entry.
-        """
+        """The batch as a :class:`WorkloadReport` (one lane per stream),
+        with wall-clock timings alongside the modelled ones on every
+        entry."""
         with self._work:
             tickets = list(self._tickets)
-            bus_ns = self.bus_ns
+            bus_ns = self._timeline.bus_ns
         report = WorkloadReport(streams=self.workers, bus_ns=bus_ns)
         for ticket in sorted(tickets, key=lambda t: t.seq):
             report.queries.append(ScheduledQuery(
@@ -1162,6 +1178,9 @@ class AsyncEngine:
             metrics.gauge("serve.makespan_ms").set(report.makespan_ns / 1e6)
             metrics.gauge("serve.serial_ms").set(report.serial_ns / 1e6)
             metrics.gauge("serve.speedup").set(report.speedup)
+            metrics.gauge("serve.queries_per_second").set(
+                report.queries_per_second
+            )
             metrics.gauge("serve.workers").set(self.workers)
         return report
 

@@ -1,4 +1,4 @@
-"""``repro serve`` — run a workload through the session scheduler.
+"""``repro serve`` — run a workload through the serving engine.
 
 Usage:
 
@@ -14,11 +14,12 @@ trace.  ``--verify-solo`` re-runs each *distinct* statement on a fresh
 single-query engine and checks the fresh-session latency is
 bit-identical — the refactor's no-regression contract.
 
-``--concurrency N`` switches from the modelled-placement scheduler to
-the :class:`~repro.serve.concurrent.AsyncEngine`: N worker threads
-(one per modelled stream) execute the workload *for real* against the
-shared session, and the report carries wall-clock timings alongside
-the modelled placement.
+Both forms run the one :class:`~repro.serve.concurrent.AsyncEngine`.
+``--streams N`` drains the batch on the calling thread and places each
+query on the earliest-free of N modelled streams (deterministic);
+``--concurrency N`` starts N worker threads, one per modelled stream,
+that execute against the shared session concurrently.  Either way the
+report carries wall-clock timings alongside the modelled placement.
 
 ``--calibrate`` closes the cost model's feedback loop: the workload
 runs twice, with an online recalibration between the passes, and the
@@ -36,13 +37,17 @@ import argparse
 import json
 import sys
 
-from ..engine import EngineOptions
+from ..cli import (
+    add_engine_arguments,
+    device_preset,
+    engine_options,
+    make_session,
+)
 from ..errors import ReproError
-from ..gpu import DeviceSpec
 from ..tpch import generate_tpch
+from .concurrent import AsyncEngine
 from .plancache import normalize_sql
-from .scheduler import QueryScheduler, paper_mix_statements, split_statements
-from .session import EngineSession
+from .scheduler import paper_mix_statements, split_statements
 
 
 def build_serve_parser() -> argparse.ArgumentParser:
@@ -51,27 +56,15 @@ def build_serve_parser() -> argparse.ArgumentParser:
         description="Serve a query workload on one engine session with "
         "modelled concurrent streams.",
     )
-    parser.add_argument("--scale", type=float, default=1.0,
-                        help="TPC-H micro scale factor (default 1)")
+    add_engine_arguments(parser)
     parser.add_argument("--streams", type=int, default=2,
                         help="modelled device streams (default 2)")
     parser.add_argument("--concurrency", type=int, default=0, metavar="N",
-                        help="execute for real on N worker threads (one per "
-                        "modelled stream); 0 = modelled placement only")
+                        help="execute on N worker threads (one per modelled "
+                        "stream); 0 = drain on the calling thread")
     parser.add_argument("--timeout", type=float, default=300.0,
                         help="drain timeout in seconds for --concurrency "
                         "(default 300)")
-    parser.add_argument("--mode", choices=("auto", "nested", "unnested"),
-                        default="auto", help="execution mode")
-    parser.add_argument("--device", choices=("v100", "gtx1080", "a100"),
-                        default="v100", help="simulated device preset")
-    parser.add_argument("--shards", type=int, default=1,
-                        help="modelled devices in the group (default 1: "
-                        "the solo engine, bit-identical)")
-    parser.add_argument("--interconnect",
-                        choices=("pcie", "nvlink", "nvswitch"),
-                        default="pcie",
-                        help="peer fabric between shards (default pcie)")
     parser.add_argument("--device-trace", metavar="PATH",
                         help="write a per-device Chrome trace (one lane per "
                         "shard, per-query busy spans)")
@@ -103,16 +96,10 @@ def build_serve_parser() -> argparse.ArgumentParser:
                         "as JSON (requires --calibrate)")
     parser.add_argument("-v", "--verbose", action="store_true",
                         help="print per-query placement lines")
-    from ..cli import add_fusion_arguments
-
-    add_fusion_arguments(parser)
     return parser
 
 
-def verify_solo_identity(statements, catalog_factory, device, mode,
-                         shards: int = 1,
-                         interconnect: str = "pcie",
-                         fusion: str = "off") -> list[str]:
+def verify_solo_identity(statements, args) -> list[str]:
     """Fresh-session vs single-query engine, per distinct statement.
 
     Returns a list of mismatch descriptions (empty == all bit-identical).
@@ -145,16 +132,12 @@ def verify_solo_identity(statements, catalog_factory, device, mode,
             continue
         seen.add(key)
         solo = NestGPU(
-            catalog_factory(), device=device,
-            options=EngineOptions(fusion=fusion), mode=mode,
+            generate_tpch(args.scale), device=device_preset(args),
+            options=engine_options(args), mode=args.mode,
         ).execute(sql)
-        with EngineSession(
-            catalog_factory(), device=device,
-            options=EngineOptions(fusion=fusion),
-            mode=mode, shards=shards, interconnect=interconnect,
-        ) as session:
+        with make_session(args) as session:
             fresh = session.execute(sql)
-        if shards > 1:
+        if args.shards > 1:
             if row_key(solo.rows) != row_key(fresh.rows):
                 mismatches.append(
                     f"{key[:60]}: sharded rows ({fresh.num_rows}) != "
@@ -251,18 +234,10 @@ def serve_main(argv: list[str] | None = None) -> int:
         print("error: --calibration-report requires --calibrate",
               file=sys.stderr)
         return 2
-    if args.shards < 1:
-        print("error: --shards must be >= 1", file=sys.stderr)
-        return 2
     if args.calibrate and args.shards > 1:
         print("error: --calibrate needs a single-device session "
               "(the calibrator samples one clock)", file=sys.stderr)
         return 2
-    device = {
-        "v100": DeviceSpec.v100,
-        "gtx1080": DeviceSpec.gtx1080,
-        "a100": DeviceSpec.a100,
-    }[args.device]()
     metrics = None
     if args.metrics or args.calibrate:
         # the calibration flow reads prediction errors off the query
@@ -271,45 +246,34 @@ def serve_main(argv: list[str] | None = None) -> int:
 
         metrics = MetricsRegistry()
 
-    def catalog_factory():
-        return generate_tpch(args.scale)
-
     coefficients = None
     if args.stale_model is not None:
         from ..core.calibrator import CostCoefficients
 
         try:
-            coefficients = CostCoefficients.from_spec(device).scaled(
-                args.stale_model
-            )
+            coefficients = CostCoefficients.from_spec(
+                device_preset(args)
+            ).scaled(args.stale_model)
         except ValueError as exc:
             print(f"error: --stale-model: {exc}", file=sys.stderr)
             return 2
 
-    from ..cli import fusion_mode
-
-    session = EngineSession(
-        catalog_factory(), device=device,
-        options=EngineOptions(fusion=fusion_mode(args)),
-        mode=args.mode, metrics=metrics, coefficients=coefficients,
-        shards=args.shards, interconnect=args.interconnect,
-    )
+    session = make_session(args, metrics=metrics, coefficients=coefficients)
 
     def run_pass():
-        """One full workload pass (fresh scheduler, shared session)."""
-        if args.concurrency:
-            from .concurrent import AsyncEngine
-
-            engine = AsyncEngine(session, workers=args.concurrency)
-            engine.submit_all(statements)
-            drained = engine.drain(timeout=args.timeout)
+        """One full workload pass (fresh engine, shared session)."""
+        engine = AsyncEngine(
+            session,
+            workers=args.concurrency or args.streams,
+            # a closed batch is submitted whole before it drains: size
+            # the queue from it so it cannot trip its own backpressure
+            queue_capacity=max(64, len(statements)),
+            autostart=bool(args.concurrency),
+        )
+        try:
+            return engine.run_batch(statements, timeout=args.timeout)
+        finally:
             engine.shutdown(drain=False, timeout=10.0)
-            if not drained:
-                return None
-            return engine.report()
-        scheduler = QueryScheduler(session, streams=args.streams)
-        scheduler.submit_all(statements)
-        return scheduler.run()
 
     calibration_payload = None
     try:
@@ -440,11 +404,7 @@ def serve_main(argv: list[str] | None = None) -> int:
         )
 
     if args.verify_solo:
-        mismatches = verify_solo_identity(
-            statements, catalog_factory, device, args.mode,
-            shards=args.shards, interconnect=args.interconnect,
-            fusion=fusion_mode(args),
-        )
+        mismatches = verify_solo_identity(statements, args)
         label = (
             "solo bit-identity" if args.shards == 1
             else f"sharded({args.shards}) row equivalence"

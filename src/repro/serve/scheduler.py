@@ -1,25 +1,21 @@
-"""The query scheduler: modelled streams, admission control, makespan.
+"""The modelled stream timeline: placement, admission push-back, makespan.
 
 The simulated device executes one query at a time in Python, but a
 real GPU serves concurrent queries on separate *streams*: kernels of
 different queries interleave, and the batch finishes when the last
-stream drains — not after the sum of solo latencies.  The scheduler
-reproduces that throughput story deterministically:
+stream drains — not after the sum of solo latencies.  This module
+holds the one modelled placement rule (:class:`StreamTimeline`) and
+the report types every front end shares; the engine that drives it is
+:class:`~repro.serve.concurrent.AsyncEngine`:
 
-* queries are **submitted** to a queue and executed in order on the
-  shared :class:`~repro.serve.session.EngineSession` (so plan-cache
-  and residency amortization behave exactly as they would serially);
-* each query's measured modelled duration is then **placed** on the
-  earliest-free of ``streams`` modelled streams (list scheduling);
-* **admission control** holds a query back while the working sets of
-  queries modelled as in-flight would overflow HBM, and rejects
-  outright any query whose own working set exceeds device capacity;
+* each query's measured modelled duration is **placed** on a stream —
+  the earliest-free one (list scheduling) when the calling thread
+  drains the batch, the executing worker's own when threads do;
+* **admission push-back** delays a start while the working sets of
+  queries modelled as in-flight would overflow HBM;
 * the **makespan** is the last stream's drain time, floored by the
   total PCIe traffic (all streams share one bus — transfers
   serialize even when kernels overlap).
-
-Queue wait (admission + stream availability) is recorded per query
-and folded into the session's metrics registry.
 """
 
 from __future__ import annotations
@@ -30,7 +26,6 @@ from dataclasses import dataclass, field
 from ..core import QueryResult
 from ..core.executor import _sql_snippet
 from ..errors import ReproError
-from .session import EngineSession
 
 
 class AdmissionError(ReproError):
@@ -53,8 +48,7 @@ class ScheduledQuery:
     plan_cache_hit: bool = False
     detail: str = ""
     result: QueryResult | None = None
-    # wall-clock timings; zero under the modelled-only scheduler, real
-    # under the concurrent engine (repro.serve.concurrent)
+    # wall-clock timings, alongside the modelled placement above
     wall_wait_ms: float = 0.0
     wall_run_ms: float = 0.0
 
@@ -193,124 +187,61 @@ class WorkloadReport:
         )
 
 
-class QueryScheduler:
-    """Submission queue + modelled stream placement over one session."""
+class StreamTimeline:
+    """The modelled placement rule: per-stream clocks, HBM, one bus.
 
-    def __init__(self, session: EngineSession, streams: int = 2):
+    Not thread-safe: the engine places under the session lock, right
+    after the run whose result it places.
+    """
+
+    def __init__(self, streams: int, capacity_bytes: int):
         if streams < 1:
             raise ValueError("need at least one stream")
-        self.session = session
-        self.streams = streams
-        self._queue: list[tuple[str, str | None]] = []
+        self.capacity = capacity_bytes
+        self.free_at = [0.0] * streams
+        self.in_flight: list[tuple[float, int]] = []  # (end_ns, working_set)
+        self.bus_ns = 0.0
 
-    def submit(self, sql: str, mode: str | None = None) -> int:
-        """Enqueue a statement; returns its sequence number."""
-        self._queue.append((sql, mode))
-        return len(self._queue) - 1
+    def place(
+        self, working_set: int, result: QueryResult, stream: int | None = None,
+    ) -> tuple[int, float, float]:
+        """Place one executed query; ``(stream, start_ns, duration_ns)``.
 
-    def submit_all(self, statements) -> None:
-        for sql in statements:
-            self.submit(sql)
-
-    def run(self) -> WorkloadReport:
-        """Drain the queue; returns the modelled placement report."""
-        report = WorkloadReport(streams=self.streams)
-        capacity = self.session.device_capacity_bytes
-        free_at = [0.0] * self.streams
-        in_flight: list[tuple[float, int]] = []  # (end_ns, working_set)
-        metrics = self.session.metrics
-        queue, self._queue = self._queue, []
-        for seq, (sql, mode) in enumerate(queue):
-            entry = ScheduledQuery(seq=seq, sql=sql, mode=mode)
-            report.queries.append(entry)
-            try:
-                prepared, hit = self.session.lookup_or_prepare(sql, mode)
-                entry.working_set_bytes = self.session.working_set_bytes(
-                    prepared
-                )
-                if entry.working_set_bytes > capacity:
-                    raise AdmissionError(
-                        f"working set {entry.working_set_bytes} B exceeds "
-                        f"device capacity {capacity} B"
-                    )
-            except AdmissionError as exc:
-                entry.status = "rejected"
-                entry.detail = str(exc)
-                if metrics is not None:
-                    metrics.counter("serve.queries.rejected").inc()
-                continue
-            except ReproError as exc:
-                entry.status = "error"
-                entry.detail = f"{type(exc).__name__}: {exc}"
-                if metrics is not None:
-                    metrics.counter("serve.queries.errored").inc()
-                continue
-            # placement: earliest-free stream, pushed later while the
-            # modelled in-flight working sets would overflow HBM
-            stream = min(range(self.streams), key=lambda s: free_at[s])
-            start = free_at[stream]
-            start = self._admit(start, entry.working_set_bytes,
-                                capacity, in_flight)
-            result = self.session.run(prepared, plan_cache_hit=hit)
-            entry.result = result
-            entry.plan_cache_hit = hit
-            entry.status = "done"
-            entry.stream = stream
-            entry.start_ns = start
-            # a sharded result's wall-clock is the group makespan (the
-            # slowest device), not the sum of every device's busy time
-            entry.duration_ns = (
-                result.makespan_ns
-                if result.makespan_ns is not None
-                else result.stats.total_ns
-            )
-            entry.queue_wait_ns = start
-            free_at[stream] = entry.end_ns
-            in_flight.append((entry.end_ns, entry.working_set_bytes))
-            report.bus_ns += self._bus_contribution(result)
-            if metrics is not None:
-                metrics.counter("serve.queries.admitted").inc()
-                metrics.counter(f"serve.stream.{stream}.queries").inc()
-                metrics.histogram("serve.queue_wait_ms").observe(
-                    entry.queue_wait_ns / 1e6
-                )
-        if metrics is not None and report.completed:
-            metrics.gauge("serve.makespan_ms").set(report.makespan_ns / 1e6)
-            metrics.gauge("serve.serial_ms").set(report.serial_ns / 1e6)
-            metrics.gauge("serve.speedup").set(report.speedup)
-            metrics.gauge("serve.queries_per_second").set(
-                report.queries_per_second
-            )
-        return report
-
-    @staticmethod
-    def _bus_contribution(result: QueryResult) -> float:
-        """The query's claim on the shared host bus.
-
-        One device: its PCIe transfer time.  A device group: each shard
-        has its *own* PCIe link to the host, so the serialized-bus floor
-        is set by the busiest single link, not the group-merged sum
-        (which would erase the very parallelism sharding buys).
+        ``stream=None`` picks the earliest-free stream (list
+        scheduling); a worker thread passes its own id.
         """
-        if result.group_report is not None:
-            devices = result.group_report.get("devices", [])
-            if devices:
-                return max(d["transfer_time_ns"] for d in devices)
-        return result.stats.transfer_time_ns
-
-    @staticmethod
-    def _admit(
-        start: float, working_set: int, capacity: int,
-        in_flight: list[tuple[float, int]],
-    ) -> float:
-        """Push ``start`` past completions until the query fits in HBM."""
+        if stream is None:
+            stream = min(
+                range(len(self.free_at)), key=self.free_at.__getitem__
+            )
+        # push the start past modelled completions until the query fits
+        # in HBM next to the working sets still in flight
+        start = self.free_at[stream]
         while True:
-            running = [
-                (end, ws) for end, ws in in_flight if end > start
-            ]
-            if sum(ws for _, ws in running) + working_set <= capacity:
-                return start
+            running = [(end, ws) for end, ws in self.in_flight if end > start]
+            if sum(ws for _, ws in running) + working_set <= self.capacity:
+                break
             start = min(end for end, _ in running)
+        # a sharded result's wall-clock is the group makespan (the
+        # slowest device), not the sum of every device's busy time
+        duration = (
+            result.makespan_ns
+            if result.makespan_ns is not None
+            else result.stats.total_ns
+        )
+        end = start + duration
+        self.free_at[stream] = end
+        self.in_flight.append((end, working_set))
+        # one device: its PCIe transfer time.  A device group: each
+        # shard has its *own* link to the host, so the serialized-bus
+        # floor is set by the busiest single link, not the group-merged
+        # sum (which would erase the very parallelism sharding buys)
+        devices = (result.group_report or {}).get("devices")
+        self.bus_ns += (
+            max(d["transfer_time_ns"] for d in devices)
+            if devices else result.stats.transfer_time_ns
+        )
+        return stream, start, duration
 
 
 def split_statements(text: str) -> list[str]:

@@ -112,7 +112,7 @@ class EngineSession:
     catalog, which is where real wall-clock concurrency lives (the
     modelled device, like a real stream, executes one query at a
     time).  The lock is re-entrant, so single-threaded callers and the
-    modelled :class:`~repro.serve.scheduler.QueryScheduler` are
+    :class:`~repro.serve.concurrent.AsyncEngine`'s inline drain are
     unchanged — at one worker the modelled totals stay bit-identical.
     """
 
@@ -130,6 +130,8 @@ class EngineSession:
         shards: int = 1,
         interconnect: InterconnectSpec | str | None = None,
     ):
+        if shards < 1:
+            raise ValueError("shards must be >= 1")
         self.catalog = catalog
         self.lock = OwnedLock()
         self.tracer = NULL_TRACER if tracer is None else tracer

@@ -5,8 +5,9 @@ The load-bearing assertions of the concurrency PR:
 * the 10-query paper mix, run for several rounds at 2-8 workers,
   produces **bit-identical rows** to a solo run (compared by ``repr``
   so NaN aggregates compare equal);
-* at **one worker** the modelled totals are bit-identical to the PR 4
-  modelled scheduler (same FIFO prepare->run sequence);
+* at **one worker** the threaded engine's modelled totals and
+  placement are bit-identical to the inline (zero-thread) drain, on a
+  solo session and on a sharded one;
 * drains always complete inside a hard timeout (the deadlock guard —
   ``drain`` returning False *is* the failure, not a hang);
 * after a drain the admission ledger, raw allocations and pool tails
@@ -24,7 +25,6 @@ from repro.serve import (
     AsyncEngine,
     BackpressureError,
     EngineSession,
-    QueryScheduler,
     ThreadGuard,
     paper_mix_statements,
 )
@@ -44,9 +44,9 @@ def catalog():
 def solo_baseline(catalog):
     """Rows + modelled totals of the paper mix on a solo session."""
     with EngineSession(catalog) as session:
-        scheduler = QueryScheduler(session, streams=1)
-        scheduler.submit_all(paper_mix_statements())
-        report = scheduler.run()
+        report = AsyncEngine(session, workers=1, autostart=False).run_batch(
+            paper_mix_statements()
+        )
     assert len(report.completed) == 10
     return (
         [repr(q.result.rows) for q in report.queries],
@@ -121,7 +121,7 @@ class TestSoloParity:
     def test_one_worker_modelled_totals_match_scheduler(
         self, catalog, solo_baseline,
     ):
-        """Concurrency=1 is the PR 4 modelled path, bit for bit."""
+        """One worker thread is the inline drain, bit for bit."""
         solo_rows, solo_totals = solo_baseline
         with EngineSession(catalog) as session:
             engine = AsyncEngine(session, workers=1)
@@ -133,22 +133,54 @@ class TestSoloParity:
         report = engine.report()
         assert [q.stream for q in report.completed] == [0] * 10
 
-    def test_one_worker_placement_matches_scheduler(self, catalog):
+    @staticmethod
+    def inline_and_threaded(catalog, **session_kwargs):
+        """The paper mix on one stream, drained inline and by a thread."""
         statements = paper_mix_statements()
-        with EngineSession(catalog) as session:
-            scheduler = QueryScheduler(session, streams=1)
-            scheduler.submit_all(statements)
-            modelled = scheduler.run()
-        with EngineSession(catalog) as session:
+        with EngineSession(catalog, **session_kwargs) as session:
+            inline = AsyncEngine(
+                session, workers=1, autostart=False,
+            ).run_batch(statements)
+        with EngineSession(catalog, **session_kwargs) as session:
             engine = AsyncEngine(session, workers=1)
-            engine.submit_all(statements)
-            assert engine.drain(timeout=DRAIN_TIMEOUT)
+            threaded = engine.run_batch(statements, timeout=DRAIN_TIMEOUT)
             engine.shutdown(drain=False, timeout=10.0)
-        real = engine.report()
-        for a, b in zip(modelled.queries, real.queries):
+        assert threaded is not None, "deadlock: batch did not drain"
+        assert len(inline.completed) == len(threaded.completed) == 10
+        for a, b in zip(inline.queries, threaded.queries):
+            assert a.stream == b.stream == 0
             assert repr(a.start_ns) == repr(b.start_ns)
             assert repr(a.duration_ns) == repr(b.duration_ns)
-        assert repr(modelled.makespan_ns) == repr(real.makespan_ns)
+            assert repr(a.result.stats.total_ns) == repr(
+                b.result.stats.total_ns
+            )
+        return inline, threaded
+
+    # the pins below are repr(makespan_ns), repr(bus_ns) captured from
+    # the modelled QueryScheduler that the inline drain replaced
+
+    def test_one_worker_placement_matches_scheduler(self, catalog):
+        for report in self.inline_and_threaded(catalog):
+            assert repr(report.makespan_ns) == "1427298.8531770185"
+            assert repr(report.bus_ns) == "3279.666666666667"
+            for query in report.queries:
+                assert query.result.makespan_ns is None
+                assert query.result.group_report is None
+                assert query.duration_ns == query.result.stats.total_ns
+
+    def test_sharded_one_worker_placement_matches_inline(self, catalog):
+        """Regression: the threaded engine timed a sharded query by the
+        sum over devices and the group-merged bus (3.7x / 4x apart from
+        the inline numbers) instead of the group makespan and the
+        busiest PCIe link."""
+        for report in self.inline_and_threaded(
+            catalog, shards=4, interconnect="nvlink",
+        ):
+            assert repr(report.makespan_ns) == "1452302.0623983727"
+            assert repr(report.bus_ns) == "1979.166666666667"
+            for query in report.queries:
+                assert query.duration_ns == query.result.makespan_ns
+                assert query.duration_ns < query.result.stats.total_ns
 
 
 class TestLifecycle:

@@ -98,7 +98,9 @@ class TestSessionPlanCache:
         assert session.execute(Q4, mode="nested").plan_cache_hit
 
     def test_miss_after_catalog_reload(self):
-        catalog = generate_tpch(0.05)
+        # a private catalog: the reload below must not leak into the
+        # process-wide generate_tpch cache other modules pin against
+        catalog = generate_tpch(0.05, use_cache=False)
         with EngineSession(catalog) as session:
             session.execute(Q4)
             assert session.execute(Q4).plan_cache_hit

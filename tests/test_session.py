@@ -132,6 +132,14 @@ class TestBadMode:
             assert session.execute(Q4, mode="nested").num_rows > 0
 
 
+class TestBadShards:
+    @pytest.mark.parametrize("shards", [0, -3])
+    def test_non_positive_shards_raise(self, catalog, shards):
+        """Regression: the session ran the solo engine silently."""
+        with pytest.raises(ValueError, match="shards must be >= 1"):
+            EngineSession(catalog, shards=shards)
+
+
 class TestColumnResidencyEviction:
     def _device(self, capacity: int) -> Device:
         return Device(DeviceSpec.v100().with_memory(capacity))
@@ -171,8 +179,11 @@ class TestColumnResidencyEviction:
 
 
 class TestCatalogInvalidation:
+    # both tests mutate their catalog: take a private one, not the
+    # process-wide generate_tpch cache entry other modules pin against
+
     def test_reload_drops_residency_and_indexes(self):
-        catalog = generate_tpch(0.05)
+        catalog = generate_tpch(0.05, use_cache=False)
         with EngineSession(catalog) as session:
             session.execute(Q4)
             assert len(session.residency) > 0
@@ -182,7 +193,7 @@ class TestCatalogInvalidation:
             assert session.plan_cache.invalidations == 1
 
     def test_reload_results_stay_correct(self):
-        catalog = generate_tpch(0.05)
+        catalog = generate_tpch(0.05, use_cache=False)
         with EngineSession(catalog) as session:
             session.execute(Q4)
             bigger = generate_tpch(0.2)
