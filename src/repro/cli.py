@@ -148,7 +148,8 @@ def add_engine_arguments(parser) -> None:
     parser.add_argument(
         "--fusion", choices=("off", "on", "auto"), default="off",
         help="kernel fusion over data-path chains: 'on' forces fused "
-        "launches, 'auto' lets the tuner measure both (default off)",
+        "launches, 'auto' decides at plan time and measures only "
+        "programs whose winner depends on the data (default off)",
     )
     parser.add_argument(
         "--no-fusion", action="store_true",

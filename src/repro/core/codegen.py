@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from ..errors import PlanError
 from ..plan.binder import SubqueryDescriptor
 from ..plan.builder import PlanBuilder
+from ..plan.expressions import referenced_params
 from ..plan.invariants import InvariantInfo, mark_invariants
 from ..plan.nodes import (
     Aggregate,
@@ -95,8 +96,6 @@ class CodeGenerator:
 
     def generate(self, plan: Plan, fetch_result: bool = True) -> DriveProgram:
         self._emit("def drive(rt):")
-        if self.fusion is not None:
-            self._emit("# fusion: on — data-path chains charge one fused launch")
         result_var = self._emit_plan(plan, _Frame.outermost())
         if fetch_result:
             self._emit(f"return rt.fetch({result_var})")
@@ -105,9 +104,15 @@ class CodeGenerator:
             # the gather exchange moves them, and the coordinator pays
             # the single d2h fetch after the global tail
             self._emit(f"return {result_var}")
+        # a pass that fused nothing leaves the plain program, byte for byte
+        fused = self.fusion is not None and bool(self.fusion.sites)
+        if fused:
+            self._lines.insert(
+                1, "    # fusion: on — data-path chains charge one fused launch"
+            )
         program = DriveProgram(
             "\n".join(self._lines) + "\n", self._nodes, self._specs,
-            fusion=self.fusion,
+            fusion=self.fusion if fused else None,
         )
         program.compile()
         return program
@@ -178,6 +183,10 @@ class CodeGenerator:
                     f"{node.table} AS {node.binding}: "
                     f"{len(node.filters)} predicate(s) + compact",
                     transient=in_loop,
+                    # rt.t_f_scan masks every correlated predicate at full
+                    # width (conservative: an index may answer the first)
+                    widening=in_loop
+                    and len(list(filter(referenced_params, node.filters))) >= 2,
                 )
                 if in_loop:
                     self._emit(

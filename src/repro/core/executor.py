@@ -126,7 +126,7 @@ class PreparedQuery:
     fallback: "PreparedQuery | None" = None
     unnested_ms: float | None = None
     # data-path fusion (core.fusion): how this program's fusion state
-    # was chosen — off, forced on, or measured by the FusionTuner
+    # was chosen — off, forced on, analytic, or measured by the tuner
     fusion_decision: FusionDecision = FUSION_OFF
 
 
@@ -166,8 +166,8 @@ class NestGPU:
         self.selectivity = (
             ExactSelectivity(catalog) if self.options.exact_selectivity else None
         )
-        # fusion autotuner (options.fusion == 'auto'): measured fused vs
-        # unfused decisions cached per plan shape and coefficient version
+        # fusion autotuner (options.fusion == 'auto', widening sites only):
+        # measured decisions cached per plan shape and coefficient version
         self.fusion_tuner = FusionTuner()
 
     def set_coefficients(self, coefficients: CostCoefficients) -> None:
@@ -579,11 +579,12 @@ class NestGPU:
 
         ``'off'`` emits the historical one-launch-per-primitive program.
         ``'on'`` forces every fusible site through the fused entry
-        points.  ``'auto'`` generates both variants and asks the
-        :class:`FusionTuner`, which measures each candidate's modelled
-        time on a private device the first time a plan shape is seen
-        under the current coefficient version, then serves the cached
-        winner.
+        points.  ``'auto'`` decides at plan time: with every site
+        launch-only (core.fusion) fused is never slower, so nothing
+        runs.  Only a widening site, whose winner depends on the data,
+        generates both variants and asks the :class:`FusionTuner`, which
+        measures each on a private device the first time a plan shape
+        is seen under the current coefficient version.
         """
         mode = self.options.fusion
         if mode == "off":
@@ -592,15 +593,19 @@ class NestGPU:
         fused_program = generate_drive_program(builder, plan, fusion=fusion)
         sites = len(fusion.sites)
         if sites == 0:
-            # nothing fusible in this program: keep the unfused emission
-            # so drive sources stay byte-stable for snapshot tests
-            return generate_drive_program(builder, plan), FUSION_OFF
+            return fused_program, FUSION_OFF  # nothing fused: the plain program
         if mode == "on":
             return fused_program, FusionDecision(
                 source="forced", fused=True, sites=sites
             )
         if mode != "auto":
             raise ValueError(f"unknown fusion mode {mode!r}")
+        if self.device_spec.launch_overhead_ns > 0 and not any(
+            site.widening for site in fusion.sites
+        ):
+            return fused_program, FusionDecision(
+                source="analytic", fused=True, sites=sites
+            )
         unfused_program = generate_drive_program(builder, plan)
         decision = self.fusion_tuner.decide(
             plan_fingerprint(plan),

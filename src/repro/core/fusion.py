@@ -18,16 +18,19 @@ Three pieces live here:
   ``rt.f_apply_subquery_predicate``) is recorded, so EXPLAIN can list
   exactly what was fused.  Because sites are recorded during emission,
   subquery inner plans (built lazily by the generator) are covered too.
+  A site is *launch-only* when its fused scope runs the same kernels at
+  the same widths (fused = unfused − (kernels − 1)·C, never slower) and
+  *widening* when fused masks run wider than the staged pipeline's.
 
 * :class:`FusionDecision` — what execution ended up doing and why:
-  forced by ``EngineOptions.fusion='on'``, measured by the tuner, or
-  off.
+  forced by ``EngineOptions.fusion='on'``, analytic (every site
+  launch-only: decided at plan time, nothing run), measured by the
+  tuner (a widening site: the winner depends on the data), or off.
 
-* :class:`FusionTuner` — the DaCe-style on-the-fly tuner.  Fusion is
-  *measured, not assumed*: per plan shape (structural fingerprint) the
-  tuner benchmarks the fused candidate against the unfused baseline on
-  a private device using tracer kernel-leaf timings and remembers the
-  winner.  Entries are keyed by the cost model's
+* :class:`FusionTuner` — the DaCe-style on-the-fly tuner for what
+  analysis cannot decide: per plan shape (structural fingerprint) it
+  benchmarks the fused candidate against the unfused baseline on a
+  private device and remembers the winner.  Entries are keyed by
   ``CostCoefficients.version``; a recalibration bump makes every cached
   decision stale, so the next query re-tunes under the new model — a
   decision is never served across a version bump.
@@ -50,9 +53,11 @@ class FusionSite:
     node_id: int
     description: str
     transient: bool = False  # inside a subquery iteration body
+    widening: bool = False  # fused runs wider masks: winner is data-dependent
 
     def __str__(self) -> str:
         where = "loop" if self.transient else "flat"
+        where += ", widening" if self.widening else ""
         return f"[{self.node_id}] {self.kind} ({where}): {self.description}"
 
 
@@ -80,8 +85,10 @@ class FusionPlan:
         return isinstance(node, (Filter, SubqueryFilter))
 
     def record(self, kind: str, node_id: int, description: str,
-               transient: bool = False) -> None:
-        self.sites.append(FusionSite(kind, node_id, description, transient))
+               transient: bool = False, widening: bool = False) -> None:
+        self.sites.append(
+            FusionSite(kind, node_id, description, transient, widening)
+        )
 
     def describe(self) -> list[str]:
         return [str(site) for site in self.sites]
@@ -91,7 +98,7 @@ class FusionPlan:
 class FusionDecision:
     """Why a prepared query runs fused (or not)."""
 
-    source: str  # 'off' | 'forced' | 'tuned'
+    source: str  # 'off' | 'forced' | 'analytic' | 'tuned'
     fused: bool
     sites: int = 0
     fused_ns: float | None = None  # measured by the tuner, else None
@@ -103,6 +110,9 @@ class FusionDecision:
             return "off"
         if self.source == "forced":
             return f"forced on ({self.sites} sites)"
+        if self.source == "analytic":
+            return (f"analytic: fused ({self.sites} launch-only sites: same "
+                    "kernels, kernels - 1 launch overheads saved each)")
         verdict = "fused wins" if self.fused else "unfused wins"
         return (
             f"tuned: {verdict} ({self.sites} sites, "
@@ -140,11 +150,9 @@ def plan_fingerprint(plan) -> str:
             primary = getattr(node, "descriptor", None)
             if primary is not None:
                 descriptors = (primary,)
-        for descriptor in descriptors:
-            parts.append(
-                f"subq[{descriptor.index}]:{descriptor.kind}:"
-                f"{sorted(descriptor.free_quals)}"
-            )
+        # the dataclass repr covers kind, free quals and the bound inner
+        # block, which the outer tree's text does not show
+        parts += [f"subq:{descriptor!r}" for descriptor in descriptors]
     return "\n".join(parts)
 
 

@@ -38,9 +38,9 @@ class EngineOptions:
     adaptive_hysteresis: float = 1.5
     # data-path kernel fusion in codegen (core.fusion): "off" keeps the
     # one-launch-per-primitive pipeline (and pre-fusion modelled totals
-    # bit-identical), "on" forces every fusible site fused, "auto" lets
-    # the FusionTuner benchmark fused vs unfused per plan shape and
-    # cache the winner
+    # bit-identical), "on" forces every fusible site fused, "auto"
+    # fuses at plan time when every site is launch-only and lets the
+    # FusionTuner measure only programs with a widening site
     fusion: str = "off"
 
     @staticmethod

@@ -105,8 +105,9 @@ def filter_rel_multi(ctx, rel: Relation, predicates: list[PlanExpr],
     pipeline: every stage compacts and materialises, narrowing the next
     stage's input).  Fused, every mask is evaluated over the *same*
     input width and the chain pays one fused launch, one compact and
-    one materialise — the launch/materialisation savings the
-    FusionTuner weighs against the extra full-width predicate work.
+    one materialise.  With >= 2 predicates this is the one *widening*
+    fusion site (core.fusion): the extra full-width work loses once
+    2*ceil(n0/Th)*K > 5*C, so the FusionTuner still measures it.
     """
     if not predicates:
         return rel

@@ -138,7 +138,8 @@ class AnalyzeReport:
         decision = p.fusion_decision
         if decision.source != "off":
             fusion = f"fusion: {decision.describe()}"
-            if r.stats.fused_launches:
+            # an analytic decision measured nothing: this run is its proof
+            if r.stats.fused_launches or decision.source == "analytic":
                 fusion += (
                     f"   fused launches: {r.stats.fused_launches}"
                     f" (absorbed {r.stats.fused_kernels} kernels, saved "

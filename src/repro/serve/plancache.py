@@ -125,8 +125,8 @@ class PlanCache:
         own cache treats stale versions as misses, but a session plan
         cache holding a *tuned* :class:`PreparedQuery` would keep
         serving the old winner without ever re-asking the tuner.  Forced
-        (``fusion='on'``) and off entries are version-independent and
-        survive.  Returns the eviction count.
+        (``fusion='on'``), analytic and off entries never depended on
+        the coefficients and survive.  Returns the eviction count.
         """
         with self._lock:
             doomed = [

@@ -1,5 +1,6 @@
 """The shape of the compile pipeline: parse once, bind once, one plan
-builder per candidate path — through every layer that compiles.
+builder and one codegen pass per candidate path — through every layer
+that compiles.
 
 The counts are taken at the names ``NestGPU.prepare`` resolves at call
 time (``repro.core.executor.parse`` / ``.PlanBuilder``) and on
@@ -14,6 +15,7 @@ import pytest
 from conftest import make_rst_catalog
 
 from repro.core import NestGPU, ShardedEngine, executor
+from repro.engine import EngineOptions
 from repro.plan import Binder, PlanBuilder
 from repro.serve import EngineSession
 
@@ -36,9 +38,15 @@ def catalog():
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Counts of parse / bind calls and candidate builders constructed."""
-    counts = {"parse": 0, "bind": 0, "builders": []}
+    """Counts of parse / bind / codegen calls and candidate builders
+    constructed."""
+    counts = {"parse": 0, "bind": 0, "generate": 0, "builders": []}
     real_parse, real_bind = executor.parse, Binder.bind
+    real_generate = executor.generate_drive_program
+
+    def generate(*args, **kwargs):
+        counts["generate"] += 1
+        return real_generate(*args, **kwargs)
 
     def parse(sql):
         counts["parse"] += 1
@@ -56,6 +64,7 @@ def calls(monkeypatch):
     monkeypatch.setattr(executor, "parse", parse)
     monkeypatch.setattr(Binder, "bind", bind)
     monkeypatch.setattr(executor, "PlanBuilder", CountingBuilder)
+    monkeypatch.setattr(executor, "generate_drive_program", generate)
     return counts
 
 
@@ -83,6 +92,32 @@ def test_solo_prepare_parses_and_binds_once(
         # both candidates were costed from the one bound block
         assert prepared.predicted_ms is not None
         assert prepared.block is (prepared.fallback or prepared).block
+
+
+# no predicate anywhere: a fusion pass over it records no site
+NO_SITE = "SELECT r_col1 FROM r"
+
+
+@pytest.mark.parametrize("fusion", ["off", "on", "auto"])
+@pytest.mark.parametrize(
+    "sql,mode,candidates",
+    [(NO_SITE, "auto", 1), (FLAT, "auto", 1), (CORRELATED, "nested", 1),
+     (CORRELATED, "auto", 2), (REFUSED, "auto", 1)],
+    ids=["no-site", "flat", "forced-nested", "auto-both", "auto-refused"],
+)
+def test_one_codegen_pass_per_candidate_in_every_fusion_mode(
+    catalog, calls, fusion, sql, mode, candidates
+):
+    """Launch-only programs are decided at plan time from the one fused
+    emission, and a pass that finds nothing to fuse *is* the plain
+    program — no second emission in either case."""
+    engine = NestGPU(catalog, options=EngineOptions(fusion=fusion))
+    prepared = engine.prepare(sql, mode)
+    assert calls["generate"] == candidates
+    if sql is NO_SITE:
+        assert prepared.fusion_decision.source == "off"
+        assert prepared.program.fusion is None
+        assert "# fusion" not in prepared.program.source
 
 
 def test_sharded_prepare_parses_and_binds_once(catalog, calls):
