@@ -6,7 +6,10 @@ inner correlated column turns each full scan into a binary search plus
 a slice gather.  Building costs an ``O(N log N)`` device sort and
 ``O(2N)`` extra space (values + original positions), so the executor
 weighs the build cost against the expected number of iterations before
-committing (:func:`index_pays_off`).
+committing (:func:`index_pays_off`).  The index *is* the engine's one
+key-lookup structure (:class:`~repro.gpu.kernels.JoinHash`) charged as
+a sort: the device pays the binary search while the host answers dense
+integer columns by direct addressing.
 """
 
 from __future__ import annotations
@@ -19,19 +22,8 @@ from ..gpu import kernels
 from ..gpu.device import Device
 
 
-class CorrelatedIndex:
-    """A sorted copy of a column plus original row positions."""
-
-    def __init__(self, sorted_values: np.ndarray, positions: np.ndarray):
-        self.sorted_values = sorted_values
-        self.positions = positions
-
-    def __len__(self) -> int:
-        return len(self.sorted_values)
-
-    @property
-    def nbytes(self) -> int:
-        return self.sorted_values.nbytes + self.positions.nbytes
+class CorrelatedIndex(kernels.JoinHash):
+    """Sorted column values (``keys_sorted``) + original rows (``order``)."""
 
     @classmethod
     def build(cls, device: Device, values: np.ndarray) -> "CorrelatedIndex":
@@ -41,10 +33,8 @@ class CorrelatedIndex:
 
     def lookup(self, device: Device, value) -> np.ndarray:
         """Row positions whose key equals ``value`` (one binary search)."""
-        lo, hi = kernels.binary_search_ranges(
-            device, self.sorted_values, np.asarray([value])
-        )
-        return self.positions[int(lo[0]) : int(hi[0])]
+        lo, hi = kernels.binary_search_ranges(device, self, np.asarray([value]))
+        return self.order[int(lo[0]) : int(hi[0])]
 
     def lookup_batch(
         self, device: Device, values: np.ndarray
@@ -56,15 +46,10 @@ class CorrelatedIndex:
         matched — the representation the vectorized subquery path
         consumes directly.
         """
-        lo, hi = kernels.binary_search_ranges(device, self.sorted_values, values)
-        counts = hi - lo
-        total = int(counts.sum())
+        lo, hi = kernels.binary_search_ranges(device, self, values)
+        segments, positions, total = kernels.expand_ranges(lo, hi - lo)
         device.launch("index_gather", total)
-        segments = np.repeat(np.arange(len(values)), counts)
-        starts = np.repeat(lo, counts)
-        offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-        rows = self.positions[starts + offsets]
-        return rows, segments
+        return self.order[positions], segments
 
 
 def index_pays_off(

@@ -158,6 +158,13 @@ class SubqueryProgram:
                 self._index_memo[memo_key] = None
         return self._index_memo[memo_key]
 
+    def scan_table(self, node: Scan, keys: np.ndarray) -> kernels.JoinHash:
+        """Uncharged host-side key table of the unindexed vectorized
+        scan (the device pays B full scans), sorted once per scan."""
+        if id(node) not in self._hash_memo:
+            self._hash_memo[id(node)] = kernels.JoinHash.build(keys)
+        return self._hash_memo[id(node)]
+
     @staticmethod
     def _shared_index_key(node: Scan, key_col: ColRef) -> tuple:
         """Value-based fingerprint of (scan base, indexed column).
@@ -509,40 +516,16 @@ class Runtime:
         collapses the remaining correlated predicates plus the
         compaction tail into one fused launch.
         """
-        base = sp.base_relation(node)
-        correlated = [f for f in node.filters if referenced_params(f)]
-        rel = base
-        if fused:
-            remaining = correlated
-            if correlated:
-                eq = vectorize._equality_correlation(correlated[0])
-                if eq is not None:
-                    key_col, qual = eq
-                    index = sp.scan_index(node, base, key_col)
-                    if index is not None:
-                        self.ctx.index_probes += 1
-                        rows = index.lookup(self.ctx.device, env[qual])
-                        rel = rel.take_no_charge(rows)
-                        ops._materialize(self.ctx, rel)
-                        remaining = correlated[1:]
-            if remaining:
-                rel = ops.filter_rel_multi(
-                    self.ctx, rel, remaining, env, fused=True
-                )
-            self.ctx.operator_done()
-            return rel
-        for position, predicate in enumerate(correlated):
-            eq = vectorize._equality_correlation(predicate)
-            if position == 0 and eq is not None:
-                key_col, qual = eq
-                index = sp.scan_index(node, base, key_col)
-                if index is not None:
-                    self.ctx.index_probes += 1
-                    rows = index.lookup(self.ctx.device, env[qual])
-                    rel = rel.take_no_charge(rows)
-                    ops._materialize(self.ctx, rel)
-                    continue
-            rel = ops.filter_rel(self.ctx, rel, predicate, env)
+        rel = base = sp.base_relation(node)
+        remaining = [f for f in node.filters if referenced_params(f)]
+        eq = vectorize._equality_correlation(remaining[0]) if remaining else None
+        index = sp.scan_index(node, base, eq[0]) if eq is not None else None
+        if index is not None:
+            self.ctx.index_probes += 1
+            rel = rel.take_no_charge(index.lookup(self.ctx.device, env[eq[1]]))
+            ops._materialize(self.ctx, rel)
+            remaining = remaining[1:]
+        rel = ops.filter_rel_multi(self.ctx, rel, remaining, env, fused=fused)
         self.ctx.operator_done()
         return rel
 

@@ -198,37 +198,21 @@ def _eval_scan(sp, node: Scan, batch, num_segments) -> SegRelation:
     key_col, qual = primary
     params = batch[qual]
 
-    index = sp.scan_index(node, base, key_col)
-    if index is not None:
-        # the index fast path already beats any fusion of the full scan
-        sp.ctx.index_probes += len(params)
-        rows, seg = index.lookup_batch(sp.ctx.device, params)
-        rel = base.take_no_charge(rows)
-        ops._materialize(sp.ctx, rel)
-        out = SegRelation(rel, seg, num_segments)
-        for predicate in correlated[1:]:
-            out = _apply_seg_filter(sp, out, predicate, batch)
-        sp.ctx.operator_done()
-        return out
-
-    # unindexed: one fused kernel doing B scans over the base; with the
-    # fusion pass on, the remaining correlated predicates join it in a
-    # single fused launch instead of per-stage compare/compact chains
     device = sp.ctx.device
-    scope = device.begin_fused("fused_scan") if sp.fused else None
+    index = sp.scan_index(node, base, key_col)
+    # unindexed: one kernel doing B scans over the base; with the fusion
+    # pass on, the remaining correlated predicates join it in one fused
+    # launch (the index fast path already beats any fusion of the scan)
+    scope = device.begin_fused("fused_scan") if sp.fused and index is None else None
     try:
-        device.launch("scan_compare", base.num_rows * len(params))
-        keys = base.column(key_col.qual).data
-        order = np.argsort(keys, kind="stable")
-        lo = np.searchsorted(keys[order], params, side="left")
-        hi = np.searchsorted(keys[order], params, side="right")
-        counts = hi - lo
-        total = int(counts.sum())
-        seg = np.repeat(np.arange(len(params)), counts)
-        starts = np.repeat(lo, counts)
-        offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-        rows = order[starts + offsets]
-
+        if index is not None:
+            sp.ctx.index_probes += len(params)
+            rows, seg = index.lookup_batch(device, params)
+        else:
+            device.launch("scan_compare", base.num_rows * len(params))
+            table = sp.scan_table(node, base.column(key_col.qual).data)
+            seg, positions, _ = kernels.expand_ranges(*table.ranges(params))
+            rows = table.order[positions]
         rel = base.take_no_charge(rows)
         ops._materialize(sp.ctx, rel)
         out = SegRelation(rel, seg, num_segments)
@@ -284,37 +268,31 @@ def _eval_join(sp, node: Join, batch, num_segments) -> SegRelation:
     if left_seg != right_seg:
         # hoisted case: hash the invariant side once, probe per batch
         if left_seg:
-            probe, invariant_rel = left, right
+            probe, build_rel = left, right
             probe_key, invariant_key = node.left_key, node.right_key
         else:
-            probe, invariant_rel = right, left
+            probe, build_rel = right, left
             probe_key, invariant_key = node.right_key, node.left_key
-        table = sp.hoisted_hash(node, invariant_rel, invariant_key)
+        table = sp.hoisted_hash(node, build_rel, invariant_key)
         probe_keys = evaluate(probe_key, probe.rel, sp.ctx, _seg_env(batch, probe.seg))
-        probe_idx, build_idx = kernels.hash_probe(device, table, probe_keys)
-        out_rel = probe.rel.take_no_charge(probe_idx).merged(
-            invariant_rel.take_no_charge(build_idx)
-        )
-        ops._materialize(sp.ctx, out_rel)
-        sp.ctx.operator_done()
-        return SegRelation(out_rel, probe.seg[probe_idx], num_segments)
-
-    if left_seg and right_seg:
+    elif left_seg:
         # both transient: join within segments via composite keys
         left_keys = evaluate(node.left_key, left.rel, sp.ctx, _seg_env(batch, left.seg))
         right_keys = evaluate(node.right_key, right.rel, sp.ctx, _seg_env(batch, right.seg))
-        combined_left = left_keys.astype(np.int64) * num_segments + left.seg
-        combined_right = right_keys.astype(np.int64) * num_segments + right.seg
-        table = kernels.hash_build(device, combined_right)
-        probe_idx, build_idx = kernels.hash_probe(device, table, combined_left)
-        out_rel = left.rel.take_no_charge(probe_idx).merged(
-            right.rel.take_no_charge(build_idx)
+        probe, build_rel = left, right.rel
+        probe_keys = left_keys.astype(np.int64) * num_segments + left.seg
+        table = kernels.hash_build(
+            device, right_keys.astype(np.int64) * num_segments + right.seg
         )
-        ops._materialize(sp.ctx, out_rel)
-        sp.ctx.operator_done()
-        return SegRelation(out_rel, left.seg[probe_idx], num_segments)
-
-    raise ExecutionError("join of two invariant children should be invariant")
+    else:
+        raise ExecutionError("join of two invariant children should be invariant")
+    probe_idx, build_idx = kernels.hash_probe(device, table, probe_keys)
+    out_rel = probe.rel.take_no_charge(probe_idx).merged(
+        build_rel.take_no_charge(build_idx)
+    )
+    ops._materialize(sp.ctx, out_rel)
+    sp.ctx.operator_done()
+    return SegRelation(out_rel, probe.seg[probe_idx], num_segments)
 
 
 def _as_segmented(result, num_segments) -> SegRelation:

@@ -83,8 +83,8 @@ class ColumnResidency:
     def __init__(self, device: Device, lru: bool = False):
         self.device = device
         self.lru = lru
+        # key -> bytes, in eviction order (dicts keep insertion order)
         self._resident: dict[tuple[str, str], int] = {}
-        self._order: list[tuple[str, str]] = []
         # observability side channels (never charge the clock)
         self.evictions = 0
         self.transfers = 0
@@ -101,7 +101,7 @@ class ColumnResidency:
         return sum(self._resident.values())
 
     def resident_keys(self) -> list[tuple[str, str]]:
-        return list(self._order)
+        return list(self._resident)
 
     def ensure(self, key: tuple[str, str], nbytes: int) -> bool:
         """Make ``key`` resident; returns True if a transfer was paid.
@@ -111,25 +111,9 @@ class ColumnResidency:
         touches pay the transfer again — the paper's on-demand loading
         mode for memory-constrained devices).
         """
-        if key in self._resident:
-            self.touches += 1
-            if self.lru:
-                self._order.remove(key)
-                self._order.append(key)
+        if not self.admit(key, nbytes):
             return False
-        while True:
-            try:
-                self.device.alloc(nbytes)
-                break
-            except DeviceMemoryError:
-                if not self._order:
-                    raise
-                victim = self._order.pop(0)
-                self.device.free(self._resident.pop(victim))
-                self.evictions += 1
         self.device.transfer_h2d(nbytes)
-        self._resident[key] = nbytes
-        self._order.append(key)
         self.transfers += 1
         return True
 
@@ -146,29 +130,26 @@ class ColumnResidency:
         if key in self._resident:
             self.touches += 1
             if self.lru:
-                self._order.remove(key)
-                self._order.append(key)
+                self._resident[key] = self._resident.pop(key)
             return False
         while True:
             try:
                 self.device.alloc(nbytes)
                 break
             except DeviceMemoryError:
-                if not self._order:
+                if not self._resident:
                     raise
-                victim = self._order.pop(0)
+                victim = next(iter(self._resident))
                 self.device.free(self._resident.pop(victim))
                 self.evictions += 1
         self._resident[key] = nbytes
-        self._order.append(key)
         return True
 
     def release_all(self) -> None:
         """Free every resident column (end of query / session)."""
-        for key in self._order:
-            self.device.free(self._resident[key])
+        for nbytes in self._resident.values():
+            self.device.free(nbytes)
         self._resident.clear()
-        self._order.clear()
 
 
 class ExecutionContext:

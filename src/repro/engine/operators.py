@@ -237,14 +237,11 @@ def left_lookup(
     table = kernels.hash_build(ctx.device, inner_keys)
     outer_keys = _key_array(ctx, child, outer_key, env)
     ctx.device.launch("left_lookup", child.num_rows, work=2.0)
-    lo = np.searchsorted(table.keys_sorted, outer_keys, side="left")
-    hi = np.searchsorted(table.keys_sorted, outer_keys, side="right")
-    matched = hi > lo
+    lo, counts = table.ranges(outer_keys)
+    matched = np.flatnonzero(counts)
     values = np.full(child.num_rows, default, dtype=np.float64)
-    if inner.num_rows:
-        first = table.order[np.minimum(lo, len(table) - 1)]
-        source = inner.column(value_column).data.astype(np.float64)
-        values[matched] = source[first[matched]]
+    source = inner.column(value_column).data
+    values[matched] = source[table.order[lo[matched]]]
     out = Relation(
         {**child.columns, output_name: computed_column(output_name, values)},
         child.num_rows,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -167,12 +167,10 @@ def prefix_sum(device: Device, mask: np.ndarray) -> tuple[np.ndarray, int]:
 
 def compact(device: Device, mask: np.ndarray) -> np.ndarray:
     """Indices of set positions (prefix-sum + scatter of a 0/1 vector)."""
-    mask = mask.astype(bool)
-    positions, total = prefix_sum(device, mask)
-    device.launch("scatter", len(mask))
-    out = np.empty(total, dtype=np.int64)
-    out[positions[mask]] = np.nonzero(mask)[0]
-    return out
+    n = len(mask)
+    device.launch("prefix_sum", n, work=_log_work(n))
+    device.launch("scatter", n)
+    return np.flatnonzero(mask)
 
 
 def gather(device: Device, data: np.ndarray, indices: np.ndarray) -> np.ndarray:
@@ -259,20 +257,36 @@ def segmented_any(
 
 
 # ---------------------------------------------------------------------------
-# hash join primitives
+# hash join primitives: the one key -> [lo, lo+count) -> positions lookup
+# behind join, semi-join, left lookup, the correlated index and the
+# vectorized scan; which path answers inside `ranges` is host work only
 # ---------------------------------------------------------------------------
+
+# Density rule.  The direct-address table costs ~4 sequential passes over
+# `span` slots (~1 ns each) and saves two binary searches (~25 ns each,
+# even over 20 keys) per probe, so it pays up to span ~ 12 x probes; at
+# two int64 per slot, span <= 4 x (build + probe) also keeps it within a
+# small multiple of the arrays in hand (+1024: small builds with gaps).
+# Both sides are read off the arrays, so there is nothing to tune.
+_DENSE_SLOTS_PER_KEY = 4
+_DENSE_FREE_SLOTS = 1024
 
 
 @dataclass
 class JoinHash:
-    """A build-side 'hash table'.
+    """A build-side 'hash table': sorted keys + the stable permutation,
+    so ``order[lo:lo+count]`` are a key's build rows in build order.
 
-    Internally a sorted copy of the keys plus the sort permutation; the
-    device is charged hash-build cost (``Ht`` per element, Eq. 2).
+    :func:`hash_build` charges the device (``Ht`` per element, Eq. 2);
+    ``nbytes`` is the modelled footprint.  Dense integer keys also get
+    a lazily built direct-address ``first[]/count[]`` table — host
+    memory, never charged to the modelled HBM.
     """
 
     keys_sorted: np.ndarray
     order: np.ndarray
+    # (base, top, first, count), published whole: readers see None or all
+    _dense: tuple | None = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.keys_sorted)
@@ -281,12 +295,70 @@ class JoinHash:
     def nbytes(self) -> int:
         return self.keys_sorted.nbytes + self.order.nbytes
 
+    @classmethod
+    def build(cls, keys: np.ndarray) -> "JoinHash":
+        """Sort ``keys`` stably; uncharged (see :func:`hash_build`)."""
+        order = np.argsort(keys, kind="stable")
+        return cls(keys[order], order)
+
+    def ranges(self, probe_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each probe key's run in ``keys_sorted`` -> ``(lo, counts)``,
+        ``lo`` being the left insertion point even for a miss.
+
+        Integer keys within the density rule are direct-addressed.
+        Float/NaN keys, float probes of integer builds, uint64 and
+        sparse or huge spans take the two binary searches, whose NaN
+        and mixed-dtype ordering is the engine's NULL semantics.
+        """
+        common = np.result_type(self.keys_sorted, probe_keys)  # uint64: no
+        dense = np.can_cast(common, np.int64) and (
+            self._dense or self._build_dense(len(probe_keys))
+        )
+        if not dense:
+            lo = np.searchsorted(self.keys_sorted, probe_keys, side="left")
+            hi = np.searchsorted(self.keys_sorted, probe_keys, side="right")
+            return lo, hi - lo
+        base, top, first, count = dense
+        # slots 0 and `top` are the below- and above-range sentinels
+        slot = np.clip(probe_keys.astype(np.int64, copy=False), base, base + top)
+        slot -= base
+        return first.take(slot), count.take(slot)
+
+    def _build_dense(self, probes: int) -> tuple | None:
+        keys = self.keys_sorted
+        if not len(keys):
+            return None
+        low, high = int(keys[0]), int(keys[-1])
+        span = high - low + 1
+        room = _DENSE_SLOTS_PER_KEY * (len(keys) + probes) + _DENSE_FREE_SLOTS
+        # 2^62: `key - base` and the clip bounds cannot overflow int64
+        if span > room or not -(1 << 62) < low <= high < 1 << 62:
+            return None
+        count = np.bincount(keys.astype(np.int64, copy=False) - (low - 1),
+                            minlength=span + 2)
+        self._dense = (low - 1, span + 1, np.cumsum(count) - count, count)
+        return self._dense
+
+
+def expand_ranges(lo: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Enumerate every ``[lo, lo+count)`` -> (segments, positions, total):
+    the probe each match belongs to (probe order) and its slot in the
+    sorted build (stable build order within a probe).  A compaction
+    when no probe matched twice, as for every unique-key build.
+    """
+    total = int(counts.sum())
+    if np.count_nonzero(counts) == total:
+        segments = np.flatnonzero(counts)
+        return segments, lo[segments], total
+    segments = np.repeat(np.arange(len(counts)), counts)
+    run_start = np.cumsum(counts) - counts
+    return segments, np.arange(total) + np.repeat(lo - run_start, counts), total
+
 
 def hash_build(device: Device, keys: np.ndarray) -> JoinHash:
     """Build the join hash table over the build side's key column."""
     device.launch("hash_build", len(keys), work=2.0)
-    order = np.argsort(keys, kind="stable")
-    return JoinHash(keys[order], order)
+    return JoinHash.build(keys)
 
 
 def hash_probe(
@@ -294,24 +366,15 @@ def hash_probe(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Probe -> aligned (probe_indices, build_indices) of every match."""
     device.launch("hash_probe", len(probe_keys), work=2.0)
-    lo = np.searchsorted(table.keys_sorted, probe_keys, side="left")
-    hi = np.searchsorted(table.keys_sorted, probe_keys, side="right")
-    counts = hi - lo
-    total = int(counts.sum())
+    probe_idx, positions, total = expand_ranges(*table.ranges(probe_keys))
     device.launch("join_expand", total)
-    probe_idx = np.repeat(np.arange(len(probe_keys)), counts)
-    starts = np.repeat(lo, counts)
-    offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-    build_idx = table.order[starts + offsets]
-    return probe_idx, build_idx
+    return probe_idx, table.order[positions]
 
 
 def semi_probe(device: Device, table: JoinHash, probe_keys: np.ndarray) -> np.ndarray:
     """EXISTS probe -> mask over probe side (the paper's Q4 semi-join)."""
     device.launch("semi_probe", len(probe_keys), work=2.0)
-    lo = np.searchsorted(table.keys_sorted, probe_keys, side="left")
-    hi = np.searchsorted(table.keys_sorted, probe_keys, side="right")
-    return hi > lo
+    return table.ranges(probe_keys)[1] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -365,19 +428,19 @@ def group_ids(
 
 
 def binary_search_ranges(
-    device: Device, sorted_keys: np.ndarray, probe_values: np.ndarray
+    device: Device, index: JoinHash | np.ndarray, probe_values: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-probe [lo, hi) ranges in a sorted index column.
+    """Per-probe [lo, hi) ranges in a sorted index (or bare sorted column).
 
     This is the kernel behind indexed correlated scans: instead of a
     full table scan per iteration, each iteration touches only the
     matching slice.  The launch size is the probe count (log-cost per
     probe), not the table size.
     """
-    n = len(probe_values)
+    if not isinstance(index, JoinHash):
+        index = JoinHash(index, None)
     device.launch(
-        "index_search", n, work=_log_work(max(len(sorted_keys), 1))
+        "index_search", len(probe_values), work=_log_work(max(len(index), 1))
     )
-    lo = np.searchsorted(sorted_keys, probe_values, side="left")
-    hi = np.searchsorted(sorted_keys, probe_values, side="right")
-    return lo, hi
+    lo, counts = index.ranges(probe_values)
+    return lo, lo + counts

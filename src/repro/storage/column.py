@@ -158,13 +158,24 @@ def column_from_values(name: str, dtype: DataType, values: Sequence) -> Column:
 
     This is the ingestion path used by the TPC-H generator and by
     tests: strings get a fresh sorted dictionary, dates are converted
-    to days-since-epoch, and numerics pass through.
+    to days-since-epoch (an array already holds days), and numerics
+    pass through.  A string column may also arrive as ``(pool, index)``
+    — candidate strings plus a pool position per row — and is coded
+    without a string per row; the dictionary holds only values present.
     """
     if dtype.is_string:
+        if isinstance(values, tuple) and isinstance(values[-1], np.ndarray):
+            pool, index = values
+            present = np.flatnonzero(np.bincount(index, minlength=len(pool)))
+            used = [pool[i] for i in present]
+            dictionary = Dictionary(used)
+            remap = np.zeros(len(pool), dtype=np.int32)
+            remap[present] = dictionary.encode(used)
+            return Column(name, dtype, remap[index], dictionary)
         dictionary = Dictionary(values)
         codes = dictionary.encode(values)
         return Column(name, dtype, codes, dictionary)
-    if dtype.name == "date":
+    if dtype.name == "date" and not isinstance(values, np.ndarray):
         data = np.asarray([date_to_int(v) for v in values], dtype=np.int64)
         return Column(name, dtype, data)
     return Column(name, dtype, np.asarray(values, dtype=dtype.np_dtype))

@@ -5,7 +5,9 @@ with the eight TPC-H tables.  Generation is vectorised with numpy and
 seeded per table, so two calls with the same ``(scale_factor, seed)``
 yield identical data — a requirement for the cost-model experiments,
 which compare a predicted time against a later full run over the same
-data.
+data.  String columns are drawn as ``(pool, position per row)`` pairs
+(picks, comment phrases, clerks) and dictionary-coded as such by
+:func:`~repro.storage.column_from_values`: no Python string per row.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ import zlib
 
 import numpy as np
 
-from ..storage import Catalog, Column, Table, column_from_values
-from ..storage.datatypes import DATE, date_to_int
+from ..storage import Catalog, Table
+from ..storage.datatypes import date_to_int
 from . import text
 from .schema import TABLE_SPECS, rows_at_scale
 
@@ -33,21 +35,27 @@ def _rng(seed: int, table: str) -> np.random.Generator:
     return np.random.default_rng(zlib.crc32(f"{seed}:{table}".encode()))
 
 
-def _pick(rng: np.random.Generator, pool: list[str], n: int) -> list[str]:
-    """Uniformly sample ``n`` strings from a pool (returned as a list)."""
-    idx = rng.integers(0, len(pool), size=n)
-    return [pool[i] for i in idx]
+def _pick(rng: np.random.Generator, pool: list[str], n: int):
+    """Uniformly sample ``n`` strings from a pool -> (pool, index per row)."""
+    return pool, rng.integers(0, len(pool), size=n)
 
 
-def _comments(rng: np.random.Generator, n: int, words: int = 3) -> list[str]:
+def _phrases(pool: list[str], idx: np.ndarray):
+    """Rows of pool positions -> (distinct space-joined phrases, index per
+    row).  Only the distinct word combinations are ever formatted."""
+    shape = (len(pool),) * idx.shape[1]
+    distinct, index = np.unique(
+        np.ravel_multi_index(idx.T, shape), return_inverse=True
+    )
+    words = np.array(pool, dtype=object)
+    columns = [words[digit] for digit in np.unravel_index(distinct, shape)]
+    return [" ".join(row) for row in zip(*columns)], index
+
+
+def _comments(rng: np.random.Generator, n: int, words: int = 3):
     """Short pseudo-comments assembled from a fixed word pool."""
     pool = text.COMMENT_WORDS
-    idx = rng.integers(0, len(pool), size=(n, words))
-    return [" ".join(pool[j] for j in row) for row in idx]
-
-
-def _date_column(name: str, days: np.ndarray) -> Column:
-    return Column(name, DATE, days.astype(np.int64))
+    return _phrases(pool, rng.integers(0, len(pool), size=(n, words)))
 
 
 def _region() -> Table:
@@ -123,9 +131,7 @@ def _part(scale_factor: float, seed: int) -> Table:
     rng = _rng(seed, "part")
     keys = np.arange(1, n + 1)
     word_idx = rng.integers(0, len(text.PART_NAME_WORDS), size=(n, 2))
-    names = [
-        f"{text.PART_NAME_WORDS[a]} {text.PART_NAME_WORDS[b]}" for a, b in word_idx
-    ]
+    names = _phrases(text.PART_NAME_WORDS, word_idx)
     mfgr_num = rng.integers(1, 6, size=n)
     return Table.from_pydict(
         "part",
@@ -133,7 +139,7 @@ def _part(scale_factor: float, seed: int) -> Table:
         {
             "p_partkey": keys,
             "p_name": names,
-            "p_mfgr": [text.mfgr(m) for m in mfgr_num],
+            "p_mfgr": ([text.mfgr(m) for m in range(6)], mfgr_num),
             "p_brand": _pick(rng, text.ALL_BRANDS, n),
             "p_type": _pick(rng, text.ALL_TYPES, n),
             "p_size": rng.integers(1, 51, size=n),
@@ -173,24 +179,24 @@ def _orders(scale_factor: float, seed: int) -> tuple[Table, np.ndarray]:
     rng = _rng(seed, "orders")
     keys = np.arange(1, n + 1)
     dates = rng.integers(_MIN_ORDER_DATE, _MAX_ORDER_DATE + 1, size=n)
-    columns = [
-        Column("o_orderkey", TABLE_SPECS["orders"][0][1], keys),
-        Column("o_custkey", TABLE_SPECS["orders"][1][1],
-               rng.integers(1, rows_at_scale("customer", scale_factor) + 1, size=n)),
-        column_from_values("o_orderstatus", TABLE_SPECS["orders"][2][1],
-                           _pick(rng, ["F", "O", "P"], n)),
-        Column("o_totalprice", TABLE_SPECS["orders"][3][1],
-               np.round(rng.uniform(1000.0, 400_000.0, size=n), 2)),
-        _date_column("o_orderdate", dates),
-        column_from_values("o_orderpriority", TABLE_SPECS["orders"][5][1],
-                           _pick(rng, text.PRIORITIES, n)),
-        column_from_values("o_clerk", TABLE_SPECS["orders"][6][1],
-                           [f"Clerk#{k % 1000:09d}" for k in keys]),
-        Column("o_shippriority", TABLE_SPECS["orders"][7][1], np.zeros(n, dtype=np.int64)),
-        column_from_values("o_comment", TABLE_SPECS["orders"][8][1],
-                           _comments(rng, n)),
-    ]
-    return Table("orders", columns), dates
+    table = Table.from_pydict(
+        "orders",
+        TABLE_SPECS["orders"],
+        {
+            "o_orderkey": keys,
+            "o_custkey": rng.integers(
+                1, rows_at_scale("customer", scale_factor) + 1, size=n
+            ),
+            "o_orderstatus": _pick(rng, ["F", "O", "P"], n),
+            "o_totalprice": np.round(rng.uniform(1000.0, 400_000.0, size=n), 2),
+            "o_orderdate": dates,
+            "o_orderpriority": _pick(rng, text.PRIORITIES, n),
+            "o_clerk": ([f"Clerk#{k:09d}" for k in range(1000)], keys % 1000),
+            "o_shippriority": np.zeros(n, dtype=np.int64),
+            "o_comment": _comments(rng, n),
+        },
+    )
+    return table, dates
 
 
 def _lineitem(scale_factor: float, seed: int, order_dates: np.ndarray) -> Table:
@@ -208,32 +214,28 @@ def _lineitem(scale_factor: float, seed: int, order_dates: np.ndarray) -> Table:
     shipdate = odates + rng.integers(1, 122, size=n)
     commitdate = odates + rng.integers(30, 91, size=n)
     receiptdate = shipdate + rng.integers(1, 31, size=n)
-    spec = dict(TABLE_SPECS["lineitem"])
-    columns = [
-        Column("l_orderkey", spec["l_orderkey"], orderkeys),
-        Column("l_partkey", spec["l_partkey"], rng.integers(1, n_parts + 1, size=n)),
-        Column("l_suppkey", spec["l_suppkey"], rng.integers(1, n_supp + 1, size=n)),
-        Column("l_linenumber", spec["l_linenumber"], linenumbers),
-        Column("l_quantity", spec["l_quantity"], quantity),
-        Column("l_extendedprice", spec["l_extendedprice"],
-               np.round(quantity * price_per_unit, 2)),
-        Column("l_discount", spec["l_discount"],
-               np.round(rng.uniform(0.0, 0.10, size=n), 2)),
-        Column("l_tax", spec["l_tax"], np.round(rng.uniform(0.0, 0.08, size=n), 2)),
-        column_from_values("l_returnflag", spec["l_returnflag"],
-                           _pick(rng, ["A", "N", "R"], n)),
-        column_from_values("l_linestatus", spec["l_linestatus"],
-                           _pick(rng, ["F", "O"], n)),
-        _date_column("l_shipdate", shipdate),
-        _date_column("l_commitdate", commitdate),
-        _date_column("l_receiptdate", receiptdate),
-        column_from_values("l_shipinstruct", spec["l_shipinstruct"],
-                           _pick(rng, text.SHIP_INSTRUCTIONS, n)),
-        column_from_values("l_shipmode", spec["l_shipmode"],
-                           _pick(rng, text.SHIP_MODES, n)),
-        column_from_values("l_comment", spec["l_comment"], _comments(rng, n, 2)),
-    ]
-    return Table("lineitem", columns)
+    return Table.from_pydict(
+        "lineitem",
+        TABLE_SPECS["lineitem"],
+        {
+            "l_orderkey": orderkeys,
+            "l_partkey": rng.integers(1, n_parts + 1, size=n),
+            "l_suppkey": rng.integers(1, n_supp + 1, size=n),
+            "l_linenumber": linenumbers,
+            "l_quantity": quantity,
+            "l_extendedprice": np.round(quantity * price_per_unit, 2),
+            "l_discount": np.round(rng.uniform(0.0, 0.10, size=n), 2),
+            "l_tax": np.round(rng.uniform(0.0, 0.08, size=n), 2),
+            "l_returnflag": _pick(rng, ["A", "N", "R"], n),
+            "l_linestatus": _pick(rng, ["F", "O"], n),
+            "l_shipdate": shipdate,
+            "l_commitdate": commitdate,
+            "l_receiptdate": receiptdate,
+            "l_shipinstruct": _pick(rng, text.SHIP_INSTRUCTIONS, n),
+            "l_shipmode": _pick(rng, text.SHIP_MODES, n),
+            "l_comment": _comments(rng, n, 2),
+        },
+    )
 
 
 def generate_tpch(

@@ -12,6 +12,7 @@ from repro.storage import (
     Dictionary,
     column_from_values,
     string_column,
+    varchar,
 )
 
 
@@ -50,6 +51,15 @@ class TestColumn:
     def test_nbytes_uses_logical_width(self):
         col = column_from_values("k", INT, [1, 2, 3])
         assert col.nbytes == 4 * 3  # declared width, not numpy's 8
+
+    def test_pool_coded_strings_equal_per_row_strings(self):
+        pool = ["pear", "apple", "fig", "apple", "kiwi"]  # unsorted, a repeat
+        index = np.array([4, 0, 3, 0, 1])  # "fig" never occurs
+        coded = column_from_values("s", varchar(8), (pool, index))
+        plain = column_from_values("s", varchar(8), [pool[i] for i in index])
+        assert list(coded.dictionary) == list(plain.dictionary) == ["apple", "kiwi", "pear"]
+        assert coded.data.dtype == plain.data.dtype
+        assert (coded.data == plain.data).all()
 
     def test_string_column_roundtrip(self):
         col = string_column("s", ["b", "a", "b"])

@@ -9,7 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import CorrelatedIndex
+from repro.engine import ExecutionContext, Relation
+from repro.engine import operators as ops
+from repro.engine.relation import computed_column
 from repro.gpu import Device, DeviceSpec, kernels
+from repro.plan.expressions import ColRef
+from repro.storage import BIGINT, DECIMAL, Catalog, Column
 
 
 @pytest.fixture()
@@ -250,3 +256,360 @@ class TestIndexSearch:
         )
         assert list(lo) == [1, 4, 4]
         assert list(hi) == [4, 4, 5]
+
+
+# ---------------------------------------------------------------------------
+# The key-lookup primitive (JoinHash.ranges + expand_ranges) against its
+# predecessor.  The functions below are the parent commit's (429bc2a)
+# implementations, kept verbatim as the oracle: two binary searches per
+# key and the repeat/arange/cumsum expansion, written out per caller.
+# ---------------------------------------------------------------------------
+
+
+class RecordingDevice(Device):
+    """A device that also keeps every (tag, elements, work) it charged."""
+
+    def __init__(self):
+        super().__init__(DeviceSpec.v100())
+        self.launches = []
+
+    def launch(self, tag, elements, work=1.0):
+        self.launches.append((tag, int(elements), float(work)))
+        return super().launch(tag, elements, work)
+
+
+def parent_hash_probe(device, table, probe_keys):
+    device.launch("hash_probe", len(probe_keys), work=2.0)
+    lo = np.searchsorted(table.keys_sorted, probe_keys, side="left")
+    hi = np.searchsorted(table.keys_sorted, probe_keys, side="right")
+    counts = hi - lo
+    total = int(counts.sum())
+    device.launch("join_expand", total)
+    probe_idx = np.repeat(np.arange(len(probe_keys)), counts)
+    starts = np.repeat(lo, counts)
+    offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
+    build_idx = table.order[starts + offsets]
+    return probe_idx, build_idx
+
+
+def parent_semi_probe(device, table, probe_keys):
+    device.launch("semi_probe", len(probe_keys), work=2.0)
+    lo = np.searchsorted(table.keys_sorted, probe_keys, side="left")
+    hi = np.searchsorted(table.keys_sorted, probe_keys, side="right")
+    return (hi > lo,)
+
+
+def parent_binary_search_ranges(device, sorted_keys, probe_values):
+    n = len(probe_values)
+    device.launch(
+        "index_search", n, work=kernels._log_work(max(len(sorted_keys), 1))
+    )
+    lo = np.searchsorted(sorted_keys, probe_values, side="left")
+    hi = np.searchsorted(sorted_keys, probe_values, side="right")
+    return lo, hi
+
+
+def parent_lookup_batch(device, index, values):
+    lo, hi = parent_binary_search_ranges(device, index.keys_sorted, values)
+    counts = hi - lo
+    total = int(counts.sum())
+    device.launch("index_gather", total)
+    segments = np.repeat(np.arange(len(values)), counts)
+    starts = np.repeat(lo, counts)
+    offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
+    rows = index.order[starts + offsets]
+    return rows, segments
+
+
+def parent_lookup(device, index, value):
+    lo, hi = parent_binary_search_ranges(
+        device, index.keys_sorted, np.asarray([value])
+    )
+    return (index.order[int(lo[0]) : int(hi[0])],)
+
+
+def parent_compact(device, mask):
+    mask = mask.astype(bool)
+    positions, total = kernels.prefix_sum(device, mask)
+    device.launch("scatter", len(mask))
+    out = np.empty(total, dtype=np.int64)
+    out[positions[mask]] = np.nonzero(mask)[0]
+    return (out,)
+
+
+def parent_left_lookup(ctx, child, inner, outer_key, inner_key, value_column,
+                       output_name, default=0.0):
+    inner_keys = ops._key_array(ctx, inner, inner_key, None)
+    table = kernels.hash_build(ctx.device, inner_keys)
+    outer_keys = ops._key_array(ctx, child, outer_key, None)
+    ctx.device.launch("left_lookup", child.num_rows, work=2.0)
+    lo = np.searchsorted(table.keys_sorted, outer_keys, side="left")
+    hi = np.searchsorted(table.keys_sorted, outer_keys, side="right")
+    matched = hi > lo
+    values = np.full(child.num_rows, default, dtype=np.float64)
+    if inner.num_rows:
+        first = table.order[np.minimum(lo, len(table) - 1)]
+        source = inner.column(value_column).data.astype(np.float64)
+        values[matched] = source[first[matched]]
+    out = Relation(
+        {**child.columns, output_name: computed_column(output_name, values)},
+        child.num_rows,
+    )
+    ops._materialize(ctx, out)
+    ctx.operator_done()
+    return out
+
+
+def assert_identical(got, expected):
+    """Same values, order and dtype kind, array by array (NaN == NaN)."""
+    assert len(got) == len(expected)
+    for new, old in zip(got, expected):
+        assert new.dtype.kind == old.dtype.kind
+        assert new.shape == old.shape
+        np.testing.assert_array_equal(new, old)
+
+
+def _key_cases():
+    """Named (build keys, probe keys) pairs covering both lookup paths."""
+    rng = np.random.default_rng(22)
+    i64 = np.int64
+    nan = np.nan
+    wide = np.concatenate([np.arange(-40, 40), rng.integers(-40, 40, size=60)])
+    return {
+        "int64 duplicates, negatives, probes past both ends": (
+            rng.integers(-50, 50, size=300), rng.integers(-90, 90, size=700)),
+        "int32 keys": (
+            rng.integers(-50, 50, size=300).astype(np.int32),
+            rng.integers(-90, 90, size=700).astype(np.int32)),
+        "uint32 keys": (
+            rng.integers(0, 90, size=200).astype(np.uint32),
+            rng.integers(0, 200, size=500).astype(np.uint32)),
+        "uint8 build, int64 probe": (
+            rng.integers(3, 250, size=80).astype(np.uint8),
+            rng.integers(-20, 300, size=400)),
+        "uint64 keys (no int64 image: sorted path)": (
+            rng.integers(0, 90, size=200).astype(np.uint64),
+            rng.integers(0, 200, size=500).astype(np.uint64)),
+        "unique build (PK side)": (
+            rng.permutation(500).astype(i64), rng.integers(-10, 520, size=900)),
+        "empty build": (np.empty(0, dtype=i64), rng.integers(0, 9, size=50)),
+        "empty probe": (rng.integers(0, 9, size=50), np.empty(0, dtype=i64)),
+        "empty both": (np.empty(0, dtype=i64), np.empty(0, dtype=i64)),
+        "all miss inside the span": (
+            np.arange(0, 400, 2), np.arange(1, 400, 2)),
+        "only the two sentinel slots": (
+            np.arange(100, 200), np.array([-5, 99, 200, 10**15, -(10**15)])),
+        "probes at the int64 limits": (
+            wide, np.array([np.iinfo(i64).min, np.iinfo(i64).max, 0, -40, 39])),
+        "build next to the int64 limit": (
+            np.array([2**62 + 1, 2**62 + 3, 2**62 + 1]),
+            np.array([2**62 + 1, 2**62 + 2, 0])),
+        "float keys": (
+            rng.integers(0, 30, size=100) / 2.0, rng.integers(0, 70, size=300) / 4.0),
+        "NaN keys on both sides": (
+            np.array([1.0, nan, 2.0, nan, 2.0]), np.array([nan, 2.0, 3.0, 1.0])),
+        "float probes of an int build": (
+            rng.integers(0, 40, size=120), np.array([3.0, 3.5, nan, -1.0, 39.0, 1e18])),
+        "int probes of a float build": (
+            np.array([1.0, 2.5, nan, 2.0, 2.0]), np.array([2, 1, 7])),
+        "two keys 10^12 apart": (
+            np.array([5, 5 + 10**12]), rng.integers(0, 10, size=2000)),
+    }
+
+
+KEY_CASES = _key_cases()
+# cases that must stay on the two-searchsorted path and allocate no table
+SORTED_PATH_CASES = {
+    "uint64 keys (no int64 image: sorted path)", "empty build", "empty both",
+    "build next to the int64 limit", "float keys", "NaN keys on both sides",
+    "float probes of an int build", "int probes of a float build",
+    "two keys 10^12 apart",
+}
+
+
+@pytest.mark.parametrize("case", sorted(KEY_CASES))
+class TestKeyLookupAgainstParent:
+    """New kernel == parent kernel: arrays and the launch list."""
+
+    def _both(self, case, new_fn, parent_fn):
+        build, probe = KEY_CASES[case]
+        new_dev, old_dev = RecordingDevice(), RecordingDevice()
+        table = kernels.hash_build(new_dev, build)
+        reference = kernels.hash_build(old_dev, build)
+        got = new_fn(new_dev, table, probe)
+        assert_identical(
+            got if isinstance(got, tuple) else (got,),
+            parent_fn(old_dev, reference, probe),
+        )
+        assert new_dev.launches == old_dev.launches
+        assert reference._dense is None  # the oracle never touched `ranges`
+        assert (table._dense is None) == (case in SORTED_PATH_CASES)
+
+    def test_hash_probe(self, case):
+        self._both(case, kernels.hash_probe, parent_hash_probe)
+
+    def test_semi_probe(self, case):
+        self._both(case, kernels.semi_probe, parent_semi_probe)
+
+    def test_ranges_equal_the_two_binary_searches(self, case):
+        # stronger than any caller needs: `lo` agrees for misses too
+        def new(device, table, probe):
+            return kernels.binary_search_ranges(device, table, probe)
+
+        def parent(device, table, probe):
+            return parent_binary_search_ranges(device, table.keys_sorted, probe)
+
+        self._both(case, new, parent)
+
+    def test_index_lookup_batch_and_lookup(self, case):
+        build, probe = KEY_CASES[case]
+        new_dev, old_dev = RecordingDevice(), RecordingDevice()
+        index = CorrelatedIndex.build(new_dev, build)
+        reference = CorrelatedIndex.build(old_dev, build)
+        assert_identical(
+            index.lookup_batch(new_dev, probe),
+            parent_lookup_batch(old_dev, reference, probe),
+        )
+        for value in probe[:5]:
+            assert_identical(
+                (index.lookup(new_dev, value),),
+                parent_lookup(old_dev, reference, value),
+            )
+        assert new_dev.launches == old_dev.launches
+        assert index.nbytes == build.nbytes + reference.order.nbytes
+
+    def test_left_lookup(self, case):
+        build, probe = KEY_CASES[case]
+        payload = np.arange(len(build)) * 1.5 - 7.0
+
+        def relations():
+            ctx = ExecutionContext(Catalog([]), RecordingDevice())
+            inner = Relation(
+                {"i.k": _column("i.k", build), "i.v": computed_column("i.v", payload)},
+                len(build),
+            )
+            child = Relation({"o.k": _column("o.k", probe)}, len(probe))
+            return ctx, child, inner
+
+        keys = (ColRef("o", "k", "int"), ColRef("i", "k", "int"))
+        new_ctx, child, inner = relations()
+        got = ops.left_lookup(new_ctx, child, inner, *keys, "i.v", "agg", 0.0)
+        old_ctx, child, inner = relations()
+        expected = parent_left_lookup(old_ctx, child, inner, *keys, "i.v", "agg", 0.0)
+        assert list(got.columns) == list(expected.columns)
+        assert_identical(
+            [c.data for c in got.columns.values()],
+            [c.data for c in expected.columns.values()],
+        )
+        assert new_ctx.device.launches == old_ctx.device.launches
+        assert new_ctx.device.stats.total_ns == old_ctx.device.stats.total_ns
+
+
+def _column(name, data):
+    """Engine columns are int64, float64 or int32 codes; coerce like one."""
+    dtype = DECIMAL if data.dtype.kind == "f" else BIGINT
+    return Column(name, dtype, data)
+
+
+# negatives wrap into large unsigned values, which exercises wide spans
+typed_keys = st.builds(
+    lambda xs, dtype: np.asarray(xs, dtype=np.int64).astype(dtype),
+    st.lists(st.integers(min_value=-300, max_value=300), max_size=150),
+    st.sampled_from([np.int64, np.int32, np.uint16, np.float64]),
+)
+
+
+class TestKeyLookupProperties:
+    @given(build=typed_keys, probe=typed_keys)
+    @settings(max_examples=150, deadline=None)
+    def test_probe_kernels_match_parent(self, build, probe):
+        new_dev, old_dev = RecordingDevice(), RecordingDevice()
+        table = kernels.hash_build(new_dev, build)
+        reference = kernels.hash_build(old_dev, build)
+        assert_identical(
+            kernels.hash_probe(new_dev, table, probe),
+            parent_hash_probe(old_dev, reference, probe),
+        )
+        assert_identical(
+            (kernels.semi_probe(new_dev, table, probe),),
+            parent_semi_probe(old_dev, reference, probe),
+        )
+        assert new_dev.launches == old_dev.launches
+
+    @given(mask=st.lists(st.integers(min_value=0, max_value=2), max_size=200),
+           dtype=st.sampled_from([bool, np.int64, np.uint8, np.float64]))
+    @settings(max_examples=80, deadline=None)
+    def test_compact_matches_parent(self, mask, dtype):
+        arr = np.asarray(mask, dtype=dtype)
+        new_dev, old_dev = RecordingDevice(), RecordingDevice()
+        assert_identical(
+            (kernels.compact(new_dev, arr),), parent_compact(old_dev, arr)
+        )
+        assert new_dev.launches == old_dev.launches
+
+    def test_compact_counts_nan_as_set_like_parent(self):
+        arr = np.array([0.0, np.nan, 2.0, 0.0])
+        assert_identical(
+            (kernels.compact(RecordingDevice(), arr),),
+            parent_compact(RecordingDevice(), arr),
+        )
+
+
+class TestDensityRule:
+    """When the direct-address table is (not) built — read off the arrays."""
+
+    def test_span_of_10_to_the_12_allocates_nothing(self):
+        table = kernels.JoinHash.build(np.array([5, 5 + 10**12]))
+        for _ in range(3):
+            lo, counts = table.ranges(np.arange(100_000))
+            assert counts.sum() == 1 and lo[5] == 0
+        assert table._dense is None
+
+    def test_narrow_probe_falls_back_then_wide_probe_builds(self):
+        rng = np.random.default_rng(5)
+        build = rng.choice(100_000, size=100, replace=False)
+        table = kernels.JoinHash.build(build)
+        device = RecordingDevice()
+        one_key = build[:1]
+        expected = parent_hash_probe(device, table, one_key)
+        assert_identical(kernels.hash_probe(device, table, one_key), expected)
+        assert table._dense is None  # 1 probe cannot pay for 100k slots
+        wide = rng.integers(-1000, 101_000, size=50_000)
+        expected = parent_hash_probe(device, table, wide)
+        assert table._dense is None  # the oracle reads keys_sorted directly
+        assert_identical(kernels.hash_probe(device, table, wide), expected)
+        assert table._dense is not None
+        # the hoisted table keeps answering from the dense table,
+        # narrow probes included, and float probes still search
+        built = table._dense
+        for probe in (one_key, wide[:7], wide, wide.astype(np.float64) + 0.5):
+            assert_identical(
+                kernels.hash_probe(device, table, probe),
+                parent_hash_probe(device, table, probe),
+            )
+            assert_identical(
+                (kernels.semi_probe(device, table, probe),),
+                parent_semi_probe(device, table, probe),
+            )
+        assert table._dense is built
+
+    def test_dense_table_is_proportional_to_the_arrays(self):
+        build = np.arange(0, 4000, 4)  # span 3997 over 1000 keys
+        table = kernels.JoinHash.build(build)
+        table.ranges(np.arange(10))
+        base, top, first, count = table._dense
+        assert len(first) == len(count) == top + 1 == 3997 + 2
+        assert first[0] == 0 and count[0] == 0  # below-range sentinel
+        assert first[top] == len(build) and count[top] == 0  # above-range
+        assert table.nbytes == build.nbytes * 2  # modelled footprint unchanged
+
+    def test_expand_ranges_orders_matches_by_probe_then_build(self):
+        lo = np.array([3, 0, 7, 1])
+        counts = np.array([2, 0, 1, 3])
+        segments, positions, total = kernels.expand_ranges(lo, counts)
+        assert total == 6
+        assert list(segments) == [0, 0, 2, 3, 3, 3]
+        assert list(positions) == [3, 4, 7, 1, 2, 3]
+        # at most one match per probe: the compaction shortcut
+        segments, positions, total = kernels.expand_ranges(lo, np.array([1, 0, 0, 1]))
+        assert (list(segments), list(positions), total) == ([0, 3], [3, 1], 2)

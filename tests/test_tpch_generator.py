@@ -1,5 +1,7 @@
 """Tests of the micro-scale TPC-H generator."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -120,6 +122,31 @@ class TestDeterminism:
             ca = a.table(name).column(a.table(name).column_names[0]).data
             cb = b.table(name).column(b.table(name).column_names[0]).data
             assert (ca == cb).all()
+
+    # sha256 over every column array and dictionary, computed on commit
+    # 429bc2a (one Python string per row): the pool-coded string columns
+    # must leave every table byte-identical
+    PARENT_DIGESTS = {
+        (10, 0): "15db157671108896ba9156b22b21c229b4af3c0084dba29ccbb6e9217fa493f5",
+        (10, 1): "db6420fa2e1b8ee6366b83d56a2d7fd14cc9702358aeaca317ee5b5ad4027d9b",
+        (0.05, 7): "2eb146be415bddae3f7d85a63e55584a687eabd8b191c02aec22895655b62a97",
+        (1, 3): "407ea2e94a33616eb94b4e9ea1c8fbe5adda822e3fcef0ffcf40e5caa3e6754b",
+    }
+
+    @pytest.mark.parametrize("scale,seed", sorted(PARENT_DIGESTS))
+    def test_catalog_bytes_match_parent_commit(self, scale, seed):
+        digest = hashlib.sha256()
+        catalog = generate_tpch(scale, seed=seed, use_cache=False)
+        for table in sorted(catalog, key=lambda t: t.name):
+            for column in table.columns:
+                data = column.data
+                digest.update(
+                    f"{table.name}.{column.name}:{data.dtype}:{len(data)}".encode()
+                )
+                digest.update(data.tobytes())
+                if column.dictionary is not None:
+                    digest.update("\x00".join(column.dictionary).encode())
+        assert digest.hexdigest() == self.PARENT_DIGESTS[scale, seed]
 
     def test_different_seed_differs(self):
         a = generate_tpch(0.25, seed=1, use_cache=False)
