@@ -24,6 +24,7 @@ produced source is kept on the program object — ``print(result
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from ..errors import PlanError
 from ..plan.binder import SubqueryDescriptor
@@ -64,13 +65,20 @@ class DriveProgram:
     source: str
     nodes: list[Plan]
     specs: list[SubquerySpec]
-    code: object = None
     # the fusion pass this program was generated under (core.fusion);
     # None means the one-launch-per-primitive pipeline
     fusion: object = None
 
-    def compile(self) -> None:
-        self.code = compile(self.source, "<drive-program>", "exec")
+    @cached_property
+    def code(self):
+        """Compiled on first use: a candidate that never runs never pays."""
+        return compile(self.source, "<drive-program>", "exec")
+
+    @cached_property
+    def drive(self):
+        """The program's ``drive(rt)`` callable, exec'd once and kept."""
+        exec(self.code, namespace := {})
+        return namespace["drive"]
 
 
 class CodeGenerator:
@@ -110,12 +118,10 @@ class CodeGenerator:
             self._lines.insert(
                 1, "    # fusion: on — data-path chains charge one fused launch"
             )
-        program = DriveProgram(
+        return DriveProgram(
             "\n".join(self._lines) + "\n", self._nodes, self._specs,
             fusion=self.fusion if fused else None,
         )
-        program.compile()
-        return program
 
     def _fuse(self, node: Plan) -> bool:
         return self.fusion is not None and self.fusion.wants(node)

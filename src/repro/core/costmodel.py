@@ -345,15 +345,19 @@ class NestedPrediction:
         return self.outer_ms + self.hoist_ms + self.loop_ms + self.upper_ms
 
 
-def predict_nested(system, prepared, probe_iterations: int = 4) -> NestedPrediction:
+def predict_nested(
+    system, prepared, probe_iterations: int = 4, index_cache=None,
+) -> NestedPrediction:
     """Predict the nested execution time of a prepared query.
 
     Runs the outer flat block and the invariant extraction for real
     (they must run in any case), probes a few subquery iterations
-    ("execution islands"), and extrapolates Eq. (6).
+    ("execution islands"), and extrapolates Eq. (6).  It reads a copy of
+    a session's ``index_cache`` and publishes nothing to it.
     """
     device = Device(system.device_spec)
-    ctx = ExecutionContext(system.catalog, device, system.options)
+    ctx = ExecutionContext(system.catalog, device, system.options,
+                           index_cache=dict(index_cache or ()))
 
     subquery_filters = [
         node for node in prepared.plan.walk() if isinstance(node, SubqueryFilter)
@@ -502,7 +506,9 @@ def _estimate_upper(system, plan: Plan, target: SubqueryFilter, s: int) -> float
 # ---------------------------------------------------------------------------
 
 
-def predict_paths(system, nested_prepared, unnested_prepared) -> tuple[float, float]:
+def predict_paths(
+    system, nested_prepared, unnested_prepared, index_cache=None,
+) -> tuple[float, float]:
     """Predicted ms of device time for (nested, unnested) executions.
 
     The nested side is mostly *measured* (the outer block and probe
@@ -521,7 +527,7 @@ def predict_paths(system, nested_prepared, unnested_prepared) -> tuple[float, fl
     fused nested run genuinely beats the flat estimate, that flip is
     a win, not a modelling artefact.
     """
-    nested = predict_nested(system, nested_prepared)
+    nested = predict_nested(system, nested_prepared, index_cache=index_cache)
     coefficients = getattr(system, "coefficients", None) or system.device_spec
     unnested_ns = estimate_flat_plan_ns(
         system.catalog, coefficients, unnested_prepared.plan,

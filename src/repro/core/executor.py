@@ -198,13 +198,14 @@ class NestGPU:
                 tracer.end(query_span)
 
     def prepare(
-        self, sql: str, mode: str | None = None, tracer=None,
+        self, sql: str, mode: str | None = None, tracer=None, index_cache=None,
     ) -> PreparedQuery:
         """Parse, plan, and generate the drive program without running.
 
         The one compile pipeline: the statement is lexed, parsed and
         bound exactly once here, and every candidate path is compiled
-        from that one bound block (:meth:`_compile_candidate`).
+        from that one bound block (:meth:`_compile_candidate`);
+        ``index_cache`` is a session's, for the costing probe to read.
         """
         tracer = self.tracer if tracer is None else tracer
         chosen = _check_mode(mode or self.mode)
@@ -239,7 +240,8 @@ class NestGPU:
             from .costmodel import predict_paths
 
             with tracer.span("costmodel", "phase"):
-                nested_ms, unnested_ms = predict_paths(self, nested, unnested)
+                nested_ms, unnested_ms = predict_paths(
+                    self, nested, unnested, index_cache)
         if nested_ms <= unnested_ms:
             nested.predicted_ms = nested_ms
             # the loser rides along: if the nested run turns out slower
@@ -636,10 +638,7 @@ class NestGPU:
         ]
         runtime = Runtime(ctx, program.nodes, subprograms)
         runtime.governor = governor
-        namespace: dict = {}
-        exec(program.code, namespace)
-        rel = namespace["drive"](runtime)
-        return rel, runtime
+        return program.drive(runtime), runtime
 
     def _preload(self, ctx, program: DriveProgram) -> None:
         """Preload base columns, inner-most subquery levels first and

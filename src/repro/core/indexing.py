@@ -8,8 +8,9 @@ a slice gather.  Building costs an ``O(N log N)`` device sort and
 weighs the build cost against the expected number of iterations before
 committing (:func:`index_pays_off`).  The index *is* the engine's one
 key-lookup structure (:class:`~repro.gpu.kernels.JoinHash`) charged as
-a sort: the device pays the binary search while the host answers dense
-integer columns by direct addressing.
+a sort on the modelled clock; the host orders the column with one
+:func:`~repro.gpu.kernels.stable_order` and answers dense integer
+columns by direct addressing.
 """
 
 from __future__ import annotations

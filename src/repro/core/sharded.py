@@ -992,9 +992,7 @@ class ShardedEngine:
                     for spec in program.specs
                 ]
                 runtime = Runtime(state.ctx, program.nodes, subprograms)
-                namespace: dict = {}
-                exec(program.code, namespace)
-                rel = namespace["drive"](runtime)
+                rel = program.drive(runtime)
             partials.append(rel)
             runtimes.append(runtime)
             body_ends.append(state.device.stats.total_ns)

@@ -298,7 +298,7 @@ class JoinHash:
     @classmethod
     def build(cls, keys: np.ndarray) -> "JoinHash":
         """Sort ``keys`` stably; uncharged (see :func:`hash_build`)."""
-        order = np.argsort(keys, kind="stable")
+        order = stable_order([keys])
         return cls(keys[order], order)
 
     def ranges(self, probe_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -378,8 +378,43 @@ def semi_probe(device: Device, table: JoinHash, probe_keys: np.ndarray) -> np.nd
 
 
 # ---------------------------------------------------------------------------
-# sort and grouping
+# sort and grouping: every host sort (index/join build, GROUP BY, ORDER BY)
+# is `stable_order`; which of its rules answers is host work only
 # ---------------------------------------------------------------------------
+
+# Below this many rows lexsort runs as it always did: the packed path's
+# extra numpy calls (min/max, pack, unpack: ~30 us) cost more than timsort
+# on a few thousand rows.  Read off the arrays, so there is nothing to tune.
+_PACK_MIN_ROWS = 4096
+
+
+def stable_order(keys: list[np.ndarray]) -> np.ndarray:
+    """Row permutation ordering by ``keys`` (first key primary, ties in
+    row order) — by definition ``np.lexsort(keys[::-1])``.
+
+    One already non-decreasing key is the identity.  Integer keys (not
+    uint64) whose spans fit one int64 above the row number are packed
+    mixed-radix and sorted *by value* once — a stable order is unique.
+    Anything else (float/NaN, uint64, mixed lists) stays on lexsort.
+    """
+    n = len(keys[0])
+    if n >= _PACK_MIN_ROWS:
+        if len(keys) == 1 and (keys[0][1:] >= keys[0][:-1]).all():
+            return np.arange(n)
+        shift = n.bit_length()
+        if all(k.dtype.kind in "iub" and k.dtype != np.uint64 for k in keys):
+            lows = [int(k.min()) for k in keys]
+            spans = [int(k.max()) - low + 1 for k, low in zip(keys, lows)]
+            if math.prod(spans) << shift <= 1 << 62:  # Python ints: exact
+                packed = 0  # one transient int64 per row, host memory
+                for key, low, span in zip(keys, lows, spans):
+                    packed = packed * span + np.subtract(key, low, dtype=np.int64)
+                packed <<= shift
+                packed |= np.arange(n)
+                packed.sort()
+                packed &= (1 << shift) - 1
+                return packed
+    return np.lexsort(keys[::-1])
 
 
 def sort_order(
@@ -390,8 +425,7 @@ def sort_order(
         raise ExecutionError("sort requires at least one key")
     n = len(keys[0])
     device.launch("sort", n, work=_log_work(max(n, 1)) * 2.0)
-    adjusted = [(-k if desc else k) for k, desc in zip(keys, descending)]
-    return np.lexsort(adjusted[::-1])
+    return stable_order([(-k if desc else k) for k, desc in zip(keys, descending)])
 
 
 def group_ids(
@@ -409,7 +443,7 @@ def group_ids(
     device.launch("group_by", n, work=_log_work(max(n, 1)) * 2.0)
     if n == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    order = np.lexsort(keys[::-1])
+    order = stable_order(keys)
     changed = np.zeros(n, dtype=bool)
     changed[0] = True
     for key in keys:
@@ -418,8 +452,7 @@ def group_ids(
     gid_sorted = np.cumsum(changed) - 1
     ids = np.empty(n, dtype=np.int64)
     ids[order] = gid_sorted
-    representatives = order[changed]
-    return ids, representatives
+    return ids, order[changed]
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,6 @@ The builder mirrors the paper's engine behaviour:
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..errors import PlanError
 from ..storage import Catalog
 from .binder import BoundBlock, BoundDerived, BoundTable
@@ -73,7 +71,6 @@ class PlanBuilder:
         self.unnest = unnest
         self.magic_sets = magic_sets
         self.exact_selectivity = exact_selectivity
-        self._distinct_cache: dict[tuple[str, str], int] = {}
         self._derived_counter = 0
 
     # -- public ----------------------------------------------------------
@@ -357,12 +354,7 @@ class PlanBuilder:
     # -- estimation ----------------------------------------------------------
 
     def _distinct_count(self, table_name: str, column: str) -> int:
-        key = (table_name, column)
-        if key not in self._distinct_cache:
-            data = self.catalog.table(table_name).column(column).data
-            sample = data if len(data) <= 50_000 else data[:50_000]
-            self._distinct_cache[key] = max(1, len(np.unique(sample)))
-        return self._distinct_cache[key]
+        return self.catalog.table(table_name).distinct_count(column)
 
     def _selectivity(self, predicate: PlanExpr, table_name: str | None) -> float:
         """A selectivity estimate for join ordering and costing.
@@ -389,9 +381,7 @@ class PlanBuilder:
             base = 0.2
             operand = predicate.operand
             if isinstance(operand, ColRef) and table_name is not None:
-                base = len(predicate.codes) / max(
-                    1, self._distinct_count(table_name, operand.column)
-                )
+                base = len(predicate.codes) / self._distinct_count(table_name, operand.column)
             return 1.0 - base if predicate.negated else base
         if isinstance(predicate, Compare):
             if predicate.op == "=":
@@ -415,9 +405,7 @@ class PlanBuilder:
             if isinstance(key, ColRef):
                 for table in block.tables:
                     if isinstance(table, BoundTable) and table.binding == key.binding:
-                        return float(
-                            self._distinct_count(table.table, key.column)
-                        )
+                        return float(self._distinct_count(table.table, key.column))
             return total * 0.1
         if block.aggs:
             return 1.0

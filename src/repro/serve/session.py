@@ -262,7 +262,7 @@ class EngineSession:
                 with self.lock:
                     self._catalog_version = self.catalog.version
         else:
-            prepared = self.engine.prepare(sql, mode)
+            prepared = self.engine.prepare(sql, mode, index_cache=self.index_cache)
         self.plan_cache.put(key, prepared)
         return prepared, False
 

@@ -31,6 +31,7 @@ class Table:
         self.name = name
         self._columns = list(columns)
         self._by_name = {c.name: c for c in columns}
+        self._distinct: dict[str, int] = {}  # column -> distinct_count
         if len(self._by_name) != len(columns):
             raise CatalogError(f"table {name!r}: duplicate column names")
 
@@ -92,6 +93,14 @@ class Table:
             raise CatalogError(
                 f"table {self.name!r} has no column {name!r}"
             ) from None
+
+    def distinct_count(self, name: str) -> int:
+        """Distinct values among the column's first 50 000 rows (>= 1):
+        the planner's statistic, counted once per (immutable) table."""
+        if name not in self._distinct:
+            sample = self.column(name).data[:50_000]
+            self._distinct[name] = max(1, len(np.unique(sample)))
+        return self._distinct[name]
 
     def select_columns(self, names: Iterable[str]) -> "Table":
         """Projection by column name, preserving this table's name."""

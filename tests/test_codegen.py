@@ -22,6 +22,31 @@ class TestFlatPrograms:
         assert program.code is not None
         assert program.source.startswith("def drive(rt):")
 
+    def test_compiles_on_first_use_and_keeps_the_callable(self, rst_catalog):
+        program = program_for(rst_catalog, "SELECT r_col1 FROM r")
+        assert "code" not in vars(program) and "drive" not in vars(program)
+        drive = program.drive
+        assert callable(drive) and drive.__name__ == "drive"
+        assert program.drive is drive
+
+    def test_syntax_error_surfaces_from_code_without_running(self):
+        from repro.core.codegen import DriveProgram
+
+        with pytest.raises(SyntaxError):
+            DriveProgram("def drive(rt:\n", [], []).code
+
+    def test_only_the_program_that_runs_is_compiled_and_only_once(self, tpch_small):
+        engine = NestGPU(tpch_small)
+        prepared = engine.prepare(queries.TPCH_Q17)
+        loser = prepared.fallback.program
+        assert "code" not in vars(prepared.program) and "code" not in vars(loser)
+        first = engine.run_prepared(prepared)
+        drive = vars(prepared.program)["drive"]
+        second = engine.run_prepared(prepared)
+        assert vars(prepared.program)["drive"] is drive
+        assert first.rows == second.rows
+        assert "code" not in vars(loser)
+
     def test_statement_per_operator(self, tpch_small):
         program = program_for(
             tpch_small,

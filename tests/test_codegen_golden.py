@@ -48,6 +48,9 @@ def test_drive_program_matches_snapshot(tpch_small, query, fusion):
         f"drive program for {query} (fusion={fusion}) drifted from its "
         f"snapshot; if intentional, regenerate with REPRO_REGEN_GOLDEN=1"
     )
+    # programs compile lazily, on first run: a syntax error in generated
+    # source must still surface here, without running the query
+    compile(path.read_text(), path.name, "exec")
 
 
 @pytest.mark.parametrize("query", sorted(ALL_EVALUATION_QUERIES))

@@ -4,6 +4,8 @@ Every primitive is checked against a plain-numpy oracle; hypothesis
 drives the property cases.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -613,3 +615,214 @@ class TestDensityRule:
         # at most one match per probe: the compaction shortcut
         segments, positions, total = kernels.expand_ranges(lo, np.array([1, 0, 0, 1]))
         assert (list(segments), list(positions), total) == ([0, 3], [3, 1], 2)
+
+
+# ---------------------------------------------------------------------------
+# The ordering primitive (stable_order) against its predecessor.  The
+# functions below are the parent commit's (1535b87) host sorts, kept
+# verbatim as the oracle: np.lexsort for ORDER BY / index build / GROUP BY
+# and np.argsort(kind="stable") for the join build.
+# ---------------------------------------------------------------------------
+
+CUTOFF = kernels._PACK_MIN_ROWS
+
+
+def parent_sort_order(device, keys, descending):
+    n = len(keys[0])
+    device.launch("sort", n, work=kernels._log_work(max(n, 1)) * 2.0)
+    adjusted = [(-k if desc else k) for k, desc in zip(keys, descending)]
+    return np.lexsort(adjusted[::-1])
+
+
+def parent_group_ids(device, keys):
+    n = len(keys[0])
+    device.launch("group_by", n, work=kernels._log_work(max(n, 1)) * 2.0)
+    if n == 0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    order = np.lexsort(keys[::-1])
+    changed = np.zeros(n, dtype=bool)
+    changed[0] = True
+    for key in keys:
+        sorted_key = key[order]
+        changed[1:] |= sorted_key[1:] != sorted_key[:-1]
+    gid_sorted = np.cumsum(changed) - 1
+    ids = np.empty(n, dtype=np.int64)
+    ids[order] = gid_sorted
+    return ids, order[changed]
+
+
+def parent_join_build(keys):
+    order = np.argsort(keys, kind="stable")
+    return keys[order], order
+
+
+def parent_index_build(device, values):
+    order = parent_sort_order(device, [values], [False])
+    return values[order], order
+
+
+def _order_cases(n):
+    """Named key lists of ``n`` rows covering every rule of stable_order."""
+    rng = np.random.default_rng(23 + n)
+    i64 = rng.integers(-(n // 6) - 3, n // 6 + 3, size=n)
+    swapped = np.sort(i64)
+    if n > 1:
+        swapped[[n // 3, n // 3 + 1]] = swapped[[n // 3 + 1, n // 3]] + [1, 0]
+    floats = rng.integers(0, 50, size=n) / 4.0
+    nans = floats.copy()
+    nans[rng.random(n) < 0.2] = np.nan
+    limits = np.iinfo(np.int64)
+    return {
+        "int64 negatives, heavy duplicates": [i64],
+        "int64 unique (random permutation)": [rng.permutation(n)],
+        "int32 over its whole range": [
+            rng.integers(-2**31, 2**31, size=n).astype(np.int32)],
+        "uint16": [rng.integers(0, 2**16, size=n).astype(np.uint16)],
+        "bool": [rng.integers(0, 2, size=n).astype(bool)],
+        "all equal": [np.full(n, 7)],
+        "presorted": [np.sort(i64)],
+        "presorted float": [np.sort(floats)],
+        "reverse sorted": [np.sort(i64)[::-1]],
+        "presorted with one swap": [swapped],
+        "two keys": [rng.integers(0, 5, size=n), i64.astype(np.int32)],
+        "four keys": [
+            rng.integers(0, 2, size=n).astype(bool),
+            rng.integers(0, 3, size=n).astype(np.uint16),
+            rng.integers(-2, 2, size=n).astype(np.int32),
+            rng.integers(0, 4, size=n)],
+        "two keys spanning 2^40 each (product does not fit)": [
+            rng.integers(0, 2**40, size=n), rng.integers(-2**39, 2**39, size=n)],
+        "int64 at both limits (span 2^64)": [
+            rng.choice([limits.min, limits.max, 0, -1], size=n)],
+        "uint64": [rng.integers(0, 90, size=n).astype(np.uint64)],
+        "float": [floats],
+        "NaN": [nans],
+        "int key then float key": [rng.integers(0, 5, size=n), nans],
+    }
+
+
+# cases for which, at or above the cutoff, the parent's lexsort must run
+LEXSORT_CASES = {
+    "two keys spanning 2^40 each (product does not fit)",
+    "int64 at both limits (span 2^64)", "uint64", "float", "NaN",
+    "int key then float key",
+}
+ORDER_SIZES = [0, 1, CUTOFF - 1, CUTOFF, CUTOFF + 1, 120_000]
+ORDER_CASES = sorted(_order_cases(0))
+
+
+def _frozen(keys):
+    """Read-only views: any in-place write by the kernel raises."""
+    views = [key.view() for key in keys]
+    for view in views:
+        view.flags.writeable = False
+    return views
+
+
+def assert_orders_match_parent(keys):
+    """stable_order and every kernel built on it vs the parent's sorts."""
+    before = [key.copy() for key in keys]
+    keys = _frozen(keys)
+    expected = np.lexsort(keys[::-1])
+    assert_identical((kernels.stable_order(keys),), (expected,))
+    new_dev, old_dev = RecordingDevice(), RecordingDevice()
+    flags = [[False] * len(keys)]
+    if all(key.dtype.kind != "b" for key in keys):  # -bool is a TypeError
+        flags += [[True] * len(keys), [i % 2 == 0 for i in range(len(keys))]]
+    for descending in flags:
+        assert_identical(
+            (kernels.sort_order(new_dev, keys, descending),),
+            (parent_sort_order(old_dev, keys, descending),),
+        )
+    assert_identical(
+        kernels.group_ids(new_dev, keys), parent_group_ids(old_dev, keys)
+    )
+    if len(keys) == 1:
+        assert_identical(
+            (expected,), (np.argsort(keys[0], kind="stable"),)
+        )
+        table = kernels.JoinHash.build(keys[0])
+        assert_identical(
+            (table.keys_sorted, table.order), parent_join_build(keys[0])
+        )
+        index = CorrelatedIndex.build(new_dev, keys[0])
+        assert type(index) is CorrelatedIndex
+        assert_identical(
+            (index.keys_sorted, index.order),
+            parent_index_build(old_dev, keys[0]),
+        )
+    assert new_dev.launches == old_dev.launches
+    assert new_dev.stats.total_ns == old_dev.stats.total_ns
+    for key, original in zip(keys, before):
+        np.testing.assert_array_equal(key, original)
+
+
+@pytest.mark.parametrize("n", ORDER_SIZES)
+@pytest.mark.parametrize("case", ORDER_CASES)
+def test_stable_order_matches_parent(case, n):
+    assert_orders_match_parent(_order_cases(n)[case])
+
+
+@pytest.mark.parametrize("case", ORDER_CASES)
+def test_stable_order_rule_taken(case):
+    """Which numpy call answers: lexsort exactly where the parent's
+    semantics could differ, never for packable or presorted keys."""
+    keys = _order_cases(CUTOFF + 1)[case]
+    with mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
+        kernels.stable_order(keys)
+        assert lexsort.call_count == (1 if case in LEXSORT_CASES else 0)
+        # under the cutoff the parent's call runs unchanged, whatever the keys
+        lexsort.reset_mock()
+        kernels.stable_order([key[: CUTOFF - 1] for key in keys])
+        assert lexsort.call_count == 1
+
+
+def test_packed_path_sorts_120k_random_int64_without_lexsort():
+    """The suite cannot pass by always falling back."""
+    keys = np.random.default_rng(0).integers(0, 20_000, size=120_000)
+    expected = np.lexsort([keys])
+    with mock.patch.object(np, "lexsort", side_effect=AssertionError), \
+            mock.patch.object(np, "argsort", side_effect=AssertionError):
+        order = kernels.stable_order([keys])
+        table = kernels.JoinHash.build(keys)
+    assert_identical((order, table.order), (expected, expected))
+
+
+def test_presorted_key_is_the_identity_without_sorting_or_packing():
+    keys = np.sort(np.random.default_rng(1).integers(0, 9_000, size=80_000))
+    with mock.patch.object(np, "lexsort", side_effect=AssertionError), \
+            mock.patch.object(np, "subtract", side_effect=AssertionError):
+        order = kernels.stable_order([keys])
+    assert_identical((order,), (np.arange(80_000),))
+
+
+order_key_lists = st.integers(min_value=0, max_value=120).flatmap(
+    lambda n: st.lists(
+        st.builds(
+            lambda xs, dtype: np.asarray(xs, dtype=np.int64).astype(dtype),
+            st.lists(st.integers(min_value=-(2**40), max_value=2**40),
+                     min_size=n, max_size=n)
+            | st.lists(st.integers(min_value=-3, max_value=3),
+                       min_size=n, max_size=n),
+            st.sampled_from(
+                [np.int64, np.int32, np.uint16, bool, np.uint64, np.float64]),
+        ),
+        min_size=1, max_size=4,
+    )
+)
+
+
+class TestStableOrderProperties:
+    @given(keys=order_key_lists, nan_every=st.integers(0, 5))
+    @settings(max_examples=200, deadline=None)
+    def test_every_rule_matches_parent_on_small_inputs(self, keys, nan_every):
+        """The cutoff lowered to 2 rows, so hypothesis-sized inputs reach
+        the presorted and packed rules as well as the fallback."""
+        if nan_every:
+            keys = [
+                np.where(np.arange(len(k)) % nan_every == 0, np.nan, k)
+                if k.dtype.kind == "f" else k
+                for k in keys
+            ]
+        with mock.patch.object(kernels, "_PACK_MIN_ROWS", 2):
+            assert_orders_match_parent(keys)
