@@ -129,47 +129,6 @@ class FilterIter(Iterator):
                 return row
 
 
-class NestedLoopJoinIter(Iterator):
-    """Tuple-at-a-time equi-join; the inner side is re-opened per
-    outer tuple (the classic, deliberately naive shape)."""
-
-    def __init__(self, stats, outer, inner_factory, left_key, right_key, context):
-        super().__init__(stats)
-        self.outer = outer
-        self.inner_factory = inner_factory
-        self.left_key = left_key
-        self.right_key = right_key
-        self.context = context
-        self._outer_row: Row | None = None
-        self._inner: Iterator | None = None
-
-    def open(self) -> None:
-        super().open()
-        self.outer.open()
-        self._outer_row = None
-        self._inner = None
-
-    def get_next(self) -> Row | None:
-        while True:
-            self._tick()
-            if self._outer_row is None:
-                self._outer_row = self.outer.get_next()
-                if self._outer_row is None:
-                    return None
-                self._inner = self.inner_factory()
-                self._inner.open()
-            inner_row = self._inner.get_next()
-            if inner_row is None:
-                self._outer_row = None
-                continue
-            left = self.context.evaluate(self.left_key, self._outer_row)
-            right = self.context.evaluate(self.right_key, inner_row)
-            if left == right:
-                combined = Row(self._outer_row)
-                combined.update(inner_row)
-                return combined
-
-
 class AggregateIter(Iterator):
     """Blocking (scalar or grouped) aggregation."""
 

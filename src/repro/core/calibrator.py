@@ -8,9 +8,9 @@ kernel launch, transfer and materialization the device charges is an
 observation of the true coefficients.  The :class:`Calibrator` collects
 those observations and re-fits the coefficients by least squares, and
 :class:`CostCoefficients` packages one fitted set with a monotonically
-increasing version (the cost-model twin of ``Catalog.version``), so a
-session can swap coefficient sets atomically and invalidate everything
-the old set decided (auto-mode plan-cache entries).
+increasing version, so a session can swap coefficient sets atomically
+and evict the plans the old set decided (auto-mode and tuned-fusion
+plan-cache entries).
 
 The coefficient object deliberately duck-types
 :class:`~repro.gpu.spec.DeviceSpec` for the attributes the cost
@@ -31,9 +31,9 @@ class CostCoefficients:
     Attributes mirror the :class:`~repro.gpu.spec.DeviceSpec` fields the
     analytic cost functions read, plus provenance:
 
-    * ``version`` — bumped on every recalibration; consumers that baked
-      a decision on older coefficients (the plan cache's auto-mode
-      entries) compare against it, exactly like ``Catalog.version``.
+    * ``version`` — bumped on every recalibration; the fusion tuner
+      stores it with each measured decision and re-measures on a
+      mismatch.
     * ``source`` — ``'spec'`` (taken from the device spec), ``'stale'``
       (deliberately skewed, for benchmarks and the calibration smoke)
       or ``'calibrated'`` (fitted from observed timings).

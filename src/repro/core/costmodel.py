@@ -478,7 +478,7 @@ def _touch_transient_support(runtime: Runtime, sp: SubqueryProgram) -> None:
 
 def _estimate_upper(system, plan: Plan, target: SubqueryFilter, s: int) -> float:
     """Analytic Eq. (1) costs for the nodes above the SUBQ filter."""
-    spec = getattr(system, "coefficients", None) or system.device_spec
+    spec = system.coefficients
     out_rows = max(1.0, s * 0.05)  # coarse Dr for the SUBQ selection
     cost = selection_cost_ns(spec, float(s), 1, out_rows, 64.0)
     node = plan
@@ -528,9 +528,8 @@ def predict_paths(
     a win, not a modelling artefact.
     """
     nested = predict_nested(system, nested_prepared, index_cache=index_cache)
-    coefficients = getattr(system, "coefficients", None) or system.device_spec
     unnested_ns = estimate_flat_plan_ns(
-        system.catalog, coefficients, unnested_prepared.plan,
-        selectivity=getattr(system, "selectivity", None),
+        system.catalog, system.coefficients, unnested_prepared.plan,
+        selectivity=system.selectivity,
     )
     return nested.total_ms, unnested_ns / 1e6

@@ -164,7 +164,9 @@ class FusionTuner:
     (the executor sums the tracer's kernel-leaf and materialise spans).
     The winner is cached under the plan fingerprint together with the
     cost-model version it was measured under; a stale version is a
-    cache miss, never a served decision.
+    cache miss, never a served decision, and the re-measured winner
+    overwrites it — one entry per plan shape however often the model
+    is refitted.
     """
 
     def __init__(self):
@@ -199,12 +201,6 @@ class FusionTuner:
         )
         self._cache[fingerprint] = decision
         return decision
-
-    def invalidate(self) -> int:
-        """Drop every cached decision; returns how many were evicted."""
-        evicted = len(self._cache)
-        self._cache.clear()
-        return evicted
 
     def stats(self) -> dict:
         return {

@@ -255,7 +255,7 @@ class _ShardState:
         self.catalog = Catalog(list(engine.catalog))
         self.pools = PoolSet(device)
         self.raw_alloc = RawDeviceAllocator(device)
-        self.residency = ColumnResidency(device, lru=True)
+        self.residency = ColumnResidency(device)
         self.index_cache: dict[tuple, object] = {}
         self.ctx = ExecutionContext(
             self.catalog,
@@ -380,17 +380,6 @@ class ShardedEngine:
     def shard_states(self) -> list[_ShardState]:
         """Per-shard standing state, in device order (read-only use)."""
         return self._shards
-
-    @property
-    def declared_version(self) -> int:
-        """The newest catalog version this engine itself produced.
-
-        Partition-form declarations bump ``Catalog.version`` like a data
-        reload does; callers tracking the version for cache invalidation
-        (the session) use this to tell the two apart — a version equal
-        to ``declared_version`` is our own metadata write.
-        """
-        return self._base_version
 
     def release(self) -> None:
         """Release every shard's standing device state (session close)."""
@@ -858,14 +847,7 @@ class ShardedEngine:
             slices = partition_table(base, spec)
             for state, piece in zip(self._shards, slices):
                 state.catalog.register(piece.renamed(form_name))
-            self._declare_partitioning(base.name, spec)
         return form_name
-
-    def _declare_partitioning(self, table: str, spec: PartitionSpec) -> None:
-        if self.catalog.partitioning(table) != spec:
-            self.catalog.set_partitioning(table, spec)
-            # our own metadata write must not look like external churn
-            self._base_version = self.catalog.version
 
     def _pair_matrix(self, table_name: str, key: str) -> np.ndarray:
         """Rows moving from home shard s to hash shard d, as an N x N

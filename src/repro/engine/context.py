@@ -66,11 +66,8 @@ class ColumnResidency:
     entirely — the transfer-amortization regime the throughput papers
     identify as the thing GPU engines win on.
 
-    ``lru=False`` keeps the historical eviction order (evict in load
-    order; touches do not refresh), which per-query execution depends
-    on for bit-identical modelled times.  Sessions pass ``lru=True``:
-    with queries arriving indefinitely, a touch is evidence of reuse,
-    so the victim is the least-recently-*used* column.
+    Eviction is least-recently-*used*: a touch is evidence of reuse,
+    so it moves the column to the back of the eviction order.
 
     Like the device it allocates on, residency is not internally
     synchronized; concurrent serving mutates it only under the session
@@ -80,9 +77,8 @@ class ColumnResidency:
 
     _GUARDED_METHODS = ("ensure", "admit", "release_all")
 
-    def __init__(self, device: Device, lru: bool = False):
+    def __init__(self, device: Device):
         self.device = device
-        self.lru = lru
         # key -> bytes, in eviction order (dicts keep insertion order)
         self._resident: dict[tuple[str, str], int] = {}
         # observability side channels (never charge the clock)
@@ -99,9 +95,6 @@ class ColumnResidency:
     @property
     def resident_bytes(self) -> int:
         return sum(self._resident.values())
-
-    def resident_keys(self) -> list[tuple[str, str]]:
-        return list(self._resident)
 
     def ensure(self, key: tuple[str, str], nbytes: int) -> bool:
         """Make ``key`` resident; returns True if a transfer was paid.
@@ -129,8 +122,7 @@ class ColumnResidency:
         """
         if key in self._resident:
             self.touches += 1
-            if self.lru:
-                self._resident[key] = self._resident.pop(key)
+            self._resident[key] = self._resident.pop(key)
             return False
         while True:
             try:

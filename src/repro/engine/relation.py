@@ -34,11 +34,6 @@ class Relation:
         cols = {f"{binding}.{name}": table.column(name) for name in names}
         return cls(cols, table.num_rows)
 
-    @classmethod
-    def empty_like(cls, other: "Relation") -> "Relation":
-        indices = np.empty(0, dtype=np.int64)
-        return other.take_no_charge(indices)
-
     # -- access -----------------------------------------------------------
 
     def column(self, name: str) -> Column:

@@ -79,10 +79,6 @@ class Device:
     def memory_in_use(self) -> int:
         return self._in_use
 
-    @property
-    def memory_free(self) -> int:
-        return self.spec.memory_bytes - self._in_use
-
     def alloc(self, nbytes: int, raw: bool = False) -> int:
         """Reserve ``nbytes`` of device memory.
 

@@ -148,21 +148,8 @@ def logical_not(device: Device, mask: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# prefix sum / compaction
+# compaction (prefix sum + scatter)
 # ---------------------------------------------------------------------------
-
-
-def prefix_sum(device: Device, mask: np.ndarray) -> tuple[np.ndarray, int]:
-    """Exclusive prefix sum of a 0/1 mask -> (positions, total).
-
-    The work factor reflects the log-depth of a parallel scan.
-    """
-    n = len(mask)
-    device.launch("prefix_sum", n, work=_log_work(n))
-    inclusive = np.cumsum(mask)
-    total = int(inclusive[-1]) if n else 0
-    positions = inclusive - mask  # exclusive scan
-    return positions, total
 
 
 def compact(device: Device, mask: np.ndarray) -> np.ndarray:

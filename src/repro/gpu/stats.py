@@ -66,12 +66,6 @@ class ExecutionStats:
         total = self.total_ns
         return self.transfer_time_ns / total if total else 0.0
 
-    @property
-    def interconnect_fraction(self) -> float:
-        """Share of total time spent on device-to-device peer links."""
-        total = self.total_ns
-        return self.peer_time_ns / total if total else 0.0
-
     def copy(self) -> "ExecutionStats":
         clone = ExecutionStats()
         for spec in fields(self):

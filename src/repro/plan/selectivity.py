@@ -16,19 +16,23 @@ expression evaluator over a throwaway device, so NULL semantics,
 dictionary codes and compound predicates behave exactly as they will
 at execution time — the count cannot disagree with the engine.
 
-Results are cached per ``(table, predicate fingerprint)`` and the
-cache is dropped whenever ``Catalog.version`` moves (a reload changes
-the data the count was taken over).  Anything unsupported — correlated
-parameters, subquery operands, multi-binding predicates, missing
-columns — falls back to the heuristics by returning ``None``.
+Results are cached per predicate fingerprint under the immutable
+``Table`` the count was taken over.  ``Catalog.replace`` swaps that
+object, so a reloaded table misses and its old entries go with the old
+object; every other table's entries stay.  Anything unsupported —
+correlated parameters, subquery operands, multi-binding predicates,
+missing columns — falls back to the heuristics by returning ``None``.
 """
 
 from __future__ import annotations
 
 import threading
+import weakref
 
 import numpy as np
 
+from ..errors import CatalogError
+from ..storage import Table
 from .expressions import (
     PlanExpr,
     contains_subquery,
@@ -50,7 +54,7 @@ class _ScratchContext:
 
 
 class ExactSelectivity:
-    """Counting-scan selectivities with a catalog-versioned cache.
+    """Counting-scan selectivities cached per immutable table.
 
     One instance is owned by the engine and shared by every
     :class:`~repro.plan.builder.PlanBuilder` it constructs (and by the
@@ -66,66 +70,56 @@ class ExactSelectivity:
         self.catalog = catalog
         self.max_rows = self.MAX_ROWS if max_rows is None else max_rows
         self._lock = threading.Lock()
-        self._cache: dict[tuple[str, str], float] = {}
-        self._version = catalog.version
+        self._cache: weakref.WeakKeyDictionary[Table, dict[str, float]] = (
+            weakref.WeakKeyDictionary()
+        )
         self._ctx = _ScratchContext()
         # observability side channels
         self.hits = 0
         self.computations = 0
-        self.invalidations = 0
 
     def __len__(self) -> int:
-        return len(self._cache)
+        return sum(len(entries) for entries in self._cache.values())
 
     def lookup(self, predicate: PlanExpr, table_name: str | None) -> float | None:
         """The exact selectivity, or ``None`` when unsupported."""
         if table_name is None:
             return None
-        key = (table_name, repr(predicate))
+        try:
+            table = self.catalog.table(table_name)
+        except CatalogError:
+            return None
+        key = repr(predicate)
         with self._lock:
-            self._check_version_locked()
-            cached = self._cache.get(key)
+            cached = self._cache.get(table, {}).get(key)
             if cached is not None:
                 self.hits += 1
                 return cached
-        value = self._compute(predicate, table_name)
+        value = self._compute(predicate, table)
         if value is None:
             return None
         with self._lock:
-            self._check_version_locked()
-            self._cache[key] = value
+            self._cache.setdefault(table, {})[key] = value
             self.computations += 1
         return value
 
     def stats(self) -> dict:
         with self._lock:
             return {
-                "entries": len(self._cache),
+                "entries": len(self),
                 "hits": self.hits,
                 "computations": self.computations,
-                "invalidations": self.invalidations,
             }
 
     # -- internals ------------------------------------------------------
 
-    def _check_version_locked(self) -> None:
-        if self.catalog.version != self._version:
-            self._version = self.catalog.version
-            if self._cache:
-                self._cache.clear()
-                self.invalidations += 1
-
-    def _compute(self, predicate: PlanExpr, table_name: str) -> float | None:
+    def _compute(self, predicate: PlanExpr, table: Table) -> float | None:
         if referenced_params(predicate) or contains_subquery(predicate):
             return None
         bindings = referenced_bindings(predicate)
         if len(bindings) != 1:
             return None
         binding = next(iter(bindings))
-        try:
-            table = self.catalog.table(table_name)
-        except Exception:
-            return None
         if table.num_rows == 0 or table.num_rows > self.max_rows:
             return None
         columns = {

@@ -12,13 +12,14 @@ dominate the time not spent on the device, so the session keeps every
   different plans),
 * the **parameter signature** of the prepared statement that produced
   the text (so ``$1`` bound as an int and as a string never share an
-  entry), and
-* implicitly, the **catalog version**: any table registration or
-  reload bumps :attr:`repro.storage.Catalog.version`, and the session
-  clears the cache (plans bake in column widths, dictionary codes and
-  row counts, all of which a reload invalidates).
+  entry).
 
-Entries are evicted LRU beyond ``capacity``.
+Entries are evicted LRU beyond ``capacity``.  Everything else goes
+through :meth:`PlanCache.evict`: the session evicts every entry when
+:attr:`repro.storage.Catalog.version` moves (plans bake in column
+widths, dictionary codes and row counts, all of which a reload
+changes), and the entries a coefficient refit makes stale when it
+recalibrates.
 
 The cache is internally locked: a probe mutates the LRU order and the
 hit/miss counters, and concurrent serving workers probe it outside the
@@ -32,6 +33,7 @@ from __future__ import annotations
 import re
 import threading
 from collections import OrderedDict
+from typing import Callable
 
 from ..core.executor import PreparedQuery
 
@@ -96,45 +98,19 @@ class PlanCache:
                 self._entries.popitem(last=False)
                 self.evictions += 1
 
-    def invalidate_all(self) -> None:
-        """Drop every entry (catalog changed under the cache)."""
-        with self._lock:
-            if self._entries:
-                self._entries.clear()
-            self.invalidations += 1
-
-    def invalidate_mode(self, mode: str) -> int:
-        """Drop entries planned under one execution mode.
-
-        Recalibration changes only what the cost model would *choose*,
-        so only mode-sensitive (``auto``) entries go stale; forced
-        nested/unnested plans survive.  Returns the eviction count.
-        """
-        with self._lock:
-            doomed = [k for k in self._entries if k[1] == mode]
-            for k in doomed:
-                del self._entries[k]
-            if doomed:
-                self.invalidations += 1
-            return len(doomed)
-
-    def invalidate_tuned_fusion(self) -> int:
-        """Drop entries whose program was chosen by the fusion tuner.
-
-        Recalibration bumps ``CostCoefficients.version``; the tuner's
-        own cache treats stale versions as misses, but a session plan
-        cache holding a *tuned* :class:`PreparedQuery` would keep
-        serving the old winner without ever re-asking the tuner.  Forced
-        (``fusion='on'``), analytic and off entries never depended on
-        the coefficients and survive.  Returns the eviction count.
-        """
+    def evict(
+        self, stale: Callable[[tuple, PreparedQuery], bool] | None = None,
+    ) -> int:
+        """Drop every entry for which ``stale(key, prepared)`` is true,
+        or every entry when ``stale`` is None; returns how many went.
+        ``invalidations`` counts the calls that evicted anything."""
         with self._lock:
             doomed = [
-                k for k, prepared in self._entries.items()
-                if prepared.fusion_decision.source == "tuned"
+                key for key, prepared in self._entries.items()
+                if stale is None or stale(key, prepared)
             ]
-            for k in doomed:
-                del self._entries[k]
+            for key in doomed:
+                del self._entries[key]
             if doomed:
                 self.invalidations += 1
             return len(doomed)

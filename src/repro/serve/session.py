@@ -173,7 +173,7 @@ class EngineSession:
             self.device.sampler = self.calibrator
         self.pools = PoolSet(self.device)
         self.raw_alloc = RawDeviceAllocator(self.device)
-        self.residency = ColumnResidency(self.device, lru=True)
+        self.residency = ColumnResidency(self.device)
         self.index_cache: dict[tuple, object] = {}
         self.plan_cache = PlanCache(plan_cache_capacity)
         self.queries_run = 0
@@ -228,7 +228,7 @@ class EngineSession:
             if self.catalog.version == self._catalog_version:
                 return
             self._catalog_version = self.catalog.version
-            self.plan_cache.invalidate_all()
+            self.plan_cache.evict()
             self.index_cache.clear()
             self.residency.release_all()
 
@@ -253,14 +253,6 @@ class EngineSession:
             return prepared, True
         if self.sharded is not None:
             prepared = self.sharded.prepare(sql, mode)
-            if (self.catalog.version != self._catalog_version
-                    and self.catalog.version == self.sharded.declared_version):
-                # the prepare declared partition forms — a metadata
-                # write by this very session, not a data reload; adopt
-                # the version instead of invalidating the caches the
-                # prepare just warmed
-                with self.lock:
-                    self._catalog_version = self.catalog.version
         else:
             prepared = self.engine.prepare(sql, mode, index_cache=self.index_cache)
         self.plan_cache.put(key, prepared)
@@ -281,10 +273,11 @@ class EngineSession:
         squares over the kernel/transfer samples the session device
         collected (Eq. (1)'s ``C`` and ``K``, the PCIe bandwidth, the
         materialization rate).  On success the engine's coefficient set
-        is swapped atomically (version bumped — the cost-model twin of
-        ``Catalog.version``) and every mode-sensitive (``auto``) plan
-        cache entry is evicted, because the nested-vs-unnested choice
-        baked into those plans may flip under the new coefficients.
+        is swapped atomically (version bumped) and every mode-sensitive
+        (``auto``) plan cache entry is evicted, because the
+        nested-vs-unnested choice baked into those plans may flip under
+        the new coefficients; so is every plan holding a tuned fusion
+        program.  This is the one handler of a refit.
 
         Returns a summary dict, or ``None`` when the sample window is
         too small to fit (the engine keeps its current coefficients).
@@ -300,13 +293,15 @@ class EngineSession:
             if fitted is None:
                 return None
             self.engine.set_coefficients(fitted)
-            evicted = self.plan_cache.invalidate_mode("auto")
-            # tuned fusion decisions were measured under the old
-            # coefficients: drop the tuner's cache (version-keyed, but
-            # clearing keeps it from growing one dead generation per
-            # refit) and evict plans that baked a tuned program in
-            fusion_evicted = self.plan_cache.invalidate_tuned_fusion()
-            self.engine.fusion_tuner.invalidate()
+            # the refit may flip an auto-mode path choice; forced
+            # nested/unnested plans never asked the cost model
+            evicted = self.plan_cache.evict(lambda key, _: key[1] == "auto")
+            # a tuned program was measured under the old coefficients
+            # (the tuner re-measures a stale version on its own, but a
+            # cached plan would never ask it again)
+            fusion_evicted = self.plan_cache.evict(
+                lambda _, prepared: prepared.fusion_decision.source == "tuned"
+            )
             if self.metrics is not None:
                 self.metrics.counter("costmodel.recalibrations").inc()
                 self.metrics.counter("costmodel.plans_invalidated").inc(

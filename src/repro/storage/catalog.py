@@ -18,13 +18,11 @@ class Catalog:
 
     def __init__(self, tables: list[Table] | None = None):
         self._tables: dict[str, Table] = {}
-        #: Declared device-group placement per table (lower-name key).
-        #: Pure metadata at this layer: the sharded executor reads it
-        #: to choose home slices; single-device engines ignore it.
-        self._partitioning: dict[str, "PartitionSpec"] = {}
-        #: Monotonic mutation counter.  Long-lived layers (the session
-        #: plan cache, cross-query index/residency state) key their
-        #: validity on it: any register/replace invalidates them.
+        #: Data-change counter: moved by :meth:`register` and
+        #: :meth:`replace` only.  Read by the two owners of device state
+        #: derived from table data (the session and the sharded engine),
+        #: which free it when the counter moves; memos of pure functions
+        #: of a table key on the immutable ``Table`` object instead.
         self.version = 0
         for table in tables or []:
             self.register(table)
@@ -58,30 +56,6 @@ class Catalog:
 
     def table_names(self) -> list[str]:
         return [t.name for t in self._tables.values()]
-
-    def set_partitioning(self, name: str, spec: "PartitionSpec") -> None:
-        """Declare how ``name`` is placed across a device group.
-
-        Validates the table and (for hash) the key column exist.  Bumps
-        the catalog version: a placement change invalidates cached
-        sharded plans just like a data change would.
-        """
-        table = self.table(name)
-        if spec.key is not None:
-            table.column(spec.key)  # raises CatalogError if absent
-        self._partitioning[table.name.lower()] = spec
-        self.version += 1
-
-    def partitioning(self, name: str) -> "PartitionSpec | None":
-        """The declared placement of ``name``, or None (unpartitioned)."""
-        return self._partitioning.get(name.lower())
-
-    def partitioned_tables(self) -> dict[str, "PartitionSpec"]:
-        """Every declared placement, keyed by stored table name."""
-        return {
-            self._tables[key].name: spec
-            for key, spec in self._partitioning.items()
-        }
 
     def resolve_column(self, column: str) -> str:
         """Return the name of the unique table owning ``column``.

@@ -83,12 +83,6 @@ class TestLogicalAndIsin:
 
 
 class TestPrefixSumCompact:
-    def test_prefix_sum(self, device):
-        mask = np.array([1, 0, 1, 1, 0])
-        positions, total = kernels.prefix_sum(device, mask)
-        assert total == 3
-        assert (positions == [0, 1, 1, 2, 3]).all()
-
     def test_compact(self, device):
         mask = np.array([False, True, False, True, True])
         assert (kernels.compact(device, mask) == [1, 3, 4]).all()
@@ -332,8 +326,12 @@ def parent_lookup(device, index, value):
 
 def parent_compact(device, mask):
     mask = mask.astype(bool)
-    positions, total = kernels.prefix_sum(device, mask)
-    device.launch("scatter", len(mask))
+    n = len(mask)
+    device.launch("prefix_sum", n, work=kernels._log_work(n))
+    inclusive = np.cumsum(mask)
+    total = int(inclusive[-1]) if n else 0
+    positions = inclusive - mask  # exclusive scan
+    device.launch("scatter", n)
     out = np.empty(total, dtype=np.int64)
     out[positions[mask]] = np.nonzero(mask)[0]
     return (out,)

@@ -138,15 +138,3 @@ def test_spec_validation():
     with pytest.raises(ReproError):
         PartitionSpec("block", 0)
     assert PartitionSpec("hash", 4, key="k").describe() == "hash(k) % 4"
-
-
-def test_catalog_partitioning_metadata():
-    from repro.storage import Catalog
-
-    catalog = Catalog([_table([1, 2, 3])])
-    before = catalog.version
-    spec = PartitionSpec("hash", 2, key="k")
-    catalog.set_partitioning("t", spec)
-    assert catalog.partitioning("t") == spec
-    assert catalog.version > before
-    assert catalog.partitioned_tables() == {"t": spec}

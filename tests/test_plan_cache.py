@@ -45,9 +45,13 @@ class TestPlanCacheUnit:
     def test_invalidate_all(self):
         cache = PlanCache()
         cache.put(("a", "auto", ()), "plan")
-        cache.invalidate_all()
+        cache.put(("b", "nested", ()), "plan")
+        assert cache.evict(lambda key, _: key[1] == "auto") == 1
+        assert ("b", "nested", ()) in cache
+        assert cache.evict() == 1
         assert len(cache) == 0
-        assert cache.invalidations == 1
+        assert cache.evict() == 0
+        assert cache.invalidations == 2
 
     def test_rejects_nonpositive_capacity(self):
         with pytest.raises(ValueError):

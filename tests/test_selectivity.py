@@ -1,5 +1,5 @@
 """Exact optimization-time selectivities: counting scans, the
-catalog-versioned cache, and the PlanBuilder fallback contract."""
+per-table cache, and the PlanBuilder fallback contract."""
 
 from __future__ import annotations
 
@@ -21,6 +21,7 @@ from repro.plan.selectivity import ExactSelectivity
 
 R_COL1 = ColRef("r", "r_col1", "int")
 R_COL2 = ColRef("r", "r_col2", "int")
+S_COL2 = ColRef("s", "s_col2", "int")
 
 
 def r_column(catalog, name):
@@ -69,16 +70,18 @@ class TestCache:
         second = sel.lookup(predicate, "r")
         assert first == second
         stats = sel.stats()
-        assert stats == {
-            "entries": 1, "hits": 1, "computations": 1, "invalidations": 0,
-        }
+        assert stats == {"entries": 1, "hits": 1, "computations": 1}
 
     def test_catalog_version_bump_invalidates_and_recomputes(self):
+        """Entries key on the replaced Table object: replacing ``r``
+        recounts ``r`` and leaves ``s``'s entry standing."""
         catalog = make_rst_catalog()
         sel = ExactSelectivity(catalog)
         predicate = Compare("<", R_COL2, Const(25))
+        other = Compare("<", S_COL2, Const(25))
         before = sel.lookup(predicate, "r")
-        assert len(sel) == 1
+        sel.lookup(other, "s")
+        assert len(sel) == 2
 
         from repro.storage import Table, int_type
 
@@ -94,7 +97,11 @@ class TestCache:
         after = sel.lookup(predicate, "r")
         assert before > 0.0
         assert after == 0.0
-        assert sel.stats()["invalidations"] == 1
+        assert sel.lookup(other, "s") is not None
+        stats = sel.stats()
+        assert stats["computations"] == 3  # r, s, then the new r
+        assert stats["hits"] == 1  # s survived the replace of r
+        assert len(sel) == 2  # the old r's entry went with the old r
 
 
 class TestPlanBuilderIntegration:

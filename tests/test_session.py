@@ -145,7 +145,7 @@ class TestColumnResidencyEviction:
         return Device(DeviceSpec.v100().with_memory(capacity))
 
     def test_lru_evicts_least_recently_used(self):
-        residency = ColumnResidency(self._device(100), lru=True)
+        residency = ColumnResidency(self._device(100))
         residency.ensure(("t", "a"), 40)
         residency.ensure(("t", "b"), 40)
         residency.ensure(("t", "a"), 40)  # refresh a
@@ -154,15 +154,6 @@ class TestColumnResidencyEviction:
         assert ("t", "b") not in residency
         assert ("t", "c") in residency
         assert residency.evictions == 1
-
-    def test_load_order_eviction_without_lru(self):
-        residency = ColumnResidency(self._device(100), lru=False)
-        residency.ensure(("t", "a"), 40)
-        residency.ensure(("t", "b"), 40)
-        residency.ensure(("t", "a"), 40)  # touch does not refresh
-        residency.ensure(("t", "c"), 40)  # evicts a (oldest load)
-        assert ("t", "a") not in residency
-        assert ("t", "b") in residency
 
     def test_oversized_column_raises(self):
         residency = ColumnResidency(self._device(100))

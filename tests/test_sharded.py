@@ -11,7 +11,7 @@ from conftest import make_rst_catalog
 from repro.core import NestGPU, ShardedEngine
 from repro.gpu.spec import InterconnectSpec, LinkSpec
 from repro.serve import EngineSession
-from repro.tpch import ALL_EVALUATION_QUERIES
+from repro.tpch import ALL_EVALUATION_QUERIES, generate_tpch
 
 RST_SQL = (
     "SELECT r_col1, r_col2 FROM r WHERE r_col2 = "
@@ -171,8 +171,6 @@ def test_session_sharded_run_and_plan_cache(tpch_small):
         first = session.execute(sql)
         assert first.plan_cache_hit is False
         second = session.execute(sql)
-        # the engine's own partition-metadata version bump must not be
-        # mistaken for a data reload: the repeat is a plan-cache hit
         assert second.plan_cache_hit is True
         assert canon(first.rows) == canon(solo.rows)
         assert canon(second.rows) == canon(solo.rows)
@@ -185,6 +183,36 @@ def test_session_sharded_run_and_plan_cache(tpch_small):
         per_shard = prepared.per_shard_bytes
         assert per_shard and len(per_shard) == 4
         assert session.working_set_bytes(prepared) == max(per_shard)
+
+
+# -- engines sharing one catalog -----------------------------------------
+# Only a data change moves Catalog.version; planning or running a
+# sharded query on a shared catalog must not reset its neighbours.
+
+
+def test_sharded_session_leaves_solo_session_warm():
+    sql = ALL_EVALUATION_QUERIES["tpch_q17"]
+    catalog = generate_tpch(0.05, use_cache=False)
+    with EngineSession(catalog) as solo, \
+            EngineSession(catalog, shards=2) as sharded:
+        solo.execute(sql)
+        warm = solo.execute(sql)
+        sharded.execute(sql)
+        after = solo.execute(sql)
+        assert after.plan_cache_hit is True
+        assert after.preload_ns == 0.0
+        assert solo.plan_cache.invalidations == 0
+        assert repr(after.stats.total_ns) == repr(warm.stats.total_ns)
+
+
+def test_prepared_plan_survives_a_wider_engine_on_the_same_catalog():
+    sql = ALL_EVALUATION_QUERIES["tpch_q17"]
+    catalog = generate_tpch(0.05, use_cache=False)
+    narrow = ShardedEngine(catalog, shards=2)
+    prepared = narrow.prepare(sql)
+    ShardedEngine(catalog, shards=4).execute(sql)
+    result = narrow.run_prepared(prepared)
+    assert canon(result.rows) == canon(NestGPU(catalog).execute(sql).rows)
 
 
 def test_sharded_engine_validates_shards():
