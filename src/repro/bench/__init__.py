@@ -17,18 +17,14 @@ from .figures import (
     figure16_query_cost,
 )
 from .report import (
-    format_kernel_breakdown,
     format_sweep,
     geometric_speedups,
-    print_sweep,
     speedup,
 )
 from .runner import (
     Measurement,
     Sweep,
-    run_net_throughput,
     run_sweep,
-    run_throughput,
 )
 
 __all__ = [
@@ -48,11 +44,8 @@ __all__ = [
     "figure16_query_cost",
     "figure8_q2",
     "figure9_q4",
-    "format_kernel_breakdown",
     "format_sweep",
     "geometric_speedups",
-    "print_sweep",
     "run_sweep",
-    "run_throughput",
     "speedup",
 ]

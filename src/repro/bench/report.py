@@ -28,45 +28,6 @@ def format_sweep(sweep: Sweep) -> str:
     return "\n".join(lines)
 
 
-def print_sweep(sweep: Sweep) -> None:
-    print()
-    print(format_sweep(sweep))
-
-
-def format_kernel_breakdown(
-    sweep: Sweep, scale_factor: float | None = None
-) -> str:
-    """Per-kernel-tag modelled time and launch counts, per system.
-
-    Reads the ``kernel_time_by_tag_ms`` / ``launches_by_tag`` extras
-    recorded by :func:`~repro.bench.runner.run_sweep`; systems or cells
-    without them (failed runs, old sweeps) are skipped.
-    """
-    if scale_factor is None:
-        scale_factor = sweep.scale_factors()[-1]
-    lines = [f"{sweep.title} — kernel breakdown at SF {scale_factor:g}"]
-    lines.append("-" * len(lines[0]))
-    for system in sweep.systems():
-        try:
-            m = sweep.cell(system, scale_factor)
-        except KeyError:
-            continue
-        by_tag = m.extra.get("kernel_time_by_tag_ms")
-        if not m.ran or not by_tag:
-            continue
-        launches = m.extra.get("launches_by_tag", {})
-        lines.append(f"{system}  ({m.time_ms:.2f} ms total)")
-        for tag, ms in sorted(
-            by_tag.items(), key=lambda kv: kv[1], reverse=True
-        ):
-            share = ms / m.time_ms * 100 if m.time_ms else 0.0
-            lines.append(
-                f"  {tag:<20s} {ms:10.4f} ms  {share:5.1f}%"
-                f"  x{launches.get(tag, 0)}"
-            )
-    return "\n".join(lines)
-
-
 def speedup(sweep: Sweep, fast: str, slow: str, scale_factor: float) -> float:
     """How many times faster ``fast`` is than ``slow`` at one point."""
     numerator = sweep.cell(slow, scale_factor).time_ms

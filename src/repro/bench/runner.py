@@ -59,17 +59,6 @@ class Sweep:
                 seen.append(m.scale_factor)
         return seen
 
-    def to_csv(self) -> str:
-        """Plot-ready CSV: one row per (system, scale factor) cell."""
-        lines = ["system,scale_factor,time_ms,rows,note"]
-        for m in self.measurements:
-            time_str = f"{m.time_ms:.6f}" if m.time_ms is not None else ""
-            rows_str = str(m.rows) if m.rows is not None else ""
-            lines.append(
-                f"{m.system},{m.scale_factor:g},{time_str},{rows_str},{m.note}"
-            )
-        return "\n".join(lines) + "\n"
-
 
 def _slug(text: str) -> str:
     return "".join(
@@ -179,183 +168,4 @@ def run_sweep(
                     extra=extra,
                 )
             )
-    return sweep
-
-
-def run_throughput(
-    scale_factors: Sequence[float],
-    streams_list: Sequence[int] = (1, 2, 4),
-    statements: Sequence[str] | None = None,
-    mode: str = "auto",
-    seed: int = 0,
-    concurrent: bool = False,
-    drain_timeout_s: float = 300.0,
-    shards: int = 1,
-    interconnect: str = "pcie",
-) -> Sweep:
-    """Batched-workload throughput: the serving-layer companion to
-    :func:`run_sweep`'s solo latencies.
-
-    Each cell pushes the workload (default: the 10-query paper mix)
-    through a fresh :class:`~repro.serve.EngineSession` at one stream
-    count; ``time_ms`` is the modelled batch makespan, with the serial
-    sum, speedup and plan-cache hit ratio in ``extra``.
-
-    Every cell runs the one :class:`~repro.serve.AsyncEngine`: drained
-    on the calling thread with earliest-free stream placement by
-    default, on one worker thread per stream with ``concurrent=True``;
-    ``extra`` carries the measured wall-clock batch time either way.
-    """
-    import time as _time
-
-    from ..serve import AsyncEngine, EngineSession, paper_mix_statements
-
-    sweep = Sweep("throughput")
-    for scale_factor in scale_factors:
-        catalog = generate_tpch(scale_factor, seed=seed)
-        workload = list(statements) if statements else paper_mix_statements()
-        for streams in streams_list:
-            with EngineSession(
-                catalog, mode=mode, shards=shards, interconnect=interconnect,
-            ) as session:
-                engine = AsyncEngine(
-                    session, workers=streams,
-                    queue_capacity=max(64, len(workload)),
-                    autostart=concurrent,
-                )
-                wall_start = _time.perf_counter()
-                try:
-                    report = engine.run_batch(workload, drain_timeout_s)
-                    wall_ms = (_time.perf_counter() - wall_start) * 1e3
-                finally:
-                    engine.shutdown(drain=False, timeout=10.0)
-                label = f"{streams}-workers" if concurrent else f"{streams}-streams"
-                if report is None:
-                    sweep.add(Measurement(
-                        label, scale_factor, None, note="drain timeout",
-                    ))
-                    continue
-                sweep.add(
-                    Measurement(
-                        label,
-                        scale_factor,
-                        report.makespan_ns / 1e6,
-                        rows=len(report.completed),
-                        note=f"{len(report.rejected)} rejected"
-                        if report.rejected else "",
-                        extra={
-                            "serial_ms": report.serial_ns / 1e6,
-                            "speedup": report.speedup,
-                            "queries_per_second": report.queries_per_second,
-                            "plan_cache_hit_ratio":
-                                session.plan_cache.hit_ratio,
-                            "shards": shards,
-                            "interconnect_bytes": (
-                                session.sharded.group.interconnect_bytes()
-                                if session.sharded is not None else 0
-                            ),
-                            "wall_ms": wall_ms,
-                        },
-                    )
-                )
-    return sweep
-
-
-def run_net_throughput(
-    scale_factors: Sequence[float],
-    workers_list: Sequence[int] = (2, 4),
-    statements: Sequence[str] | None = None,
-    policy: str = "fair",
-    mode: str = "auto",
-    seed: int = 0,
-    drain_timeout_s: float = 300.0,
-) -> Sweep:
-    """Socket-driven throughput: the full network stack under load.
-
-    Each cell starts a :class:`~repro.net.server.NetServer` over a
-    fresh session/engine, then drives the workload concurrently from
-    *two tenants* (alpha and beta of the demo roster) over real
-    sockets — frames, auth, QoS admission and the protocol row codec
-    are all on the measured path.  ``time_ms`` is the wall-clock batch
-    time; ``extra`` carries per-tenant rows/queries and the modelled
-    makespan for comparison with :func:`run_throughput`.
-    """
-    import threading
-    import time as _time
-
-    from ..net.client import ReproNetClient
-    from ..net.qos import demo_registry
-    from ..net.server import NetServer, ServerThread
-    from ..obs import MetricsRegistry
-    from ..serve import AsyncEngine, EngineSession, paper_mix_statements
-
-    sweep = Sweep("net-throughput")
-    for scale_factor in scale_factors:
-        catalog = generate_tpch(scale_factor, seed=seed)
-        workload = list(statements) if statements else paper_mix_statements()
-        for workers in workers_list:
-            registry = demo_registry()
-            with EngineSession(
-                catalog, mode=mode, metrics=MetricsRegistry(),
-            ) as session:
-                engine = AsyncEngine(
-                    session,
-                    workers=workers,
-                    policy=policy,
-                    tenant_budgets=registry.budgets(
-                        session.device_capacity_bytes
-                    ),
-                    tenant_weights=registry.weights(),
-                    slo_objectives=registry.slo_objectives(),
-                )
-                server = ServerThread(NetServer(engine, registry)).start()
-                failures: list[str] = []
-
-                def drive(token: str) -> None:
-                    try:
-                        with ReproNetClient(
-                            server.host, server.port, token=token,
-                        ) as client:
-                            for sql in workload:
-                                client.execute(sql)
-                    except Exception as exc:  # surfaced via the cell note
-                        failures.append(f"{token}: {exc}")
-
-                wall_start = _time.perf_counter()
-                threads = [
-                    threading.Thread(target=drive, args=(token,))
-                    for token in ("alpha-token", "beta-token")
-                ]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join(drain_timeout_s)
-                wall_ms = (_time.perf_counter() - wall_start) * 1e3
-                engine.drain(timeout=drain_timeout_s)
-                report = engine.report()
-                tenants = engine.tenant_stats()
-                engine.shutdown(drain=False, timeout=10.0)
-                server.stop()
-                sweep.add(
-                    Measurement(
-                        f"{workers}-workers",
-                        scale_factor,
-                        wall_ms,
-                        rows=sum(t["rows"] for t in tenants.values()),
-                        note="; ".join(failures),
-                        extra={
-                            "policy": policy,
-                            "makespan_ms": report.makespan_ns / 1e6,
-                            "queries_per_second":
-                                len(report.completed) / (wall_ms / 1e3)
-                                if wall_ms else 0.0,
-                            "tenants": tenants,
-                            "slo": engine.slo.snapshot(),
-                            "flight_recorder": {
-                                "recorded": engine.flight_recorder.recorded,
-                                "dropped": engine.flight_recorder.dropped,
-                            },
-                        },
-                    )
-                )
     return sweep

@@ -310,12 +310,7 @@ class NestGPU:
             and prepared.fallback is not None
             and prepared.unnested_ms is not None
         ):
-            governor = AdaptiveGovernor(
-                device,
-                budget_ms=prepared.unnested_ms,
-                hysteresis=self.options.adaptive_hysteresis,
-                min_batches=self.options.adaptive_min_batches,
-            )
+            governor = AdaptiveGovernor(device, budget_ms=prepared.unnested_ms)
         pool_marks = (
             ctx.pools.mark_all() if self.options.use_memory_pools else None
         )

@@ -177,13 +177,13 @@ class AdaptiveGovernor:
       batch/iteration), pinning the loop's start on the modelled clock;
     * ``batch_done`` / ``iteration_done`` at every unit boundary.
 
-    After ``min_batches`` batches (or a fixed minimum of iterations on
+    After ``MIN_BATCHES`` batches (or ``MIN_ITERATIONS`` iterations on
     the unvectorized path) the governor extrapolates::
 
         projected_remaining = elapsed * (total - done) / done
 
     and raises :class:`AdaptiveSwitch` when that exceeds
-    ``budget_ms * hysteresis``.  The sunk cost is deliberately excluded
+    ``budget_ms * HYSTERESIS``.  The sunk cost is deliberately excluded
     — past work is paid either way; only the *remaining* nested work
     competes with a fresh unnested run.  The hysteresis factor absorbs
     extrapolation noise (early batches carry warm-up effects and the
@@ -194,17 +194,16 @@ class AdaptiveGovernor:
     #: the unvectorized loop reports every iteration; demand at least
     #: this many before trusting the extrapolation
     MIN_ITERATIONS = 8
+    #: the same floor for the vectorized loop, in batches
+    MIN_BATCHES = 2
+    #: how far the projected remaining cost may exceed the budget
+    HYSTERESIS = 1.5
 
-    def __init__(self, device, budget_ms: float, hysteresis: float = 1.5,
-                 min_batches: int = 2):
+    def __init__(self, device, budget_ms: float):
         if budget_ms < 0:
             raise ValueError("budget must be non-negative")
-        if hysteresis < 1.0:
-            raise ValueError("hysteresis factor must be >= 1")
         self.device = device
         self.budget_ms = budget_ms
-        self.hysteresis = hysteresis
-        self.min_batches = max(1, min_batches)
         self._loops: dict[int, dict] = {}
         self.fired: AdaptiveSwitch | None = None
 
@@ -216,10 +215,10 @@ class AdaptiveGovernor:
         }
 
     def batch_done(self, sp, done: int) -> None:
-        self._check(sp, done, self.min_batches)
+        self._check(sp, done, self.MIN_BATCHES)
 
     def iteration_done(self, sp, done: int) -> None:
-        self._check(sp, done, max(self.MIN_ITERATIONS, self.min_batches))
+        self._check(sp, done, self.MIN_ITERATIONS)
 
     def _check(self, sp, done: int, min_units: int) -> None:
         if self.fired is not None:
@@ -233,7 +232,7 @@ class AdaptiveGovernor:
             return
         elapsed_ns = self.device.stats.total_ns - state["start_ns"]
         projected_ns = elapsed_ns * (total - done) / done
-        if projected_ns <= self.budget_ms * 1e6 * self.hysteresis:
+        if projected_ns <= self.budget_ms * 1e6 * self.HYSTERESIS:
             return
         self.fired = AdaptiveSwitch(
             subquery_index=sp.descriptor.index,

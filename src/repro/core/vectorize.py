@@ -50,10 +50,6 @@ class SegRelation:
     seg: np.ndarray
     num_segments: int
 
-    @property
-    def num_rows(self) -> int:
-        return self.rel.num_rows
-
 
 def can_vectorize(plan: Plan, info) -> bool:
     """Whether the batched path supports this subquery plan.
@@ -321,7 +317,7 @@ def _eval_aggregate(sp, node: Aggregate, batch, num_segments) -> _PerSegment:
         else:
             arg = evaluate(spec.arg, seg_rel.rel, sp.ctx, env)
             if not isinstance(arg, np.ndarray):
-                arg = np.full(seg_rel.num_rows, arg, dtype=np.float64)
+                arg = np.full(seg_rel.rel.num_rows, arg, dtype=np.float64)
             values, counts = kernels.segmented_reduce(
                 device, arg.astype(np.float64), seg_rel.seg, num_segments, spec.op
             )

@@ -34,8 +34,6 @@ class EngineOptions:
     # extrapolated remaining cost exceeds the unnested estimate by the
     # hysteresis factor, and rerun unnested (core.subquery)
     adaptive: bool = True
-    adaptive_min_batches: int = 2
-    adaptive_hysteresis: float = 1.5
     # data-path kernel fusion in codegen (core.fusion): "off" keeps the
     # one-launch-per-primitive pipeline (and pre-fusion modelled totals
     # bit-identical), "on" forces every fusible site fused, "auto"
@@ -211,10 +209,6 @@ class ExecutionContext:
         for table_name, column_name in columns:
             self.load_column(table_name, column_name)
 
-    def release_columns(self) -> None:
-        """Free all resident base columns (end of query)."""
-        self.residency.release_all()
-
     # -- intermediate allocations ----------------------------------------------
 
     def alloc_intermediate(self, nbytes: int) -> None:
@@ -245,14 +239,8 @@ class ExecutionContext:
 
         Pool *tails* rewind (the reserved high-water survives, so the
         next query reuses the space without re-growing), raw
-        allocations are returned, and — unlike :meth:`finish` —
-        resident columns stay on the device.
+        allocations are returned, and resident columns stay on the
+        device.
         """
         self.pools.reset_tails()
         self.raw_alloc.free_all()
-
-    def finish(self) -> None:
-        """End-of-query cleanup of device allocations."""
-        self.pools.release_all()
-        self.raw_alloc.free_all()
-        self.release_columns()

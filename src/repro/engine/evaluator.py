@@ -6,10 +6,11 @@ plan-node identity within one run, so shared subtrees (magic-set
 push-down) execute once — mirroring common-subexpression reuse in real
 engines.
 
-``SubqueryFilter`` nodes are only accepted when uncorrelated (type-A/N:
-evaluate the inner plan once, substitute the scalar).  Correlated
-subqueries never reach this evaluator — they are either unnested away
-or executed by the NestGPU drive program (:mod:`repro.core`).
+``SubqueryFilter`` and ``SubqueryColumn`` nodes are only accepted when
+uncorrelated (type-A/N: evaluate the inner plan once, substitute the
+scalar).  Correlated subqueries never reach this evaluator — they are
+either unnested away or executed by the NestGPU drive program
+(:mod:`repro.core`).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from ..plan.nodes import (
     SubqueryFilter,
 )
 from . import operators as ops
-from .relation import Relation
+from .relation import Relation, computed_column
 
 
 def run_plan(
@@ -152,11 +153,7 @@ def _run_uncorrelated_subquery(ctx, node: SubqueryFilter, env, memo) -> Relation
             return child
         return child.take_no_charge(np.empty(0, dtype=np.int64))
     if descriptor.kind == "scalar":
-        if inner.num_rows != 1:
-            raise ExecutionError(
-                f"scalar subquery returned {inner.num_rows} rows"
-            )
-        value = float(next(iter(inner.columns.values())).data[0])
+        value = _scalar_value(inner)
         if np.isnan(value):
             return child.take_no_charge(np.empty(0, dtype=np.int64))
         predicate = _substitute(node.predicate, Const(value))
@@ -167,6 +164,11 @@ def _run_uncorrelated_subquery(ctx, node: SubqueryFilter, env, memo) -> Relation
 def _run_uncorrelated_subquery_column(
     ctx, node: SubqueryColumn, env, memo
 ) -> Relation:
+    """An uncorrelated scalar SUBQ in a SELECT list: one value per row.
+
+    Reached when an uncorrelated WHERE/IN/EXISTS subquery's own SELECT
+    list holds another uncorrelated scalar subquery.
+    """
     descriptor = node.descriptor
     if descriptor is None or descriptor.is_correlated:
         raise ExecutionError(
@@ -174,17 +176,18 @@ def _run_uncorrelated_subquery_column(
         )
     inner_plan = _planned_inner(ctx, node)
     child = _run(ctx, node.child, env, memo)
-    inner = _run(ctx, inner_plan, env, memo)
-    if inner.num_rows != 1:
-        raise ExecutionError(f"scalar subquery returned {inner.num_rows} rows")
-    from .relation import computed_column
-
-    value = float(next(iter(inner.columns.values())).data[0])
+    value = _scalar_value(_run(ctx, inner_plan, env, memo))
     data = np.full(child.num_rows, value, dtype=np.float64)
     return Relation(
         {**child.columns, node.output_name: computed_column(node.output_name, data)},
         child.num_rows,
     )
+
+
+def _scalar_value(inner: Relation) -> float:
+    if inner.num_rows != 1:
+        raise ExecutionError(f"scalar subquery returned {inner.num_rows} rows")
+    return float(next(iter(inner.columns.values())).data[0])
 
 
 def _substitute(expr: PlanExpr, replacement: PlanExpr) -> PlanExpr:

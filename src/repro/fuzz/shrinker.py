@@ -380,64 +380,4 @@ def _literal_shrinks(stmt: ast.SelectStmt) -> Iterator[ast.SelectStmt]:
             smaller = ast.Literal(int(target.value) // 2, "int")
         else:
             smaller = ast.Literal(float(f"{float(target.value) / 2:.2f}"), "decimal")
-        yield _replace_literal(stmt, target, smaller)
-
-
-def _replace_literal(
-    stmt: ast.SelectStmt, target: ast.Literal, replacement: ast.Literal
-) -> ast.SelectStmt:
-    done = [False]  # replace only the first structurally-identical hit
-
-    def rewrite_expr(expr: ast.Expr) -> ast.Expr:
-        if done[0]:
-            return expr
-        if expr is target or (
-            isinstance(expr, ast.Literal) and expr == target and not done[0]
-        ):
-            done[0] = True
-            return replacement
-        if isinstance(expr, ast.BinaryOp):
-            return ast.BinaryOp(expr.op, rewrite_expr(expr.left), rewrite_expr(expr.right))
-        if isinstance(expr, ast.UnaryOp):
-            return ast.UnaryOp(expr.op, rewrite_expr(expr.operand))
-        if isinstance(expr, ast.FuncCall):
-            return ast.FuncCall(
-                expr.name, tuple(rewrite_expr(a) for a in expr.args),
-                expr.star, expr.distinct,
-            )
-        if isinstance(expr, ast.BetweenExpr):
-            return ast.BetweenExpr(
-                rewrite_expr(expr.operand), rewrite_expr(expr.low),
-                rewrite_expr(expr.high), expr.negated,
-            )
-        if isinstance(expr, ast.LikeExpr):
-            return ast.LikeExpr(rewrite_expr(expr.operand), expr.pattern, expr.negated)
-        if isinstance(expr, ast.InExpr):
-            return ast.InExpr(
-                rewrite_expr(expr.operand),
-                query=rewrite_stmt(expr.query) if expr.query is not None else None,
-                values=tuple(rewrite_expr(v) for v in expr.values),
-                negated=expr.negated,
-            )
-        if isinstance(expr, ast.SubqueryExpr):
-            return ast.SubqueryExpr(rewrite_stmt(expr.query))
-        if isinstance(expr, ast.ExistsExpr):
-            return ast.ExistsExpr(rewrite_stmt(expr.query), expr.negated)
-        if isinstance(expr, ast.QuantifiedExpr):
-            return ast.QuantifiedExpr(
-                expr.op, expr.quantifier, rewrite_expr(expr.operand),
-                rewrite_stmt(expr.query),
-            )
-        return expr
-
-    def rewrite_stmt(node: ast.SelectStmt) -> ast.SelectStmt:
-        items = tuple(
-            item if isinstance(item.expr, ast.Star)
-            else ast.SelectItem(rewrite_expr(item.expr), item.alias)
-            for item in node.items
-        )
-        where = rewrite_expr(node.where) if node.where is not None else None
-        having = rewrite_expr(node.having) if node.having is not None else None
-        return dataclasses.replace(node, items=items, where=where, having=having)
-
-    return rewrite_stmt(stmt)
+        yield _map_stmt(stmt, lambda e: smaller if e is target else None)

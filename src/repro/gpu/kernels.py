@@ -59,31 +59,6 @@ def fused(device: Device, tag: str):
         device.end_fused(scope)
 
 
-def fused_compact(device: Device, mask: np.ndarray) -> np.ndarray:
-    """The prefix-sum → scatter compaction tail as one fused launch."""
-    with fused(device, "fused_compact"):
-        return compact(device, mask)
-
-
-def fused_select(
-    device: Device, masks: list[np.ndarray], tag: str = "fused_select"
-) -> np.ndarray:
-    """AND a predicate-mask chain and compact it in one fused launch.
-
-    The fused twin of the unfused selection pipeline (k compare kernels
-    → k-1 ``logical_and`` → prefix-sum → scatter): callers evaluate the
-    per-predicate masks inside an enclosing :func:`fused` scope and the
-    whole chain charges a single launch.
-    """
-    if not masks:
-        raise ExecutionError("fused_select requires at least one mask")
-    with fused(device, tag):
-        combined = masks[0]
-        for mask in masks[1:]:
-            combined = logical_and(device, combined, mask)
-        return compact(device, combined)
-
-
 # ---------------------------------------------------------------------------
 # scans and maps
 # ---------------------------------------------------------------------------

@@ -126,15 +126,3 @@ class ExecutionStats:
             value = getattr(self, spec.name)
             out[spec.name] = dict(value) if isinstance(value, dict) else value
         return out
-
-    def breakdown(self) -> dict[str, float]:
-        """Milliseconds by category, for reports."""
-        return {
-            "kernel_ms": self.kernel_time_ns / 1e6,
-            "materialize_ms": self.materialize_time_ns / 1e6,
-            "h2d_ms": self.h2d_time_ns / 1e6,
-            "d2h_ms": self.d2h_time_ns / 1e6,
-            "malloc_ms": self.malloc_time_ns / 1e6,
-            "peer_ms": self.peer_time_ns / 1e6,
-            "total_ms": self.total_ms,
-        }

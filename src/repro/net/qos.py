@@ -84,18 +84,6 @@ class TenantSpec:
             quota_bytes=quota, max_in_flight=self.max_in_flight,
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "priority": self.priority,
-            "weight": self.weight,
-            "quota_bytes": self.quota_bytes,
-            "quota_fraction": self.quota_fraction,
-            "max_in_flight": self.max_in_flight,
-            "slo_ms": self.slo_ms,
-            "slo_target": self.slo_target,
-        }
-
 
 class TenantRegistry:
     """The tenant roster: token authentication + budget/weight tables."""

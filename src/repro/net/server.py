@@ -132,10 +132,6 @@ class NetServer:
         )
         self.port = self._server.sockets[0].getsockname()[1]
 
-    async def serve_forever(self) -> None:
-        assert self._server is not None, "call start() first"
-        await self._server.serve_forever()
-
     async def drain(self, timeout: float | None = None) -> bool:
         """Refuse new EXECUTEs, then wait out every accepted query.
 

@@ -31,7 +31,6 @@ from .telemetry import (
     parse_prometheus_text,
     span_from_dict,
     span_to_dict,
-    summarize_spans,
     validate_chrome_trace,
 )
 from .tracer import (
@@ -62,7 +61,6 @@ __all__ = [
     "parse_prometheus_text",
     "span_from_dict",
     "span_to_dict",
-    "summarize_spans",
     "to_chrome_trace",
     "validate_chrome_trace",
     "write_chrome_trace",

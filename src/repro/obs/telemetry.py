@@ -481,24 +481,6 @@ class FlightRecorder:
             handle.write("\n")
 
 
-def summarize_spans(roots) -> list[dict]:
-    """Top-level phases of a span forest, one line each (for records)."""
-    summary = []
-    for root in roots:
-        nodes = root.children if root.category == "query" else [root]
-        for node in nodes:
-            summary.append({
-                "name": node.name,
-                "category": node.category,
-                "duration_ms": node.duration_ns / 1e6,
-                "children": len(node.children),
-                **({"attrs": {
-                    k: _json_safe(v) for k, v in node.attrs.items()
-                }} if node.attrs else {}),
-            })
-    return summary
-
-
 # ---------------------------------------------------------------------------
 # Prometheus text parsing (the round-trip half, in-tree)
 # ---------------------------------------------------------------------------

@@ -63,14 +63,6 @@ class Span:
         end = self.start_ns if self.end_ns is None else self.end_ns
         return end - self.start_ns
 
-    @property
-    def self_ns(self) -> float:
-        """Duration minus structural children (leaf charges stay ours)."""
-        return self.duration_ns - sum(
-            child.duration_ns for child in self.children
-            if child.category in STRUCTURAL_CATEGORIES
-        )
-
     def walk(self):
         yield self
         for child in self.children:

@@ -2,7 +2,7 @@
 
 from .binder import Binder, BoundBlock, SubqueryDescriptor
 from .builder import PlanBuilder
-from .exchange import Broadcast, ExchangeStep, Gather, HashRepartition
+from .exchange import ExchangeStep
 from .invariants import InvariantInfo, mark_invariants
 from .nodes import explain
 from .optimizer import prune_scan_columns, try_exists_semijoin
@@ -10,10 +10,7 @@ from .optimizer import prune_scan_columns, try_exists_semijoin
 __all__ = [
     "Binder",
     "BoundBlock",
-    "Broadcast",
     "ExchangeStep",
-    "Gather",
-    "HashRepartition",
     "InvariantInfo",
     "PlanBuilder",
     "SubqueryDescriptor",

@@ -1,25 +1,25 @@
-"""Exchange operators: the data-movement nodes of a sharded plan.
+"""Exchange steps: the data movement of a sharded plan.
 
-A single-device plan never moves data between devices, so these nodes
+A single-device plan never moves data between devices, so exchanges
 exist only in *distributed* plans assembled by the sharded executor's
-optimizer.  Each one describes the placement change of one table (or
-of the result stream, for :class:`Gather`) and carries the modelled
-cost the optimizer charged when it chose this exchange, so EXPLAIN can
-show the broadcast-vs-shuffle decision with numbers attached.
+optimizer.  Each :class:`ExchangeStep` records the placement change of
+one table (or of the result stream, for a gather) and the modelled
+cost the optimizer charged when it chose it, so EXPLAIN can show the
+broadcast-vs-shuffle decision with numbers attached.
 
-The three shapes:
+The three kinds:
 
-``Broadcast``
+``broadcast``
     Every shard receives a full copy of the table.  Replication is
     staged from the host over each shard's own PCIe link (the home of
     a base table's full image is host memory), so its cost scales with
     N full copies but needs no peer links.
-``HashRepartition``
+``repartition``
     The table's home slices are redistributed over the peer
     interconnect so rows land on ``hash(key) % N``.  About
     ``(N-1)/N`` of the table crosses links; the cost is per ordered
     device pair: ``latency + bytes / bandwidth``.
-``Gather``
+``gather``
     Per-shard partial results converge on the coordinator (device 0)
     over its incoming links before the global tail runs.
 """
@@ -27,63 +27,6 @@ The three shapes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from .nodes import Plan
-
-
-@dataclass
-class Broadcast(Plan):
-    """Replicate ``table``'s referenced columns onto every shard."""
-
-    table: str
-    columns: tuple[str, ...] = ()
-    shards: int = 1
-    bytes_per_shard: int = 0
-    cost_ns: float = 0.0
-
-    def __str__(self) -> str:
-        cols = ",".join(self.columns) if self.columns else "*"
-        return (
-            f"BROADCAST {self.table} ({cols}) -> {self.shards} shards "
-            f"[{self.bytes_per_shard} B/shard via host]"
-        )
-
-
-@dataclass
-class HashRepartition(Plan):
-    """Redistribute ``table`` so rows land on ``hash(key) % shards``."""
-
-    table: str
-    key: str
-    columns: tuple[str, ...] = ()
-    shards: int = 1
-    link_bytes: int = 0
-    cost_ns: float = 0.0
-
-    def __str__(self) -> str:
-        cols = ",".join(self.columns) if self.columns else "*"
-        return (
-            f"REPARTITION {self.table} ({cols}) BY hash({self.key}) "
-            f"% {self.shards} [{self.link_bytes} B over links]"
-        )
-
-
-@dataclass
-class Gather(Plan):
-    """Collect per-shard partials of ``child`` on the coordinator."""
-
-    child: Plan | None = None
-    shards: int = 1
-    link_bytes: int = 0
-    cost_ns: float = 0.0
-    detail: str = ""
-
-    def children(self) -> tuple[Plan, ...]:
-        return (self.child,) if self.child is not None else ()
-
-    def __str__(self) -> str:
-        suffix = f" ({self.detail})" if self.detail else ""
-        return f"GATHER <- {self.shards} shards{suffix}"
 
 
 @dataclass

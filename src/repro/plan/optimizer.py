@@ -1,36 +1,16 @@
-"""Plan-level rewrites: column pruning, EXISTS semi-join, magic-set
-push-down.
+"""Plan-level rewrites: column pruning and the EXISTS semi-join.
 
 These are shared by NestGPU and the baselines; what distinguishes the
-systems is which rewrites they enable (e.g. only the MonetDB-like
-engine uses the magic-set push-down, matching the paper's explanation
-of MonetDB's edge on Q2/Q17).
+systems is which rewrites they enable.  (The magic-set push-down that
+gives the MonetDB-like engine its edge on Q2/Q17 is part of unnesting:
+``unnest._seed_with_magic_set``.)
 """
 
 from __future__ import annotations
 
-from ..errors import PlanError
 from .binder import BoundBlock, SubqueryDescriptor
-from .expressions import (
-    ColRef,
-    Compare,
-    ParamRef,
-    PlanExpr,
-    referenced_params,
-)
-from .nodes import (
-    Aggregate,
-    DerivedScan,
-    Filter,
-    Join,
-    Plan,
-    Project,
-    Scan,
-    SemiJoin,
-    Sort,
-    SubqueryColumn,
-    SubqueryFilter,
-)
+from .expressions import ColRef, Compare, ParamRef, referenced_params
+from .nodes import Plan, Scan, SemiJoin, SubqueryColumn, SubqueryFilter
 
 
 # ---------------------------------------------------------------------------
@@ -139,8 +119,6 @@ def _as_semijoin(
     if not isinstance(predicate, SubqueryRef):
         return None
 
-    from .builder import PlanBuilder  # deferred: circular import
-
     inner_plan = _bare_inner_plan(inner_block, inner_col)
     outer_binding, outer_column = outer_qual.rsplit(".", 1)
     outer_key = ColRef(outer_binding, outer_column, "int")
@@ -179,36 +157,3 @@ def _bare_inner_plan(block: BoundBlock, key: ColRef) -> Plan:
     scan = Scan(table.table, table.binding, list(filters))
     scan.columns = None
     return scan
-
-
-# ---------------------------------------------------------------------------
-# magic-set push-down (MonetDB-like engines)
-# ---------------------------------------------------------------------------
-
-
-def magic_set_candidate(block: BoundBlock, descriptor: SubqueryDescriptor):
-    """The (outer qual, inner ColRef) pair a magic-set push-down uses.
-
-    Returns None unless the subquery correlates through exactly one
-    equality; the MonetDB-like engine then seeds the unnested derived
-    table with only the outer block's distinct key values — the
-    "pushing down predicates from the outer query" behaviour the paper
-    credits for MonetDB's performance.
-    """
-    correlations = []
-    for conjunct in descriptor.block.conjuncts:
-        params = referenced_params(conjunct)
-        if not params:
-            continue
-        if not isinstance(conjunct, Compare) or conjunct.op != "=":
-            return None
-        left, right = conjunct.left, conjunct.right
-        if isinstance(left, ColRef) and isinstance(right, ParamRef):
-            correlations.append((right.qual, left))
-        elif isinstance(right, ColRef) and isinstance(left, ParamRef):
-            correlations.append((left.qual, right))
-        else:
-            return None
-    if len(correlations) != 1:
-        return None
-    return correlations[0]

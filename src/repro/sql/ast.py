@@ -201,10 +201,6 @@ class DerivedTable:
     query: "SelectStmt"
     alias: str
 
-    @property
-    def binding_name(self) -> str:
-        return self.alias
-
 
 FromItem = Union[TableRef, DerivedTable]
 
@@ -229,34 +225,6 @@ class SelectStmt:
     order_by: tuple[OrderItem, ...] = ()
     limit: int | None = None
     distinct: bool = False
-
-
-def walk_expr(expr: Expr):
-    """Yield ``expr`` and every sub-expression, depth first.
-
-    Subquery bodies are *not* entered — a subquery is a leaf from the
-    enclosing query's point of view, matching how the planner treats
-    ``SUBQ`` operands.
-    """
-    yield expr
-    if isinstance(expr, BinaryOp):
-        yield from walk_expr(expr.left)
-        yield from walk_expr(expr.right)
-    elif isinstance(expr, UnaryOp):
-        yield from walk_expr(expr.operand)
-    elif isinstance(expr, FuncCall):
-        for arg in expr.args:
-            yield from walk_expr(arg)
-    elif isinstance(expr, BetweenExpr):
-        yield from walk_expr(expr.operand)
-        yield from walk_expr(expr.low)
-        yield from walk_expr(expr.high)
-    elif isinstance(expr, LikeExpr):
-        yield from walk_expr(expr.operand)
-    elif isinstance(expr, InExpr):
-        yield from walk_expr(expr.operand)
-        for value in expr.values:
-            yield from walk_expr(value)
 
 
 def split_conjuncts(expr: Expr | None) -> list[Expr]:

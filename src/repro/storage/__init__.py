@@ -2,7 +2,6 @@
 
 from .catalog import Catalog
 from .column import Column, Dictionary, column_from_values, string_column
-from .io import load_catalog, save_catalog
 from .datatypes import (
     BIGINT,
     DATE,
@@ -50,8 +49,6 @@ __all__ = [
     "decimal_type",
     "int_to_date",
     "int_type",
-    "load_catalog",
-    "save_catalog",
     "schema",
     "string_column",
     "string_type",

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.bench import Measurement, Sweep, format_kernel_breakdown, run_sweep
+from repro.bench import run_sweep
 from repro.baselines import NestGPUSystem, PostgresUnnested
 from repro.core import NestGPU
 from repro.fuzz.runner import write_case_trace
@@ -199,18 +199,6 @@ class TestBenchObservability:
         data = json.loads((tmp_path / traces[0]).read_text())
         assert data["traceEvents"]
         assert metrics.to_dict()["counters"]["queries.total"] == 1
-
-    def test_format_kernel_breakdown(self):
-        sweep = Sweep("toy")
-        sweep.add(Measurement("sysA", 1.0, 2.0, rows=1, extra={
-            "kernel_time_by_tag_ms": {"sort": 1.5, "scan": 0.5},
-            "launches_by_tag": {"sort": 2, "scan": 1},
-        }))
-        sweep.add(Measurement("sysB", 1.0, None, note="out of memory"))
-        text = format_kernel_breakdown(sweep)
-        assert "kernel breakdown" in text
-        assert "sort" in text and "x2" in text
-        assert "sysB" not in text  # failed cells are skipped
 
 
 class TestFuzzTrace:

@@ -95,7 +95,8 @@ class TestFusionScope:
 
     def test_fused_compact_rows_match_unfused(self, device):
         mask = np.array([1, 0, 1, 1, 0, 1, 0, 0, 1, 1], dtype=np.int64)
-        fused_idx = kernels.fused_compact(device, mask)
+        with kernels.fused(device, "fused_compact"):
+            fused_idx = kernels.compact(device, mask)
         plain = Device(device.spec)
         plain_idx = kernels.compact(plain, mask)
         np.testing.assert_array_equal(fused_idx, plain_idx)
@@ -107,7 +108,11 @@ class TestFusionScope:
         masks = [
             (rng.integers(0, 2, size=500)).astype(np.int64) for _ in range(4)
         ]
-        got = kernels.fused_select(device, masks)
+        with kernels.fused(device, "fused_select"):
+            combined = masks[0]
+            for mask in masks[1:]:
+                combined = kernels.logical_and(device, combined, mask)
+            got = kernels.compact(device, combined)
         expected = np.flatnonzero(
             masks[0] & masks[1] & masks[2] & masks[3]
         )

@@ -105,7 +105,8 @@ def test_fused_compaction_tail_selects_identical_rows(bits):
     mask = np.array(bits, dtype=np.int64)
     fused_dev = Device(DeviceSpec.v100())
     plain_dev = Device(DeviceSpec.v100())
-    fused_idx = kernels.fused_compact(fused_dev, mask)
+    with kernels.fused(fused_dev, "fused_compact"):
+        fused_idx = kernels.compact(fused_dev, mask)
     plain_idx = kernels.compact(plain_dev, mask)
     np.testing.assert_array_equal(fused_idx, plain_idx)
     assert (
@@ -124,7 +125,11 @@ def test_fused_compaction_tail_selects_identical_rows(bits):
 def test_fused_select_equals_sequential_and_chain(masks):
     arrays = [np.array(m, dtype=np.int64) for m in masks]
     fused_dev = Device(DeviceSpec.v100())
-    got = kernels.fused_select(fused_dev, arrays)
+    with kernels.fused(fused_dev, "fused_select"):
+        chain = arrays[0]
+        for mask in arrays[1:]:
+            chain = kernels.logical_and(fused_dev, chain, mask)
+        got = kernels.compact(fused_dev, chain)
     combined = arrays[0].astype(bool)
     for mask in arrays[1:]:
         combined = combined & mask.astype(bool)

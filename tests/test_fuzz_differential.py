@@ -118,6 +118,18 @@ def test_shrinker_reduces_injected_failure(broken_runner):
     assert still_fails(minimal)  # the reproducer really still fails
 
 
+@pytest.mark.parametrize("sql", [
+    "SELECT l_quantity FROM lineitem WHERE l_quantity > 1000",
+    "SELECT d.x FROM (SELECT l_quantity AS x FROM lineitem "
+    "WHERE l_quantity > 1000) AS d",
+], ids=["top-level", "derived-table"])
+def test_shrinker_moves_literals_toward_zero(sql):
+    # a shrink is kept only while the text gets shorter: 1000 -> 500
+    # is, 500 -> 250 is not
+    minimal = shrink(parse(sql), lambda s: "l_quantity >" in unparse(s))
+    assert "l_quantity > 500" in unparse(minimal)
+
+
 def test_healthy_engine_passes_where_broken_fails(fuzz_catalog, broken_runner):
     healthy = DifferentialRunner(fuzz_catalog, config_matrix("minimal"))
     assert healthy.run(BUGGY_SQL).ok

@@ -11,7 +11,7 @@ The PR's acceptance criteria, as tests:
   backlogged — and under **priority-FIFO** they are not (the flood
   runs first, end to end);
 * prepared statements and the plan cache work over the wire;
-  pagination reassembles exactly; the socket-driven bench mode runs.
+  pagination reassembles exactly.
 """
 
 from __future__ import annotations
@@ -233,19 +233,3 @@ class TestStatementsOverTheWire:
                 assert repr(paged.rows) == repr(whole.rows)
         finally:
             teardown_stack(session, engine, server)
-
-
-class TestNetBench:
-    def test_run_net_throughput_smoke(self):
-        from repro.bench import run_net_throughput
-
-        sweep = run_net_throughput(
-            [0.02], workers_list=[2],
-            statements=[StarvationRig.SQL], policy="fair",
-        )
-        (cell,) = sweep.measurements
-        assert cell.ran
-        assert cell.note == "", cell.note
-        assert cell.rows and cell.rows > 0
-        assert set(cell.extra["tenants"]) == {"alpha", "beta"}
-        assert cell.extra["queries_per_second"] > 0

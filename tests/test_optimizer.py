@@ -2,9 +2,10 @@
 
 import pytest
 
+from repro.errors import UnnestingError
 from repro.plan import Binder, PlanBuilder, try_exists_semijoin
 from repro.plan.nodes import SemiJoin, SubqueryFilter
-from repro.plan.optimizer import magic_set_candidate
+from repro.plan.unnest import _equality_correlations
 from repro.sql import parse
 from repro.tpch import queries
 
@@ -84,18 +85,19 @@ class TestExistsSemijoin:
 
 
 class TestMagicSets:
+    """The magic set seeds the derived table on the subquery's equality
+    correlation (``unnest._seed_with_magic_set`` takes the first pair)."""
+
     def test_candidate_found_for_q2(self, tpch_small):
         block = Binder(tpch_small).bind(parse(queries.TPCH_Q2))
-        descriptor = block.subqueries[0]
-        candidate = magic_set_candidate(block, descriptor)
-        assert candidate is not None
-        qual, inner_col = candidate
+        ((inner_col, qual),) = _equality_correlations(block.subqueries[0].block)
         assert qual == "part.p_partkey"
         assert inner_col.column == "ps_partkey"
 
     def test_no_candidate_for_inequality(self, tpch_small):
         block = Binder(tpch_small).bind(parse(queries.PAPER_Q5))
-        assert magic_set_candidate(block, block.subqueries[0]) is None
+        with pytest.raises(UnnestingError):
+            _equality_correlations(block.subqueries[0].block)
 
     def test_magic_sets_reduce_work(self, tpch_small):
         """The semi-join seeded derived table touches fewer rows."""

@@ -88,17 +88,3 @@ class TestAstRendering:
     def test_func(self):
         stmt = parse("SELECT min(a) FROM t")
         assert str(stmt.items[0].expr) == "min(a)"
-
-
-class TestSweepCsv:
-    def test_csv_shape(self):
-        from repro.bench import Measurement, Sweep
-
-        sweep = Sweep("x")
-        sweep.add(Measurement("a", 1.0, 10.0, rows=5))
-        sweep.add(Measurement("b", 1.0, None, note="out of memory"))
-        csv = sweep.to_csv()
-        lines = csv.strip().splitlines()
-        assert lines[0] == "system,scale_factor,time_ms,rows,note"
-        assert lines[1].startswith("a,1,10.000000,5,")
-        assert lines[2] == "b,1,,,out of memory"

@@ -129,6 +129,35 @@ class TestFigure2NestedMethod:
         gpu = NestGPU(catalog).execute(sql, mode="nested")
         assert canon(rowstore.rows) == canon(gpu.rows)
 
+    @pytest.mark.parametrize("agg", ["count(1)", "sum(1)"])
+    def test_constant_aggregate_argument(self, agg):
+        """A constant aggregate argument evaluates to a bare scalar that
+        the batched path broadcasts over the segmented rows."""
+        catalog = _catalog()
+        sql = (
+            f"SELECT r_col1 FROM r WHERE r_col2 < "
+            f"(SELECT {agg} FROM s WHERE s_col1 = r_col1)"
+        )
+        rowstore = RowstoreEngine(catalog).execute(sql)
+        gpu = NestGPU(catalog).execute(sql, mode="nested")
+        assert rowstore.num_rows > 0
+        assert canon(rowstore.rows) == canon(gpu.rows)
+
+    @pytest.mark.parametrize("mode", ["nested", "unnested"])
+    def test_scalar_subquery_in_subquery_select_list(self, mode):
+        """An uncorrelated scalar subquery in the SELECT list of an
+        uncorrelated WHERE subquery runs through the flat evaluator."""
+        catalog = _catalog()
+        sql = (
+            "SELECT r_col1 FROM r WHERE r_col2 > "
+            "(SELECT (SELECT avg(s_col2) FROM s) FROM r WHERE r_col1 = 3 "
+            "AND r_col2 = (SELECT max(r_col2) FROM r WHERE r_col1 = 3))"
+        )
+        rowstore = RowstoreEngine(catalog).execute(sql)
+        gpu = NestGPU(catalog).execute(sql, mode=mode)
+        assert rowstore.num_rows > 0
+        assert canon(rowstore.rows) == canon(gpu.rows)
+
     @given(
         seed=st.integers(0, 5000),
         agg=st.sampled_from(["min", "max", "sum", "avg", "count"]),

@@ -10,6 +10,7 @@ from conftest import make_rst_catalog
 
 from repro.core import NestGPU, ShardedEngine
 from repro.gpu.spec import InterconnectSpec, LinkSpec
+from repro.obs import MetricsRegistry
 from repro.serve import EngineSession
 from repro.tpch import ALL_EVALUATION_QUERIES, generate_tpch
 
@@ -183,6 +184,40 @@ def test_session_sharded_run_and_plan_cache(tpch_small):
         per_shard = prepared.per_shard_bytes
         assert per_shard and len(per_shard) == 4
         assert session.working_set_bytes(prepared) == max(per_shard)
+
+
+def test_sharded_session_records_group_metrics():
+    """A sharded session with a registry counts each query once, by
+    strategy, and its per-device counters add up to the group reports."""
+    names = ("paper_q8", "tpch_q2", "tpch_q4", "tpch_q17")
+    metrics = MetricsRegistry()
+    reports = []
+    with EngineSession(
+        generate_tpch(0.05, use_cache=False), shards=2, interconnect="nvlink",
+        metrics=metrics,
+    ) as session:
+        for name in names:
+            reports.append(
+                session.execute(ALL_EVALUATION_QUERIES[name]).group_report
+            )
+    snapshot = metrics.to_dict()
+    counters = snapshot["counters"]
+    assert counters["shard.queries"] == counters["queries.total"] == 4
+    assert sum(
+        value for key, value in counters.items()
+        if key.startswith("shard.strategy.")
+    ) == 4
+    assert (
+        counters["device.0.kernel_launches"]
+        + counters["device.1.kernel_launches"]
+    ) == sum(
+        device["kernel_launches"]
+        for report in reports for device in report["devices"]
+    )
+    assert counters["interconnect.bytes"] == sum(
+        sum(report["pair_bytes"].values()) for report in reports
+    )
+    assert len(snapshot["queries"]) == len(names)
 
 
 # -- engines sharing one catalog -----------------------------------------
