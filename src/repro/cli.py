@@ -151,23 +151,13 @@ def add_engine_arguments(parser) -> None:
         "launches, 'auto' decides at plan time and measures only "
         "programs whose winner depends on the data (default off)",
     )
-    parser.add_argument(
-        "--no-fusion", action="store_true",
-        help="force fusion off (overrides --fusion)",
-    )
-
-
-def fusion_mode(args) -> str:
-    if getattr(args, "no_fusion", False):
-        return "off"
-    return getattr(args, "fusion", "off")
 
 
 def engine_options(args) -> EngineOptions:
     return EngineOptions(
         adaptive=not getattr(args, "no_adaptive", False),
         exact_selectivity=not getattr(args, "no_exact_selectivity", False),
-        fusion=fusion_mode(args),
+        fusion=getattr(args, "fusion", "off"),
     )
 
 

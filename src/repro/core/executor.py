@@ -268,11 +268,11 @@ class NestGPU:
         used by the cost model's internal probe runs so they never
         pollute a trace or the per-query log.
 
-        ``ctx`` injects a caller-owned execution context (a session's
-        long-lived device, pools and column residency) instead of
+        ``ctx`` injects a caller-owned execution context (the one a
+        :class:`~repro.engine.DeviceState` keeps alive) instead of
         building a fresh one; the caller is then responsible for
         resetting the device clock before the call, for the
-        between-queries cleanup (:meth:`ExecutionContext.end_query`),
+        between-queries cleanup (:meth:`DeviceState.end_query`),
         and — when several threads share the context's device — for
         serializing calls (the device is not internally synchronized;
         the session lock is the one the ThreadGuard recognises).
@@ -295,8 +295,9 @@ class NestGPU:
             ctx = ExecutionContext(self.catalog, device, self.options)
         else:
             device = ctx.device
-        if tracer.enabled:
-            ctx.profile_node_ns = {}
+        # per-node profiling is on for a traced run only, on every run: a
+        # reused context must not carry a traced run's switch forward
+        ctx.profile_node_ns = {} if tracer.enabled else None
         before_total_ns = device.stats.total_ns
         before_restores = ctx.pools.restores
         before_probes = ctx.index_probes
@@ -360,30 +361,14 @@ class NestGPU:
         finally:
             if execute_span is not None:
                 tracer.end(execute_span)
-        rows = rel.decode_rows()
-        cache_hits = sum(sp.cache.hits for sp in runtime.subprograms)
-        cache_misses = sum(sp.cache.misses for sp in runtime.subprograms)
-        result = QueryResult(
-            rows=rows,
-            column_names=list(rel.columns),
-            stats=device.snapshot(),
+        result = query_result(
+            rel,
+            [runtime],
+            device.snapshot(),
             plan_choice=effective.choice,
             drive_source=effective.program.source,
-            node_times_ns=dict(runtime.node_times_ns),
-            node_output_rows=dict(runtime.node_output_rows),
-            cache_hits=cache_hits,
-            cache_misses=cache_misses,
             predicted_ms=prepared.predicted_ms,
-            node_calls=dict(runtime.node_calls),
-            node_launches=dict(runtime.node_launches),
             vector_node_ns=dict(ctx.profile_node_ns or {}),
-            subquery_iterations=dict(runtime.subquery_iterations),
-            subquery_batches=dict(runtime.subquery_batches),
-            subquery_overhead_ns=dict(runtime.subquery_overhead_ns),
-            subquery_cache={
-                sp.descriptor.index: (sp.cache.hits, sp.cache.misses)
-                for sp in runtime.subprograms
-            },
             preload_ns=preload_ns,
             fetch_ns=runtime.fetch_ns,
             index_probes=ctx.index_probes - before_probes,
@@ -638,7 +623,49 @@ class NestGPU:
     def _preload(self, ctx, program: DriveProgram) -> None:
         """Preload base columns, inner-most subquery levels first and
         smaller tables first within a level (paper Section III-C)."""
-        ctx.preload(preload_columns(self.catalog, program))
+        ctx.preload(preload_columns(ctx.catalog, program))
+
+
+#: the per-node and per-subquery counters a Runtime keeps
+_RUNTIME_COUNTERS = (
+    "node_times_ns", "node_output_rows", "node_calls", "node_launches",
+    "subquery_iterations", "subquery_batches", "subquery_overhead_ns",
+)
+
+
+def query_result(rel, runtimes: list[Runtime], stats: ExecutionStats,
+                 **fields) -> QueryResult:
+    """The one assembly of a :class:`QueryResult`: rows of ``rel`` plus
+    the counters of the runtimes that produced it, one per device, so a
+    solo run is the one-runtime case."""
+    subprograms = [sp for runtime in runtimes for sp in runtime.subprograms]
+    subquery_cache: dict[int, tuple[int, int]] = {}
+    for sp in subprograms:
+        hits, misses = subquery_cache.get(sp.descriptor.index, (0, 0))
+        subquery_cache[sp.descriptor.index] = (
+            hits + sp.cache.hits, misses + sp.cache.misses,
+        )
+    return QueryResult(
+        rows=rel.decode_rows(),
+        column_names=list(rel.columns),
+        stats=stats,
+        cache_hits=sum(sp.cache.hits for sp in subprograms),
+        cache_misses=sum(sp.cache.misses for sp in subprograms),
+        subquery_cache=subquery_cache,
+        **{
+            name: _sum_dicts(getattr(runtime, name) for runtime in runtimes)
+            for name in _RUNTIME_COUNTERS
+        },
+        **fields,
+    )
+
+
+def _sum_dicts(dicts) -> dict:
+    out: dict = {}
+    for d in dicts:
+        for key, value in d.items():
+            out[key] = out.get(key, 0) + value
+    return out
 
 
 def preload_columns(catalog: Catalog, program: DriveProgram) -> list[tuple[str, str]]:

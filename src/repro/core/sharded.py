@@ -54,11 +54,10 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ..engine import EngineOptions, ExecutionContext
+from ..engine import DeviceState, EngineOptions, run_plan
 from ..engine import operators as ops
-from ..engine.context import ColumnResidency
 from ..engine.relation import Relation
-from ..gpu import DeviceGroup, DeviceSpec, PoolSet, RawDeviceAllocator
+from ..gpu import DeviceGroup, DeviceSpec
 from ..gpu.spec import InterconnectSpec
 from ..obs.tracer import NULL_TRACER
 from ..plan import ExchangeStep
@@ -92,8 +91,7 @@ from .calibrator import CostCoefficients
 from .codegen import DriveProgram, generate_drive_program
 from .fusion import FusionPlan
 from .costmodel import _kernel_ns, gather_cost_ns, repartition_cost_ns
-from .executor import NestGPU, PreparedQuery, QueryResult, preload_columns
-from .runtime import Runtime, SubqueryProgram
+from .executor import NestGPU, PreparedQuery, QueryResult, query_result
 from .vectorize import _equality_correlation
 
 #: Node types the coordinator tail may contain (root chain only).
@@ -221,7 +219,6 @@ class ShardedPrepared:
         default_factory=list
     )
     decision: dict = field(default_factory=dict)
-    per_shard_bytes: list[int] = field(default_factory=list)
     sql: str = ""
 
     def __post_init__(self):
@@ -242,30 +239,6 @@ class ShardedPrepared:
     @property
     def fusion_decision(self):
         return self.solo.fusion_decision
-
-
-class _ShardState:
-    """Everything one shard owns across queries: device, catalog forms,
-    pools, residency, index cache, and the execution context tying them
-    together."""
-
-    def __init__(self, engine: "ShardedEngine", shard_id: int, device):
-        self.id = shard_id
-        self.device = device
-        self.catalog = Catalog(list(engine.catalog))
-        self.pools = PoolSet(device)
-        self.raw_alloc = RawDeviceAllocator(device)
-        self.residency = ColumnResidency(device)
-        self.index_cache: dict[tuple, object] = {}
-        self.ctx = ExecutionContext(
-            self.catalog,
-            device,
-            engine.options,
-            pools=self.pools,
-            raw_alloc=self.raw_alloc,
-            residency=self.residency,
-            index_cache=self.index_cache,
-        )
 
 
 class ShardedEngine:
@@ -310,8 +283,11 @@ class ShardedEngine:
         self.group = DeviceGroup(
             self.device_spec, shards, self.interconnect, tracer=self.tracer
         )
-        self._shards = [
-            _ShardState(self, k, self.group[k]) for k in range(shards)
+        #: one :class:`DeviceState` per shard, in device order; each
+        #: executes against its own catalog view (base tables + forms)
+        self.shard_states = [
+            DeviceState(Catalog(list(catalog)), device, self.options)
+            for device in self.group
         ]
         self._base_version = catalog.version
         self._pair_cache: dict[tuple[str, str], np.ndarray] = {}
@@ -364,8 +340,8 @@ class ShardedEngine:
             else:
                 result = self._run_scatter_gather(prepared, tracer)
         finally:
-            for state in self._shards:
-                state.ctx.end_query()
+            for state in self.shard_states:
+                state.end_query()
         pair_delta = {
             f"{src}->{dst}": total - pair_before.get((src, dst), 0)
             for (src, dst), total in self.group.pair_bytes.items()
@@ -373,22 +349,24 @@ class ShardedEngine:
         }
         result.group_report["pair_bytes"] = pair_delta
         if metrics is not None:
-            self._record_group_metrics(metrics, prepared, result)
+            self.planner._record_metrics(metrics, prepared, result)
+            metrics.counter("shard.queries").inc()
+            metrics.counter(f"shard.strategy.{prepared.strategy}").inc()
+            metrics.histogram("shard.makespan_ms").observe(
+                result.makespan_ns / 1e6
+            )
+            metrics.counter("interconnect.bytes").inc(sum(pair_delta.values()))
+            for entry in result.group_report["devices"]:
+                k = entry["device"]
+                metrics.counter(f"device.{k}.busy_ms").inc(
+                    entry["total_ns"] / 1e6
+                )
+                for name in ("kernel_launches", "transfer_bytes", "peer_bytes"):
+                    metrics.counter(f"device.{k}.{name}").inc(entry[name])
+                metrics.gauge(f"device.{k}.peak_bytes.last").set(
+                    entry["peak_device_bytes"]
+                )
         return result
-
-    @property
-    def shard_states(self) -> list[_ShardState]:
-        """Per-shard standing state, in device order (read-only use)."""
-        return self._shards
-
-    def release(self) -> None:
-        """Release every shard's standing device state (session close)."""
-        for state in self._shards:
-            state.pools.release_all()
-            state.raw_alloc.free_all()
-            state.residency.release_all()
-            state.index_cache.clear()
-        self._pair_cache.clear()
 
     def drive_source(self, sql: str, mode: str | None = None) -> str:
         """The generated per-shard drive program (for inspection)."""
@@ -455,7 +433,7 @@ class ShardedEngine:
             exact_selectivity=self.planner.selectivity,
         )
         # the body program inherits the solo plan's fusion state, so a
-        # fused engine runs fused on every shard (and `--no-fusion`
+        # fused engine runs fused on every shard (and `--fusion off`
         # totals stay bit-identical to pre-fusion sharded runs)
         body_fusion = (
             FusionPlan() if solo.program.fusion is not None else None
@@ -475,8 +453,6 @@ class ShardedEngine:
                 solo=solo,
                 strategy="coordinator",
                 decision={"reason": "no row-wise driving scan in the body"},
-                per_shard_bytes=[self._solo_bytes(solo)]
-                + [0] * (self.shards - 1),
                 sql=sql,
             )
         correlated = any(
@@ -493,13 +469,6 @@ class ShardedEngine:
             body, program, spec_scans, driving, strategy, hash_nodes,
             decision,
         )
-        per_shard = [
-            sum(
-                state.catalog.table(t).column(c).nbytes
-                for t, c in preload_columns(state.catalog, program)
-            )
-            for state in self._shards
-        ]
         return ShardedPrepared(
             solo=solo,
             strategy=strategy,
@@ -509,14 +478,7 @@ class ShardedEngine:
             exchanges=exchanges,
             hash_exchanges=hash_exchanges,
             decision=decision,
-            per_shard_bytes=per_shard,
             sql=sql,
-        )
-
-    def _solo_bytes(self, solo: PreparedQuery) -> int:
-        return sum(
-            self.catalog.table(t).column(c).nbytes
-            for t, c in preload_columns(self.catalog, solo.program)
         )
 
     def _scan_columns(self, scan: Scan) -> tuple[str, ...]:
@@ -758,13 +720,8 @@ class ShardedEngine:
         else:
             form = self._ensure_form(driving.table)
             cols = self._scan_columns(driving)
-            bytes_per_shard = sum(
-                self._shards[0]
-                .catalog.table(form)
-                .column(c)
-                .nbytes
-                for c in cols
-            )
+            home = self.shard_states[0].catalog.table(form)
+            bytes_per_shard = sum(home.column(c).nbytes for c in cols)
             exchanges.append(
                 ExchangeStep(
                     kind="broadcast",
@@ -843,9 +800,9 @@ class ShardedEngine:
         else:
             form_name = f"{base.name}##hash:{key}"
             spec = PartitionSpec("hash", self.shards, key=key)
-        if form_name not in self._shards[0].catalog:
+        if form_name not in self.shard_states[0].catalog:
             slices = partition_table(base, spec)
-            for state, piece in zip(self._shards, slices):
+            for state, piece in zip(self.shard_states, slices):
                 state.catalog.register(piece.renamed(form_name))
         return form_name
 
@@ -868,18 +825,15 @@ class ShardedEngine:
         if self.catalog.version == self._base_version:
             return
         self._pair_cache.clear()
-        for state in self._shards:
-            state.residency.release_all()
-            state.catalog = Catalog(list(self.catalog))
-            state.ctx.catalog = state.catalog
-            state.index_cache.clear()
+        for state in self.shard_states:
+            state.reset(Catalog(list(self.catalog)))
         self._base_version = self.catalog.version
 
     # -- execution ------------------------------------------------------
 
     def _run_coordinator(self, prepared, tracer) -> QueryResult:
         """Degenerate fallback: the whole solo program on shard 0."""
-        state = self._shards[0]
+        state = self.shard_states[0]
         if tracer.enabled:
             tracer.bind_device(state.device)
         result = self.planner.run_prepared(
@@ -913,9 +867,9 @@ class ShardedEngine:
             for col in cols:
                 if all(
                     (form, col) in state.residency
-                    for state in self._shards
+                    for state in self.shard_states
                 ):
-                    for state in self._shards:
+                    for state in self.shard_states:
                         state.residency.admit(
                             (form, col),
                             state.catalog.table(form).column(col).nbytes,
@@ -924,7 +878,7 @@ class ShardedEngine:
                     missing.append(col)
             if not missing:
                 continue
-            for k, state in enumerate(self._shards):
+            for k, state in enumerate(self.shard_states):
                 home = _rr_rows(base.num_rows, self.shards, k)
                 for col in missing:
                     width = base.column(col).dtype.width
@@ -937,7 +891,7 @@ class ShardedEngine:
                     moved = int(matrix[src, dst])
                     if src != dst and moved:
                         self.group.transfer(src, dst, moved * row_width)
-            for state in self._shards:
+            for state in self.shard_states:
                 for col in missing:
                     state.residency.admit(
                         (form, col),
@@ -951,35 +905,25 @@ class ShardedEngine:
         ):
             self._run_exchanges(prepared, tracer)
         partials: list[Relation] = []
-        runtimes: list[Runtime] = []
+        runtimes = []
         body_ends: list[float] = []
-        for k, state in enumerate(self._shards):
+        for k, state in enumerate(self.shard_states):
             if tracer.enabled:
                 tracer.bind_device(state.device)
+            # the shard body runs on the solo engine's own execute path
             with tracer.span(
                 f"shard-{k}", "shard", device=k, strategy=prepared.strategy
             ):
                 with tracer.span("preload", "phase"):
-                    state.ctx.preload(
-                        preload_columns(state.catalog, program)
-                    )
-                subprograms = [
-                    SubqueryProgram(
-                        state.ctx,
-                        spec.descriptor,
-                        spec.plan,
-                        self.options.vector_batch,
-                        fused=program.fusion is not None,
-                    )
-                    for spec in program.specs
-                ]
-                runtime = Runtime(state.ctx, program.nodes, subprograms)
-                rel = program.drive(runtime)
+                    self.planner._preload(state.ctx, program)
+                rel, runtime = self.planner._execute_program(
+                    state.ctx, program
+                )
             partials.append(rel)
             runtimes.append(runtime)
             body_ends.append(state.device.stats.total_ns)
         # gather: partials converge on the coordinator's incoming links
-        coordinator = self._shards[0]
+        coordinator = self.shard_states[0]
         if tracer.enabled:
             tracer.bind_device(coordinator.device)
         gather_bytes = 0
@@ -990,15 +934,17 @@ class ShardedEngine:
                     self.group.transfer(k, 0, nbytes)
                     gather_bytes += nbytes
             gathered = self._concat(coordinator.ctx, partials)
-        before_fetch = coordinator.device.stats.total_ns
+        # the tail runs on the flat-plan evaluator, its body memoised as
+        # the gathered relation
         with tracer.span("tail", "phase"):
-            rel = gathered
-            for node in reversed(prepared.tail):
-                rel = self._run_tail_node(coordinator.ctx, node, rel)
+            rel = run_plan(
+                coordinator.ctx,
+                (prepared.tail or [prepared.body])[0],
+                memo={id(prepared.body): gathered},
+            )
         tail_end = coordinator.device.stats.total_ns
         final = ops.fetch_result(coordinator.ctx, rel)
         fetch_ns = coordinator.device.stats.total_ns - tail_end
-        rows = final.decode_rows()
         makespan = max(body_ends) + (
             coordinator.device.stats.total_ns - body_ends[0]
         )
@@ -1015,56 +961,20 @@ class ShardedEngine:
                 ),
             )
         ]
-        merged = self.group.merged_stats()
-        cache_hits = sum(
-            sp.cache.hits for rt in runtimes for sp in rt.subprograms
-        )
-        cache_misses = sum(
-            sp.cache.misses for rt in runtimes for sp in rt.subprograms
-        )
-        subquery_cache: dict[int, tuple[int, int]] = {}
-        for rt in runtimes:
-            for sp in rt.subprograms:
-                hits, misses = subquery_cache.get(
-                    sp.descriptor.index, (0, 0)
-                )
-                subquery_cache[sp.descriptor.index] = (
-                    hits + sp.cache.hits,
-                    misses + sp.cache.misses,
-                )
-        result = QueryResult(
-            rows=rows,
-            column_names=list(final.columns),
-            stats=merged,
+        return query_result(
+            final,
+            runtimes,
+            self.group.merged_stats(),
             plan_choice=(
                 f"sharded-{self.shards}:{prepared.strategy}:"
                 f"{prepared.choice}"
             ),
             drive_source=program.source,
-            node_times_ns=_sum_dicts(rt.node_times_ns for rt in runtimes),
-            node_output_rows=_sum_dicts(
-                rt.node_output_rows for rt in runtimes
-            ),
-            cache_hits=cache_hits,
-            cache_misses=cache_misses,
-            node_calls=_sum_dicts(rt.node_calls for rt in runtimes),
-            node_launches=_sum_dicts(rt.node_launches for rt in runtimes),
-            subquery_iterations=_sum_dicts(
-                rt.subquery_iterations for rt in runtimes
-            ),
-            subquery_batches=_sum_dicts(
-                rt.subquery_batches for rt in runtimes
-            ),
-            subquery_overhead_ns=_sum_dicts(
-                rt.subquery_overhead_ns for rt in runtimes
-            ),
-            subquery_cache=subquery_cache,
             fetch_ns=fetch_ns,
             shards=self.shards,
             makespan_ns=makespan,
             group_report=self._group_report(prepared, body_ends, makespan),
         )
-        return result
 
     def _concat(self, ctx, partials: list[Relation]) -> Relation:
         """Concatenate per-shard body outputs on the coordinator."""
@@ -1083,20 +993,6 @@ class ShardedEngine:
         ctx.device.materialize(gathered.nbytes)
         ctx.operator_done()
         return gathered
-
-    @staticmethod
-    def _run_tail_node(ctx, node: Plan, rel: Relation) -> Relation:
-        if isinstance(node, Aggregate):
-            return ops.aggregate(ctx, rel, node.groups, node.aggs, node.having)
-        if isinstance(node, Project):
-            return ops.project(ctx, rel, node.exprs, node.names)
-        if isinstance(node, Distinct):
-            return ops.distinct(ctx, rel)
-        if isinstance(node, Sort):
-            return ops.sort(ctx, rel, node.keys, node.descending)
-        if isinstance(node, Limit):
-            return ops.limit(ctx, rel, node.count)
-        raise TypeError(f"unexpected tail node {node!r}")
 
     def _group_report(
         self, prepared, body_ends: list[float], makespan: float
@@ -1130,60 +1026,3 @@ class ShardedEngine:
                 for k, snap in enumerate(snapshots)
             ],
         }
-
-    def _record_group_metrics(self, metrics, prepared, result) -> None:
-        metrics.counter("queries.total").inc()
-        metrics.counter(f"queries.path.{result.plan_choice}").inc()
-        metrics.counter("shard.queries").inc()
-        metrics.counter(f"shard.strategy.{prepared.strategy}").inc()
-        if result.makespan_ns is not None:
-            metrics.histogram("shard.makespan_ms").observe(
-                result.makespan_ns / 1e6
-            )
-        report = result.group_report or {}
-        link_bytes = sum(
-            (report.get("pair_bytes") or {}).values()
-        )
-        metrics.counter("interconnect.bytes").inc(link_bytes)
-        for entry in report.get("devices", []):
-            k = entry["device"]
-            metrics.counter(f"device.{k}.busy_ms").inc(
-                entry["total_ns"] / 1e6
-            )
-            metrics.counter(f"device.{k}.kernel_launches").inc(
-                entry["kernel_launches"]
-            )
-            metrics.counter(f"device.{k}.transfer_bytes").inc(
-                entry["transfer_bytes"]
-            )
-            metrics.counter(f"device.{k}.peer_bytes").inc(
-                entry["peer_bytes"]
-            )
-            metrics.gauge(f"device.{k}.peak_bytes.last").set(
-                entry["peak_device_bytes"]
-            )
-        metrics.histogram("query.total_ms").observe(result.total_ms)
-        metrics.record_query(
-            sql=" ".join(prepared.sql.split())[:120],
-            path=result.plan_choice,
-            adaptive_switch=False,
-            total_ms=result.total_ms,
-            predicted_ms=None,
-            predicted_error_pct=None,
-            rows=result.num_rows,
-            cache_hits=result.cache_hits,
-            cache_misses=result.cache_misses,
-            kernel_launches=result.stats.kernel_launches,
-            transfer_fraction=result.stats.transfer_fraction,
-            index_probes=result.index_probes,
-            pool_restores=result.pool_restores,
-            raw_mallocs=result.stats.malloc_calls,
-        )
-
-
-def _sum_dicts(dicts) -> dict:
-    out: dict = {}
-    for d in dicts:
-        for key, value in d.items():
-            out[key] = out.get(key, 0) + value
-    return out

@@ -59,10 +59,10 @@ class ColumnResidency:
 
     One instance per :class:`ExecutionContext` reproduces the original
     per-query behaviour (everything is released at end of query).  A
-    session injects a long-lived instance instead, so columns stay
-    resident across queries and repeat touches skip the PCIe transfer
-    entirely — the transfer-amortization regime the throughput papers
-    identify as the thing GPU engines win on.
+    :class:`DeviceState` keeps its context alive instead, so columns
+    stay resident across queries and repeat touches skip the PCIe
+    transfer entirely — the transfer-amortization regime the throughput
+    papers identify as the thing GPU engines win on.
 
     Eviction is least-recently-*used*: a touch is evidence of reuse,
     so it moves the column to the back of the eviction order.
@@ -143,14 +143,15 @@ class ColumnResidency:
 
 
 class ExecutionContext:
-    """Shared state for one query execution on the simulated device.
+    """Shared state for query execution on the simulated device.
 
-    Every collaborator a query needs — pools, raw allocator, column
-    residency, the cross-query index cache — is injectable.  Left to
-    default, the context builds private instances and behaves exactly
-    as the original one-query-owns-the-device engine.  A session
-    (:class:`repro.serve.EngineSession`) injects its long-lived
-    instances so those survive the context.
+    The context builds its own pools, raw allocator and column
+    residency, so a fresh one behaves exactly as the original
+    one-query-owns-the-device engine; a long-lived one is held by a
+    :class:`DeviceState`, whose device memory then survives each query.
+    ``index_cache`` (a structural scan fingerprint -> built
+    ``CorrelatedIndex``) is injectable so the cost model's probe can
+    read a copy of a session's.
     """
 
     def __init__(
@@ -158,21 +159,16 @@ class ExecutionContext:
         catalog: Catalog,
         device: Device,
         options: EngineOptions | None = None,
-        pools: PoolSet | None = None,
-        raw_alloc: RawDeviceAllocator | None = None,
-        residency: ColumnResidency | None = None,
         index_cache: dict | None = None,
     ):
         self.catalog = catalog
         self.device = device
         self.options = options or EngineOptions()
-        self.tracer = device.tracer
-        self.pools = pools if pools is not None else PoolSet(device)
-        self.raw_alloc = (
-            raw_alloc if raw_alloc is not None else RawDeviceAllocator(device)
-        )
-        self.residency = (
-            residency if residency is not None else ColumnResidency(device)
+        self.pools = PoolSet(device)
+        self.raw_alloc = RawDeviceAllocator(device)
+        self.residency = ColumnResidency(device)
+        self.index_cache: dict[tuple, object] = (
+            index_cache if index_cache is not None else {}
         )
         # observability side channels — never charge the device clock
         self.index_probes = 0
@@ -180,16 +176,12 @@ class ExecutionContext:
         # keyed by id(plan node); None keeps profiling off (default)
         self.profile_node_ns: dict[int, float] | None = None
         self._profile_child_ns = 0.0
-        # caches for the paper's optimizations (filled by repro.core);
-        # the index cache maps a structural scan fingerprint to a built
-        # CorrelatedIndex so a session can reuse it across queries
-        self.invariant_cache: dict[int, object] = {}
-        self.index_cache: dict[tuple, object] = (
-            index_cache if index_cache is not None else {}
-        )
-        self.subquery_cache: dict[tuple, object] = {}
-        self.subquery_cache_hits = 0
-        self.subquery_cache_misses = 0
+
+    @property
+    def tracer(self):
+        """The device's tracer, read at use: a long-lived context follows
+        every swap of a per-query tracer onto its device."""
+        return self.device.tracer
 
     # -- column residency ----------------------------------------------------
 
@@ -234,8 +226,32 @@ class ExecutionContext:
         if self.options.use_memory_pools:
             self.pools.clear_inter_kernel()
 
+
+class DeviceState:
+    """Everything one modelled device owns across queries.
+
+    The paper's memory manager is one per GPU: the device, the catalog
+    view it executes against, pools, raw allocator, column residency,
+    the correlated-column index cache, and one long-lived
+    :class:`ExecutionContext` tying them together.  A solo session holds
+    one; a sharded engine holds one per shard.
+    """
+
+    def __init__(self, catalog: Catalog, device: Device,
+                 options: EngineOptions):
+        self.device = device
+        self.ctx = ExecutionContext(catalog, device, options)
+        self.pools = self.ctx.pools
+        self.raw_alloc = self.ctx.raw_alloc
+        self.residency = self.ctx.residency
+        self.index_cache = self.ctx.index_cache
+
+    @property
+    def catalog(self) -> Catalog:
+        return self.ctx.catalog
+
     def end_query(self) -> None:
-        """Between-queries cleanup for a session-owned context.
+        """Between-queries cleanup.
 
         Pool *tails* rewind (the reserved high-water survives, so the
         next query reuses the space without re-growing), raw
@@ -244,3 +260,17 @@ class ExecutionContext:
         """
         self.pools.reset_tails()
         self.raw_alloc.free_all()
+
+    def reset(self, catalog: Catalog) -> None:
+        """A data change: drop the columns and indexes built from the
+        old tables, and execute against ``catalog`` from now on."""
+        self.residency.release_all()
+        self.index_cache.clear()
+        self.ctx.catalog = catalog
+
+    def release(self) -> None:
+        """Give every byte back to the device (session close)."""
+        self.pools.release_all()
+        self.raw_alloc.free_all()
+        self.residency.release_all()
+        self.index_cache.clear()

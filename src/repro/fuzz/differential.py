@@ -13,7 +13,11 @@ Each query runs through three executors that share no execution code:
   outcome for the paper's Query-5 family);
 * **NestGPU auto** — once per query, on the matrix's lead (all-on)
   configuration — exercising the cost model's nested-vs-unnested
-  choice and its fallback when the rewriter refuses.
+  choice and its fallback when the rewriter refuses;
+* **sharded legs** — both methods again on a 2- and a 4-device group
+  over NVLink (:class:`~repro.core.ShardedEngine`), so placement,
+  exchange, the per-shard drive and the coordinator gather and tail
+  are held to the same oracle.
 
 Row sets are compared order-insensitively with float tolerance; NaN is
 the engines' NULL and is canonicalised to a sentinel so that
@@ -27,9 +31,10 @@ import math
 from dataclasses import dataclass, field
 
 from ..baselines.rowstore import RowstoreEngine
-from ..core import NestGPU
+from ..core import NestGPU, ShardedEngine
 from ..engine import EngineOptions
 from ..errors import ReproError, UnnestingError
+from ..gpu.spec import InterconnectSpec
 from ..storage import Catalog
 
 _NULL = "NULL"
@@ -40,36 +45,42 @@ _FLAGS = (
     "use_vectorization",
     "use_invariant_extraction",
 )
+#: the sharded legs: label -> group width (NVLink, default options)
+SHARD_LEGS = {"sharded-2": 2, "sharded-4": 4}
 
 
 def config_matrix(name: str = "full") -> list[tuple[str, EngineOptions]]:
     """Named optimization-configuration matrices.
 
     * ``full`` — all-on, the fused leg, each optimization individually
-      off, all-off (8 configurations: every single-flag ablation plus
-      kernel fusion forced on).
-    * ``minimal`` — all-on, fused, and all-off.
+      off, the two sharded legs, all-off (10 configurations: every
+      single-flag ablation, kernel fusion forced on, and 2- and 4-device
+      groups).
+    * ``minimal`` — all-on, fused, the sharded legs, and all-off.
     * ``single`` — just the default (all-on) configuration.
 
     The ``fused`` leg forces :attr:`EngineOptions.fusion` to ``"on"``
     with every optimization at its default, so each fuzzed query is a
     three-way differential — oracle vs unfused vs fused — and any row
     divergence introduced by a fused launch chain fails the campaign.
+    The ``sharded-N`` legs (:data:`SHARD_LEGS`) run the default options
+    on an N-device group.
     """
     all_on = ("all-on", EngineOptions())
     fused = ("fused", EngineOptions(fusion="on"))
+    sharded = [(label, EngineOptions()) for label in SHARD_LEGS]
+    all_off = ("all-off", EngineOptions.all_off())
     if name == "single":
         return [all_on]
     if name == "minimal":
-        return [all_on, fused, ("all-off", EngineOptions.all_off())]
+        return [all_on, fused, *sharded, all_off]
     if name != "full":
         raise ValueError(f"unknown config matrix {name!r}")
     configs = [all_on, fused]
     for flag in _FLAGS:
         label = "no-" + flag.replace("use_", "").replace("_", "-")
         configs.append((label, EngineOptions(**{flag: False})))
-    configs.append(("all-off", EngineOptions.all_off()))
-    return configs
+    return [*configs, *sharded, all_off]
 
 
 def canon_rows(rows, ndigits: int = 6) -> list[tuple]:
@@ -171,12 +182,12 @@ class DifferentialRunner:
     deliberately broken engine and prove the harness detects it.
 
     With ``reuse_sessions=True`` each configuration gets one standing
-    :class:`~repro.serve.EngineSession` reused for every query of the
-    campaign — plan cache, resident columns and subquery indexes all
-    persist, so the fuzzer doubles as a soak test of the session
-    machinery: any state leaking between queries shows up as a
-    differential mismatch.  Ignored when a custom ``engine_factory``
-    is injected.
+    :class:`~repro.serve.EngineSession` (a sharded one for a sharded
+    leg) reused for every query of the campaign — plan cache, resident
+    columns and subquery indexes all persist, so the fuzzer doubles as
+    a soak test of the session machinery: any state leaking between
+    queries shows up as a differential mismatch.  Ignored when a custom
+    ``engine_factory`` is injected; the factory then builds every leg.
     """
 
     def __init__(
@@ -190,20 +201,29 @@ class DifferentialRunner:
         self.catalog = catalog
         self.configs = configs or config_matrix("full")
         self._oracle_factory = oracle_factory or RowstoreEngine
-        self._engine_factory = engine_factory or (
-            lambda catalog, options: NestGPU(catalog, options=options)
-        )
+        self._engine_factory = engine_factory
         self._reuse = reuse_sessions and engine_factory is None
         self._sessions: dict[str, object] = {}
 
     def _get_engine(self, config_name: str, options: EngineOptions):
-        if not self._reuse:
+        if self._engine_factory is not None:
             return self._engine_factory(self.catalog, options)
+        shards = SHARD_LEGS.get(config_name, 1)
+        if not self._reuse:
+            if shards == 1:
+                return NestGPU(self.catalog, options=options)
+            return ShardedEngine(
+                self.catalog, options=options, shards=shards,
+                interconnect=InterconnectSpec.nvlink(),
+            )
         session = self._sessions.get(config_name)
         if session is None:
             from ..serve import EngineSession
 
-            session = EngineSession(self.catalog, options=options)
+            session = EngineSession(
+                self.catalog, options=options, shards=shards,
+                interconnect="nvlink",
+            )
             self._sessions[config_name] = session
         return session
 

@@ -45,9 +45,6 @@ class DeviceGroup:
     def __len__(self) -> int:
         return len(self.devices)
 
-    def __getitem__(self, index: int) -> Device:
-        return self.devices[index]
-
     def __iter__(self):
         return iter(self.devices)
 

@@ -29,9 +29,9 @@ import re
 
 from ..core import NestGPU, PreparedQuery, QueryResult, ShardedEngine
 from ..core.calibrator import Calibrator, CostCoefficients
-from ..core.executor import _sql_snippet, preload_columns
-from ..engine import ColumnResidency, EngineOptions, ExecutionContext
-from ..gpu import Device, DeviceSpec, PoolSet, RawDeviceAllocator
+from ..core.executor import _sql_snippet, _sum_dicts, preload_columns
+from ..engine import DeviceState, EngineOptions
+from ..gpu import Device, DeviceSpec
 from ..gpu.spec import InterconnectSpec
 from ..obs.tracer import NULL_TRACER
 from ..storage import Catalog
@@ -139,10 +139,8 @@ class EngineSession:
         self.shards = shards
         self.sharded: ShardedEngine | None = None
         if shards > 1:
-            # the session owns a device *group*; the solo collaborators
-            # below stay constructed (and inert) so stats()/close() need
-            # no branching, but execution routes through the sharded
-            # engine's per-shard contexts
+            # the session owns a device *group*: the sharded engine's
+            # per-shard states are the session's states
             if isinstance(interconnect, str):
                 interconnect = InterconnectSpec.from_name(interconnect)
             self.sharded = ShardedEngine(
@@ -152,7 +150,7 @@ class EngineSession:
                 coefficients=coefficients,
             )
             self.engine = self.sharded.planner
-            self.device = self.sharded.group[0]
+            self.states = self.sharded.shard_states
             # the calibrator fits single-device kernel samples; a group's
             # interleaved clocks would poison the fit
             calibration = False
@@ -162,7 +160,12 @@ class EngineSession:
                 tracer=self.tracer, metrics=metrics,
                 coefficients=coefficients,
             )
-            self.device = Device(self.engine.device_spec, tracer=self.tracer)
+            self.states = [DeviceState(
+                catalog, Device(self.engine.device_spec, tracer=self.tracer),
+                self.engine.options,
+            )]
+        #: the coordinator (shard 0) of a group; the device of a solo session
+        self.device = self.states[0].device
         # the feedback loop's observe side: the session device samples
         # every kernel/transfer/materialization into the calibrator,
         # and recalibrate() refits the cost-model coefficients from them
@@ -171,10 +174,6 @@ class EngineSession:
         )
         if self.calibrator is not None:
             self.device.sampler = self.calibrator
-        self.pools = PoolSet(self.device)
-        self.raw_alloc = RawDeviceAllocator(self.device)
-        self.residency = ColumnResidency(self.device)
-        self.index_cache: dict[tuple, object] = {}
         self.plan_cache = PlanCache(plan_cache_capacity)
         self.queries_run = 0
         self._catalog_version = catalog.version
@@ -197,12 +196,8 @@ class EngineSession:
             if self._closed:
                 return
             self._closed = True
-            self.pools.release_all()
-            self.raw_alloc.free_all()
-            self.residency.release_all()
-            self.index_cache.clear()
-            if self.sharded is not None:
-                self.sharded.release()
+            for state in self.states:
+                state.release()
             if self._session_span is not None:
                 self.tracer.end(
                     self._session_span, queries=self.queries_run
@@ -229,8 +224,10 @@ class EngineSession:
                 return
             self._catalog_version = self.catalog.version
             self.plan_cache.evict()
-            self.index_cache.clear()
-            self.residency.release_all()
+            if self.sharded is None:
+                # a group's shard views are reset by the sharded engine,
+                # which rebuilds their partitioned forms
+                self.states[0].reset(self.catalog)
 
     def lookup_or_prepare(
         self, sql: str, mode: str | None = None, param_sig: tuple = (),
@@ -254,7 +251,9 @@ class EngineSession:
         if self.sharded is not None:
             prepared = self.sharded.prepare(sql, mode)
         else:
-            prepared = self.engine.prepare(sql, mode, index_cache=self.index_cache)
+            prepared = self.engine.prepare(
+                sql, mode, index_cache=self.states[0].index_cache
+            )
         self.plan_cache.put(key, prepared)
         return prepared, False
 
@@ -358,7 +357,7 @@ class EngineSession:
         tracing — the concurrent engine tags worker/stream ids here.
 
         ``tracer`` overrides the session tracer for this one query:
-        the device emits its kernel/transfer leaves into the private
+        every device emits its kernel/transfer leaves into the private
         tracer for the duration of the run and is re-bound to the
         session tracer afterwards.  This is how a traced query on an
         otherwise untraced serving session gets its own span tree
@@ -370,65 +369,39 @@ class EngineSession:
                 raise RuntimeError("session is closed")
             self._check_catalog()
             query_tracer = self.tracer if tracer is None else tracer
-            if self.sharded is not None:
-                return self._run_sharded(
-                    prepared, plan_cache_hit, query_tracer,
-                    rebind=(tracer is not None),
-                )
-            previous_tracer = self.device.tracer
-            self.device.tracer = query_tracer
-            self.device.reset(rebase_peak=True)
-            ctx = ExecutionContext(
-                self.catalog,
-                self.device,
-                self.engine.options,
-                pools=self.pools,
-                raw_alloc=self.raw_alloc,
-                residency=self.residency,
-                index_cache=self.index_cache,
-            )
+            previous = [state.device.tracer for state in self.states]
+            for state in self.states:
+                state.device.tracer = query_tracer
             try:
-                result = self.engine.run_prepared(
-                    prepared, tracer=query_tracer, metrics=self.metrics,
-                    ctx=ctx, span_attrs=span_attrs,
-                )
+                if self.sharded is not None:
+                    # the group run resets and cleans up its own states
+                    result = self.sharded.run_prepared(
+                        prepared, tracer=query_tracer, metrics=self.metrics,
+                    )
+                else:
+                    self.device.reset(rebase_peak=True)
+                    try:
+                        result = self.engine.run_prepared(
+                            prepared, tracer=query_tracer,
+                            metrics=self.metrics, ctx=self.states[0].ctx,
+                            span_attrs=span_attrs,
+                        )
+                    finally:
+                        # rewind pool tails / return raw allocations, keep
+                        # residency; any modelled cost of this cleanup lands
+                        # after the result's snapshot and is wiped by the
+                        # next query's clock reset
+                        self.states[0].end_query()
             finally:
-                # rewind pool tails / return raw allocations, keep residency;
-                # any modelled cost of this cleanup lands after the result's
-                # snapshot and is wiped by the next query's clock reset
-                ctx.end_query()
-                self.device.tracer = previous_tracer
-                if previous_tracer.enabled and tracer is not None:
-                    previous_tracer.bind_device(self.device)
+                for state, prev in zip(self.states, previous):
+                    state.device.tracer = prev
+                if tracer is not None and self.tracer.enabled:
+                    self.tracer.bind_device(self.device)
             result.plan_cache_hit = plan_cache_hit
             self.queries_run += 1
             if self.metrics is not None:
                 self._record_session_metrics(result)
             return result
-
-    def _run_sharded(
-        self, prepared, plan_cache_hit: bool, query_tracer, rebind: bool,
-    ) -> QueryResult:
-        """The group execution path: the sharded engine owns the group
-        reset, per-shard contexts and end-of-query cleanup; the session
-        contributes the lock, the tracer swap and the bookkeeping."""
-        previous = [d.tracer for d in self.sharded.group]
-        for member in self.sharded.group:
-            member.tracer = query_tracer
-        try:
-            result = self.sharded.run_prepared(
-                prepared, tracer=query_tracer, metrics=self.metrics,
-            )
-        finally:
-            for member, prev in zip(self.sharded.group, previous):
-                member.tracer = prev
-            if rebind and self.tracer.enabled:
-                self.tracer.bind_device(self.device)
-        result.plan_cache_hit = plan_cache_hit
-        self.queries_run += 1
-        if self.metrics is not None:
-            self._record_session_metrics(result)
-        return result
 
     # -- inspection (REPL parity with NestGPU) -----------------------------
 
@@ -452,11 +425,14 @@ class EngineSession:
         device admits only its own placements, so per-device capacity
         is the binding constraint, not the group total.
         """
-        if self.sharded is not None:
-            return max(prepared.per_shard_bytes)
-        return sum(
-            self.catalog.table(table).column(column).nbytes
-            for table, column in preload_columns(self.catalog, prepared.program)
+        return max(
+            sum(
+                state.catalog.table(table).column(column).nbytes
+                for table, column in preload_columns(
+                    state.catalog, prepared.program
+                )
+            )
+            for state in self.states
         )
 
     @property
@@ -474,28 +450,36 @@ class EngineSession:
             metrics.counter("plan_cache.misses").inc()
         metrics.gauge("plan_cache.hit_ratio").set(self.plan_cache.hit_ratio)
         metrics.gauge("plan_cache.entries").set(len(self.plan_cache))
-        if self.sharded is not None:
-            states = self.sharded.shard_states
-            resident_bytes = sum(s.residency.resident_bytes for s in states)
-            resident_columns = sum(len(s.residency) for s in states)
-            evictions = sum(s.residency.evictions for s in states)
-            high_water = sum(
-                total
-                for s in states
-                for total in s.pools.high_water().values()
-            )
-        else:
-            resident_bytes = self.residency.resident_bytes
-            resident_columns = len(self.residency)
-            evictions = self.residency.evictions
-            high_water = sum(self.pools.high_water().values())
-        metrics.gauge("residency.resident_bytes").set(resident_bytes)
-        metrics.gauge("residency.resident_columns").set(resident_columns)
-        metrics.gauge("residency.evictions").set(evictions)
-        metrics.gauge("pool.high_water_bytes").set(high_water)
+        standing = self._standing()
+        metrics.gauge("residency.resident_bytes").set(standing["resident_bytes"])
+        metrics.gauge("residency.resident_columns").set(
+            standing["resident_columns"]
+        )
+        metrics.gauge("residency.evictions").set(
+            standing["residency_evictions"]
+        )
+        metrics.gauge("pool.high_water_bytes").set(
+            sum(standing["pool_high_water"].values())
+        )
         metrics.histogram("session.preload_ms").observe(
             result.preload_ns / 1e6
         )
+
+    def _standing(self) -> dict:
+        """The standing device state, summed over the session's states."""
+        states = self.states
+        return {
+            "resident_columns": sum(len(s.residency) for s in states),
+            "resident_bytes": sum(s.residency.resident_bytes for s in states),
+            "residency_evictions": sum(s.residency.evictions for s in states),
+            "pool_high_water": _sum_dicts(
+                s.pools.high_water() for s in states
+            ),
+            "index_cache_entries": sum(len(s.index_cache) for s in states),
+            "device_in_use_bytes": sum(
+                s.device.memory_in_use for s in states
+            ),
+        }
 
     def stats(self) -> dict:
         """A JSON-friendly summary of the session's standing state."""
@@ -515,7 +499,7 @@ class EngineSession:
                         "in_use_bytes": state.device.memory_in_use,
                         "peak_bytes": state.device.stats.peak_device_bytes,
                     }
-                    for state in self.sharded.shard_states
+                    for state in self.states
                 ],
                 "interconnect_bytes": self.sharded.group.interconnect_bytes(),
             }
@@ -525,12 +509,7 @@ class EngineSession:
             "shards": self.shards,
             "sharded": sharded,
             "plan_cache": self.plan_cache.stats(),
-            "resident_columns": len(self.residency),
-            "resident_bytes": self.residency.resident_bytes,
-            "residency_evictions": self.residency.evictions,
-            "pool_high_water": self.pools.high_water(),
-            "index_cache_entries": len(self.index_cache),
-            "device_in_use_bytes": self.device.memory_in_use,
+            **self._standing(),
             "device_capacity_bytes": self.device_capacity_bytes,
             "cost_model": {
                 "version": self.engine.coefficients.version,

@@ -126,24 +126,26 @@ class ThreadGuard:
         return self
 
     def install_session(self, session) -> "ThreadGuard":
-        """Guard every device-state collaborator of an EngineSession.
+        """Guard every device-state collaborator of an EngineSession,
+        on each of its devices.
 
         Registers the session's own lock as the legitimizing lock, so
         properly synchronized serving code passes and anything touching
         the device outside the critical section raises.
         """
         self.lock = session.lock
-        pools = session.pools
-        for obj in (
-            session.device,
-            pools,
-            pools.meta,
-            pools.intermediate,
-            pools.inter_kernel,
-            session.raw_alloc,
-            session.residency,
-        ):
-            self.install(obj)
+        for state in session.states:
+            pools = state.pools
+            for obj in (
+                state.device,
+                pools,
+                pools.meta,
+                pools.intermediate,
+                pools.inter_kernel,
+                state.raw_alloc,
+                state.residency,
+            ):
+                self.install(obj)
         return self
 
     def uninstall(self) -> None:

@@ -24,7 +24,6 @@ ENGINE_SHAPE = {
     "--shards": 1,
     "--interconnect": "pcie",
     "--fusion": "off",
-    "--no-fusion": False,
 }
 CONNECTION = {"--host": "127.0.0.1", "--port": None, "--token": "local"}
 

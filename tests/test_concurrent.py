@@ -89,16 +89,16 @@ class TestStressBitIdentity:
             assert engine.drain(timeout=DRAIN_TIMEOUT)
             engine.shutdown(drain=False, timeout=10.0)
             # per-query state is rewound: raw allocs freed, pool tails zero
-            assert session.raw_alloc.outstanding == 0
+            assert session.states[0].raw_alloc.outstanding == 0
             assert all(
                 pool.tail == 0 for pool in (
-                    session.pools.meta,
-                    session.pools.intermediate,
-                    session.pools.inter_kernel,
+                    session.states[0].pools.meta,
+                    session.states[0].pools.intermediate,
+                    session.states[0].pools.inter_kernel,
                 )
             )
             # standing state (residency) is bounded by device capacity
-            assert session.residency.resident_bytes <= (
+            assert session.states[0].residency.resident_bytes <= (
                 session.device_capacity_bytes
             )
             session.close()

@@ -21,18 +21,18 @@ def test_transfer_charges_both_endpoint_clocks():
     time_ns = group.transfer(0, 1, nbytes)
     assert time_ns == pytest.approx(link.transfer_ns(nbytes))
     # sender and receiver DMA engines are busy for the whole copy
-    assert group[0].stats.peer_time_ns == pytest.approx(time_ns)
-    assert group[1].stats.peer_time_ns == pytest.approx(time_ns)
-    assert group[0].stats.peer_bytes == nbytes
-    assert group[1].stats.peer_bytes == nbytes
+    assert group.devices[0].stats.peer_time_ns == pytest.approx(time_ns)
+    assert group.devices[1].stats.peer_time_ns == pytest.approx(time_ns)
+    assert group.devices[0].stats.peer_bytes == nbytes
+    assert group.devices[1].stats.peer_bytes == nbytes
     # the bystander's clock never moved
-    assert group[2].stats.total_ns == 0.0
+    assert group.devices[2].stats.total_ns == 0.0
 
 
 def test_self_transfer_is_free():
     group = make_group()
     assert group.transfer(1, 1, 1 << 30) == 0.0
-    assert group[1].stats.total_ns == 0.0
+    assert group.devices[1].stats.total_ns == 0.0
     assert group.interconnect_bytes() == 0
 
 
@@ -49,25 +49,25 @@ def test_reset_is_per_member_no_peak_leak():
     """Shard k's high-water mark must never leak into shard j's stats
     across a reset: each device rebases from its *own* residency."""
     group = make_group(size=3)
-    group[0].alloc(1_000_000)
-    group[1].alloc(64)
+    group.devices[0].alloc(1_000_000)
+    group.devices[1].alloc(64)
     group.transfer(0, 2, 4096)
     group.reset(rebase_peak=True)
-    assert group[0].stats.peak_device_bytes == 1_000_000
-    assert group[1].stats.peak_device_bytes == 64
-    assert group[2].stats.peak_device_bytes == 0
+    assert group.devices[0].stats.peak_device_bytes == 1_000_000
+    assert group.devices[1].stats.peak_device_bytes == 64
+    assert group.devices[2].stats.peak_device_bytes == 0
     # clocks are cleared everywhere
     assert all(d.stats.total_ns == 0.0 for d in group)
     # without rebasing, even standing residency reports zero
     group.reset(rebase_peak=False)
-    assert group[0].stats.peak_device_bytes == 0
+    assert group.devices[0].stats.peak_device_bytes == 0
 
 
 def test_makespan_is_slowest_clock_not_sum():
     group = make_group(size=3)
-    group[0].launch("scan", 1000)
-    group[1].launch("scan", 1000)
-    group[1].launch("scan", 1000)
+    group.devices[0].launch("scan", 1000)
+    group.devices[1].launch("scan", 1000)
+    group.devices[1].launch("scan", 1000)
     snaps = group.snapshots()
     expected = max(s.total_ns for s in snaps)
     assert DeviceGroup.makespan_ns(snaps) == expected
@@ -77,15 +77,15 @@ def test_makespan_is_slowest_clock_not_sum():
 
 def test_merged_stats_flows_add_peaks_take_worst():
     group = make_group(size=2)
-    group[0].alloc(300)
-    group[1].alloc(700)
-    group[0].launch("scan", 10)
-    group[1].launch("scan", 10)
+    group.devices[0].alloc(300)
+    group.devices[1].alloc(700)
+    group.devices[0].launch("scan", 10)
+    group.devices[1].launch("scan", 10)
     merged = group.merged_stats()
     assert merged.kernel_launches == 2
     assert merged.peak_device_bytes == 700  # level, not a flow: max
     assert merged.kernel_time_ns == pytest.approx(
-        group[0].stats.kernel_time_ns + group[1].stats.kernel_time_ns
+        group.devices[0].stats.kernel_time_ns + group.devices[1].stats.kernel_time_ns
     )
 
 

@@ -58,7 +58,7 @@ def solo(catalog, query, fusion):
 
 
 class TestFusionOffBaseline:
-    """`--no-fusion` is the pre-fusion engine, bit for bit."""
+    """`--fusion off` is the pre-fusion engine, bit for bit."""
 
     @pytest.mark.parametrize("query", sorted(BASELINE))
     def test_totals_and_launches_match_pre_fusion_pin(self, catalog01, query):
@@ -121,10 +121,7 @@ class TestShardedIdentity:
         engine = ShardedEngine(
             catalog01, options=EngineOptions(fusion="on"), shards=2
         )
-        try:
-            for query in sorted(BASELINE):
-                expected = canon_rows(solo(catalog01, query, "off").rows)
-                got = engine.execute(ALL_EVALUATION_QUERIES[query])
-                assert canon_rows(got.rows) == expected, query
-        finally:
-            engine.release()
+        for query in sorted(BASELINE):
+            expected = canon_rows(solo(catalog01, query, "off").rows)
+            got = engine.execute(ALL_EVALUATION_QUERIES[query])
+            assert canon_rows(got.rows) == expected, query

@@ -17,7 +17,7 @@ import math
 
 import pytest
 
-from repro.core import NestGPU
+from repro.core import NestGPU, ShardedEngine
 from repro.fuzz.differential import (
     DifferentialRunner,
     canon_rows,
@@ -26,6 +26,7 @@ from repro.fuzz.differential import (
 )
 from repro.fuzz.generator import generate_query
 from repro.fuzz.shrinker import shrink
+from repro.gpu.spec import InterconnectSpec
 from repro.sql import parse, unparse
 from repro.tpch import generate_tpch
 
@@ -130,6 +131,38 @@ def test_shrinker_moves_literals_toward_zero(sql):
     assert "l_quantity > 500" in unparse(minimal)
 
 
+class _DroppedPartialEngine(ShardedEngine):
+    """A 2-shard engine whose gather loses the last shard's partial."""
+
+    def __init__(self, catalog, options):
+        super().__init__(
+            catalog, options=options, shards=2,
+            interconnect=InterconnectSpec.nvlink(),
+        )
+
+    def _concat(self, ctx, partials):
+        return super()._concat(ctx, partials[:-1])
+
+
+def test_sharded_leg_catches_and_shrinks_a_dropped_partial(fuzz_catalog):
+    legs = [leg for leg in config_matrix("minimal") if leg[0] == "sharded-2"]
+    broken = DifferentialRunner(
+        fuzz_catalog, legs, engine_factory=_DroppedPartialEngine
+    )
+    report = broken.run(BUGGY_SQL)
+    assert report.mismatches
+    assert all(o.config == "sharded-2" for o in report.mismatches)
+
+    def still_fails(candidate):
+        return not broken.run(unparse(candidate)).ok
+
+    minimal = shrink(parse(BUGGY_SQL), still_fails)
+    assert len(unparse(minimal)) < len(BUGGY_SQL)
+    assert still_fails(minimal)
+    healthy = DifferentialRunner(fuzz_catalog, legs)
+    assert healthy.run(unparse(minimal)).ok
+
+
 def test_healthy_engine_passes_where_broken_fails(fuzz_catalog, broken_runner):
     healthy = DifferentialRunner(fuzz_catalog, config_matrix("minimal"))
     assert healthy.run(BUGGY_SQL).ok
@@ -157,11 +190,14 @@ def test_rows_match_tolerates_float_noise():
 
 def test_config_matrix_shapes():
     full = config_matrix("full")
-    assert len(full) == 8
+    assert len(full) == 10
     labels = [name for name, _ in full]
     assert labels[0] == "all-on" and labels[-1] == "all-off"
     assert labels[1] == "fused"
-    assert len(config_matrix("minimal")) == 3
+    assert labels[-3:-1] == ["sharded-2", "sharded-4"]
+    assert [name for name, _ in config_matrix("minimal")] == [
+        "all-on", "fused", "sharded-2", "sharded-4", "all-off",
+    ]
     assert len(config_matrix("single")) == 1
     with pytest.raises(ValueError):
         config_matrix("bogus")

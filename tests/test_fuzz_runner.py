@@ -93,7 +93,11 @@ def test_runner_keeps_one_session_per_config(fuzz_catalog):
     )
     runner.run("SELECT count(*) AS c FROM region")
     sessions = dict(runner._sessions)
-    assert set(sessions) == {"all-on", "fused", "all-off"}
+    assert set(sessions) == {
+        "all-on", "fused", "sharded-2", "sharded-4", "all-off",
+    }
+    assert sessions["sharded-4"].shards == 4
+    assert sessions["sharded-4"].sharded.interconnect.name == "nvlink"
     runner.run("SELECT count(*) AS c FROM nation")
     assert dict(runner._sessions) == sessions  # same objects, reused
     assert all(s.queries_run >= 2 for s in sessions.values())

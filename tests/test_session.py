@@ -6,9 +6,11 @@ import pytest
 from conftest import rows_set
 
 from repro.core import NestGPU
-from repro.engine import ColumnResidency
+from repro.engine import ExecutionContext
+from repro.engine.context import ColumnResidency
 from repro.errors import DeviceMemoryError, PlanError
-from repro.gpu import Device, DeviceSpec
+from repro.gpu import Device, DeviceSpec, PoolSet
+from repro.obs import Tracer
 from repro.serve import EngineSession, render_param
 from repro.tpch import ALL_EVALUATION_QUERIES, generate_tpch
 
@@ -52,13 +54,13 @@ class TestSoloBitIdentity:
 class TestStandingState:
     def test_pool_high_water_survives_two_executions(self, session):
         session.execute(Q4)
-        first = session.pools.high_water()
+        first = session.states[0].pools.high_water()
         assert first["intermediate"] > 0
         in_use_after_first = session.device.memory_in_use
         session.execute(Q4)
         # the reservation is reused, not re-grown: same high water, and
         # the device charge did not double
-        assert session.pools.high_water() == first
+        assert session.states[0].pools.high_water() == first
         assert session.device.memory_in_use == in_use_after_first
 
     def test_per_query_clock_reset(self, session):
@@ -82,20 +84,20 @@ class TestStandingState:
     def test_residency_makes_second_preload_free(self, session):
         first = session.execute(Q17)
         assert first.preload_ns > 0
-        assert len(session.residency) > 0
+        assert len(session.states[0].residency) > 0
         second = session.execute(Q17)
         assert second.preload_ns == 0.0
-        assert session.residency.touches > 0
+        assert session.states[0].residency.touches > 0
 
     def test_residency_shared_across_queries(self, session):
         session.execute(Q17)  # loads lineitem + part columns
-        transfers_before = session.residency.transfers
+        transfers_before = session.states[0].residency.transfers
         session.execute(
             "SELECT sum(l_extendedprice) FROM lineitem "
             "WHERE l_quantity < 5"
         )
         # both columns were already resident from q17's preload
-        assert session.residency.transfers == transfers_before
+        assert session.states[0].residency.transfers == transfers_before
 
     def test_close_releases_device(self, catalog):
         session = EngineSession(catalog)
@@ -114,10 +116,36 @@ class TestStandingState:
             "WHERE l_orderkey = o_orderkey)"
         )
         session.execute(sql)
-        built = len(session.index_cache)
+        built = len(session.states[0].index_cache)
         assert built > 0
         session.execute(sql)
-        assert len(session.index_cache) == built
+        assert len(session.states[0].index_cache) == built
+
+
+class TestOneStatePerDevice:
+    @pytest.mark.parametrize("shards", [1, 2, 4])
+    def test_width_n_builds_n_device_states(self, catalog, monkeypatch,
+                                            shards):
+        built = {PoolSet: 0, ColumnResidency: 0}
+        for cls in built:
+            def counted(self, *args, _cls=cls, _init=cls.__init__):
+                built[_cls] += 1
+                _init(self, *args)
+
+            monkeypatch.setattr(cls, "__init__", counted)
+        EngineSession(catalog, shards=shards).close()
+        assert built == {PoolSet: shards, ColumnResidency: shards}
+
+    def test_traced_run_leaves_profiling_off(self, catalog):
+        """A reused context profiles per node only while traced."""
+        engine = NestGPU(catalog)
+        prepared = engine.prepare(ALL_EVALUATION_QUERIES["tpch_q2"], "nested")
+        ctx = ExecutionContext(catalog, Device(engine.device_spec),
+                               engine.options)
+        traced = engine.run_prepared(prepared, tracer=Tracer(), ctx=ctx)
+        assert traced.vector_node_ns
+        untraced = engine.run_prepared(prepared, ctx=ctx)
+        assert untraced.vector_node_ns == {}
 
 
 class TestBadMode:
@@ -177,7 +205,7 @@ class TestCatalogInvalidation:
         catalog = generate_tpch(0.05, use_cache=False)
         with EngineSession(catalog) as session:
             session.execute(Q4)
-            assert len(session.residency) > 0
+            assert len(session.states[0].residency) > 0
             catalog.replace(generate_tpch(0.05).table("orders"))
             session.execute(Q4)
             # standing state derived from old table data was dropped

@@ -3,6 +3,7 @@ cost-driven broadcast/shuffle choice, exchange reuse, session wiring."""
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import pytest
@@ -18,6 +19,171 @@ RST_SQL = (
     "SELECT r_col1, r_col2 FROM r WHERE r_col2 = "
     "(SELECT MIN(s_col2) FROM s WHERE s_col1 = r.r_col1)"
 )
+
+# The 8 paper queries at sf 0.5 on one standing session per (shards,
+# interconnect), each run cold then warm, in sorted query order.  Per
+# run: query, strategy, a digest of the rows, repr(total_ns),
+# repr(makespan_ns) and the run's per-pair interconnect bytes.  A change
+# to sharded execution that claims bit-identity reproduces it exactly.
+SHARD_PIN = {
+    (2, "pcie"): [
+        ("paper_q4v", "broadcast", "4f53cda18c2baa0c",
+         "376890.45247541886", "188445.22623770943", {}),
+        ("paper_q4v", "broadcast", "4f53cda18c2baa0c",
+         "358753.7858087522", "179376.8929043761", {}),
+        ("paper_q5", "broadcast", "4f53cda18c2baa0c",
+         "358753.7858087522", "179376.8929043761", {}),
+        ("paper_q5", "broadcast", "4f53cda18c2baa0c",
+         "358753.7858087522", "179376.8929043761", {}),
+        ("paper_q6", "broadcast", "4f53cda18c2baa0c",
+         "380907.1191420855", "190453.55957104274", {}),
+        ("paper_q6", "broadcast", "4f53cda18c2baa0c",
+         "380073.7858087522", "190036.8929043761", {}),
+        ("paper_q7", "shuffle", "c2c7854ca4d94412",
+         "450045.74920584465", "227770.57938958672",
+         {"0->1": 30532, "1->0": 30743}),
+        ("paper_q7", "shuffle", "c2c7854ca4d94412",
+         "409476.91587251134", "207486.16272292007", {"1->0": 333}),
+        ("paper_q8", "broadcast", "4f53cda18c2baa0c",
+         "262446.8254470018", "131223.4127235009", {}),
+        ("paper_q8", "broadcast", "4f53cda18c2baa0c",
+         "262446.8254470018", "131223.4127235009", {}),
+        ("tpch_q17", "shuffle", "9be21840597fb5d5",
+         "169390.6424823438", "87305.8691211742",
+         {"0->1": 35660, "1->0": 34900}),
+        ("tpch_q17", "shuffle", "9be21840597fb5d5",
+         "121805.64248234381", "63513.80536116961", {}),
+        ("tpch_q2", "shuffle", "c2c7854ca4d94412",
+         "409476.91587251134", "207486.16272292007", {"1->0": 333}),
+        ("tpch_q2", "shuffle", "c2c7854ca4d94412",
+         "409476.91587251134", "207486.16272292007", {"1->0": 333}),
+        ("tpch_q4", "scatter", "72ad0823bbec0055",
+         "177205.56890288496", "98572.49284045836", {"1->0": 483}),
+        ("tpch_q4", "scatter", "72ad0823bbec0055",
+         "162396.56890288496", "91167.99284045836", {"1->0": 483}),
+    ],
+    (2, "nvlink"): [
+        ("paper_q4v", "broadcast", "4f53cda18c2baa0c",
+         "376890.45247541886", "188445.22623770943", {}),
+        ("paper_q4v", "broadcast", "4f53cda18c2baa0c",
+         "358753.7858087522", "179376.8929043761", {}),
+        ("paper_q5", "broadcast", "4f53cda18c2baa0c",
+         "358753.7858087522", "179376.8929043761", {}),
+        ("paper_q5", "broadcast", "4f53cda18c2baa0c",
+         "358753.7858087522", "179376.8929043761", {}),
+        ("paper_q6", "broadcast", "4f53cda18c2baa0c",
+         "380907.1191420855", "190453.55957104274", {}),
+        ("paper_q6", "broadcast", "4f53cda18c2baa0c",
+         "380073.7858087522", "190036.8929043761", {}),
+        ("paper_q7", "shuffle", "c2c7854ca4d94412",
+         "425790.74920584465", "215643.07938958672",
+         {"0->1": 30532, "1->0": 30743}),
+        ("paper_q7", "shuffle", "c2c7854ca4d94412",
+         "407010.31587251136", "206252.86272292008", {"1->0": 333}),
+        ("paper_q8", "broadcast", "4f53cda18c2baa0c",
+         "262446.8254470018", "131223.4127235009", {}),
+        ("paper_q8", "broadcast", "4f53cda18c2baa0c",
+         "262446.8254470018", "131223.4127235009", {}),
+        ("tpch_q17", "shuffle", "9be21840597fb5d5",
+         "145678.6424823438", "75449.8691211742",
+         {"0->1": 35660, "1->0": 34900}),
+        ("tpch_q17", "shuffle", "9be21840597fb5d5",
+         "121805.64248234381", "63513.80536116961", {}),
+        ("tpch_q2", "shuffle", "c2c7854ca4d94412",
+         "407010.31587251136", "206252.86272292008", {"1->0": 333}),
+        ("tpch_q2", "shuffle", "c2c7854ca4d94412",
+         "407010.31587251136", "206252.86272292008", {"1->0": 333}),
+        ("tpch_q4", "scatter", "72ad0823bbec0055",
+         "174708.96890288495", "97324.19284045836", {"1->0": 483}),
+        ("tpch_q4", "scatter", "72ad0823bbec0055",
+         "159899.96890288495", "89919.69284045836", {"1->0": 483}),
+    ],
+    (4, "pcie"): [
+        ("paper_q4v", "broadcast", "4f53cda18c2baa0c",
+         "747234.238284171", "186808.55957104274", {}),
+        ("paper_q4v", "broadcast", "4f53cda18c2baa0c",
+         "716627.5716175043", "179156.8929043761", {}),
+        ("paper_q5", "broadcast", "4f53cda18c2baa0c",
+         "716627.5716175043", "179156.8929043761", {}),
+        ("paper_q5", "broadcast", "4f53cda18c2baa0c",
+         "716627.5716175043", "179156.8929043761", {}),
+        ("paper_q6", "broadcast", "4f53cda18c2baa0c",
+         "760100.9049508377", "190025.22623770943", {}),
+        ("paper_q6", "broadcast", "4f53cda18c2baa0c",
+         "759267.5716175043", "189816.8929043761", {}),
+        ("paper_q7", "shuffle", "c2c7854ca4d94412",
+         "898662.2108920477", "244027.94694361964",
+         {"0->1": 7290, "0->2": 7854, "0->3": 7396, "1->0": 8656, "1->2": 8550,
+          "1->3": 6700, "2->0": 7380, "2->1": 7870, "2->3": 7976, "3->0": 6959,
+          "3->1": 8624, "3->2": 6578}),
+        ("paper_q7", "shuffle", "c2c7854ca4d94412",
+         "750453.8775587144", "207050.25761158712", {"3->0": 333}),
+        ("paper_q8", "broadcast", "4f53cda18c2baa0c",
+         "524013.6508940035", "131003.41272350088", {}),
+        ("paper_q8", "broadcast", "4f53cda18c2baa0c",
+         "524013.6508940035", "131003.41272350088", {}),
+        ("tpch_q17", "shuffle", "9be21840597fb5d5",
+         "393770.56344504596", "102588.56575838831",
+         {"0->1": 8560, "0->2": 8400, "0->3": 8980, "1->0": 9560, "1->2": 9260,
+          "1->3": 8160, "2->0": 8320, "2->1": 9120, "2->3": 9000, "3->0": 7900,
+          "3->1": 9820, "3->2": 8180}),
+        ("tpch_q17", "shuffle", "9be21840597fb5d5",
+         "237510.56344504593", "63295.70024983665", {}),
+        ("tpch_q2", "shuffle", "c2c7854ca4d94412",
+         "750453.8775587144", "207050.25761158712", {"3->0": 333}),
+        ("tpch_q2", "shuffle", "c2c7854ca4d94412",
+         "750453.8775587144", "207050.25761158712", {"3->0": 333}),
+        ("tpch_q4", "scatter", "72ad0823bbec0055",
+         "334929.84191554645", "102453.92384045836",
+         {"1->0": 230, "2->0": 345, "3->0": 253}),
+        ("tpch_q4", "scatter", "72ad0823bbec0055",
+         "308186.84191554645", "95768.17384045836",
+         {"1->0": 230, "2->0": 345, "3->0": 253}),
+    ],
+    (4, "nvlink"): [
+        ("paper_q4v", "broadcast", "4f53cda18c2baa0c",
+         "747234.238284171", "186808.55957104274", {}),
+        ("paper_q4v", "broadcast", "4f53cda18c2baa0c",
+         "716627.5716175043", "179156.8929043761", {}),
+        ("paper_q5", "broadcast", "4f53cda18c2baa0c",
+         "716627.5716175043", "179156.8929043761", {}),
+        ("paper_q5", "broadcast", "4f53cda18c2baa0c",
+         "716627.5716175043", "179156.8929043761", {}),
+        ("paper_q6", "broadcast", "4f53cda18c2baa0c",
+         "760100.9049508377", "190025.22623770943", {}),
+        ("paper_q6", "broadcast", "4f53cda18c2baa0c",
+         "759267.5716175043", "189816.8929043761", {}),
+        ("paper_q7", "shuffle", "c2c7854ca4d94412",
+         "820295.6108920478", "223874.44694361964",
+         {"0->1": 7290, "0->2": 7854, "0->3": 7396, "1->0": 8656, "1->2": 8550,
+          "1->3": 6700, "2->0": 7380, "2->1": 7870, "2->3": 7976, "3->0": 6959,
+          "3->1": 8624, "3->2": 6578}),
+        ("paper_q7", "shuffle", "c2c7854ca4d94412",
+         "747987.2775587144", "205816.95761158713", {"3->0": 333}),
+        ("paper_q8", "broadcast", "4f53cda18c2baa0c",
+         "524013.6508940035", "131003.41272350088", {}),
+        ("paper_q8", "broadcast", "4f53cda18c2baa0c",
+         "524013.6508940035", "131003.41272350088", {}),
+        ("tpch_q17", "shuffle", "9be21840597fb5d5",
+         "315118.56344504596", "82740.56575838831",
+         {"0->1": 8560, "0->2": 8400, "0->3": 8980, "1->0": 9560, "1->2": 9260,
+          "1->3": 8160, "2->0": 8320, "2->1": 9120, "2->3": 9000, "3->0": 7900,
+          "3->1": 9820, "3->2": 8180}),
+        ("tpch_q17", "shuffle", "9be21840597fb5d5",
+         "237510.56344504593", "63295.70024983665", {}),
+        ("tpch_q2", "shuffle", "c2c7854ca4d94412",
+         "747987.2775587144", "205816.95761158713", {"3->0": 333}),
+        ("tpch_q2", "shuffle", "c2c7854ca4d94412",
+         "747987.2775587144", "205816.95761158713", {"3->0": 333}),
+        ("tpch_q4", "scatter", "72ad0823bbec0055",
+         "327564.2419155465", "98771.12384045836",
+         {"1->0": 230, "2->0": 345, "3->0": 253}),
+        ("tpch_q4", "scatter", "72ad0823bbec0055",
+         "300821.2419155465", "92085.37384045836",
+         {"1->0": 230, "2->0": 345, "3->0": 253}),
+    ],
+}
+
 
 
 def canon(rows):
@@ -44,6 +210,33 @@ def test_shards_one_is_bit_identical(tpch_small, name):
     assert repr(sharded.stats.total_ns) == repr(solo.stats.total_ns)
     assert sharded.shards == 1
     assert sharded.group_report is None
+
+
+@pytest.fixture(scope="module")
+def tpch_half():
+    return generate_tpch(0.5)
+
+
+@pytest.mark.parametrize("shape", list(SHARD_PIN), ids=str)
+def test_shard_pin(tpch_half, shape):
+    shards, interconnect = shape
+    runs = []
+    with EngineSession(
+        tpch_half, shards=shards, interconnect=interconnect
+    ) as session:
+        for name in sorted(ALL_EVALUATION_QUERIES):
+            for _cold_then_warm in range(2):
+                result = session.execute(ALL_EVALUATION_QUERIES[name])
+                report = result.group_report
+                runs.append((
+                    name,
+                    report["strategy"],
+                    hashlib.sha256(repr(result.rows).encode()).hexdigest()[:16],
+                    repr(result.stats.total_ns),
+                    repr(result.makespan_ns),
+                    report["pair_bytes"],
+                ))
+    assert runs == SHARD_PIN[shape]
 
 
 # -- multi-shard row correctness ---------------------------------------
@@ -180,10 +373,50 @@ def test_session_sharded_run_and_plan_cache(tpch_small):
         assert stats["sharded"]["interconnect"] == "nvlink"
         assert len(stats["sharded"]["per_device"]) == 4
 
+        # admission reads the widest shard's demand, below one device's
         prepared, _ = session.lookup_or_prepare(sql, None, ())
-        per_shard = prepared.per_shard_bytes
-        assert per_shard and len(per_shard) == 4
-        assert session.working_set_bytes(prepared) == max(per_shard)
+        with EngineSession(tpch_small) as one:
+            solo_bytes = one.working_set_bytes(one.lookup_or_prepare(sql)[0])
+        assert 0 < session.working_set_bytes(prepared) < solo_bytes
+
+
+def test_sharded_session_stats_sum_the_shards():
+    """The top-level standing state of a group is the sum over its
+    devices, the same numbers its per-device block reports."""
+    with EngineSession(generate_tpch(0.05), shards=2) as session:
+        session.execute(ALL_EVALUATION_QUERIES["tpch_q17"])
+        stats = session.stats()
+    per_device = stats["sharded"]["per_device"]
+    assert stats["resident_columns"] == sum(
+        d["resident_columns"] for d in per_device
+    ) > 0
+    assert stats["resident_bytes"] == sum(
+        d["resident_bytes"] for d in per_device
+    ) > 0
+    assert stats["device_in_use_bytes"] == sum(
+        d["in_use_bytes"] for d in per_device
+    )
+    assert sum(stats["pool_high_water"].values()) > 0
+
+
+def test_per_query_tracer_sees_every_shard():
+    """``run(..., tracer=)`` (a traced ticket, net ``EXECUTE trace``)
+    records the engine's operator and subquery spans on a group too."""
+    from repro.obs import Tracer
+
+    sql = ALL_EVALUATION_QUERIES["tpch_q17"]
+    with EngineSession(generate_tpch(0.05), shards=2) as session:
+        prepared, _ = session.lookup_or_prepare(sql)
+        tracer = Tracer()
+        session.run(prepared, tracer=tracer)
+    tracer.finish()
+    spans = [span for root in tracer.roots for span in root.walk()]
+    shard_spans = [span for span in spans if span.category == "shard"]
+    assert len(shard_spans) == 2
+    for shard in shard_spans:
+        inner = list(shard.walk())
+        assert any(span.category == "operator" for span in inner)
+        assert any(span.category == "subquery" for span in inner)
 
 
 def test_sharded_session_records_group_metrics():

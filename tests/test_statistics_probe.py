@@ -155,7 +155,7 @@ def test_warm_session_prepare_builds_no_index_and_publishes_none(
     statement = session.prepare_statement(Q17_TEMPLATE)
     statement.execute("Brand#23", "MED BOX")
     assert len(counted_index_builds) == 2  # the cold probe, then the run
-    before = dict(session.index_cache)
+    before = dict(session.states[0].index_cache)
     assert len(before) == 1
     del counted_index_builds[:]
     prepared, hit = session.lookup_or_prepare(
@@ -163,8 +163,8 @@ def test_warm_session_prepare_builds_no_index_and_publishes_none(
     )
     assert not hit and prepared.choice == "nested"
     assert counted_index_builds == []
-    assert session.index_cache.keys() == before.keys()
-    assert all(session.index_cache[k] is v for k, v in before.items())
+    assert session.states[0].index_cache.keys() == before.keys()
+    assert all(session.states[0].index_cache[k] is v for k, v in before.items())
     result = session.run(prepared)
     assert counted_index_builds == []  # the run reuses the session's index
     assert "sort" not in result.stats.launches_by_tag
@@ -174,7 +174,7 @@ def test_warm_session_prepare_builds_no_index_and_publishes_none(
 def test_probe_leaves_a_fresh_sessions_cache_empty(tpch_small, counted_index_builds):
     session = EngineSession(tpch_small)
     session.lookup_or_prepare(ALL_EVALUATION_QUERIES["tpch_q17"], None, ())
-    assert counted_index_builds and session.index_cache == {}
+    assert counted_index_builds and session.states[0].index_cache == {}
     session.close()
 
 

@@ -156,7 +156,26 @@ class TestGuardedSession:
             assert run_in_thread(synced) is None
 
             # unsynchronized first touch makes this thread the owner...
-            session.residency.release_all()
+            session.states[0].residency.release_all()
             # ...so an unsynchronized touch from any other thread raises
-            exc = run_in_thread(lambda: session.residency.release_all())
+            exc = run_in_thread(
+                lambda: session.states[0].residency.release_all()
+            )
             assert isinstance(exc, ConcurrencyViolation)
+
+    def test_install_session_guards_every_shard(self, catalog, thread_guard):
+        with EngineSession(catalog, shards=2) as session:
+            thread_guard.install_session(session)
+            guarded = session.execute(Q4)
+            assert guarded.rows and thread_guard.violations == 0
+            for state in session.sharded.shard_states:
+                for touch in (
+                    lambda: state.device.alloc(0),
+                    state.pools.reset_tails,
+                    state.raw_alloc.free_all,
+                    state.residency.release_all,
+                ):
+                    touch()  # this thread becomes the owner...
+                    # ...so an unsynchronized touch from another raises
+                    exc = run_in_thread(touch)
+                    assert isinstance(exc, ConcurrencyViolation)

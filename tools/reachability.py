@@ -220,8 +220,6 @@ KEEP: dict[str, str] = {
     "repro.obs.analyze::AnalyzeReport.write_trace":
         "EXPLAIN ANALYZE's Chrome-trace export for library callers",
     "repro.gpu.spec::DeviceSpec.a100": "`--device a100`",
-    "repro.gpu.spec::InterconnectSpec.pcie_p2p":
-        "`--interconnect pcie`, the default fabric (CI shards over nvlink)",
     "repro.gpu.spec::InterconnectSpec.nvswitch": "`--interconnect nvswitch`",
     **_same("parses `net serve --tenants FILE`, outside input",
             "repro.net.qos::TenantRegistry.from_config",
@@ -269,11 +267,6 @@ KEEP: dict[str, str] = {
         "the costing probe's per-iteration path when vectorisation is off",
     "repro.core.executor::NestGPU._measure_program":
         "the fusion tuner's harness; runs only for a widening site",
-    **_same("coordinator fallback for shapes the sharded planner refuses",
-            "repro.core.sharded::ShardedEngine._run_coordinator",
-            "repro.core.sharded::ShardedEngine._solo_bytes"),
-    "repro.core.sharded::ShardedEngine._record_group_metrics":
-        "a sharded session's metrics; no CI job or workload passes a registry",
     "repro.obs.tracer::Tracer.end_iteration":
         "per-iteration spans of the unvectorized loop under a tracer",
     "repro.bench.runner::_slug": "names run_sweep's per-cell trace files",
@@ -308,6 +301,8 @@ KEEP: dict[str, str] = {
         "membership probe of the paper's two-level IN result vector",
     "repro.storage.catalog::Catalog.replace":
         "the data-change API that moves Catalog.version",
+    "repro.engine.context::DeviceState.reset":
+        "drops a device's standing state after Catalog.replace",
     # test instruments and small public APIs
     "repro.gpu.stats::ExecutionStats.minus":
         "snapshot diff the device tests measure a span of activity with",
