@@ -268,11 +268,10 @@ class NestGPU:
         used by the cost model's internal probe runs so they never
         pollute a trace or the per-query log.
 
-        ``ctx`` injects a caller-owned execution context (the one a
-        :class:`~repro.engine.DeviceState` keeps alive) instead of
-        building a fresh one; the caller is then responsible for
-        resetting the device clock before the call, for the
-        between-queries cleanup (:meth:`DeviceState.end_query`),
+        ``ctx`` injects a caller-owned, long-lived execution context
+        instead of building a fresh one; the caller is then responsible
+        for resetting the device clock before the call, for the
+        between-queries cleanup (:meth:`ExecutionContext.end_query`),
         and — when several threads share the context's device — for
         serializing calls (the device is not internally synchronized;
         the session lock is the one the ThreadGuard recognises).

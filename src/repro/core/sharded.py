@@ -54,7 +54,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ..engine import DeviceState, EngineOptions, run_plan
+from ..engine import EngineOptions, ExecutionContext, run_plan
 from ..engine import operators as ops
 from ..engine.relation import Relation
 from ..gpu import DeviceGroup, DeviceSpec
@@ -283,10 +283,11 @@ class ShardedEngine:
         self.group = DeviceGroup(
             self.device_spec, shards, self.interconnect, tracer=self.tracer
         )
-        #: one :class:`DeviceState` per shard, in device order; each
-        #: executes against its own catalog view (base tables + forms)
+        #: one long-lived :class:`ExecutionContext` per shard, in device
+        #: order; each executes against its own catalog view (base
+        #: tables + forms)
         self.shard_states = [
-            DeviceState(Catalog(list(catalog)), device, self.options)
+            ExecutionContext(Catalog(list(catalog)), device, self.options)
             for device in self.group
         ]
         self._base_version = catalog.version
@@ -833,11 +834,11 @@ class ShardedEngine:
 
     def _run_coordinator(self, prepared, tracer) -> QueryResult:
         """Degenerate fallback: the whole solo program on shard 0."""
-        state = self.shard_states[0]
+        ctx = self.shard_states[0]
         if tracer.enabled:
-            tracer.bind_device(state.device)
+            tracer.bind_device(ctx.device)
         result = self.planner.run_prepared(
-            prepared.solo, tracer=tracer, metrics=None, ctx=state.ctx
+            prepared.solo, tracer=tracer, metrics=None, ctx=ctx
         )
         result.shards = self.shards
         result.makespan_ns = result.stats.total_ns
@@ -915,10 +916,8 @@ class ShardedEngine:
                 f"shard-{k}", "shard", device=k, strategy=prepared.strategy
             ):
                 with tracer.span("preload", "phase"):
-                    self.planner._preload(state.ctx, program)
-                rel, runtime = self.planner._execute_program(
-                    state.ctx, program
-                )
+                    self.planner._preload(state, program)
+                rel, runtime = self.planner._execute_program(state, program)
             partials.append(rel)
             runtimes.append(runtime)
             body_ends.append(state.device.stats.total_ns)
@@ -933,17 +932,17 @@ class ShardedEngine:
                 if nbytes:
                     self.group.transfer(k, 0, nbytes)
                     gather_bytes += nbytes
-            gathered = self._concat(coordinator.ctx, partials)
+            gathered = self._concat(coordinator, partials)
         # the tail runs on the flat-plan evaluator, its body memoised as
         # the gathered relation
         with tracer.span("tail", "phase"):
             rel = run_plan(
-                coordinator.ctx,
+                coordinator,
                 (prepared.tail or [prepared.body])[0],
                 memo={id(prepared.body): gathered},
             )
         tail_end = coordinator.device.stats.total_ns
-        final = ops.fetch_result(coordinator.ctx, rel)
+        final = ops.fetch_result(coordinator, rel)
         fetch_ns = coordinator.device.stats.total_ns - tail_end
         makespan = max(body_ends) + (
             coordinator.device.stats.total_ns - body_ends[0]

@@ -1,11 +1,11 @@
 """GPU relational engine: context, relations, operators, evaluator."""
 
-from .context import DeviceState, EngineOptions, ExecutionContext
+from .context import ColumnResidency, EngineOptions, ExecutionContext
 from .evaluator import run_plan
 from .relation import Relation, computed_column
 
 __all__ = [
-    "DeviceState",
+    "ColumnResidency",
     "EngineOptions",
     "ExecutionContext",
     "Relation",

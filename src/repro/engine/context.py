@@ -59,10 +59,10 @@ class ColumnResidency:
 
     One instance per :class:`ExecutionContext` reproduces the original
     per-query behaviour (everything is released at end of query).  A
-    :class:`DeviceState` keeps its context alive instead, so columns
-    stay resident across queries and repeat touches skip the PCIe
-    transfer entirely — the transfer-amortization regime the throughput
-    papers identify as the thing GPU engines win on.
+    session keeps its contexts alive instead, so columns stay resident
+    across queries and repeat touches skip the PCIe transfer entirely —
+    the transfer-amortization regime the throughput papers identify as
+    the thing GPU engines win on.
 
     Eviction is least-recently-*used*: a touch is evidence of reuse,
     so it moves the column to the back of the eviction order.
@@ -143,15 +143,19 @@ class ColumnResidency:
 
 
 class ExecutionContext:
-    """Shared state for query execution on the simulated device.
+    """Everything one modelled device owns while executing queries.
 
-    The context builds its own pools, raw allocator and column
-    residency, so a fresh one behaves exactly as the original
-    one-query-owns-the-device engine; a long-lived one is held by a
-    :class:`DeviceState`, whose device memory then survives each query.
-    ``index_cache`` (a structural scan fingerprint -> built
-    ``CorrelatedIndex``) is injectable so the cost model's probe can
-    read a copy of a session's.
+    The paper's memory manager is one per GPU: the device, the catalog
+    view it executes against, pools, raw allocator, column residency
+    and the correlated-column index cache.  A fresh context behaves
+    exactly as the original one-query-owns-the-device engine; a
+    long-lived one — one per device, held by a session (solo) or a
+    sharded engine (per shard) — keeps its device memory across
+    queries, with :meth:`end_query` between them, :meth:`reset` on a
+    data change and :meth:`release` at close.  ``index_cache`` (a
+    structural scan fingerprint -> built ``CorrelatedIndex``) is
+    injectable so the cost model's probe can read a copy of a
+    session's.
     """
 
     def __init__(
@@ -226,29 +230,7 @@ class ExecutionContext:
         if self.options.use_memory_pools:
             self.pools.clear_inter_kernel()
 
-
-class DeviceState:
-    """Everything one modelled device owns across queries.
-
-    The paper's memory manager is one per GPU: the device, the catalog
-    view it executes against, pools, raw allocator, column residency,
-    the correlated-column index cache, and one long-lived
-    :class:`ExecutionContext` tying them together.  A solo session holds
-    one; a sharded engine holds one per shard.
-    """
-
-    def __init__(self, catalog: Catalog, device: Device,
-                 options: EngineOptions):
-        self.device = device
-        self.ctx = ExecutionContext(catalog, device, options)
-        self.pools = self.ctx.pools
-        self.raw_alloc = self.ctx.raw_alloc
-        self.residency = self.ctx.residency
-        self.index_cache = self.ctx.index_cache
-
-    @property
-    def catalog(self) -> Catalog:
-        return self.ctx.catalog
+    # -- lifetime of a long-lived context --------------------------------------
 
     def end_query(self) -> None:
         """Between-queries cleanup.
@@ -256,17 +238,18 @@ class DeviceState:
         Pool *tails* rewind (the reserved high-water survives, so the
         next query reuses the space without re-growing), raw
         allocations are returned, and resident columns stay on the
-        device.
+        device.  Per-node profiling is a one-query switch: it goes off.
         """
         self.pools.reset_tails()
         self.raw_alloc.free_all()
+        self.profile_node_ns = None
 
     def reset(self, catalog: Catalog) -> None:
         """A data change: drop the columns and indexes built from the
         old tables, and execute against ``catalog`` from now on."""
         self.residency.release_all()
         self.index_cache.clear()
-        self.ctx.catalog = catalog
+        self.catalog = catalog
 
     def release(self) -> None:
         """Give every byte back to the device (session close)."""

@@ -30,7 +30,7 @@ import re
 from ..core import NestGPU, PreparedQuery, QueryResult, ShardedEngine
 from ..core.calibrator import Calibrator, CostCoefficients
 from ..core.executor import _sql_snippet, _sum_dicts, preload_columns
-from ..engine import DeviceState, EngineOptions
+from ..engine import EngineOptions, ExecutionContext
 from ..gpu import Device, DeviceSpec
 from ..gpu.spec import InterconnectSpec
 from ..obs.tracer import NULL_TRACER
@@ -140,7 +140,7 @@ class EngineSession:
         self.sharded: ShardedEngine | None = None
         if shards > 1:
             # the session owns a device *group*: the sharded engine's
-            # per-shard states are the session's states
+            # per-shard contexts are the session's states
             if isinstance(interconnect, str):
                 interconnect = InterconnectSpec.from_name(interconnect)
             self.sharded = ShardedEngine(
@@ -160,7 +160,7 @@ class EngineSession:
                 tracer=self.tracer, metrics=metrics,
                 coefficients=coefficients,
             )
-            self.states = [DeviceState(
+            self.states = [ExecutionContext(
                 catalog, Device(self.engine.device_spec, tracer=self.tracer),
                 self.engine.options,
             )]
@@ -225,9 +225,11 @@ class EngineSession:
             self._catalog_version = self.catalog.version
             self.plan_cache.evict()
             if self.sharded is None:
-                # a group's shard views are reset by the sharded engine,
-                # which rebuilds their partitioned forms
                 self.states[0].reset(self.catalog)
+            else:
+                # the sharded engine resets each shard with a fresh view
+                # (its partitioned forms are rebuilt on demand)
+                self.sharded._sync_catalog()
 
     def lookup_or_prepare(
         self, sql: str, mode: str | None = None, param_sig: tuple = (),
@@ -383,7 +385,7 @@ class EngineSession:
                     try:
                         result = self.engine.run_prepared(
                             prepared, tracer=query_tracer,
-                            metrics=self.metrics, ctx=self.states[0].ctx,
+                            metrics=self.metrics, ctx=self.states[0],
                             span_attrs=span_attrs,
                         )
                     finally:

@@ -6,8 +6,7 @@ import pytest
 from conftest import rows_set
 
 from repro.core import NestGPU
-from repro.engine import ExecutionContext
-from repro.engine.context import ColumnResidency
+from repro.engine import ColumnResidency, ExecutionContext
 from repro.errors import DeviceMemoryError, PlanError
 from repro.gpu import Device, DeviceSpec, PoolSet
 from repro.obs import Tracer

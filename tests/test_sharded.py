@@ -10,6 +10,7 @@ import pytest
 from conftest import make_rst_catalog
 
 from repro.core import NestGPU, ShardedEngine
+from repro.core.executor import preload_columns
 from repro.gpu.spec import InterconnectSpec, LinkSpec
 from repro.obs import MetricsRegistry
 from repro.serve import EngineSession
@@ -321,6 +322,24 @@ def test_derived_table_falls_back_to_coordinator(rst_catalog):
     assert canon(engine.run_prepared(prepared).rows) == canon(solo.rows)
 
 
+def test_traced_coordinator_run_leaves_shard_profiling_off(rst_catalog):
+    """A traced coordinator query profiles shard 0 per node for that run
+    only; a later untraced scatter body on shard 0 does not profile."""
+    from repro.obs import Tracer
+
+    engine = ShardedEngine(rst_catalog, shards=2)
+    coordinator = engine.prepare(
+        "SELECT a FROM (SELECT r_col1 AS a FROM r) d WHERE a > 3"
+    )
+    assert coordinator.strategy == "coordinator"
+    engine.run_prepared(coordinator, tracer=Tracer())
+    assert engine.shard_states[0].profile_node_ns is None
+    body = engine.prepare(RST_SQL)
+    assert body.strategy != "coordinator"
+    engine.run_prepared(body)
+    assert engine.shard_states[0].profile_node_ns is None
+
+
 # -- exchange reuse ------------------------------------------------------
 
 
@@ -373,11 +392,32 @@ def test_session_sharded_run_and_plan_cache(tpch_small):
         assert stats["sharded"]["interconnect"] == "nvlink"
         assert len(stats["sharded"]["per_device"]) == 4
 
-        # admission reads the widest shard's demand, below one device's
-        prepared, _ = session.lookup_or_prepare(sql, None, ())
+        # admission reads the widest shard's demand: not shard 0's, the
+        # narrowest one's or the group total, and below one device's
+        widest = []
         with EngineSession(tpch_small) as one:
-            solo_bytes = one.working_set_bytes(one.lookup_or_prepare(sql)[0])
-        assert 0 < session.working_set_bytes(prepared) < solo_bytes
+            for name in ("tpch_q17", "tpch_q2"):
+                query = ALL_EVALUATION_QUERIES[name]
+                prepared, _ = session.lookup_or_prepare(query, None, ())
+                per_shard = [
+                    sum(
+                        ctx.catalog.table(table).column(column).nbytes
+                        for table, column in preload_columns(
+                            ctx.catalog, prepared.program
+                        )
+                    )
+                    for ctx in session.states
+                ]
+                assert len(per_shard) == 4
+                assert session.working_set_bytes(prepared) == max(per_shard)
+                assert min(per_shard) < max(per_shard) < sum(per_shard)
+                solo_bytes = one.working_set_bytes(
+                    one.lookup_or_prepare(query)[0]
+                )
+                assert max(per_shard) < solo_bytes
+                widest.append(per_shard.index(max(per_shard)))
+        # Q17's widest shard is the coordinator, Q2's is another one
+        assert widest[0] == 0 and widest[1] != 0
 
 
 def test_sharded_session_stats_sum_the_shards():

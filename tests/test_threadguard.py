@@ -179,3 +179,20 @@ class TestGuardedSession:
                     # ...so an unsynchronized touch from another raises
                     exc = run_in_thread(touch)
                     assert isinstance(exc, ConcurrencyViolation)
+
+    def test_sharded_reload_resets_shards_under_the_lock(self, thread_guard):
+        """Planning after ``Catalog.replace`` resets every shard's
+        residency; on a worker thread that must happen inside the
+        session lock, not beside a neighbour's run."""
+        catalog = generate_tpch(0.02, use_cache=False)
+        with EngineSession(catalog, shards=2) as session:
+            thread_guard.install_session(session)
+            session.execute(Q4)
+            for state in session.states:
+                state.residency.release_all()  # this thread owns them
+            catalog.replace(generate_tpch(0.02).table("orders"))
+            assert run_in_thread(lambda: session.lookup_or_prepare(Q4)) is None
+            assert thread_guard.violations == 0
+            reloaded = session.execute(Q4)
+        with EngineSession(catalog, shards=2) as fresh:
+            assert sorted(reloaded.rows) == sorted(fresh.execute(Q4).rows)

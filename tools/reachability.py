@@ -299,10 +299,6 @@ KEEP: dict[str, str] = {
         "depth-2 nesting in the fuzz grammar; seed 7 x 50 draws none",
     "repro.core.subquery::TwoLevelResultVector.contains":
         "membership probe of the paper's two-level IN result vector",
-    "repro.storage.catalog::Catalog.replace":
-        "the data-change API that moves Catalog.version",
-    "repro.engine.context::DeviceState.reset":
-        "drops a device's standing state after Catalog.replace",
     # test instruments and small public APIs
     "repro.gpu.stats::ExecutionStats.minus":
         "snapshot diff the device tests measure a span of activity with",
