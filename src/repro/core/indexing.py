@@ -34,8 +34,8 @@ class CorrelatedIndex(kernels.JoinHash):
 
     def lookup(self, device: Device, value) -> np.ndarray:
         """Row positions whose key equals ``value`` (one binary search)."""
-        lo, hi = kernels.binary_search_ranges(device, self, np.asarray([value]))
-        return self.order[int(lo[0]) : int(hi[0])]
+        lo, count = kernels.binary_search_ranges(device, self, np.asarray([value]))
+        return self.order[int(lo[0]) : int(lo[0] + count[0])]
 
     def lookup_batch(
         self, device: Device, values: np.ndarray
@@ -47,8 +47,8 @@ class CorrelatedIndex(kernels.JoinHash):
         matched — the representation the vectorized subquery path
         consumes directly.
         """
-        lo, hi = kernels.binary_search_ranges(device, self, values)
-        segments, positions, total = kernels.expand_ranges(lo, hi - lo)
+        lo, counts = kernels.binary_search_ranges(device, self, values)
+        segments, positions, total = kernels.expand_ranges(lo, counts)
         device.launch("index_gather", total)
         return self.order[positions], segments
 

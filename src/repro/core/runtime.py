@@ -400,7 +400,7 @@ class Runtime:
             vector.flags[:] = inner.num_rows > 0
         elif sp.descriptor.kind == "in":
             vector = TwoLevelResultVector(outer.num_rows)
-            values = next(iter(inner.columns.values())).data.astype(np.float64)
+            values = inner.first_column().data.astype(np.float64)
             for row in range(outer.num_rows):
                 vector.store(row, values)
         else:
@@ -408,7 +408,7 @@ class Runtime:
                 raise ExecutionError(
                     f"scalar subquery produced {inner.num_rows} rows"
                 )
-            value = float(next(iter(inner.columns.values())).data[0])
+            value = float(inner.first_column().data[0])
             vector = ScalarResultVector(outer.num_rows)
             vector.values[:] = value
             vector.valid[:] = not np.isnan(value)
@@ -645,14 +645,14 @@ class Runtime:
             raise ExecutionError(
                 f"scalar subquery produced {rel.num_rows} rows"
             )
-        value = float(next(iter(rel.columns.values())).data[0])
+        value = float(rel.first_column().data[0])
         return value, not np.isnan(value)
 
     def exists_from(self, rel: Relation) -> bool:
         return rel.num_rows > 0
 
     def values_from(self, rel: Relation) -> np.ndarray:
-        return next(iter(rel.columns.values())).data.astype(np.float64)
+        return rel.first_column().data.astype(np.float64)
 
     def store_scalar(self, vector: ScalarResultVector, i: int, value, valid) -> None:
         vector.store(i, value, valid)
@@ -764,10 +764,8 @@ class Runtime:
                 raise ExecutionError(
                     "only scalar subqueries may appear in the SELECT list"
                 )
-            out = Relation(
-                {**outer.columns,
-                 node.output_name: computed_column(node.output_name, data)},
-                outer.num_rows,
+            out = outer.with_columns(
+                {node.output_name: computed_column(node.output_name, data)}
             )
             ops._materialize(self.ctx, out)
             self.ctx.operator_done()
@@ -821,7 +819,7 @@ class Runtime:
         from ..plan.unnest import _replace_subquery_refs
 
         mapping: dict[int, AggRef] = {}
-        columns = dict(outer.columns)
+        columns = {}
         known_cols: dict[str, np.ndarray] = {}
         by_index = {d.index: d for d in node.descriptors}
         for index, vector in vectors.items():
@@ -855,7 +853,7 @@ class Runtime:
             columns[marker] = computed_column(marker, data)
             mapping[index] = AggRef(marker)
 
-        augmented = Relation(columns, outer.num_rows)
+        augmented = outer.with_columns(columns)
         predicate = _replace_subquery_refs(node.predicate, mapping)
         truth, _ = _eval_three_valued(predicate, augmented, self.ctx, known_cols)
         indices = kernels.compact(self.ctx.device, truth)

@@ -979,7 +979,7 @@ class ShardedEngine:
         """Concatenate per-shard body outputs on the coordinator."""
         columns: dict[str, Column] = {}
         for name in partials[0].columns:
-            parts = [rel.columns[name] for rel in partials]
+            parts = [rel.column(name) for rel in partials]
             data = np.concatenate([p.data for p in parts])
             first = parts[0]
             columns[name] = Column(

@@ -113,7 +113,7 @@ def run_batch(sp, batch: dict[str, np.ndarray]):
         )
     if descriptor.kind == "in":
         seg_rel = _require_seg(result)
-        column = next(iter(seg_rel.rel.columns.values()))
+        column = seg_rel.rel.first_column()
         return column.data.astype(np.float64), seg_rel.seg
     # scalar: the root produced one row per segment
     if isinstance(result, _PerSegment):

@@ -1,7 +1,10 @@
 """A straightforward plan interpreter for flat (unnested) plans.
 
-The GPU baselines (GPUDB+, OmniSci-like) and the derived-table parts of
-unnested rewrites run through this evaluator.  It memoises results by
+Every engine, the GPU baselines (GPUDB+, OmniSci-like) included, runs
+``NestGPU.execute``; this evaluator runs the flat pieces inside it:
+invariant subtrees hoisted out of the SUBQ loop and uncorrelated
+subqueries (:mod:`repro.core.runtime`), the cost model's measured outer
+block and the sharded coordinator's tail.  It memoises results by
 plan-node identity within one run, so shared subtrees (magic-set
 push-down) execute once — mirroring common-subexpression reuse in real
 engines.
@@ -178,16 +181,15 @@ def _run_uncorrelated_subquery_column(
     child = _run(ctx, node.child, env, memo)
     value = _scalar_value(_run(ctx, inner_plan, env, memo))
     data = np.full(child.num_rows, value, dtype=np.float64)
-    return Relation(
-        {**child.columns, node.output_name: computed_column(node.output_name, data)},
-        child.num_rows,
+    return child.with_columns(
+        {node.output_name: computed_column(node.output_name, data)}
     )
 
 
 def _scalar_value(inner: Relation) -> float:
     if inner.num_rows != 1:
         raise ExecutionError(f"scalar subquery returned {inner.num_rows} rows")
-    return float(next(iter(inner.columns.values())).data[0])
+    return float(inner.first_column().data[0])
 
 
 def _substitute(expr: PlanExpr, replacement: PlanExpr) -> PlanExpr:

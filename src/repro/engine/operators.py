@@ -242,9 +242,8 @@ def left_lookup(
     values = np.full(child.num_rows, default, dtype=np.float64)
     source = inner.column(value_column).data
     values[matched] = source[table.order[lo[matched]]]
-    out = Relation(
-        {**child.columns, output_name: computed_column(output_name, values)},
-        child.num_rows,
+    out = child.with_columns(
+        {output_name: computed_column(output_name, values)}
     )
     _materialize(ctx, out)
     ctx.operator_done()

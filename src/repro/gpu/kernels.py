@@ -282,7 +282,9 @@ class JoinHash:
             return lo, hi - lo
         base, top, first, count = dense
         # slots 0 and `top` are the below- and above-range sentinels
-        slot = np.clip(probe_keys.astype(np.int64, copy=False), base, base + top)
+        # not np.clip: its Python wrapper outweighs the clamp on 1-key probes
+        slot = np.maximum(probe_keys.astype(np.int64, copy=False), base)
+        np.minimum(slot, base + top, out=slot)
         slot -= base
         return first.take(slot), count.take(slot)
 
@@ -423,19 +425,16 @@ def group_ids(
 
 
 def binary_search_ranges(
-    device: Device, index: JoinHash | np.ndarray, probe_values: np.ndarray
+    device: Device, index: JoinHash, probe_values: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-probe [lo, hi) ranges in a sorted index (or bare sorted column).
+    """Per-probe ranges ``(lo, counts)`` in a sorted index.
 
     This is the kernel behind indexed correlated scans: instead of a
     full table scan per iteration, each iteration touches only the
     matching slice.  The launch size is the probe count (log-cost per
     probe), not the table size.
     """
-    if not isinstance(index, JoinHash):
-        index = JoinHash(index, None)
     device.launch(
         "index_search", len(probe_values), work=_log_work(max(len(index), 1))
     )
-    lo, counts = index.ranges(probe_values)
-    return lo, lo + counts
+    return index.ranges(probe_values)

@@ -246,12 +246,12 @@ class TestSortGroup:
 
 class TestIndexSearch:
     def test_ranges(self, device):
-        sorted_keys = np.array([1, 2, 2, 2, 5])
-        lo, hi = kernels.binary_search_ranges(
-            device, sorted_keys, np.array([2, 3, 5])
+        index = kernels.JoinHash(np.array([1, 2, 2, 2, 5]), None)
+        lo, count = kernels.binary_search_ranges(
+            device, index, np.array([2, 3, 5])
         )
         assert list(lo) == [1, 4, 4]
-        assert list(hi) == [4, 4, 5]
+        assert list(lo + count) == [4, 4, 5]
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +454,8 @@ class TestKeyLookupAgainstParent:
     def test_ranges_equal_the_two_binary_searches(self, case):
         # stronger than any caller needs: `lo` agrees for misses too
         def new(device, table, probe):
-            return kernels.binary_search_ranges(device, table, probe)
+            lo, counts = kernels.binary_search_ranges(device, table, probe)
+            return lo, lo + counts
 
         def parent(device, table, probe):
             return parent_binary_search_ranges(device, table.keys_sorted, probe)
