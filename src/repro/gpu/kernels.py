@@ -282,9 +282,7 @@ class JoinHash:
             return lo, hi - lo
         base, top, first, count = dense
         # slots 0 and `top` are the below- and above-range sentinels
-        # not np.clip: its Python wrapper outweighs the clamp on 1-key probes
-        slot = np.maximum(probe_keys.astype(np.int64, copy=False), base)
-        np.minimum(slot, base + top, out=slot)
+        slot = probe_keys.astype(np.int64, copy=False).clip(base, base + top)
         slot -= base
         return first.take(slot), count.take(slot)
 
@@ -300,7 +298,10 @@ class JoinHash:
             return None
         count = np.bincount(keys.astype(np.int64, copy=False) - (low - 1),
                             minlength=span + 2)
-        self._dense = (low - 1, span + 1, np.cumsum(count) - count, count)
+        # an int64 `base` keeps clip() off its per-call np.iinfo bound
+        # checks (a Python int bound costs more than a 1-key clamp)
+        base = np.int64(low - 1)
+        self._dense = (base, span + 1, np.cumsum(count) - count, count)
         return self._dense
 
 
