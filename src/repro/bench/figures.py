@@ -27,6 +27,7 @@ from ..core.costmodel import (
 from ..engine import EngineOptions
 from ..gpu import DeviceSpec
 from ..plan.nodes import Aggregate, Join, Scan
+from ..plan.selectivity import predicate_selectivity
 from ..tpch import generate_tpch, queries
 from .runner import Sweep, run_sweep
 
@@ -184,8 +185,6 @@ def figure15_operator_costs(
     are estimated (their reported bands: selection 0.49-17.75%, join
     4.03-17.48%, aggregation 0.15-7.66%).
     """
-    from ..plan.builder import PlanBuilder
-
     out: list[OperatorVerification] = []
     for scale_factor in scale_factors:
         catalog = generate_tpch(
@@ -198,7 +197,6 @@ def figure15_operator_costs(
         result = db.run_prepared(prepared)
         spec = db.device_spec
         nodes = prepared.program.nodes
-        builder = PlanBuilder(catalog)
 
         # selection: the filtered part scan of the outer block
         scan_id, scan = next(
@@ -208,7 +206,7 @@ def figure15_operator_costs(
         input_rows = catalog.table("part").num_rows
         selectivity = 1.0
         for predicate in scan.filters:
-            selectivity *= builder._selectivity(predicate, "part")
+            selectivity *= predicate_selectivity(catalog, predicate, "part")
         est_output = max(1.0, input_rows * selectivity)
         row_bytes = sum(
             catalog.table("part").column(c).dtype.width for c in scan.columns

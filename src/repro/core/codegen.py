@@ -28,7 +28,6 @@ from functools import cached_property
 
 from ..errors import PlanError
 from ..plan.binder import SubqueryDescriptor
-from ..plan.builder import PlanBuilder
 from ..plan.expressions import referenced_params
 from ..plan.invariants import InvariantInfo, mark_invariants
 from ..plan.nodes import (
@@ -90,8 +89,7 @@ class CodeGenerator:
     each rewrite is recorded on the plan for EXPLAIN.
     """
 
-    def __init__(self, builder: PlanBuilder, fusion=None):
-        self.builder = builder
+    def __init__(self, fusion=None):
         self.fusion = fusion
         self._lines: list[str] = []
         self._indent = 1
@@ -317,14 +315,10 @@ class CodeGenerator:
         the predicate is evaluated with all of them in place.
         """
         node_id = self._register(node)
-        res_vars: list[str] = []
-        for descriptor in node.descriptors:
-            inner_plan = getattr(node, "inner_plan", None)
-            if inner_plan is None or len(node.descriptors) > 1:
-                inner_plan = self.builder.build(descriptor.block)
-            res_vars.append(
-                self._emit_one_subquery(descriptor, inner_plan, outer_var, frame)
-            )
+        res_vars = [
+            self._emit_one_subquery(descriptor, body, outer_var, frame)
+            for descriptor, body in zip(node.descriptors, node.inners)
+        ]
         var = self._var("v")
         vectors = "{" + ", ".join(
             f"{descriptor.index}: {res}"
@@ -354,10 +348,7 @@ class CodeGenerator:
         """A scalar subquery in the SELECT list: the same loop, but the
         result vector becomes a column instead of a filter."""
         node_id = self._register(node)
-        inner_plan = getattr(node, "inner_plan", None)
-        if inner_plan is None:
-            inner_plan = self.builder.build(node.descriptor.block)
-        res = self._emit_one_subquery(node.descriptor, inner_plan, outer_var, frame)
+        res = self._emit_one_subquery(node.descriptor, node.inner, outer_var, frame)
         var = self._var("v")
         self._emit(
             f"{var} = rt.append_subquery_column({node_id}, {outer_var}, {res})"
@@ -367,12 +358,12 @@ class CodeGenerator:
     def _emit_one_subquery(
         self,
         descriptor: SubqueryDescriptor,
-        inner_plan: Plan,
+        body: Plan,
         outer_var: str,
         frame: "_Frame",
     ) -> str:
         spec_index = len(self._specs)
-        self._specs.append(SubquerySpec(descriptor, inner_plan))
+        self._specs.append(SubquerySpec(descriptor, body))
 
         k = spec_index
         sp, corr, res, mark = f"sp{k}", f"corr{k}", f"res{k}", f"mark{k}"
@@ -425,8 +416,8 @@ class CodeGenerator:
             self._indent -= 1
 
         # inline the subquery's operator statements (Figure 4)
-        inner_frame = _Frame(sp_var=sp, env_var=env, info=mark_invariants(inner_plan))
-        root_var = self._emit_plan(inner_plan, inner_frame)
+        inner_frame = _Frame(sp_var=sp, env_var=env, info=mark_invariants(body))
+        root_var = self._emit_plan(body, inner_frame)
 
         if descriptor.kind == "scalar":
             self._emit(f"val{k}, ok{k} = rt.scalar_from({sp}, {root_var})")
@@ -459,12 +450,14 @@ class _Frame:
 
 
 def generate_drive_program(
-    builder: PlanBuilder,
+    builder,
     plan: Plan,
     fetch_result: bool = True,
     fusion=None,
 ) -> DriveProgram:
-    """Generate and compile the drive program for a plan."""
-    return CodeGenerator(builder, fusion=fusion).generate(
-        plan, fetch_result=fetch_result
-    )
+    """Generate and compile the drive program for a plan.
+
+    ``builder`` is unused: every SUBQ node carries its inner plans.
+    The parameter stays for callers that pass a plan builder.
+    """
+    return CodeGenerator(fusion=fusion).generate(plan, fetch_result=fetch_result)

@@ -46,6 +46,7 @@ from ..plan.nodes import (
     SubqueryColumn,
     SubqueryFilter,
 )
+from ..plan.selectivity import predicate_selectivity
 from .runtime import Runtime, SubqueryProgram
 from .subquery import ExistsResultVector, ScalarResultVector
 
@@ -193,10 +194,6 @@ def estimate_flat_plan_ns(
     functions read the same attributes from either.  ``selectivity``
     optionally injects the engine's shared exact-selectivity estimator.
     """
-    from ..plan.builder import PlanBuilder
-
-    # reuse the builder's selectivity machinery (exact when available)
-    builder = PlanBuilder(catalog, exact_selectivity=selectivity)
 
     def walk(node: Plan) -> _Estimate:
         if isinstance(node, Scan):
@@ -205,10 +202,12 @@ def estimate_flat_plan_ns(
             row_bytes = sum(table.column(c).dtype.width for c in columns)
             rows = float(table.num_rows)
             cost = table.num_rows * row_bytes / spec.pcie_bytes_per_ns  # load
-            selectivity = 1.0
+            fraction = 1.0
             for predicate in node.filters:
-                selectivity *= builder._selectivity(predicate, node.table)
-            out = max(1.0, rows * selectivity)
+                fraction *= predicate_selectivity(
+                    catalog, predicate, node.table, selectivity
+                )
+            out = max(1.0, rows * fraction)
             if node.filters:
                 cost += selection_cost_ns(
                     spec, rows, len(node.filters), out, row_bytes, fused=fused
@@ -259,8 +258,7 @@ def estimate_flat_plan_ns(
             # uncorrelated SELECT-list scalar: inner evaluated once,
             # broadcast across every child row
             child = walk(node.child)
-            inner_plan = getattr(node, "inner_plan", None)
-            inner_cost = walk(inner_plan).cost_ns if inner_plan is not None else 0.0
+            inner_cost = walk(node.inner).cost_ns
             cost = child.cost_ns + inner_cost + _kernel_ns(spec, child.rows)
             return _Estimate(child.rows, child.row_bytes + 8.0, cost)
         if isinstance(node, Filter):
@@ -271,10 +269,9 @@ def estimate_flat_plan_ns(
             )
             return _Estimate(out, child.row_bytes, cost)
         if isinstance(node, SubqueryFilter):
-            # uncorrelated: inner evaluated once
+            # uncorrelated: each inner evaluated once
             child = walk(node.child)
-            inner_plan = getattr(node, "inner_plan", None)
-            inner_cost = walk(inner_plan).cost_ns if inner_plan is not None else 0.0
+            inner_cost = sum(walk(inner).cost_ns for inner in node.inners)
             out = max(1.0, child.rows * 0.3)
             cost = child.cost_ns + inner_cost + selection_cost_ns(
                 spec, child.rows, 1, out, child.row_bytes, fused=fused
@@ -363,22 +360,18 @@ def predict_nested(
         node for node in prepared.plan.walk() if isinstance(node, SubqueryFilter)
     ]
     correlated = [
-        node for node in subquery_filters
-        if node.descriptor is not None and node.descriptor.is_correlated
+        node for node in subquery_filters if node.descriptor.is_correlated
     ]
     if len(correlated) == 1 and len(correlated[0].descriptors) != 1:
         correlated = []  # quantified predicate: fall back to a full run
-    if len(correlated) == 1:
-        body = next(
-            (spec.plan for spec in prepared.program.specs
-             if spec.descriptor is correlated[0].descriptor), None)
-        if body is None or any(
-            isinstance(n, (SubqueryFilter, SubqueryColumn)) for n in body.walk()
-        ):
-            # depth-2 nesting: the island probe walks the body plan
-            # directly and cannot execute a nested SUBQ node — measure
-            # the whole execution instead
-            correlated = []
+    if len(correlated) == 1 and any(
+        isinstance(n, (SubqueryFilter, SubqueryColumn))
+        for n in correlated[0].inners[0].walk()
+    ):
+        # depth-2 nesting: the island probe walks the body plan
+        # directly and cannot execute a nested SUBQ node — measure
+        # the whole execution instead
+        correlated = []
     if len(correlated) != 1:
         # flat query, or stacked subqueries: measure by running in full
         # (observed=False keeps this probe out of traces and metrics)
@@ -394,14 +387,10 @@ def predict_nested(
     outer_ms = device.stats.total_ms
     iterations = outer_rel.num_rows
 
-    spec_entry = next(
-        spec for spec in prepared.program.specs
-        if spec.descriptor is target.descriptor
-    )
     # the probe always runs unfused, even for a fused program: path
     # prediction is structure-preserving (see predict_paths) and the
     # unfused time is a safe upper bound on the fused run
-    sp = SubqueryProgram(ctx, spec_entry.descriptor, spec_entry.plan,
+    sp = SubqueryProgram(ctx, target.descriptor, target.inners[0],
                          system.options.vector_batch)
     runtime = Runtime(ctx, prepared.program.nodes, [sp])
 

@@ -19,7 +19,7 @@ from ..engine import EngineOptions, ExecutionContext
 from ..errors import PlanError, UnnestingError
 from ..gpu import Device, DeviceSpec, ExecutionStats
 from ..obs.tracer import NULL_TRACER
-from ..plan import Binder, PlanBuilder, prune_scan_columns, try_exists_semijoin
+from ..plan import Binder, PlanBuilder
 from ..plan.nodes import Scan
 from ..sql import parse
 from ..storage import Catalog
@@ -535,27 +535,20 @@ class NestGPU:
         self, block, choice: str, sql: str, tracer,
     ) -> PreparedQuery:
         """Compile one candidate path (flat/nested/unnested) from the
-        bound block: plan build, plan-level rewrites, codegen."""
-        unnest = choice == "unnested"
+        bound block: the plan tree-of-trees, then codegen."""
         with tracer.span("plan", "phase", path=choice):
-            builder = PlanBuilder(
-                self.catalog, unnest=unnest, magic_sets=self.magic_sets,
+            plan = PlanBuilder(
+                self.catalog, unnest=choice == "unnested",
+                magic_sets=self.magic_sets,
                 exact_selectivity=self.selectivity,
-            )
-            plan = builder.build(block)
-            if not unnest:
-                # the EXISTS -> semi-join fast path (paper: Q4) is part of
-                # the nested engine's plan-level optimizations; re-prune
-                # because the rewrite introduces fresh scans
-                plan = try_exists_semijoin(plan, block)
-                prune_scan_columns(plan, self.catalog)
+            ).build(block)
         with tracer.span("codegen", "phase", path=choice):
-            program, decision = self._generate_with_fusion(builder, plan)
+            program, decision = self._generate_with_fusion(plan)
         return PreparedQuery(
             block, plan, program, choice, sql=sql, fusion_decision=decision
         )
 
-    def _generate_with_fusion(self, builder, plan):
+    def _generate_with_fusion(self, plan):
         """Generate the drive program under ``options.fusion``.
 
         ``'off'`` emits the historical one-launch-per-primitive program.
@@ -569,9 +562,9 @@ class NestGPU:
         """
         mode = self.options.fusion
         if mode == "off":
-            return generate_drive_program(builder, plan), FUSION_OFF
+            return generate_drive_program(None, plan), FUSION_OFF
         fusion = FusionPlan()
-        fused_program = generate_drive_program(builder, plan, fusion=fusion)
+        fused_program = generate_drive_program(None, plan, fusion=fusion)
         sites = len(fusion.sites)
         if sites == 0:
             return fused_program, FUSION_OFF  # nothing fused: the plain program
@@ -587,7 +580,7 @@ class NestGPU:
             return fused_program, FusionDecision(
                 source="analytic", fused=True, sites=sites
             )
-        unfused_program = generate_drive_program(builder, plan)
+        unfused_program = generate_drive_program(None, plan)
         decision = self.fusion_tuner.decide(
             plan_fingerprint(plan),
             self.coefficients.version,
@@ -621,7 +614,8 @@ class NestGPU:
 
     def _preload(self, ctx, program: DriveProgram) -> None:
         """Preload base columns, inner-most subquery levels first and
-        smaller tables first within a level (paper Section III-C)."""
+        smaller tables first within a level (paper Section III-C), then
+        by table and column name, so the order is the same every run."""
         ctx.preload(preload_columns(ctx.catalog, program))
 
 
@@ -696,7 +690,7 @@ def preload_columns(catalog: Catalog, program: DriveProgram) -> list[tuple[str, 
     seen = set()
     for level in reversed(levels):
         level_sorted = sorted(
-            set(level), key=lambda tc: catalog.table(tc[0]).num_rows
+            set(level), key=lambda tc: (catalog.table(tc[0]).num_rows, *tc)
         )
         for key in level_sorted:
             if key not in seen:

@@ -61,7 +61,6 @@ from ..gpu import DeviceGroup, DeviceSpec
 from ..gpu.spec import InterconnectSpec
 from ..obs.tracer import NULL_TRACER
 from ..plan import ExchangeStep
-from ..plan.builder import PlanBuilder
 from ..plan.expressions import ColRef, contains_subquery
 from ..plan.nodes import (
     Aggregate,
@@ -425,14 +424,10 @@ class ShardedEngine:
     # -- group planning -------------------------------------------------
 
     def _plan_group(self, solo: PreparedQuery, sql: str) -> ShardedPrepared:
-        # deepcopy before splitting: scan rewrites must not touch the
-        # solo plan (it stays valid for EXPLAIN / the planner's cache)
+        # deepcopy (inner plans included) before splitting: scan
+        # rewrites must not touch the solo plan (it stays valid for
+        # EXPLAIN / the planner's cache)
         body, tail = split_tail(copy.deepcopy(solo.plan))
-        builder = PlanBuilder(
-            self.catalog,
-            unnest=(solo.choice == "unnested"),
-            exact_selectivity=self.planner.selectivity,
-        )
         # the body program inherits the solo plan's fusion state, so a
         # fused engine runs fused on every shard (and `--fusion off`
         # totals stay bit-identical to pre-fusion sharded runs)
@@ -440,7 +435,7 @@ class ShardedEngine:
             FusionPlan() if solo.program.fusion is not None else None
         )
         program = generate_drive_program(
-            builder, body, fetch_result=False, fusion=body_fusion
+            None, body, fetch_result=False, fusion=body_fusion
         )
         spec_scans = [
             node

@@ -10,10 +10,10 @@ push-down) execute once — mirroring common-subexpression reuse in real
 engines.
 
 ``SubqueryFilter`` and ``SubqueryColumn`` nodes are only accepted when
-uncorrelated (type-A/N: evaluate the inner plan once, substitute the
-scalar).  Correlated subqueries never reach this evaluator — they are
-either unnested away or executed by the NestGPU drive program
-(:mod:`repro.core`).
+uncorrelated (type-A/N: run the inner plans the node carries once,
+substitute the scalars).  Correlated subqueries never reach this
+evaluator — they are either unnested away or executed by the NestGPU
+drive program (:mod:`repro.core`).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ExecutionError
-from ..plan.expressions import Const, PlanExpr
+from ..plan.expressions import Const
 from ..plan.nodes import (
     Aggregate,
     CrossJoin,
@@ -39,6 +39,7 @@ from ..plan.nodes import (
     SubqueryColumn,
     SubqueryFilter,
 )
+from ..plan.unnest import _replace_subquery_refs
 from . import operators as ops
 from .relation import Relation, computed_column
 
@@ -121,47 +122,46 @@ def _dispatch(ctx, node: Plan, env, memo) -> Relation:
     raise ExecutionError(f"evaluator cannot execute node {node!r}")
 
 
-def _planned_inner(ctx, node) -> Plan:
-    """The inner plan of an uncorrelated SUBQ node, built on demand.
-
-    The unnest builder attaches ``inner_plan`` eagerly, but plans that
-    come straight out of the flat/nested builder — an uncorrelated SUBQ
-    nested inside another subquery's body, or the outer block handed to
-    the cost model — carry only the bound block.  Plan it here and
-    memoise on the node, mirroring the drive-program codegen fallback.
-    """
-    inner_plan = getattr(node, "inner_plan", None)
-    if inner_plan is None:
-        from ..plan.builder import PlanBuilder
-
-        inner_plan = PlanBuilder(ctx.catalog).build(node.descriptor.block)
-        node.inner_plan = inner_plan
-    return inner_plan
-
-
 def _run_uncorrelated_subquery(ctx, node: SubqueryFilter, env, memo) -> Relation:
-    descriptor = node.descriptor
-    if descriptor is None or descriptor.is_correlated:
+    """Run each inner plan once, then select from the child.
+
+    A bare ``[NOT] EXISTS`` keeps every child row or none.  Scalar
+    subqueries are substituted as constants, each ``SUBQ`` leaf by the
+    value of its own inner plan.  Any other mix raises.
+    """
+    descriptors = node.descriptors
+    if any(descriptor.is_correlated for descriptor in descriptors):
         raise ExecutionError(
             "correlated SUBQ reached the flat-plan evaluator; this engine "
             "requires unnesting (or use NestGPU's nested method)"
         )
-    inner_plan = _planned_inner(ctx, node)
     child = _run(ctx, node.child, env, memo)
-    inner = _run(ctx, inner_plan, env, memo)
-    if descriptor.kind == "exists":
-        has_rows = inner.num_rows > 0
-        keep = has_rows != descriptor.negated
-        if keep:
-            return child
-        return child.take_no_charge(np.empty(0, dtype=np.int64))
-    if descriptor.kind == "scalar":
-        value = _scalar_value(inner)
-        if np.isnan(value):
-            return child.take_no_charge(np.empty(0, dtype=np.int64))
-        predicate = _substitute(node.predicate, Const(value))
-        return ops.filter_rel(ctx, child, predicate, env)
-    raise ExecutionError(f"unsupported uncorrelated subquery kind {descriptor.kind}")
+    no_rows = np.empty(0, dtype=np.int64)
+    kinds = [descriptor.kind for descriptor in descriptors]
+    if kinds == ["exists"]:
+        inner = _run(ctx, node.inners[0], env, memo)
+        keep = (inner.num_rows > 0) != descriptors[0].negated
+        return child if keep else child.take_no_charge(no_rows)
+    if set(kinds) != {"scalar"}:
+        raise ExecutionError(
+            f"the flat-plan evaluator cannot apply subquery kinds {kinds} "
+            "in one predicate"
+        )
+    values = {
+        descriptor.index: _scalar_value(_run(ctx, inner, env, memo))
+        for descriptor, inner in zip(descriptors, node.inners)
+    }
+    if any(np.isnan(value) for value in values.values()):
+        if len(values) > 1:
+            raise ExecutionError(
+                "a NULL among several scalar subqueries needs the drive "
+                "program's three-valued predicate"
+            )
+        return child.take_no_charge(no_rows)  # NULL compares never TRUE
+    predicate = _replace_subquery_refs(
+        node.predicate, {index: Const(value) for index, value in values.items()}
+    )
+    return ops.filter_rel(ctx, child, predicate, env)
 
 
 def _run_uncorrelated_subquery_column(
@@ -172,14 +172,12 @@ def _run_uncorrelated_subquery_column(
     Reached when an uncorrelated WHERE/IN/EXISTS subquery's own SELECT
     list holds another uncorrelated scalar subquery.
     """
-    descriptor = node.descriptor
-    if descriptor is None or descriptor.is_correlated:
+    if node.descriptor.is_correlated:
         raise ExecutionError(
             "correlated SELECT-list SUBQ reached the flat-plan evaluator"
         )
-    inner_plan = _planned_inner(ctx, node)
     child = _run(ctx, node.child, env, memo)
-    value = _scalar_value(_run(ctx, inner_plan, env, memo))
+    value = _scalar_value(_run(ctx, node.inner, env, memo))
     data = np.full(child.num_rows, value, dtype=np.float64)
     return child.with_columns(
         {node.output_name: computed_column(node.output_name, data)}
@@ -190,9 +188,3 @@ def _scalar_value(inner: Relation) -> float:
     if inner.num_rows != 1:
         raise ExecutionError(f"scalar subquery returned {inner.num_rows} rows")
     return float(inner.first_column().data[0])
-
-
-def _substitute(expr: PlanExpr, replacement: PlanExpr) -> PlanExpr:
-    from ..plan.unnest import _replace_subquery_ref
-
-    return _replace_subquery_ref(expr, replacement)

@@ -9,7 +9,10 @@ The builder mirrors the paper's engine behaviour:
 * predicates containing a ``SUBQ`` operand are applied *after* the
   join tree as :class:`~repro.plan.nodes.SubqueryFilter` — the paper's
   "first join with the predicates without correlated subqueries, then
-  perform a selection over the result table" optimization;
+  perform a selection over the result table" optimization.  Each SUBQ
+  node is built together with the inner plan of every subquery it
+  evaluates (the tree-of-trees), except a legal EXISTS conjunct
+  outside any SUBQ body, which becomes a semi-join (paper: Q4);
 * correlated predicates inside a subquery block stay as scan filters
   containing :class:`~repro.plan.expressions.ParamRef` — the invariant
   analysis later marks those scans transient.
@@ -45,6 +48,8 @@ from .nodes import (
     SubqueryColumn,
     SubqueryFilter,
 )
+from .optimizer import as_semijoin, prune_scan_columns
+from .selectivity import predicate_selectivity
 
 
 class PlanBuilder:
@@ -62,7 +67,9 @@ class PlanBuilder:
         exact_selectivity: a shared
             :class:`~repro.plan.selectivity.ExactSelectivity` estimator;
             when set, single-table predicates are counted exactly and
-            the heuristics below only back up the unsupported cases.
+            the heuristics of
+            :func:`~repro.plan.selectivity.predicate_selectivity` only
+            back up the unsupported cases.
     """
 
     def __init__(self, catalog: Catalog, unnest: bool = False,
@@ -72,13 +79,15 @@ class PlanBuilder:
         self.magic_sets = magic_sets
         self.exact_selectivity = exact_selectivity
         self._derived_counter = 0
+        self._in_body = False  # planning a SUBQ body (see _plan_body)
 
     # -- public ----------------------------------------------------------
 
     def build(self, block: BoundBlock) -> Plan:
-        """Plan one block (subquery blocks are planned by their users)."""
-        plan = self._build_join_tree(block)
-        plan = self._apply_subquery_filters(plan, block)
+        """Plan one block together with every subquery body in it."""
+        plan, subquery_conjuncts = self._build_join_tree(block)
+        for conjunct in subquery_conjuncts:
+            plan = self._attach_subquery_conjunct(plan, conjunct, block)
         plan = self._apply_aggregation(plan, block)
         plan, select_exprs = self._apply_select_subqueries(plan, block)
         plan = Project(plan, select_exprs, list(block.select_names))
@@ -92,14 +101,23 @@ class PlanBuilder:
             )
         if block.limit is not None:
             plan = Limit(plan, block.limit)
-        from .optimizer import prune_scan_columns
-
         prune_scan_columns(plan, self.catalog)
         return plan
 
+    def _plan_body(self, block: BoundBlock) -> Plan:
+        """Plan a SUBQ body: the EXISTS semi-join never applies in one."""
+        in_body, self._in_body = self._in_body, True
+        try:
+            return self.build(block)
+        finally:
+            self._in_body = in_body
+
     # -- join tree ----------------------------------------------------------
 
-    def _build_join_tree(self, block: BoundBlock) -> Plan:
+    def _build_join_tree(
+        self, block: BoundBlock
+    ) -> tuple[Plan, list[PlanExpr]]:
+        """The join tree of ``block`` and its conjuncts holding a SUBQ."""
         scans: dict[str, Plan] = {}
         estimates: dict[str, float] = {}
         for table in block.tables:
@@ -129,10 +147,13 @@ class PlanBuilder:
                 scan = scans[binding]
                 if isinstance(scan, Scan):
                     scan.filters.append(conjunct)
-                    estimates[binding] *= self._selectivity(conjunct, scan.table)
+                    table_name = scan.table
                 else:
                     scans[binding] = Filter(scan, conjunct)
-                    estimates[binding] *= self._selectivity(conjunct, None)
+                    table_name = None
+                estimates[binding] *= predicate_selectivity(
+                    self.catalog, conjunct, table_name, self.exact_selectivity
+                )
                 continue
             edge = _as_join_edge(conjunct)
             if edge is not None and not referenced_params(conjunct):
@@ -144,8 +165,6 @@ class PlanBuilder:
                 post_filters.append(conjunct)
                 continue
             post_filters.append(conjunct)
-
-        block._subquery_conjuncts = subquery_conjuncts  # consumed below
 
         # predicates that cannot be join keys (theta comparisons,
         # both-sides-correlated subqueries) still *connect* bindings:
@@ -172,27 +191,22 @@ class PlanBuilder:
             raise PlanError("query block has no FROM tables")
         tree = scans[order[0]]
         joined = {order[0]}
-        tree_rows = estimates[order[0]]
         remaining_edges = list(join_edges)
         for binding in order[1:]:
             keys = _edges_between(remaining_edges, joined, binding)
+            joined.add(binding)
             if not keys:
                 # only reachable through a weak edge: Cartesian product
                 tree = CrossJoin(tree, scans[binding])
-                joined.add(binding)
-                tree_rows = tree_rows * max(1.0, estimates[binding])
                 continue
             (tree_key, scan_key), extra = keys[0], keys[1:]
             tree = Join(tree, scans[binding], tree_key, scan_key)
-            joined.add(binding)
-            tree_rows = max(tree_rows, estimates[binding])
-            tree.estimated_rows = tree_rows
             for tree_key2, scan_key2 in extra:
                 tree = Filter(tree, Compare("=", tree_key2, scan_key2))
 
         for predicate in post_filters:
             tree = Filter(tree, predicate)
-        return tree
+        return tree, subquery_conjuncts
 
     def _join_order(
         self,
@@ -240,16 +254,6 @@ class PlanBuilder:
             joined.add(best)
         return order
 
-    # -- subquery filters -------------------------------------------------
-
-    def _apply_subquery_filters(self, plan: Plan, block: BoundBlock) -> Plan:
-        conjuncts = getattr(block, "_subquery_conjuncts", [])
-        for conjunct in conjuncts:
-            if not subquery_refs(conjunct):
-                raise PlanError("subquery conjunct lost its SUBQ operand")
-            plan = self._attach_subquery_conjunct(plan, conjunct, block)
-        return plan
-
     def next_derived_binding(self) -> str:
         self._derived_counter += 1
         return f"__dt{self._derived_counter}"
@@ -290,7 +294,8 @@ class PlanBuilder:
                 )
             else:
                 plan = SubqueryColumn(
-                    plan, output_name, ref.index, descriptor=descriptor
+                    plan, output_name, descriptor,
+                    self._plan_body(descriptor.block),
                 )
             mapping[ref.index] = AggRef(output_name)
         from .unnest import _replace_subquery_refs
@@ -341,58 +346,19 @@ class PlanBuilder:
             return rewrite_subquery_conjunct(
                 self, plan, conjunct, block.subqueries[refs[0].index]
             )
-        indexes: list[int] = []
-        for ref in refs:
-            if ref.index not in indexes:
-                indexes.append(ref.index)
-        descriptors = tuple(block.subqueries[i] for i in indexes)
+        descriptors = tuple(
+            block.subqueries[i] for i in dict.fromkeys(r.index for r in refs)
+        )
+        if not self._in_body:
+            semijoin = as_semijoin(plan, conjunct, descriptors)
+            if semijoin is not None:
+                return semijoin
         return SubqueryFilter(
-            plan, conjunct, indexes[0],
-            descriptor=descriptors[0], descriptors=descriptors,
+            plan, conjunct, descriptors,
+            tuple(self._plan_body(d.block) for d in descriptors),
         )
 
     # -- estimation ----------------------------------------------------------
-
-    def _distinct_count(self, table_name: str, column: str) -> int:
-        return self.catalog.table(table_name).distinct_count(column)
-
-    def _selectivity(self, predicate: PlanExpr, table_name: str | None) -> float:
-        """A selectivity estimate for join ordering and costing.
-
-        With an :class:`~repro.plan.selectivity.ExactSelectivity`
-        estimator attached, supported predicates (single-table,
-        parameter-free) are counted exactly — including compound
-        predicates, whose conjunct correlation the heuristic product
-        below cannot see.  Everything else keeps the coarse guesses.
-        """
-        from .expressions import BoolOp, InCodes, NotOp
-
-        if self.exact_selectivity is not None:
-            exact = self.exact_selectivity.lookup(predicate, table_name)
-            if exact is not None:
-                return exact
-        if isinstance(predicate, BoolOp):
-            left = self._selectivity(predicate.left, table_name)
-            right = self._selectivity(predicate.right, table_name)
-            return left * right if predicate.op == "and" else min(1.0, left + right)
-        if isinstance(predicate, NotOp):
-            return 1.0 - self._selectivity(predicate.operand, table_name)
-        if isinstance(predicate, InCodes):
-            base = 0.2
-            operand = predicate.operand
-            if isinstance(operand, ColRef) and table_name is not None:
-                base = len(predicate.codes) / self._distinct_count(table_name, operand.column)
-            return 1.0 - base if predicate.negated else base
-        if isinstance(predicate, Compare):
-            if predicate.op == "=":
-                operand = predicate.left if isinstance(predicate.left, ColRef) else predicate.right
-                if isinstance(operand, ColRef) and table_name is not None:
-                    return 1.0 / self._distinct_count(table_name, operand.column)
-                return 0.05
-            if predicate.op == "!=":
-                return 0.9
-            return 0.35
-        return 0.5
 
     def _estimate_block_output(self, block: BoundBlock) -> float:
         total = 1.0
@@ -405,7 +371,9 @@ class PlanBuilder:
             if isinstance(key, ColRef):
                 for table in block.tables:
                     if isinstance(table, BoundTable) and table.binding == key.binding:
-                        return float(self._distinct_count(table.table, key.column))
+                        return float(
+                            self.catalog.table(table.table).distinct_count(key.column)
+                        )
             return total * 0.1
         if block.aggs:
             return 1.0

@@ -1,10 +1,13 @@
 """Logical plan nodes.
 
 A bound query block is planned into a tree of these nodes.  A query
-with correlated subqueries becomes the paper's *tree-of-trees*: the
-outer plan contains :class:`SubqueryFilter` nodes whose predicates hold
-``SUBQ`` leaves, and each subquery's own plan hangs off the block's
-descriptor list.
+with subqueries becomes the paper's *tree-of-trees*: the outer plan
+contains :class:`SubqueryFilter` nodes whose predicates hold ``SUBQ``
+leaves (and :class:`SubqueryColumn` nodes for SELECT-list subqueries),
+and each such node owns the inner plan of every subquery it evaluates,
+built with it by the plan builder.  :meth:`Plan.walk` and
+:meth:`Plan.children` stay within one tree: they never enter an inner
+plan.
 """
 
 from __future__ import annotations
@@ -135,13 +138,13 @@ class SubqueryFilter(Plan):
 
     child: Plan
     predicate: PlanExpr  # contains >= 1 SubqueryRef
-    subquery_index: int  # primary index (kept for display)
-    descriptor: object = None  # primary SubqueryDescriptor
-    descriptors: tuple = ()  # all descriptors, in SubqueryRef-index order
+    descriptors: tuple  # SubqueryDescriptors, in first-appearance order
+    inners: tuple[Plan, ...]  # one inner plan per descriptor
 
-    def __post_init__(self):
-        if not self.descriptors and self.descriptor is not None:
-            self.descriptors = (self.descriptor,)
+    @property
+    def descriptor(self):
+        """The primary (first) descriptor."""
+        return self.descriptors[0]
 
     def children(self) -> tuple[Plan, ...]:
         return (self.child,)
@@ -164,14 +167,14 @@ class SubqueryColumn(Plan):
 
     child: Plan
     output_name: str
-    subquery_index: int
-    descriptor: object = None  # SubqueryDescriptor
+    descriptor: object  # SubqueryDescriptor
+    inner: Plan
 
     def children(self) -> tuple[Plan, ...]:
         return (self.child,)
 
     def __str__(self) -> str:
-        return f"SUBQCOLUMN {self.output_name} = SUBQ({self.subquery_index})"
+        return f"SUBQCOLUMN {self.output_name} = SUBQ({self.descriptor.index})"
 
 
 @dataclass

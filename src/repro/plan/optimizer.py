@@ -8,8 +8,16 @@ gives the MonetDB-like engine its edge on Q2/Q17 is part of unnesting:
 
 from __future__ import annotations
 
-from .binder import BoundBlock, SubqueryDescriptor
-from .expressions import ColRef, Compare, ParamRef, referenced_params
+from .binder import BoundBlock
+from .expressions import (
+    ColRef,
+    Compare,
+    NotOp,
+    ParamRef,
+    PlanExpr,
+    SubqueryRef,
+    referenced_params,
+)
 from .nodes import Plan, Scan, SemiJoin, SubqueryColumn, SubqueryFilter
 
 
@@ -24,7 +32,8 @@ def prune_scan_columns(plan: Plan, catalog) -> None:
     The required set also includes the free quals of every subquery —
     the outer columns the drive program iterates over — taken from the
     descriptors the builder attached to each
-    :class:`~repro.plan.nodes.SubqueryFilter`.
+    :class:`~repro.plan.nodes.SubqueryFilter`.  Inner plans are not
+    entered: the builder prunes each body when it plans it.
     """
     required: set[str] = set()
 
@@ -42,7 +51,7 @@ def prune_scan_columns(plan: Plan, catalog) -> None:
                     for ref in descriptor.in_operand.walk():
                         if isinstance(ref, ColRef):
                             required.add(ref.qual)
-        if isinstance(node, SubqueryColumn) and node.descriptor is not None:
+        if isinstance(node, SubqueryColumn):
             required.update(node.descriptor.free_quals)
         for child in node.children():
             collect(child)
@@ -64,39 +73,24 @@ def prune_scan_columns(plan: Plan, catalog) -> None:
 # ---------------------------------------------------------------------------
 
 
-def try_exists_semijoin(
-    plan: Plan, block: BoundBlock
-) -> Plan:
-    """Rewrite EXISTS SubqueryFilters into GPU semi-joins when legal.
-
-    Legal when the subquery's only correlation is a single equality
-    between an inner column and one outer column, and the inner block
-    is a plain filter block (no aggregation).  The rewrite keeps the
-    inner block's non-correlated filters and semi-joins on the
-    correlation keys, which is how NestGPU beats every unnested system
-    on Q4.
-    """
-
-    def rewrite(node: Plan) -> Plan:
-        if isinstance(node, SubqueryFilter):
-            child = rewrite(node.child)
-            node.child = child
-            descriptor = block.subqueries[node.subquery_index]
-            semi = _as_semijoin(node, descriptor, child)
-            return semi if semi is not None else node
-        for name in ("child", "left", "right", "plan", "inner"):
-            if hasattr(node, name):
-                setattr(node, name, rewrite(getattr(node, name)))
-        return node
-
-    return rewrite(plan)
-
-
-def _as_semijoin(
-    node: SubqueryFilter, descriptor: SubqueryDescriptor, child: Plan
+def as_semijoin(
+    child: Plan, predicate: PlanExpr, descriptors: tuple
 ) -> SemiJoin | None:
-    if len(node.descriptors) != 1:
+    """The GPU semi-join that replaces an EXISTS conjunct, when legal.
+
+    Legal when the conjunct is a bare ``[NOT] EXISTS`` over one
+    subquery whose only correlation is a single equality between an
+    inner column and one outer column, and whose block is a plain
+    one-table filter block (no aggregation, no nested subquery).  The
+    semi-join keeps the inner block's non-correlated filters and joins
+    on the correlation keys, which is how NestGPU beats every unnested
+    system on Q4.  The plan builder applies this rule as it attaches a
+    subquery conjunct, outside SUBQ bodies only, so a legal conjunct's
+    body is never planned.
+    """
+    if len(descriptors) != 1:
         return None
+    (descriptor,) = descriptors
     if descriptor.kind != "exists":
         return None
     inner_block = descriptor.block
@@ -108,21 +102,43 @@ def _as_semijoin(
     if correlation is None:
         return None
     inner_col, outer_qual = correlation
-    # the predicate must be the bare [NOT] EXISTS conjunct
-    from .expressions import NotOp, SubqueryRef
-
-    predicate = node.predicate
     negated = descriptor.negated
     while isinstance(predicate, NotOp):
         negated = not negated
         predicate = predicate.operand
     if not isinstance(predicate, SubqueryRef):
         return None
-
-    inner_plan = _bare_inner_plan(inner_block, inner_col)
+    table = inner_block.tables[0]
+    filters = [c for c in inner_block.conjuncts if not referenced_params(c)]
     outer_binding, outer_column = outer_qual.rsplit(".", 1)
     outer_key = ColRef(outer_binding, outer_column, "int")
-    return SemiJoin(child, inner_plan, outer_key, inner_col, negated)
+    return SemiJoin(
+        child, Scan(table.table, table.binding, filters), outer_key,
+        inner_col, negated,
+    )
+
+
+def try_exists_semijoin(plan: Plan, block: BoundBlock) -> Plan:
+    """Apply :func:`as_semijoin` to every SubqueryFilter of ``plan``.
+
+    The walk stays outside SUBQ bodies.  A plan the builder made has
+    nothing left to rewrite (the builder applies the same rule when it
+    attaches each conjunct); each node reads its own descriptors, so
+    ``block`` is unused.
+    """
+
+    def rewrite(node: Plan) -> Plan:
+        if isinstance(node, SubqueryFilter):
+            return as_semijoin(node.child, node.predicate, node.descriptors) or node
+        return node
+
+    root = rewrite(plan)
+    for node in root.walk():
+        for name in ("child", "left", "right", "plan", "inner"):
+            child = getattr(node, name, None)
+            if any(child is c for c in node.children()):
+                setattr(node, name, rewrite(child))
+    return root
 
 
 def _single_equality_correlation(block: BoundBlock):
@@ -144,16 +160,3 @@ def _single_equality_correlation(block: BoundBlock):
         else:
             return None
     return correlation
-
-
-def _bare_inner_plan(block: BoundBlock, key: ColRef) -> Plan:
-    """The inner block as a scan of its table with non-correlated filters."""
-    table = block.tables[0]
-    filters = [
-        conjunct
-        for conjunct in block.conjuncts
-        if not referenced_params(conjunct)
-    ]
-    scan = Scan(table.table, table.binding, list(filters))
-    scan.columns = None
-    return scan

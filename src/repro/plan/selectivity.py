@@ -1,8 +1,10 @@
-"""Exact single-table selectivities for the optimizer.
+"""Selectivity estimates for the optimizer, exact where it is cheap.
 
-``PlanBuilder._selectivity`` guesses: ``=`` is one over the distinct
-count, ranges are 0.35, everything else 0.5.  Those guesses feed join
-ordering and — through ``estimate_flat_plan_ns`` — the auto-mode
+:func:`predicate_selectivity` is the one estimator: the plan builder's
+join ordering, the flat-plan cost estimate and Figure 15's operator
+check all call it.  Without an exact counter it guesses: ``=`` is one
+over the distinct count, ranges are 0.35, everything else 0.5.  Those
+guesses feed join ordering and — through ``estimate_flat_plan_ns`` — the auto-mode
 nested-vs-unnested decision, so a wrong guess can stand behind the
 slower path for a whole workload.
 
@@ -34,6 +36,11 @@ import numpy as np
 from ..errors import CatalogError
 from ..storage import Table
 from .expressions import (
+    BoolOp,
+    ColRef,
+    Compare,
+    InCodes,
+    NotOp,
     PlanExpr,
     contains_subquery,
     referenced_bindings,
@@ -146,3 +153,45 @@ class ExactSelectivity:
         else:
             count = table.num_rows if mask else 0
         return count / table.num_rows
+
+
+def predicate_selectivity(
+    catalog, predicate: PlanExpr, table_name: str | None, exact=None,
+) -> float:
+    """A selectivity estimate for join ordering and costing.
+
+    With an :class:`ExactSelectivity` estimator as ``exact``, supported
+    predicates (single-table, parameter-free) are counted exactly —
+    including compound predicates, whose conjunct correlation the
+    heuristic product below cannot see.  Everything else keeps the
+    coarse guesses.
+    """
+    if exact is not None:
+        counted = exact.lookup(predicate, table_name)
+        if counted is not None:
+            return counted
+    if isinstance(predicate, BoolOp):
+        left = predicate_selectivity(catalog, predicate.left, table_name, exact)
+        right = predicate_selectivity(catalog, predicate.right, table_name, exact)
+        return left * right if predicate.op == "and" else min(1.0, left + right)
+    if isinstance(predicate, NotOp):
+        return 1.0 - predicate_selectivity(
+            catalog, predicate.operand, table_name, exact
+        )
+    if isinstance(predicate, InCodes):
+        base = 0.2
+        operand = predicate.operand
+        if isinstance(operand, ColRef) and table_name is not None:
+            distinct = catalog.table(table_name).distinct_count(operand.column)
+            base = len(predicate.codes) / distinct
+        return 1.0 - base if predicate.negated else base
+    if isinstance(predicate, Compare):
+        if predicate.op == "=":
+            operand = predicate.left if isinstance(predicate.left, ColRef) else predicate.right
+            if isinstance(operand, ColRef) and table_name is not None:
+                return 1.0 / catalog.table(table_name).distinct_count(operand.column)
+            return 0.05
+        if predicate.op == "!=":
+            return 0.9
+        return 0.35
+    return 0.5

@@ -71,9 +71,9 @@ def rewrite_subquery_conjunct(
 
 
 def _keep_uncorrelated(builder, plan, conjunct, descriptor) -> Plan:
-    node = SubqueryFilter(plan, conjunct, descriptor.index, descriptor=descriptor)
-    node.inner_plan = builder.build(descriptor.block)
-    return node
+    return SubqueryFilter(
+        plan, conjunct, (descriptor,), (builder.build(descriptor.block),)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +159,8 @@ def _unnest_scalar(builder, plan, conjunct, descriptor) -> Plan:
                 ColRef(binding, f"k{i}", inner_col.dtype_name),
             ),
         )
-    predicate = _replace_subquery_ref(
-        conjunct, ColRef(binding, "val", "decimal")
+    predicate = _replace_subquery_refs(
+        conjunct, {descriptor.index: ColRef(binding, "val", "decimal")}
     )
     return Filter(tree, predicate)
 
@@ -206,10 +206,7 @@ def rewrite_select_subquery(
     if not descriptor.is_correlated:
         from .nodes import SubqueryColumn
 
-        node = SubqueryColumn(plan, output_name, descriptor.index,
-                              descriptor=descriptor)
-        node.inner_plan = builder.build(inner)
-        return node
+        return SubqueryColumn(plan, output_name, descriptor, builder.build(inner))
     _check_rewritable(inner)
     pairs = _equality_correlations(inner)
     if len(pairs) != 1:
@@ -286,7 +283,9 @@ def _unnest_count_dayal(
         output_name=output_name,
         default=0.0,
     )
-    predicate = _replace_subquery_ref(conjunct, AggRef(output_name))
+    predicate = _replace_subquery_refs(
+        conjunct, {descriptor.index: AggRef(output_name)}
+    )
     return Filter(lookup, predicate)
 
 
@@ -443,37 +442,5 @@ def _replace_subquery_refs(
             expr.op,
             _replace_subquery_refs(expr.left, mapping),
             _replace_subquery_refs(expr.right, mapping),
-        )
-    return expr
-
-
-def _replace_subquery_ref(expr: PlanExpr, replacement: PlanExpr) -> PlanExpr:
-    """Substitute every ``SUBQ`` leaf with one replacement (single-
-    subquery predicates)."""
-    return _replace_subquery_refs_any(expr, replacement)
-
-
-def _replace_subquery_refs_any(expr: PlanExpr, replacement: PlanExpr) -> PlanExpr:
-    if isinstance(expr, SubqueryRef):
-        return replacement
-    if isinstance(expr, Compare):
-        return Compare(
-            expr.op,
-            _replace_subquery_refs_any(expr.left, replacement),
-            _replace_subquery_refs_any(expr.right, replacement),
-        )
-    if isinstance(expr, BoolOp):
-        return BoolOp(
-            expr.op,
-            _replace_subquery_refs_any(expr.left, replacement),
-            _replace_subquery_refs_any(expr.right, replacement),
-        )
-    if isinstance(expr, NotOp):
-        return NotOp(_replace_subquery_refs_any(expr.operand, replacement))
-    if isinstance(expr, Arith):
-        return Arith(
-            expr.op,
-            _replace_subquery_refs_any(expr.left, replacement),
-            _replace_subquery_refs_any(expr.right, replacement),
         )
     return expr

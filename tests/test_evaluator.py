@@ -119,3 +119,37 @@ class TestSubqueryHandling:
         plan = build(tpch_small, queries.TPCH_Q2, unnest=True)
         rel = run_plan(ctx, plan)
         assert rel.num_rows > 0
+
+
+def test_each_scalar_leaf_takes_its_own_subquery_value():
+    """Two uncorrelated scalar subqueries under one OR: each SUBQ leaf
+    is replaced by the value of its own inner plan."""
+    from repro.baselines.rowstore import RowstoreEngine
+    from repro.plan.nodes import SubqueryFilter
+    from repro.tpch import generate_tpch
+
+    catalog = generate_tpch(0.05)
+    sql = (
+        "SELECT count(*) AS c FROM part WHERE (p_size > (SELECT avg(p_size) "
+        "FROM part) OR p_retailprice < (SELECT avg(p_retailprice) FROM part))"
+    )
+    node = next(
+        n for n in build(catalog, sql).walk() if isinstance(n, SubqueryFilter)
+    )
+    assert len(node.inners) == 2
+    ctx = ExecutionContext(catalog, Device(DeviceSpec.v100()))
+    ((oracle,),) = RowstoreEngine(catalog).execute(sql).rows
+    assert run_plan(ctx, node).num_rows == oracle == 80
+
+
+def test_an_in_subquery_leaf_raises_instead_of_returning_rows(ctx, rst_catalog):
+    from repro.plan.nodes import SubqueryFilter
+
+    plan = build(
+        rst_catalog,
+        "SELECT r_col1 FROM r WHERE r_col2 > (SELECT min(s_col2) FROM s) "
+        "OR r_col1 IN (SELECT t_col1 FROM t)",
+    )
+    node = next(n for n in plan.walk() if isinstance(n, SubqueryFilter))
+    with pytest.raises(ExecutionError, match="cannot apply subquery kinds"):
+        run_plan(ctx, node)

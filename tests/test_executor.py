@@ -288,3 +288,34 @@ class TestCorrelatedIn:
         n_in = db.execute(sql_in, mode="nested").num_rows
         n_not = db.execute(sql_not_in, mode="nested").num_rows
         assert n_in + n_not == rst_catalog.table("r").num_rows
+
+
+def test_preload_order_does_not_depend_on_the_hash_seed():
+    """Same-size columns preload in (table, column) order, so the list
+    is the same under any PYTHONHASHSEED."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    script = (
+        "from repro.core import NestGPU\n"
+        "from repro.core.executor import preload_columns\n"
+        "from repro.tpch import TPCH_Q2, generate_tpch\n"
+        "catalog = generate_tpch(0.01)\n"
+        "prepared = NestGPU(catalog, mode='nested').prepare(TPCH_Q2)\n"
+        "print(preload_columns(catalog, prepared.program))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed}
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        )
+        outputs.append(subprocess.run(
+            [sys.executable, "-c", script], env=env, check=True,
+            capture_output=True, text=True,
+        ).stdout)
+    assert outputs[0] == outputs[1]
+    assert "('nation', 'n_nationkey'), ('nation', 'n_regionkey')" in outputs[0]

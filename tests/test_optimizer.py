@@ -115,3 +115,75 @@ class TestMagicSets:
 
         assert rows_set(a) == rows_set(b)  # float-sum order may differ
         assert b.total_ms < a.total_ms
+
+
+DERIVED_EXISTS = """
+    SELECT count(*) AS c FROM (
+      SELECT o_orderkey FROM orders WHERE EXISTS (
+        SELECT l_orderkey FROM lineitem
+        WHERE l_orderkey = o_orderkey AND l_commitdate < l_receiptdate)) AS d
+"""
+DERIVED_EXISTS_AND_OUTER_EXISTS = """
+    SELECT count(*) AS c FROM (
+      SELECT o_orderkey, o_custkey FROM orders WHERE EXISTS (
+        SELECT l_orderkey FROM lineitem
+        WHERE l_orderkey = o_orderkey AND l_commitdate < l_receiptdate)) AS d,
+      customer
+    WHERE c_custkey = d.o_custkey AND EXISTS (
+      SELECT n_nationkey FROM nation
+      WHERE n_nationkey = c_nationkey AND n_regionkey = 1)
+"""
+# the same counts without the derived table, for the rowstore oracle
+FLAT_EXISTS = """
+    SELECT count(*) AS c FROM orders WHERE EXISTS (
+      SELECT l_orderkey FROM lineitem
+      WHERE l_orderkey = o_orderkey AND l_commitdate < l_receiptdate)
+"""
+FLAT_EXISTS_AND_OUTER_EXISTS = """
+    SELECT count(*) AS c FROM orders, customer
+    WHERE c_custkey = o_custkey AND EXISTS (
+      SELECT l_orderkey FROM lineitem
+      WHERE l_orderkey = o_orderkey AND l_commitdate < l_receiptdate)
+    AND EXISTS (
+      SELECT n_nationkey FROM nation
+      WHERE n_nationkey = c_nationkey AND n_regionkey = 1)
+"""
+
+
+class TestDerivedTableExists:
+    """An EXISTS inside a FROM-derived table is rewritten with its own
+    block's descriptor, never the outer block's."""
+
+    @pytest.fixture(scope="class")
+    def tpch_tiny(self):
+        from repro.tpch import generate_tpch
+
+        return generate_tpch(0.01)
+
+    @pytest.mark.parametrize(
+        "sql, flat, count",
+        [
+            (DERIVED_EXISTS, FLAT_EXISTS, 28),
+            (DERIVED_EXISTS_AND_OUTER_EXISTS, FLAT_EXISTS_AND_OUTER_EXISTS, 14),
+        ],
+        ids=["derived", "derived-and-outer"],
+    )
+    def test_every_mode_matches_the_oracle(self, tpch_tiny, sql, flat, count):
+        from repro.baselines.rowstore import RowstoreEngine
+        from repro.core import NestGPU
+
+        oracle = RowstoreEngine(tpch_tiny).execute(flat).rows
+        assert oracle == [(float(count),)]
+        for mode in ("nested", "unnested", "auto"):
+            rows = NestGPU(tpch_tiny, mode=mode).execute(sql).rows
+            assert rows == oracle, mode
+
+    def test_derived_exists_becomes_a_semijoin(self, tpch_tiny):
+        from repro.plan.nodes import DerivedScan
+
+        plan, _ = plan_and_block(tpch_tiny, DERIVED_EXISTS_AND_OUTER_EXISTS)
+        (derived,) = [n for n in plan.walk() if isinstance(n, DerivedScan)]
+        semis = [n for n in plan.walk() if isinstance(n, SemiJoin)]
+        assert len(semis) == 2
+        assert [n for n in derived.plan.walk() if isinstance(n, SemiJoin)]
+        assert not [n for n in plan.walk() if isinstance(n, SubqueryFilter)]

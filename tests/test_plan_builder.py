@@ -14,6 +14,7 @@ from repro.plan.nodes import (
     Sort,
     SubqueryFilter,
 )
+from repro.plan.selectivity import predicate_selectivity
 from repro.sql import parse
 from repro.tpch import queries
 
@@ -121,7 +122,7 @@ class TestJoinOrder:
         ))
         plan = builder.build(block)
         scan = next(n for n in plan.walk() if isinstance(n, Scan))
-        sel = builder._selectivity(scan.filters[0], "part")
+        sel = predicate_selectivity(tpch_small, scan.filters[0], "part")
         assert 0.005 < sel < 0.1  # ~1/50
 
 
@@ -151,3 +152,90 @@ class TestUnnestedBuild:
             tpch_small, queries.TPCH_Q2, unnest=True, magic_sets=True
         )
         assert [n for n in plan.walk() if isinstance(n, SemiJoin)]
+
+
+def _all_plan_nodes(plan):
+    """Every node of a tree-of-trees, inner plans included."""
+    from repro.plan.nodes import SubqueryColumn
+
+    for node in plan.walk():
+        yield node
+        if isinstance(node, SubqueryFilter):
+            for inner in node.inners:
+                yield from _all_plan_nodes(inner)
+        elif isinstance(node, SubqueryColumn):
+            yield from _all_plan_nodes(node.inner)
+
+
+class TestTreeOfTrees:
+    """Every SUBQ node owns the inner plan of each subquery it evaluates."""
+
+    BODY_WITH_EXISTS = (
+        "SELECT r_col1 FROM r WHERE r_col2 >= (SELECT min(s_col2) FROM s "
+        "WHERE s_col1 = r_col1 AND EXISTS "
+        "(SELECT t_col1 FROM t WHERE t_col1 = s_col3))"
+    )
+
+    def test_one_inner_plan_per_descriptor(self, rst_catalog):
+        plan, _ = plan_for(
+            rst_catalog,
+            "SELECT r_col1 FROM r WHERE r_col2 > ALL (SELECT s_col2 FROM s "
+            "WHERE s_col1 = r_col1) OR r_col2 = (SELECT min(s_col2) FROM s)",
+        )
+        (node,) = [n for n in plan.walk() if isinstance(n, SubqueryFilter)]
+        assert len(node.descriptors) >= 2
+        assert len(node.inners) == len(node.descriptors)
+        for descriptor, inner in zip(node.descriptors, node.inners):
+            assert isinstance(inner, Project)
+            assert inner.names == list(descriptor.block.select_names)
+
+    def test_walk_does_not_enter_inner_plans(self, tpch_small):
+        plan, _ = plan_for(tpch_small, queries.TPCH_Q2)
+        outer = {id(n) for n in plan.walk()}
+        (node,) = [n for n in plan.walk() if isinstance(n, SubqueryFilter)]
+        assert not outer & {id(n) for n in node.inners[0].walk()}
+
+    def test_a_subq_body_never_takes_the_semijoin_rewrite(self, rst_catalog):
+        from repro.plan.nodes import SemiJoin
+
+        plan, _ = plan_for(rst_catalog, self.BODY_WITH_EXISTS)
+        (node,) = [n for n in plan.walk() if isinstance(n, SubqueryFilter)]
+        body = list(_all_plan_nodes(node.inners[0]))
+        assert [n for n in body if isinstance(n, SubqueryFilter)]
+        assert not [n for n in body if isinstance(n, SemiJoin)]
+
+    def test_a_semijoin_exists_body_is_never_planned(self, tpch_small, monkeypatch):
+        calls = []
+        build = PlanBuilder.build
+
+        def counting(self, block):
+            calls.append(block)
+            return build(self, block)
+
+        monkeypatch.setattr(PlanBuilder, "build", counting)
+        plan, block = plan_for(tpch_small, queries.TPCH_Q4)
+        assert calls == [block]
+        assert not [n for n in plan.walk() if isinstance(n, SubqueryFilter)]
+
+
+def test_planning_and_execution_write_no_plan_node_or_block():
+    """A prepared auto-mode query run twice: every plan node, inner
+    plans included, and every bound block hold exactly their fields."""
+    from dataclasses import fields
+
+    from repro.core import NestGPU
+    from repro.tpch import generate_tpch
+
+    sql = (
+        "SELECT count(*) AS c FROM part WHERE p_size > (SELECT avg(p_size) "
+        "FROM part) AND p_retailprice > (SELECT avg(ps_supplycost) FROM "
+        "partsupp WHERE ps_partkey = p_partkey)"
+    )
+    db = NestGPU(generate_tpch(0.05), mode="auto")
+    prepared = db.prepare(sql)
+    for _ in range(2):
+        db.run_prepared(prepared)
+    nodes = list(_all_plan_nodes(prepared.plan))
+    assert any(isinstance(n, SubqueryFilter) for n in nodes)
+    for obj in nodes + list(prepared.block.all_blocks()):
+        assert set(vars(obj)) == {f.name for f in fields(obj)}, type(obj)

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from conftest import make_rst_catalog
-from repro.plan.builder import PlanBuilder
 from repro.plan.expressions import (
     BoolOp,
     ColRef,
@@ -17,7 +16,7 @@ from repro.plan.expressions import (
     ParamRef,
     SubqueryRef,
 )
-from repro.plan.selectivity import ExactSelectivity
+from repro.plan.selectivity import ExactSelectivity, predicate_selectivity
 
 R_COL1 = ColRef("r", "r_col1", "int")
 R_COL2 = ColRef("r", "r_col2", "int")
@@ -108,20 +107,20 @@ class TestPlanBuilderIntegration:
     def test_exact_overrides_heuristic(self, rst_catalog):
         col = r_column(rst_catalog, "r_col2")
         predicate = Compare("<", R_COL2, Const(25))
-        heuristic = PlanBuilder(rst_catalog)._selectivity(predicate, "r")
-        exact = PlanBuilder(
-            rst_catalog, exact_selectivity=ExactSelectivity(rst_catalog)
-        )._selectivity(predicate, "r")
+        heuristic = predicate_selectivity(rst_catalog, predicate, "r")
+        exact = predicate_selectivity(
+            rst_catalog, predicate, "r", ExactSelectivity(rst_catalog)
+        )
         assert heuristic == 0.35  # the range guess
         assert exact == np.count_nonzero(col < 25) / len(col)
         assert exact != heuristic
 
     def test_builder_falls_back_when_unsupported(self, rst_catalog):
         predicate = Compare("=", R_COL1, ParamRef("outer.key", "int"))
-        with_exact = PlanBuilder(
-            rst_catalog, exact_selectivity=ExactSelectivity(rst_catalog)
-        )._selectivity(predicate, "r")
-        without = PlanBuilder(rst_catalog)._selectivity(predicate, "r")
+        with_exact = predicate_selectivity(
+            rst_catalog, predicate, "r", ExactSelectivity(rst_catalog)
+        )
+        without = predicate_selectivity(rst_catalog, predicate, "r")
         assert with_exact == without
 
 

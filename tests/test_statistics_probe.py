@@ -14,6 +14,8 @@ import pytest
 from repro.core import CorrelatedIndex, NestGPU
 from repro.errors import UnnestingError
 from repro.plan import Binder, PlanBuilder
+from repro.plan.expressions import ColRef, Compare, Const
+from repro.plan.selectivity import predicate_selectivity
 from repro.serve import EngineSession
 from repro.sql import parse
 from repro.storage import Catalog, Table, int_type
@@ -126,11 +128,10 @@ def test_each_column_is_counted_once_per_catalog_not_once_per_builder():
 def test_catalog_replace_brings_the_new_tables_value():
     spec = [("k", int_type(4))]
     catalog = Catalog([Table.from_pydict("t", spec, {"k": [1, 2, 2, 3]})])
-    builder = PlanBuilder(catalog)
-    assert builder._distinct_count("t", "k") == 3
+    equality = Compare("=", ColRef("t", "k", "int"), Const(5))
+    assert predicate_selectivity(catalog, equality, "t") == 1 / 3
     catalog.replace(Table.from_pydict("t", spec, {"k": [5, 5, 5, 5, 5]}))
-    assert builder._distinct_count("t", "k") == 1
-    assert PlanBuilder(catalog)._distinct_count("t", "k") == 1
+    assert predicate_selectivity(catalog, equality, "t") == 1.0
 
 
 # -- the probe --------------------------------------------------------------

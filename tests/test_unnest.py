@@ -32,7 +32,7 @@ class TestUnnestable:
 
         nodes = [n for n in plan.walk() if isinstance(n, SubqueryFilter)]
         assert len(nodes) == 1
-        assert hasattr(nodes[0], "inner_plan")
+        assert len(nodes[0].inners) == 1
 
     def test_multi_column_correlation(self, rst_catalog):
         plan = build_unnested(
