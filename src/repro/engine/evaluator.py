@@ -11,7 +11,7 @@ engines.
 
 ``SubqueryFilter`` and ``SubqueryColumn`` nodes are only accepted when
 uncorrelated (type-A/N: run the inner plans the node carries once,
-substitute the scalars).  Correlated subqueries never reach this
+substitute each leaf's value).  Correlated subqueries never reach this
 evaluator — they are either unnested away or executed by the NestGPU
 drive program (:mod:`repro.core`).
 """
@@ -21,7 +21,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ExecutionError
-from ..plan.expressions import Const
+from ..gpu import kernels
+from ..plan.expressions import Const, _replace_subquery_refs
 from ..plan.nodes import (
     Aggregate,
     CrossJoin,
@@ -39,8 +40,8 @@ from ..plan.nodes import (
     SubqueryColumn,
     SubqueryFilter,
 )
-from ..plan.unnest import _replace_subquery_refs
 from . import operators as ops
+from .exprs import _eval_three_valued
 from .relation import Relation, computed_column
 
 
@@ -125,43 +126,39 @@ def _dispatch(ctx, node: Plan, env, memo) -> Relation:
 def _run_uncorrelated_subquery(ctx, node: SubqueryFilter, env, memo) -> Relation:
     """Run each inner plan once, then select from the child.
 
-    A bare ``[NOT] EXISTS`` keeps every child row or none.  Scalar
-    subqueries are substituted as constants, each ``SUBQ`` leaf by the
-    value of its own inner plan.  Any other mix raises.
+    Each ``SUBQ`` leaf becomes a constant: an EXISTS leaf its truth
+    value, a scalar leaf the value of its own inner plan (NaN for
+    NULL).  Without a NULL the predicate is an ordinary filter; with
+    one it is evaluated in three-valued logic, so ``x > NULL OR y < 5``
+    keeps the rows where ``y < 5`` and ``NOT (x > NULL)`` keeps none.
     """
-    descriptors = node.descriptors
-    if any(descriptor.is_correlated for descriptor in descriptors):
+    if any(descriptor.is_correlated for descriptor in node.descriptors):
         raise ExecutionError(
             "correlated SUBQ reached the flat-plan evaluator; this engine "
             "requires unnesting (or use NestGPU's nested method)"
         )
     child = _run(ctx, node.child, env, memo)
-    no_rows = np.empty(0, dtype=np.int64)
-    kinds = [descriptor.kind for descriptor in descriptors]
-    if kinds == ["exists"]:
-        inner = _run(ctx, node.inners[0], env, memo)
-        keep = (inner.num_rows > 0) != descriptors[0].negated
-        return child if keep else child.take_no_charge(no_rows)
-    if set(kinds) != {"scalar"}:
-        raise ExecutionError(
-            f"the flat-plan evaluator cannot apply subquery kinds {kinds} "
-            "in one predicate"
-        )
-    values = {
-        descriptor.index: _scalar_value(_run(ctx, inner, env, memo))
-        for descriptor, inner in zip(descriptors, node.inners)
-    }
-    if any(np.isnan(value) for value in values.values()):
-        if len(values) > 1:
+    mapping = {}
+    for descriptor, plan in zip(node.descriptors, node.inners):
+        inner = _run(ctx, plan, env, memo)
+        if descriptor.kind == "exists":
+            value = (inner.num_rows > 0) != descriptor.negated
+        elif descriptor.kind == "scalar":
+            value = _scalar_value(inner)
+        else:
             raise ExecutionError(
-                "a NULL among several scalar subqueries needs the drive "
-                "program's three-valued predicate"
+                f"the flat-plan evaluator cannot apply subquery kinds "
+                f"{[d.kind for d in node.descriptors]} in one predicate"
             )
-        return child.take_no_charge(no_rows)  # NULL compares never TRUE
-    predicate = _replace_subquery_refs(
-        node.predicate, {index: Const(value) for index, value in values.items()}
-    )
-    return ops.filter_rel(ctx, child, predicate, env)
+        mapping[descriptor.index] = Const(value)
+    predicate = _replace_subquery_refs(node.predicate, mapping)
+    if not any(np.isnan(const.value) for const in mapping.values()):
+        return ops.filter_rel(ctx, child, predicate, env)
+    truth, _ = _eval_three_valued(predicate, child, ctx, {})
+    out = child.take_no_charge(kernels.compact(ctx.device, truth))
+    ops._materialize(ctx, out)
+    ctx.operator_done()
+    return out
 
 
 def _run_uncorrelated_subquery_column(

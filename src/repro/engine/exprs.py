@@ -164,3 +164,79 @@ def _python_arith(op: str, left, right):
     if op == "/":
         return math.nan if right == 0 else left / right
     raise ExecutionError(f"unknown arithmetic operator {op!r}")
+
+
+def _nan_mask(value, size: int) -> np.ndarray:
+    """Per-row NULL (NaN) flags for an evaluated operand."""
+    if isinstance(value, np.ndarray):
+        if np.issubdtype(value.dtype, np.floating):
+            return np.isnan(value)
+        return np.zeros(size, dtype=bool)
+    if isinstance(value, float) and math.isnan(value):
+        return np.ones(size, dtype=bool)
+    return np.zeros(size, dtype=bool)
+
+
+def _eval_three_valued(
+    expr: PlanExpr, rel: Relation, ctx, known_cols: dict[str, np.ndarray]
+):
+    """Kleene (K3) evaluation -> ``(truth, known)`` boolean arrays.
+
+    Invariant: ``truth`` is False wherever ``known`` is False, so the
+    truth array doubles directly as the WHERE filter mask (SQL keeps
+    only TRUE rows; UNKNOWN is excluded just like FALSE).  NULL is NaN
+    throughout, including marker columns for invalid scalar subqueries;
+    ``known_cols`` carries knownness for boolean markers (IN membership)
+    whose UNKNOWN cannot be encoded in the data itself.
+    """
+    device = ctx.device
+    size = rel.num_rows
+    if isinstance(expr, BoolOp):
+        lt, lk = _eval_three_valued(expr.left, rel, ctx, known_cols)
+        rt, rk = _eval_three_valued(expr.right, rel, ctx, known_cols)
+        if expr.op == "and":
+            truth = kernels.logical_and(device, lt, rt)
+            known = (lk & rk) | (lk & ~lt) | (rk & ~rt)
+        else:
+            truth = kernels.logical_or(device, lt, rt)
+            known = (lk & rk) | lt | rt
+        return truth, known
+    if isinstance(expr, NotOp):
+        truth, known = _eval_three_valued(expr.operand, rel, ctx, known_cols)
+        return (~truth) & known, known
+    if isinstance(expr, Compare):
+        left = evaluate(expr.left, rel, ctx, None)
+        right = evaluate(expr.right, rel, ctx, None)
+        left_is_array = isinstance(left, np.ndarray)
+        right_is_array = isinstance(right, np.ndarray)
+        if left_is_array and right_is_array:
+            raw = kernels.compare_arrays(device, left, right, expr.op)
+        elif left_is_array:
+            raw = kernels.compare_scalar(device, left, expr.op, right)
+        elif right_is_array:
+            raw = kernels.compare_scalar(device, right, _MIRROR[expr.op], left)
+        else:
+            raw = np.full(size, _python_compare(expr.op, left, right))
+        known = ~(_nan_mask(left, size) | _nan_mask(right, size))
+        return raw & known, known
+    if isinstance(expr, AggRef):
+        data = rel.column(expr.name).data
+        known = known_cols.get(expr.name)
+        if known is None:
+            known = ~_nan_mask(data, size)
+        return data.astype(bool) & known, known
+    if isinstance(expr, InCodes):
+        # evaluate() already folds UNKNOWN membership to False; recover
+        # knownness for the NULL-probe case so NOT does not flip it.
+        truth = evaluate(expr, rel, ctx, None)
+        if not isinstance(truth, np.ndarray):
+            truth = np.full(size, bool(truth))
+        known = np.ones(size, dtype=bool)
+        if len(expr.codes):
+            operand = evaluate(expr.operand, rel, ctx, None)
+            known = ~_nan_mask(operand, size)
+        return truth & known, known
+    raw = evaluate(expr, rel, ctx, None)
+    if not isinstance(raw, np.ndarray):
+        raw = np.full(size, bool(raw))
+    return raw.astype(bool), np.ones(size, dtype=bool)

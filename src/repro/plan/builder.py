@@ -28,6 +28,7 @@ from .expressions import (
     ColRef,
     Compare,
     PlanExpr,
+    _replace_subquery_refs,
     contains_subquery,
     referenced_bindings,
     referenced_params,
@@ -298,8 +299,6 @@ class PlanBuilder:
                     self._plan_body(descriptor.block),
                 )
             mapping[ref.index] = AggRef(output_name)
-        from .unnest import _replace_subquery_refs
-
         select_exprs = [
             _replace_subquery_refs(expr, mapping) for expr in block.select_exprs
         ]

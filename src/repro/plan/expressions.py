@@ -218,3 +218,32 @@ def split_conjuncts(expr: PlanExpr | None) -> list[PlanExpr]:
 
 def subquery_refs(expr: PlanExpr) -> list[SubqueryRef]:
     return [node for node in expr.walk() if isinstance(node, SubqueryRef)]
+
+
+def _replace_subquery_refs(
+    expr: PlanExpr, mapping: dict[int, PlanExpr]
+) -> PlanExpr:
+    """Substitute each ``SUBQ(i)`` leaf with ``mapping[i]``."""
+    if isinstance(expr, SubqueryRef):
+        return mapping.get(expr.index, expr)
+    if isinstance(expr, Compare):
+        return Compare(
+            expr.op,
+            _replace_subquery_refs(expr.left, mapping),
+            _replace_subquery_refs(expr.right, mapping),
+        )
+    if isinstance(expr, BoolOp):
+        return BoolOp(
+            expr.op,
+            _replace_subquery_refs(expr.left, mapping),
+            _replace_subquery_refs(expr.right, mapping),
+        )
+    if isinstance(expr, NotOp):
+        return NotOp(_replace_subquery_refs(expr.operand, mapping))
+    if isinstance(expr, Arith):
+        return Arith(
+            expr.op,
+            _replace_subquery_refs(expr.left, mapping),
+            _replace_subquery_refs(expr.right, mapping),
+        )
+    return expr

@@ -119,26 +119,13 @@ def as_semijoin(
 
 
 def try_exists_semijoin(plan: Plan, block: BoundBlock) -> Plan:
-    """Apply :func:`as_semijoin` to every SubqueryFilter of ``plan``.
+    """The plan itself: the builder already applied :func:`as_semijoin`.
 
-    The walk stays outside SUBQ bodies.  A plan the builder made has
-    nothing left to rewrite (the builder applies the same rule when it
-    attaches each conjunct); each node reads its own descriptors, so
-    ``block`` is unused.
+    :class:`~repro.plan.builder.PlanBuilder` rewrites each legal EXISTS
+    conjunct as it attaches it, so a built plan has nothing left to
+    rewrite.  Kept for callers written against the post-build rewrite.
     """
-
-    def rewrite(node: Plan) -> Plan:
-        if isinstance(node, SubqueryFilter):
-            return as_semijoin(node.child, node.predicate, node.descriptors) or node
-        return node
-
-    root = rewrite(plan)
-    for node in root.walk():
-        for name in ("child", "left", "right", "plan", "inner"):
-            child = getattr(node, name, None)
-            if any(child is c for c in node.children()):
-                setattr(node, name, rewrite(child))
-    return root
+    return plan
 
 
 def _single_equality_correlation(block: BoundBlock):

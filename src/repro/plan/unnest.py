@@ -22,7 +22,6 @@ from ..errors import UnnestingError
 from .binder import BoundBlock, SubqueryDescriptor
 from .expressions import (
     AggRef,
-    Arith,
     BoolOp,
     ColRef,
     Compare,
@@ -30,6 +29,7 @@ from .expressions import (
     ParamRef,
     PlanExpr,
     SubqueryRef,
+    _replace_subquery_refs,
     referenced_params,
 )
 from .nodes import (
@@ -415,32 +415,3 @@ def _equality_correlations(block: BoundBlock) -> list[tuple[ColRef, str]]:
 def _outer_colref(qual: str) -> ColRef:
     binding, column = qual.rsplit(".", 1)
     return ColRef(binding, column, "int")
-
-
-def _replace_subquery_refs(
-    expr: PlanExpr, mapping: dict[int, PlanExpr]
-) -> PlanExpr:
-    """Substitute each ``SUBQ(i)`` leaf with ``mapping[i]``."""
-    if isinstance(expr, SubqueryRef):
-        return mapping.get(expr.index, expr)
-    if isinstance(expr, Compare):
-        return Compare(
-            expr.op,
-            _replace_subquery_refs(expr.left, mapping),
-            _replace_subquery_refs(expr.right, mapping),
-        )
-    if isinstance(expr, BoolOp):
-        return BoolOp(
-            expr.op,
-            _replace_subquery_refs(expr.left, mapping),
-            _replace_subquery_refs(expr.right, mapping),
-        )
-    if isinstance(expr, NotOp):
-        return NotOp(_replace_subquery_refs(expr.operand, mapping))
-    if isinstance(expr, Arith):
-        return Arith(
-            expr.op,
-            _replace_subquery_refs(expr.left, mapping),
-            _replace_subquery_refs(expr.right, mapping),
-        )
-    return expr

@@ -142,6 +142,44 @@ def test_each_scalar_leaf_takes_its_own_subquery_value():
     assert run_plan(ctx, node).num_rows == oracle == 80
 
 
+NULL_SCALAR = "(SELECT avg(p_size) FROM part WHERE p_size > 1000)"
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "p_size > (SELECT avg(p_size) FROM part) "
+        "OR p_retailprice < (SELECT avg(p_retailprice) FROM part)",
+        f"p_size > {NULL_SCALAR} "
+        "OR p_retailprice < (SELECT avg(p_retailprice) FROM part)",
+        f"NOT (p_size > {NULL_SCALAR}) OR p_retailprice < 1000",
+        f"NOT (p_size > {NULL_SCALAR})",
+        "p_size > (SELECT avg(p_size) FROM part) "
+        "OR EXISTS (SELECT * FROM nation WHERE n_nationkey = 99)",
+        "p_size > (SELECT avg(p_size) FROM part) "
+        "OR NOT EXISTS (SELECT * FROM nation WHERE n_nationkey = 99)",
+        "EXISTS (SELECT * FROM nation WHERE n_nationkey = 99) OR p_size < 10",
+    ],
+)
+def test_uncorrelated_in_body_matches_the_oracle(body):
+    """The body of an uncorrelated IN runs on the flat evaluator
+    (``uncorrelated_vector``), so a mix of SUBQ leaves, or a NULL one
+    under OR/NOT, reaches it from ``NestGPU.execute``."""
+    from repro.baselines.rowstore import RowstoreEngine
+    from repro.core import NestGPU
+    from repro.tpch import generate_tpch
+
+    catalog = generate_tpch(0.01)  # the oracle reruns each subquery per row
+
+    sql = (
+        "SELECT count(*) AS c FROM part WHERE p_partkey IN "
+        f"(SELECT p_partkey FROM part WHERE {body})"
+    )
+    oracle = RowstoreEngine(catalog).execute(sql).rows
+    for mode in ("nested", "unnested", "auto"):
+        assert NestGPU(catalog).execute(sql, mode=mode).rows == oracle, mode
+
+
 def test_an_in_subquery_leaf_raises_instead_of_returning_rows(ctx, rst_catalog):
     from repro.plan.nodes import SubqueryFilter
 

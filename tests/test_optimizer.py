@@ -10,60 +10,55 @@ from repro.sql import parse
 from repro.tpch import queries
 
 
-def plan_and_block(catalog, sql):
+def build(catalog, sql):
     block = Binder(catalog).bind(parse(sql))
-    return PlanBuilder(catalog).build(block), block
+    return PlanBuilder(catalog).build(block)
 
 
 class TestExistsSemijoin:
     def test_q4_rewrites(self, tpch_small):
-        plan, block = plan_and_block(tpch_small, queries.TPCH_Q4)
-        rewritten = try_exists_semijoin(plan, block)
+        rewritten = build(tpch_small, queries.TPCH_Q4)
         assert [n for n in rewritten.walk() if isinstance(n, SemiJoin)]
         assert not [n for n in rewritten.walk() if isinstance(n, SubqueryFilter)]
 
     def test_aggregate_exists_not_rewritten(self, rst_catalog):
-        plan, block = plan_and_block(
+        rewritten = build(
             rst_catalog,
             """
             SELECT r_col1 FROM r WHERE EXISTS (
               SELECT min(s_col2) FROM s WHERE s_col1 = r_col1)
             """,
         )
-        rewritten = try_exists_semijoin(plan, block)
         assert [n for n in rewritten.walk() if isinstance(n, SubqueryFilter)]
 
     def test_multi_table_exists_not_rewritten(self, rst_catalog):
-        plan, block = plan_and_block(
+        rewritten = build(
             rst_catalog,
             """
             SELECT r_col1 FROM r WHERE EXISTS (
               SELECT * FROM s, t WHERE s_col1 = r_col1 AND s_col3 = t_col3)
             """,
         )
-        rewritten = try_exists_semijoin(plan, block)
         assert [n for n in rewritten.walk() if isinstance(n, SubqueryFilter)]
 
     def test_inequality_correlation_not_rewritten(self, rst_catalog):
-        plan, block = plan_and_block(
+        rewritten = build(
             rst_catalog,
             """
             SELECT r_col1 FROM r WHERE EXISTS (
               SELECT * FROM s WHERE s_col1 > r_col1)
             """,
         )
-        rewritten = try_exists_semijoin(plan, block)
         assert [n for n in rewritten.walk() if isinstance(n, SubqueryFilter)]
 
     def test_not_exists_becomes_anti_join(self, rst_catalog):
-        plan, block = plan_and_block(
+        rewritten = build(
             rst_catalog,
             """
             SELECT r_col1 FROM r WHERE NOT EXISTS (
               SELECT * FROM s WHERE s_col1 = r_col1)
             """,
         )
-        rewritten = try_exists_semijoin(plan, block)
         semis = [n for n in rewritten.walk() if isinstance(n, SemiJoin)]
         assert semis and semis[0].negated
 
@@ -82,6 +77,12 @@ class TestExistsSemijoin:
         s_keys = set(rst_catalog.table("s").column("s_col1").data.tolist())
         expected = int((~np.isin(r_keys, list(s_keys))).sum())
         assert result.num_rows == expected
+
+    def test_try_exists_semijoin_returns_the_built_plan(self, tpch_small):
+        # the builder applies the rule; the post-build entry point is a no-op
+        block = Binder(tpch_small).bind(parse(queries.TPCH_Q4))
+        plan = PlanBuilder(tpch_small).build(block)
+        assert try_exists_semijoin(plan, block) is plan
 
 
 class TestMagicSets:
@@ -181,7 +182,7 @@ class TestDerivedTableExists:
     def test_derived_exists_becomes_a_semijoin(self, tpch_tiny):
         from repro.plan.nodes import DerivedScan
 
-        plan, _ = plan_and_block(tpch_tiny, DERIVED_EXISTS_AND_OUTER_EXISTS)
+        plan = build(tpch_tiny, DERIVED_EXISTS_AND_OUTER_EXISTS)
         (derived,) = [n for n in plan.walk() if isinstance(n, DerivedScan)]
         semis = [n for n in plan.walk() if isinstance(n, SemiJoin)]
         assert len(semis) == 2
