@@ -8,9 +8,8 @@ vs. actual error must collapse — this is the CI calibration smoke as
 a reported figure.
 """
 
-from repro.core.calibrator import CostCoefficients
+from repro.core.calibrator import CostCoefficients, cost_error_summary
 from repro.gpu import DeviceSpec
-from repro.obs import MetricsRegistry
 from repro.serve import AsyncEngine, EngineSession, paper_mix_statements
 from repro.tpch import generate_tpch
 
@@ -23,24 +22,20 @@ SCALE = 0.1
 def calibration_recovery():
     device = DeviceSpec.v100()
     stale = CostCoefficients.from_spec(device).scaled(STALE_FACTOR)
-    metrics = MetricsRegistry()
     statements = paper_mix_statements()
     with EngineSession(
-        generate_tpch(SCALE), device=device, metrics=metrics,
-        coefficients=stale,
+        generate_tpch(SCALE), device=device, coefficients=stale,
     ) as session:
         def run_pass():
-            AsyncEngine(
+            report = AsyncEngine(
                 session, workers=2,
                 queue_capacity=max(64, len(statements)), autostart=False,
             ).run_batch(statements)
+            return cost_error_summary(q.result for q in report.completed)
 
-        run_pass()
-        boundary = len(metrics.query_log)
-        before = metrics.cost_error_summary(0, boundary)
+        before = run_pass()
         recal = session.recalibrate()
-        run_pass()
-        after = metrics.cost_error_summary(start=boundary)
+        after = run_pass()
         return {
             "before": before,
             "after": after,

@@ -235,3 +235,24 @@ class Calibrator:
             version=base.version + 1,
             source="calibrated",
         )
+
+
+def cost_error_summary(results) -> dict:
+    """Aggregate cost-model prediction error over executed queries.
+
+    ``results`` are :class:`~repro.core.executor.QueryResult` objects,
+    e.g. one workload pass before a recalibration and one after it;
+    ``predicted`` counts those that carried a prediction (auto-mode
+    runs).
+    """
+    results = list(results)
+    errors = [
+        abs(r.predicted_error_pct)
+        for r in results if r.predicted_error_pct is not None
+    ]
+    return {
+        "queries": len(results),
+        "predicted": len(errors),
+        "mean_abs_error_pct": sum(errors) / len(errors) if errors else None,
+        "max_abs_error_pct": max(errors) if errors else None,
+    }

@@ -108,6 +108,13 @@ class QueryResult:
     def num_rows(self) -> int:
         return len(self.rows)
 
+    @property
+    def predicted_error_pct(self) -> float | None:
+        """Signed cost-model error against the modelled time, in %."""
+        if self.predicted_ms is None or self.total_ms <= 0:
+            return None
+        return (self.predicted_ms - self.total_ms) / self.total_ms * 100.0
+
 
 @dataclass
 class PreparedQuery:
@@ -492,11 +499,8 @@ class NestGPU:
         metrics.histogram("query.transfer_fraction").observe(
             stats.transfer_fraction
         )
-        error_pct = None
-        if result.predicted_ms is not None and result.total_ms > 0:
-            error_pct = (
-                (result.predicted_ms - result.total_ms) / result.total_ms * 100.0
-            )
+        error_pct = result.predicted_error_pct
+        if error_pct is not None:
             metrics.histogram("costmodel.abs_error_pct").observe(abs(error_pct))
         metrics.record_query(
             sql=_sql_snippet(prepared.sql),

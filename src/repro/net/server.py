@@ -38,6 +38,7 @@ import threading
 
 from ..errors import ReproError
 from ..obs.metrics import PROMETHEUS_CONTENT_TYPE
+from ..obs.telemetry import build_trace_payload
 from ..serve.concurrent import AsyncEngine, BackpressureError
 from ..serve.session import SessionPrepared
 from .protocol import (
@@ -54,6 +55,13 @@ from .protocol import (
 from .qos import TenantRegistry
 
 DEFAULT_FETCH_SIZE = 1024
+#: The ERROR code of each terminal outcome but ``ok``.
+_ERROR_CODES = {
+    "rejected": ErrorCode.REJECTED,
+    "cancelled": ErrorCode.CANCELLED,
+    "deadline": ErrorCode.DEADLINE_EXCEEDED,
+    "error": ErrorCode.QUERY_ERROR,
+}
 
 
 class _Connection:
@@ -376,30 +384,21 @@ class NetServer:
                     "path": result.plan_choice,
                     "plan_cache_hit": ticket.plan_cache_hit,
                     "queue_wait_ms": ticket.queue_wait_ns / 1e6,
-                    "wall_run_ms": ticket.wall_run_s * 1e3,
+                    "wall_run_ms": ticket.wall_run_ms,
                     "stream": ticket.stream,
                 },
             }
-            if ticket.trace_payload is not None:
+            if ticket.spans is not None:
                 reply["trace"] = {
-                    **ticket.trace_payload,
+                    **build_trace_payload(ticket),
                     "query_id": query_id,
                     "connection": conn.conn_id,
                 }
             await conn.send(Opcode.RESULT, reply)
             return
-        detail = ticket.detail or ticket.status
-        if ticket.status == "rejected":
-            code = ErrorCode.REJECTED
-        elif ticket.status == "cancelled":
-            code = (
-                ErrorCode.DEADLINE_EXCEEDED
-                if "deadline" in detail.lower() else ErrorCode.CANCELLED
-            )
-        else:
-            code = ErrorCode.QUERY_ERROR
         await conn.send_error(
-            code, detail, query_id, flight_record=ticket.flight_record,
+            _ERROR_CODES[ticket.outcome], ticket.detail or ticket.status,
+            query_id, flight_record=ticket.flight_dict(),
         )
 
     async def _on_fetch(self, conn: _Connection, payload: dict) -> None:

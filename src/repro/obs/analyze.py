@@ -129,11 +129,10 @@ class AnalyzeReport:
             f"modelled time: {r.total_ms:.4f} ms   rows: {r.num_rows}"
             f"   kernel launches: {r.stats.kernel_launches}"
         )
-        if r.predicted_ms is not None and r.total_ms > 0:
-            err = (r.predicted_ms - r.total_ms) / r.total_ms * 100.0
+        if r.predicted_error_pct is not None:
             summary += (
                 f"   cost model predicted: {r.predicted_ms:.4f} ms"
-                f" ({err:+.1f}%)"
+                f" ({r.predicted_error_pct:+.1f}%)"
             )
         decision = p.fusion_decision
         if decision.source != "off":

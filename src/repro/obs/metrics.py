@@ -240,29 +240,6 @@ class MetricsRegistry:
                 list(self.query_log),
             )
 
-    def cost_error_summary(self, start: int = 0, stop: int | None = None) -> dict:
-        """Aggregate cost-model prediction error over a query-log slice.
-
-        The calibration smoke compares the slice before recalibration
-        against the slice after it; ``predicted`` counts the queries
-        that actually carried a prediction (auto-mode runs).
-        """
-        with self._lock:
-            entries = self.query_log[start:stop]
-        errors = [
-            abs(e["predicted_error_pct"])
-            for e in entries
-            if e.get("predicted_error_pct") is not None
-        ]
-        return {
-            "queries": len(entries),
-            "predicted": len(errors),
-            "mean_abs_error_pct": (
-                sum(errors) / len(errors) if errors else None
-            ),
-            "max_abs_error_pct": max(errors) if errors else None,
-        }
-
     def dump_prefix(self, prefix: str) -> dict:
         """Counters/gauges/histograms under one name prefix.
 

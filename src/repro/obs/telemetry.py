@@ -2,15 +2,18 @@
 
 This module is the glue between the per-process observability layer
 (:mod:`repro.obs.tracer`, :mod:`repro.obs.metrics`) and the serving
-stack (:mod:`repro.serve`, :mod:`repro.net`).  Four pillars:
+stack (:mod:`repro.serve`, :mod:`repro.net`).  Its four pillars read
+the serving engine's one record of a query, its
+:class:`~repro.serve.concurrent.QueryTicket`, once the outcome is
+final; none keeps a copy of its own:
 
 * **span-tree serialization** — :func:`span_to_dict` /
   :func:`span_from_dict` turn a tracer's span forest into the
   JSON-safe payload a RESULT frame can carry, and back;
-  :func:`build_trace_payload` packages one executed query's
-  *wall-clock* phases (queued, plan+admission, device execution —
-  measured by the AsyncEngine) next to its *modelled-clock* engine
-  span tree, correlated by seq/tenant/worker/stream attributes;
+  :func:`build_trace_payload` is a pure function of a traced ticket:
+  its *wall-clock* phases (queued, plan+admission, execute) next to
+  its *modelled-clock* engine span tree, correlated by
+  seq/tenant/worker/stream attributes;
 * **distributed trace stitching** — :func:`distributed_chrome_trace`
   merges many such payloads (possibly from several connections) into
   one Chrome/Perfetto trace document with a wall-clock lane per
@@ -23,9 +26,10 @@ stack (:mod:`repro.serve`, :mod:`repro.net`).  Four pillars:
   burn against a configurable latency objective
   (:class:`SLObjective`);
 * **flight recorder** — :class:`FlightRecorder` is a bounded ring of
-  per-query records (sql, tenant, plan mode, adaptive switches,
-  admission waits, outcome, span summary) so a failed or killed query
-  is reconstructable after the fact regardless of workload length.
+  terminal tickets, rendered as records (sql, tenant, plan mode,
+  adaptive switches, admission waits, outcome, span summary) only
+  when dumped, so a failed or killed query is reconstructable after
+  the fact regardless of workload length.
 
 :func:`parse_prometheus_text` is a small validating parser for the
 0.0.4 text exposition format — the round-trip half of
@@ -76,45 +80,32 @@ def span_from_dict(node: dict) -> Span:
     return span
 
 
-def build_trace_payload(ticket, tracer) -> dict:
-    """One executed query's distributed trace, wire-ready.
+def build_trace_payload(ticket) -> dict:
+    """One traced query's distributed trace, wire-ready.
 
-    ``ticket`` is an :class:`~repro.serve.concurrent.QueryTicket` whose
-    wall timestamps (submit/dequeue/admitted/start/end) the engine
-    recorded; ``tracer`` is the private per-query
-    :class:`~repro.obs.tracer.Tracer` whose roots hold the
-    modelled-clock engine spans.  Wall phases are kept as offsets from
-    the ticket's submit time (seconds) plus the absolute submit
-    timestamp, so payloads from one server process can be aligned on a
-    common wall axis.
+    A pure function of a terminal
+    :class:`~repro.serve.concurrent.QueryTicket` that ran traced: its
+    :meth:`~repro.serve.concurrent.QueryTicket.wall_phases` become
+    offsets from the submit time (seconds), kept beside the absolute
+    submit timestamp so payloads from one server process align on a
+    common wall axis, and ``ticket.spans`` (the private tracer's
+    exported roots) become the modelled-clock span tree.
     """
-    correlation = {
-        "seq": ticket.seq,
-        "tenant": ticket.tenant or "default",
-        "worker": ticket.worker,
-        "stream": ticket.stream,
-        "status": ticket.status,
-    }
     submit = ticket.wall_submit_s
-    phases = []
-
-    def phase(name: str, start_s, end_s) -> None:
-        if start_s is None or end_s is None or end_s < start_s:
-            return
-        phases.append({
-            "name": name,
-            "start_s": start_s - submit,
-            "dur_s": end_s - start_s,
-        })
-
-    phase("queued", submit, ticket.wall_dequeue_s)
-    phase("plan+admission", ticket.wall_dequeue_s, ticket.wall_admitted_s)
-    phase("execute", ticket.wall_start_s, ticket.wall_end_s)
-    roots, dropped = tracer.export_roots()
+    roots, dropped = ticket.spans
     return {
-        "query": correlation,
+        "query": {
+            "seq": ticket.seq,
+            "tenant": ticket.tenant or "default",
+            "worker": ticket.worker,
+            "stream": ticket.stream,
+            "status": ticket.status,
+        },
         "wall_submit_s": submit,
-        "wall": phases,
+        "wall": [
+            {"name": name, "start_s": start - submit, "dur_s": end - start}
+            for name, start, end in ticket.wall_phases()
+        ],
         "modelled": [span_to_dict(root) for root in roots],
         "dropped_spans": dropped,
     }
@@ -425,10 +416,12 @@ class FlightRecorder:
     """A bounded ring of per-query forensic records (always on).
 
     Every terminal query — ok, error, cancelled, deadline-missed,
-    rejected — leaves one small JSON-safe record.  The ring holds the
-    most recent ``capacity`` records regardless of workload length;
-    ``recorded`` counts everything ever seen and ``dropped`` the
-    overflow, so a dump is honest about what it no longer holds.
+    rejected — enters the ring as its ticket, an object whose
+    ``flight_dict()`` is the record; a dump turns each into a JSON-safe
+    dict.  The ring holds the most recent ``capacity`` tickets
+    regardless of workload length; ``recorded`` counts everything ever
+    seen and ``dropped`` the overflow, so a dump is honest about what
+    it no longer holds.
     """
 
     def __init__(self, capacity: int = 1024):
@@ -437,18 +430,16 @@ class FlightRecorder:
         self.capacity = capacity
         self.recorded = 0
         self._lock = threading.Lock()
-        self._ring: list[dict] = []
+        self._ring: list = []
 
-    def record(self, **fields) -> dict:
-        """Append one record (returned so callers can attach it)."""
-        entry = {k: _json_safe(v) for k, v in fields.items()}
+    def record(self, ticket) -> None:
+        """Append one terminal ticket."""
         with self._lock:
             self.recorded += 1
-            self._ring.append(entry)
+            self._ring.append(ticket)
             overflow = len(self._ring) - self.capacity
             if overflow > 0:
                 del self._ring[:overflow]
-        return entry
 
     @property
     def dropped(self) -> int:
@@ -462,10 +453,13 @@ class FlightRecorder:
     def dump(self, limit: int | None = None) -> list[dict]:
         """The newest-last record list (optionally only the last N)."""
         with self._lock:
-            records = list(self._ring)
+            tickets = list(self._ring)
         if limit is not None and limit >= 0:
-            records = records[-limit:]
-        return records
+            tickets = tickets[-limit:]
+        return [
+            {k: _json_safe(v) for k, v in ticket.flight_dict().items()}
+            for ticket in tickets
+        ]
 
     def to_dict(self, limit: int | None = None) -> dict:
         return {

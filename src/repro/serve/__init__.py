@@ -28,7 +28,6 @@ from .plancache import PlanCache, normalize_sql
 from .scheduler import (
     PAPER_MIX,
     AdmissionError,
-    ScheduledQuery,
     WorkloadReport,
     paper_mix_statements,
     split_statements,
@@ -55,7 +54,6 @@ __all__ = [
     "ThreadGuard",
     "PAPER_MIX",
     "PlanCache",
-    "ScheduledQuery",
     "SessionPrepared",
     "WorkloadReport",
     "normalize_sql",

@@ -39,9 +39,13 @@ Lock hierarchy (acquire strictly downward, release before going up):
     queue condition  >  admission condition  >  session lock
                                                 >  plan-cache / metrics / tracer locks
 
-Results carry both clocks: modelled placement (``start_ns``,
-``duration_ns``, ``queue_wait_ns`` on the modelled per-stream
-timeline) and wall-clock (``wall_wait_s``, ``wall_run_s``).
+One record per query, on both clocks: its :class:`QueryTicket`.  When
+a query ends, ``_finish`` records the outcome and then updates every
+sink from the ticket, in one place — the tenant ledger, the SLO
+tracker, the flight ring (which holds the ticket itself), the
+``serve.*`` / ``qos.tenant.*`` metrics — before the ticket turns
+terminal and wakes its waiters.  :meth:`AsyncEngine.report` lists the
+tickets; the trace payload is built from a terminal ticket on demand.
 
 Multi-tenant QoS (the network server's substrate, see
 :mod:`repro.net`): every submission may carry a *tenant* name.  A
@@ -53,10 +57,7 @@ engine's dequeue order is a pluggable :class:`SchedulingPolicy`:
 arrival)`` rule, :class:`FairSharePolicy` is weighted fair queueing
 over tenants (stride scheduling on a virtual clock, so a backlogged
 tenant is served at least once every ``2 x (tenants - 1)`` picks
-regardless of the other tenants' priorities).  Per-tenant accounting
-(queries, rows, modelled device time, wall time, rejections,
-starvation age) lives in :class:`TenantAccount` and is mirrored into
-the session's metrics registry under ``qos.tenant.<name>.*``.
+regardless of the other tenants' priorities).
 """
 
 from __future__ import annotations
@@ -65,21 +66,11 @@ import threading
 import time
 
 from ..core import QueryResult
-from ..core.executor import PreparedQuery
+from ..core.executor import PreparedQuery, _sql_snippet
 from ..errors import ReproError
-from ..obs.telemetry import (
-    FlightRecorder,
-    SLObjective,
-    SLOTracker,
-    build_trace_payload,
-)
+from ..obs.telemetry import FlightRecorder, SLObjective, SLOTracker
 from ..obs.tracer import Tracer
-from .scheduler import (
-    AdmissionError,
-    ScheduledQuery,
-    StreamTimeline,
-    WorkloadReport,
-)
+from .scheduler import AdmissionError, StreamTimeline, WorkloadReport
 from .session import EngineSession
 
 
@@ -177,6 +168,20 @@ class TenantAccount:
             "errors": self.errors,
             "max_starvation_s": self.max_starvation_s,
         }
+
+    def add(self, ticket: QueryTicket) -> None:
+        """Fold one terminal ticket into the ledger."""
+        if ticket.outcome == "ok":
+            self.queries += 1
+            self.rows += ticket.result.num_rows
+            self.device_ns += ticket.result.stats.total_ns
+            self.wall_s += ticket.wall_run_ms / 1e3
+        elif ticket.outcome == "rejected":
+            self.rejections += 1
+        elif ticket.outcome == "error":
+            self.errors += 1
+        else:  # 'cancelled' | 'deadline'
+            self.cancellations += 1
 
 
 class SchedulingPolicy:
@@ -499,17 +504,19 @@ class AdmissionController:
 # ---------------------------------------------------------------------------
 
 _TERMINAL = ("done", "rejected", "error", "cancelled")
+#: The terminal status of each outcome that is not its own status.
+_STATUS = {"ok": "done", "deadline": "cancelled"}
 
 
 class QueryTicket:
-    """A submitted query: a future over both clocks.
+    """A submitted query: a future over both clocks, and its one record.
 
     ``status`` walks ``queued -> waiting -> running ->`` one of
-    ``done / rejected / error / cancelled``.  ``result`` is the
-    :class:`~repro.core.executor.QueryResult` once done; the modelled
-    placement (``stream``, ``start_ns``, ``duration_ns``,
-    ``queue_wait_ns``) and the wall clock (``wall_wait_s`` submit to
-    device, ``wall_run_s`` on the device) are both recorded.
+    ``done / rejected / error / cancelled``; the ``outcome`` (one of
+    :data:`~repro.obs.telemetry.OUTCOMES`) is set before the sinks read
+    the ticket, the terminal status after.  The engine writes each field
+    once, so the report row (:meth:`to_dict`), the flight record
+    (:meth:`flight_dict`) and the trace payload are views of it.
     """
 
     def __init__(self, seq: int, sql: str, mode: str | None,
@@ -524,7 +531,7 @@ class QueryTicket:
         self.trace = trace
         self.status = "queued"
         self.detail = ""
-        self.outcome = ""         # terminal SLO class, set by _finish
+        self.outcome = ""
         self.result: QueryResult | None = None
         self.plan_cache_hit = False
         self.working_set_bytes = 0
@@ -538,24 +545,130 @@ class QueryTicket:
         self.wall_admitted_s: float | None = None
         self.wall_start_s: float | None = None
         self.wall_end_s: float | None = None
-        self.trace_payload: dict | None = None
-        self.flight_record: dict | None = None
+        # a traced run: its private tracer's ``(roots, dropped)``
+        self.spans: tuple[list, int] | None = None
         self._event = threading.Event()
         self._cancel = False
         self._engine: "AsyncEngine | None" = None
         self._admission: AdmissionTicket | None = None
 
     @property
-    def wall_wait_s(self) -> float:
-        if self.wall_start_s is None:
-            return 0.0
-        return self.wall_start_s - self.wall_submit_s
+    def end_ns(self) -> float:
+        return self.start_ns + self.duration_ns
 
     @property
-    def wall_run_s(self) -> float:
+    def wall_wait_ms(self) -> float:
+        """Submit to device start."""
+        if self.wall_start_s is None:
+            return 0.0
+        return (self.wall_start_s - self.wall_submit_s) * 1e3
+
+    @property
+    def wall_run_ms(self) -> float:
+        """On the device."""
         if self.wall_start_s is None or self.wall_end_s is None:
             return 0.0
-        return self.wall_end_s - self.wall_start_s
+        return (self.wall_end_s - self.wall_start_s) * 1e3
+
+    @property
+    def latency_ms(self) -> float:
+        """Submit to terminal (the SLO's clock)."""
+        return (self.wall_end_s - self.wall_submit_s) * 1e3
+
+    @property
+    def query_class(self) -> str:
+        """The plan path the SLO tracker classifies by."""
+        if self.result is not None:
+            return self.result.plan_choice
+        return self.mode or "unknown"
+
+    def wall_phases(self) -> list[tuple[str, float, float]]:
+        """``(name, start_s, end_s)`` of each wall phase the query
+        reached: queued, plan+admission and execute."""
+        phases = (
+            ("queued", self.wall_submit_s, self.wall_dequeue_s),
+            ("plan+admission", self.wall_dequeue_s, self.wall_admitted_s),
+            ("execute", self.wall_start_s, self.wall_end_s),
+        )
+        return [
+            (name, start, end) for name, start, end in phases
+            if start is not None and end is not None and end >= start
+        ]
+
+    def to_dict(self) -> dict:
+        """The report row (``serve --report``)."""
+        result = self.result
+        return {
+            "seq": self.seq,
+            "sql": _sql_snippet(self.sql),
+            "mode": self.mode,
+            "status": self.status if self.done() else "pending",
+            "stream": self.stream,
+            "start_ms": self.start_ns / 1e6,
+            "duration_ms": self.duration_ns / 1e6,
+            "end_ms": self.end_ns / 1e6,
+            "queue_wait_ms": self.queue_wait_ns / 1e6,
+            "working_set_bytes": self.working_set_bytes,
+            "plan_cache_hit": self.plan_cache_hit,
+            "total_ns": (
+                repr(result.stats.total_ns) if result is not None else None
+            ),
+            "rows": result.num_rows if result is not None else None,
+            "path": result.plan_choice if result is not None else None,
+            "shards": result.shards if result is not None else None,
+            "detail": self.detail,
+            "wall_wait_ms": self.wall_wait_ms,
+            "wall_run_ms": self.wall_run_ms,
+        }
+
+    def flight_dict(self) -> dict:
+        """The flight-recorder record of this terminal ticket (its
+        status follows from the outcome, final before the ring sees it)."""
+        waits = {
+            name: (end - start) * 1e3 for name, start, end in self.wall_phases()
+        }
+        record = {
+            "seq": self.seq,
+            "sql": self.sql if len(self.sql) <= 200
+            else self.sql[:197] + "...",
+            "tenant": self.tenant or "default",
+            "mode": self.mode,
+            "status": _STATUS.get(self.outcome, self.outcome),
+            "outcome": self.outcome,
+            "detail": self.detail,
+            "priority": self.priority,
+            "plan_cache_hit": self.plan_cache_hit,
+            "working_set_bytes": self.working_set_bytes,
+            "worker": self.worker,
+            "stream": self.stream,
+            "latency_ms": self.latency_ms,
+            "queue_wait_ms": waits.get("queued"),
+            "admission_wait_ms": waits.get("plan+admission"),
+            "wall_run_ms": self.wall_run_ms,
+        }
+        result = self.result
+        if result is not None:
+            record.update(
+                plan_mode=self.query_class,
+                adaptive_switch=result.adaptive_switch,
+                rows=result.num_rows,
+                modelled_total_ms=result.stats.total_ns / 1e6,
+            )
+        if self.spans is not None:
+            roots, _ = self.spans
+            record["last_span_summary"] = [
+                {
+                    "name": node.name,
+                    "category": node.category,
+                    "duration_ms": (
+                        (node.end_ns or node.start_ns) - node.start_ns
+                    ) / 1e6,
+                    "children": len(node.children),
+                }
+                for root in roots[-1:]
+                for node in (root.children or [root])
+            ]
+        return record
 
     def done(self) -> bool:
         return self.status in _TERMINAL
@@ -574,7 +687,7 @@ class QueryTicket:
         if engine is None:
             return False
         with engine._work:
-            if self.status in ("queued", "waiting"):
+            if self.status in ("queued", "waiting") and not self.outcome:
                 self._cancel = True
                 admission = self._admission
             else:
@@ -731,7 +844,7 @@ class AsyncEngine:
             self._stop = True
             self._work.notify_all()
         for ticket in abandoned:
-            self._finish(ticket, "cancelled", detail="engine shut down")
+            self._finish(ticket, "cancelled", "engine shut down")
         for thread in self._threads:
             if thread.is_alive():
                 thread.join(timeout)
@@ -752,8 +865,9 @@ class AsyncEngine:
         """Enqueue a statement; returns its ticket.
 
         ``trace=True`` gives this one query a private tracer for the
-        device run and attaches the resulting span tree (wall phases +
-        modelled engine spans) to ``ticket.trace_payload``.
+        device run and keeps its modelled span tree as ``ticket.spans``
+        (:func:`~repro.obs.telemetry.build_trace_payload` adds the wall
+        phases).
 
         Raises:
             BackpressureError: the bounded queue is full; the error
@@ -832,10 +946,7 @@ class AsyncEngine:
             self._run_ticket(ticket, worker_id)
         except BaseException as exc:  # never leave a ticket dangling
             if not ticket.done():
-                self._finish(
-                    ticket, "error",
-                    detail=f"{type(exc).__name__}: {exc}",
-                )
+                self._finish(ticket, "error", f"{type(exc).__name__}: {exc}")
             if not isinstance(exc, Exception):
                 raise  # an interrupt or exit still unwinds its thread
 
@@ -891,12 +1002,10 @@ class AsyncEngine:
     def _run_ticket(self, ticket: QueryTicket, worker_id: int | None) -> None:
         session = self.session
         if ticket._cancel:
-            self._finish(ticket, "cancelled", detail="cancelled while queued")
+            self._finish(ticket, "cancelled", "cancelled while queued")
             return
         if ticket.deadline is not None and time.monotonic() > ticket.deadline:
-            self._finish(
-                ticket, "cancelled", detail="deadline passed while queued",
-            )
+            self._finish(ticket, "deadline", "deadline passed while queued")
             return
         # planning runs concurrently across workers: only the plan
         # cache's own lock and the read-only catalog are involved
@@ -907,12 +1016,10 @@ class AsyncEngine:
                 ticket.working_set_bytes, ticket.priority, ticket.tenant,
             )
         except AdmissionError as exc:
-            self._finish(ticket, "rejected", detail=str(exc))
+            self._finish(ticket, "rejected", str(exc))
             return
         except ReproError as exc:
-            self._finish(
-                ticket, "error", detail=f"{type(exc).__name__}: {exc}",
-            )
+            self._finish(ticket, "error", f"{type(exc).__name__}: {exc}")
             return
         ticket._admission = admission
         timeout = None
@@ -923,10 +1030,10 @@ class AsyncEngine:
                 admission, timeout=timeout, cancelled=lambda: ticket._cancel,
             )
         except DeadlineExceeded as exc:
-            self._finish(ticket, "cancelled", detail=str(exc))
+            self._finish(ticket, "deadline", str(exc))
             return
         except QueryCancelled as exc:
-            self._finish(ticket, "cancelled", detail=str(exc))
+            self._finish(ticket, "cancelled", str(exc))
             return
         ticket.wall_admitted_s = time.perf_counter()
         try:
@@ -953,9 +1060,7 @@ class AsyncEngine:
                 ticket.status = "running"
                 ticket.worker = ticket.stream = worker_id
         if cancelled:
-            self._finish(
-                ticket, "cancelled", detail="cancelled before execution",
-            )
+            self._finish(ticket, "cancelled", "cancelled before execution")
             return
         ticket.wall_start_s = time.perf_counter()
         span_attrs = {
@@ -963,7 +1068,7 @@ class AsyncEngine:
         }
         # a traced query gets a *private* tracer: the shared session
         # tracer's span stack cannot be used across worker threads, and
-        # the payload must hold exactly this query's spans
+        # the trace must hold exactly this query's spans
         query_tracer = None
         query_span = None
         if ticket.trace:
@@ -996,72 +1101,32 @@ class AsyncEngine:
                         else "miss",
                     )
                 query_tracer.finish()
-                ticket.trace_payload = build_trace_payload(
-                    ticket, query_tracer
-                )
+                ticket.spans = query_tracer.export_roots()
         ticket.result = result
         ticket.plan_cache_hit = plan_cache_hit
-        self._finish(ticket, "done")
+        self._finish(ticket, "ok")
 
-    @staticmethod
-    def _classify_outcome(status: str, detail: str) -> str:
-        if status == "done":
-            return "ok"
-        if status == "cancelled" and "deadline" in detail.lower():
-            return "deadline"
-        return status  # 'rejected' | 'cancelled' | 'error'
-
-    def _finish(self, ticket: QueryTicket, status: str, detail: str = "") -> None:
+    def _finish(self, ticket: QueryTicket, outcome: str, detail: str = "") -> None:
+        """Record the outcome, update every sink from the ticket, then
+        publish: nothing that waits on the ticket or the engine wakes
+        before each sink holds the query."""
+        status = _STATUS.get(outcome, outcome)
         with self._work:
-            ticket.status = status
             if detail:
                 ticket.detail = detail
-            ticket.outcome = self._classify_outcome(status, detail)
-            if ticket.trace_payload is not None:
-                ticket.trace_payload["query"]["status"] = status
+            ticket.outcome = outcome
             if ticket.wall_end_s is None:
                 ticket.wall_end_s = time.perf_counter()
                 if ticket.wall_start_s is None:
                     ticket.wall_start_s = ticket.wall_end_s
-            if status == "done":
-                run_s = ticket.wall_run_s
-                self._service_ema_s = (
-                    run_s if self._service_ema_s is None
-                    else 0.8 * self._service_ema_s + 0.2 * run_s
-                )
-            account = self._account_locked(ticket.tenant)
-            if status == "done":
-                account.queries += 1
-                account.rows += ticket.result.num_rows
-                account.device_ns += ticket.result.stats.total_ns
-                account.wall_s += ticket.wall_run_s
-            elif status == "rejected":
-                account.rejections += 1
-            elif status == "cancelled":
-                account.cancellations += 1
-            elif status == "error":
-                account.errors += 1
-            self._outstanding -= 1
-            latency_ms = (ticket.wall_end_s - ticket.wall_submit_s) * 1e3
-        # SLO scoring and the flight record run outside the queue lock
-        # (both own locks lower in the hierarchy); the ticket's terminal
-        # fields are frozen, so there is no race to guard
-        result = ticket.result
-        query_class = (
-            result.plan_choice if result is not None
-            else (ticket.mode or "unknown")
-        )
+            self._account_locked(ticket.tenant).add(ticket)
+        # the SLO tracker, the flight ring and the metrics own locks
+        # lower in the hierarchy than the queue's
         self.slo.observe(
-            ticket.tenant or "default", latency_ms,
-            outcome=ticket.outcome, query_class=query_class,
+            ticket.tenant or "default", ticket.latency_ms, outcome,
+            ticket.query_class,
         )
-        ticket.flight_record = self._flight_record(
-            ticket, latency_ms, query_class
-        )
-        self.flight_recorder.record(**ticket.flight_record)
-        with self._work:
-            ticket._event.set()
-            self._work.notify_all()
+        self.flight_recorder.record(ticket)
         metrics = self.session.metrics
         if metrics is not None:
             if status == "done":
@@ -1071,7 +1136,7 @@ class AsyncEngine:
                     ticket.queue_wait_ns / 1e6
                 )
                 metrics.histogram("serve.wall_run_ms").observe(
-                    ticket.wall_run_s * 1e3
+                    ticket.wall_run_ms
                 )
             else:
                 metrics.counter(f"serve.queries.{status}").inc()
@@ -1086,93 +1151,31 @@ class AsyncEngine:
                         ticket.result.stats.total_ns
                     )
                     metrics.histogram(f"{prefix}.wall_run_ms").observe(
-                        ticket.wall_run_s * 1e3
+                        ticket.wall_run_ms
                     )
                 else:
                     metrics.counter(f"{prefix}.{status}").inc()
-
-    def _flight_record(
-        self, ticket: QueryTicket, latency_ms: float, query_class: str,
-    ) -> dict:
-        """One bounded forensic record for a terminal ticket."""
-        record = {
-            "seq": ticket.seq,
-            "sql": ticket.sql if len(ticket.sql) <= 200
-            else ticket.sql[:197] + "...",
-            "tenant": ticket.tenant or "default",
-            "mode": ticket.mode,
-            "status": ticket.status,
-            "outcome": ticket.outcome,
-            "detail": ticket.detail,
-            "priority": ticket.priority,
-            "plan_cache_hit": ticket.plan_cache_hit,
-            "working_set_bytes": ticket.working_set_bytes,
-            "worker": ticket.worker,
-            "stream": ticket.stream,
-            "latency_ms": latency_ms,
-            "queue_wait_ms": (
-                (ticket.wall_dequeue_s - ticket.wall_submit_s) * 1e3
-                if ticket.wall_dequeue_s is not None else None
-            ),
-            "admission_wait_ms": (
-                (ticket.wall_admitted_s - ticket.wall_dequeue_s) * 1e3
-                if ticket.wall_admitted_s is not None
-                and ticket.wall_dequeue_s is not None else None
-            ),
-            "wall_run_ms": ticket.wall_run_s * 1e3,
-        }
-        result = ticket.result
-        if result is not None:
-            record.update(
-                plan_mode=query_class,
-                adaptive_switch=result.adaptive_switch,
-                rows=result.num_rows,
-                modelled_total_ms=result.stats.total_ns / 1e6,
-            )
-        if ticket.trace_payload is not None:
-            roots = ticket.trace_payload.get("modelled", [])
-            record["last_span_summary"] = [
-                {
-                    "name": node["name"],
-                    "category": node["category"],
-                    "duration_ms": (
-                        (node.get("end_ns") or node["start_ns"])
-                        - node["start_ns"]
-                    ) / 1e6,
-                    "children": len(node.get("children", ())),
-                }
-                for root in roots[-1:]
-                for node in (root.get("children") or [root])
-            ]
-        return record
+        with self._work:
+            ticket.status = status
+            if status == "done":
+                run_s = ticket.wall_run_ms / 1e3
+                self._service_ema_s = (
+                    run_s if self._service_ema_s is None
+                    else 0.8 * self._service_ema_s + 0.2 * run_s
+                )
+            self._outstanding -= 1
+            ticket._event.set()
+            self._work.notify_all()
 
     # -- reporting -------------------------------------------------------
 
     def report(self) -> WorkloadReport:
-        """The batch as a :class:`WorkloadReport` (one lane per stream),
-        with wall-clock timings alongside the modelled ones on every
-        entry."""
+        """The batch as a :class:`WorkloadReport` (one lane per stream)
+        over every ticket, in seq order."""
         with self._work:
-            tickets = list(self._tickets)
-            bus_ns = self._timeline.bus_ns
-        report = WorkloadReport(streams=self.workers, bus_ns=bus_ns)
-        for ticket in sorted(tickets, key=lambda t: t.seq):
-            report.queries.append(ScheduledQuery(
-                seq=ticket.seq,
-                sql=ticket.sql,
-                mode=ticket.mode,
-                status=ticket.status if ticket.done() else "pending",
-                stream=ticket.stream,
-                start_ns=ticket.start_ns,
-                duration_ns=ticket.duration_ns,
-                queue_wait_ns=ticket.queue_wait_ns,
-                working_set_bytes=ticket.working_set_bytes,
-                plan_cache_hit=ticket.plan_cache_hit,
-                detail=ticket.detail,
-                result=ticket.result,
-                wall_wait_ms=ticket.wall_wait_s * 1e3,
-                wall_run_ms=ticket.wall_run_s * 1e3,
-            ))
+            report = WorkloadReport(
+                self.workers, list(self._tickets), self._timeline.bus_ns,
+            )
         metrics = self.session.metrics
         if metrics is not None and report.completed:
             metrics.gauge("serve.makespan_ms").set(report.makespan_ns / 1e6)

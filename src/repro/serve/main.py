@@ -239,9 +239,7 @@ def serve_main(argv: list[str] | None = None) -> int:
               "(the calibrator samples one clock)", file=sys.stderr)
         return 2
     metrics = None
-    if args.metrics or args.calibrate:
-        # the calibration flow reads prediction errors off the query
-        # log, so it needs a registry even without --metrics
+    if args.metrics:
         from ..obs import MetricsRegistry
 
         metrics = MetricsRegistry()
@@ -286,8 +284,9 @@ def serve_main(argv: list[str] | None = None) -> int:
             )
             return 1
         if args.calibrate:
-            boundary = len(metrics.query_log)
-            before = metrics.cost_error_summary(0, boundary)
+            from ..core.calibrator import cost_error_summary
+
+            before = cost_error_summary(q.result for q in report.completed)
             before_coeff = session.engine.coefficients
             recal = session.recalibrate()
             if recal is None:
@@ -305,7 +304,7 @@ def serve_main(argv: list[str] | None = None) -> int:
                     file=sys.stderr,
                 )
                 return 1
-            after = metrics.cost_error_summary(start=boundary)
+            after = cost_error_summary(q.result for q in report.completed)
             fitted = session.engine.coefficients
             print(
                 f"recalibration: cost-model version "

@@ -33,75 +33,27 @@ class AdmissionError(ReproError):
 
 
 @dataclass
-class ScheduledQuery:
-    """One workload entry with its modelled placement."""
-
-    seq: int
-    sql: str
-    mode: str | None
-    status: str = "pending"  # 'done' | 'rejected' | 'error' | 'cancelled'
-    stream: int | None = None
-    start_ns: float = 0.0
-    duration_ns: float = 0.0
-    queue_wait_ns: float = 0.0
-    working_set_bytes: int = 0
-    plan_cache_hit: bool = False
-    detail: str = ""
-    result: QueryResult | None = None
-    # wall-clock timings, alongside the modelled placement above
-    wall_wait_ms: float = 0.0
-    wall_run_ms: float = 0.0
-
-    @property
-    def end_ns(self) -> float:
-        return self.start_ns + self.duration_ns
-
-    def to_dict(self) -> dict:
-        return {
-            "seq": self.seq,
-            "sql": _sql_snippet(self.sql),
-            "mode": self.mode,
-            "status": self.status,
-            "stream": self.stream,
-            "start_ms": self.start_ns / 1e6,
-            "duration_ms": self.duration_ns / 1e6,
-            "end_ms": self.end_ns / 1e6,
-            "queue_wait_ms": self.queue_wait_ns / 1e6,
-            "working_set_bytes": self.working_set_bytes,
-            "plan_cache_hit": self.plan_cache_hit,
-            "total_ns": (
-                repr(self.result.stats.total_ns)
-                if self.result is not None else None
-            ),
-            "rows": self.result.num_rows if self.result is not None else None,
-            "path": (
-                self.result.plan_choice if self.result is not None else None
-            ),
-            "shards": self.result.shards if self.result is not None else None,
-            "detail": self.detail,
-            "wall_wait_ms": self.wall_wait_ms,
-            "wall_run_ms": self.wall_run_ms,
-        }
-
-
-@dataclass
 class WorkloadReport:
-    """The modelled outcome of one scheduled batch."""
+    """The modelled outcome of one scheduled batch.
+
+    ``queries`` are the batch's
+    :class:`~repro.serve.concurrent.QueryTicket` records, in seq order.
+    """
 
     streams: int
-    queries: list[ScheduledQuery] = field(default_factory=list)
+    queries: list = field(default_factory=list)
     bus_ns: float = 0.0
 
     @property
-    def completed(self) -> list[ScheduledQuery]:
+    def completed(self) -> list:
         return [q for q in self.queries if q.status == "done"]
 
     @property
-    def rejected(self) -> list[ScheduledQuery]:
+    def rejected(self) -> list:
         return [q for q in self.queries if q.status == "rejected"]
 
     @property
-    def cancelled(self) -> list[ScheduledQuery]:
+    def cancelled(self) -> list:
         return [q for q in self.queries if q.status == "cancelled"]
 
     @property

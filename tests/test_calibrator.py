@@ -3,16 +3,23 @@ versioning, and the session's predict -> observe -> correct loop."""
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+import repro.obs
 from conftest import make_rst_catalog
-from repro.core.calibrator import Calibrator, CostCoefficients
+from repro.core.calibrator import (
+    Calibrator,
+    CostCoefficients,
+    cost_error_summary,
+)
 from repro.gpu import DeviceSpec
 from repro.obs.metrics import MetricsRegistry
 from repro.serve import EngineSession
+from repro.serve.main import serve_main
 from repro.serve.plancache import PlanCache
 
 SPEC = DeviceSpec.v100()
@@ -156,8 +163,7 @@ class TestSessionRecalibration:
         with EngineSession(catalog, metrics=metrics,
                            coefficients=stale) as session:
             first = self.run_workload(session)
-            boundary = len(metrics.query_log)
-            before = metrics.cost_error_summary(0, boundary)
+            before = cost_error_summary(first)
             recal = session.recalibrate()
             assert recal is not None
             assert recal["version"] == 1
@@ -169,7 +175,7 @@ class TestSessionRecalibration:
                 SPEC.iteration_ns, rel=1e-6
             )
             second = self.run_workload(session)
-            after = metrics.cost_error_summary(start=boundary)
+            after = cost_error_summary(second)
             assert after["mean_abs_error_pct"] < before["mean_abs_error_pct"]
             # recalibration never changes answers, only choices
             for a, b in zip(first, second):
@@ -238,3 +244,49 @@ class TestSessionRecalibration:
                 "(SELECT AVG(s_col2) FROM s WHERE s_col1 = r_col1)"
             )
             assert session.calibrator.sample_counts()["kernels"] == 0
+
+
+class TestServeCalibrate:
+    """``repro serve --calibrate`` scores each pass on its own results."""
+
+    ARGV = [
+        "--paper-mix", "--streams", "2", "--scale", "0.05",
+        "--calibrate", "--stale-model", "0.04",
+    ]
+
+    def run(self, tmp_path, *extra):
+        path = tmp_path / "calibration-report.json"
+        status = serve_main([
+            *self.ARGV, "--calibration-report", str(path), *extra,
+        ])
+        assert status == 0
+        return json.loads(path.read_text())
+
+    def test_error_shrinks(self, tmp_path):
+        # the assertions of CI's calibration-smoke job, at sf 0.05
+        report = self.run(tmp_path)
+        before = report["before"]["error"]
+        after = report["after"]["error"]
+        assert before["predicted"] > 0, before
+        assert after["predicted"] > 0, after
+        assert after["mean_abs_error_pct"] < before["mean_abs_error_pct"]
+        recal = report["recalibration"]
+        assert recal["version"] > 0, recal
+        assert recal["plan_cache_evicted"] > 0, recal
+        assert report["improved"] is True
+
+    def test_a_wrapped_query_log_does_not_split_the_passes(
+        self, tmp_path, monkeypatch,
+    ):
+        # a log smaller than one pass: the passes must not be told
+        # apart by positions in it
+        monkeypatch.setattr(
+            repro.obs, "MetricsRegistry",
+            lambda: MetricsRegistry(query_log_capacity=8),
+        )
+        report = self.run(tmp_path, "--metrics", str(tmp_path / "m.json"))
+        before = report["before"]["error"]
+        after = report["after"]["error"]
+        assert before["queries"] == after["queries"] == 10
+        assert after["mean_abs_error_pct"] < before["mean_abs_error_pct"]
+        assert report["improved"] is True

@@ -335,7 +335,8 @@ def _ticket_with_trace(seq=0, tenant="alpha", connection=1):
     ticket.wall_admitted_s = base + 0.002
     ticket.wall_start_s = base + 0.002
     ticket.wall_end_s = base + 0.010
-    payload = build_trace_payload(ticket, _sample_tracer())
+    ticket.spans = _sample_tracer().export_roots()
+    payload = build_trace_payload(ticket)
     payload["query_id"] = seq + 100
     payload["connection"] = connection
     return payload
@@ -471,11 +472,21 @@ class TestSLOTracker:
 # ---------------------------------------------------------------------------
 
 
+class _Record:
+    """A stand-in ticket: the recorder only asks for ``flight_dict()``."""
+
+    def __init__(self, **fields):
+        self.fields = fields
+
+    def flight_dict(self):
+        return self.fields
+
+
 class TestFlightRecorder:
     def test_ring_is_bounded(self):
         recorder = FlightRecorder(capacity=4)
         for i in range(10):
-            recorder.record(seq=i, outcome="ok")
+            recorder.record(_Record(seq=i, outcome="ok"))
         assert len(recorder) == 4
         assert recorder.recorded == 10
         assert recorder.dropped == 6
@@ -485,7 +496,7 @@ class TestFlightRecorder:
     def test_dump_limit_and_to_dict(self):
         recorder = FlightRecorder(capacity=16)
         for i in range(5):
-            recorder.record(seq=i)
+            recorder.record(_Record(seq=i))
         assert [r["seq"] for r in recorder.dump(limit=2)] == [3, 4]
         data = recorder.to_dict(limit=3)
         assert data["capacity"] == 16
@@ -495,7 +506,7 @@ class TestFlightRecorder:
 
     def test_records_are_json_safe(self, tmp_path):
         recorder = FlightRecorder()
-        recorder.record(seq=0, opaque=object(), nested=(1, 2))
+        recorder.record(_Record(seq=0, opaque=object(), nested=(1, 2)))
         path = tmp_path / "flight.json"
         recorder.write_json(path)
         loaded = json.loads(path.read_text())
