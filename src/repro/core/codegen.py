@@ -2,8 +2,10 @@
 
 The generator traverses the query-plan tree-of-trees from the leaves to
 the root and emits a Python *drive program* — one statement per
-operator, calling the pre-implemented kernels through the runtime.  A
-``SUBQ`` operand becomes an iterative loop:
+operator, calling the pre-implemented kernels through the runtime.
+One table, :data:`OPERATORS`, names each operator's runtime entry
+point, and one emission writes every operator statement.  A ``SUBQ``
+operand becomes an iterative loop:
 
 * the correlated columns are pulled to the host once;
 * invariant components are evaluated before the loop and referenced
@@ -47,6 +49,28 @@ from ..plan.nodes import (
     SubqueryColumn,
     SubqueryFilter,
 )
+
+
+#: The one operator table: each operator node type, the runtime entry
+#: point its statement calls, whether that entry point has a ``t_*``
+#: form (taking the loop's program and parameter environment), and the
+#: prefix of its variable inside a loop.  A fused site calls the
+#: ``f_*`` (``t_f_*``) form.  Every entry point runs the node through
+#: :func:`repro.engine.evaluator.run_operator`.
+OPERATORS = {
+    Scan: ("scan", True, "t"),
+    DerivedScan: ("derived", False, "v"),
+    CrossJoin: ("cross_join", False, "t"),
+    Join: ("join", True, "t"),
+    Filter: ("filter", True, "t"),
+    SemiJoin: ("semi_join", False, "v"),
+    LeftLookup: ("left_lookup", False, "v"),
+    Aggregate: ("aggregate", True, "t"),
+    Project: ("project", True, "t"),
+    Distinct: ("distinct", False, "v"),
+    Sort: ("sort", False, "v"),
+    Limit: ("limit", False, "v"),
+}
 
 
 @dataclass
@@ -121,9 +145,6 @@ class CodeGenerator:
             fusion=self.fusion if fused else None,
         )
 
-    def _fuse(self, node: Plan) -> bool:
-        return self.fusion is not None and self.fusion.wants(node)
-
     # -- helpers -----------------------------------------------------------
 
     def _emit(self, line: str) -> None:
@@ -176,132 +197,55 @@ class CodeGenerator:
         if isinstance(node, SubqueryColumn):
             child = self._emit_plan(node.child, frame)
             return self._emit_subquery_column(node, child, frame)
+        entry = OPERATORS.get(type(node))
+        if entry is None:
+            raise PlanError(f"code generator cannot handle node {node!r}")
 
+        name, has_transient_form, loop_prefix = entry
         node_id = self._register(node)
+        args = [str(node_id)]
+        args += [self._emit_plan(child, frame) for child in node.children()]
+        var = self._var(loop_prefix if in_loop else "v")
+        if self._fusion_site(node, node_id, in_loop):
+            name = "f_" + name
+        if in_loop and has_transient_form:
+            name = "t_" + name
+            args = [frame.sp_var, *args, frame.env_var]
+        self._emit(f"{var} = rt.{name}({', '.join(args)})")
+        return var
 
+    def _fusion_site(self, node: Plan, node_id: int, in_loop: bool) -> bool:
+        """Record ``node`` as a fusion site if the pass wants it.
+
+        Returns whether it was rewritten to the fused entry point.
+        """
+        if self.fusion is None or not self.fusion.wants(node):
+            return False
+        widening = False
         if isinstance(node, Scan):
-            var = self._var("t" if in_loop else "v")
-            if self._fuse(node):
-                self.fusion.record(
-                    "scan", node_id,
-                    f"{node.table} AS {node.binding}: "
-                    f"{len(node.filters)} predicate(s) + compact",
-                    transient=in_loop,
-                    # rt.t_f_scan masks every correlated predicate at full
-                    # width (conservative: an index may answer the first)
-                    widening=in_loop
-                    and len(list(filter(referenced_params, node.filters))) >= 2,
-                )
-                if in_loop:
-                    self._emit(
-                        f"{var} = rt.t_f_scan({frame.sp_var}, {node_id}, "
-                        f"{frame.env_var})"
-                    )
-                else:
-                    self._emit(f"{var} = rt.f_scan({node_id})")
-            elif in_loop:
-                self._emit(
-                    f"{var} = rt.t_scan({frame.sp_var}, {node_id}, {frame.env_var})"
-                )
-            else:
-                self._emit(f"{var} = rt.scan({node_id})")
-            return var
-        if isinstance(node, DerivedScan):
-            inner = self._emit_plan(node.plan, frame)
-            var = self._var("v")
-            self._emit(f"{var} = rt.derived({node_id}, {inner})")
-            return var
-        if isinstance(node, CrossJoin):
-            left = self._emit_plan(node.left, frame)
-            right = self._emit_plan(node.right, frame)
-            var = self._var("t" if in_loop else "v")
-            self._emit(f"{var} = rt.cross_join({node_id}, {left}, {right})")
-            return var
-        if isinstance(node, Join):
-            left = self._emit_plan(node.left, frame)
-            right = self._emit_plan(node.right, frame)
-            var = self._var("t" if in_loop else "v")
-            if in_loop:
-                self._emit(
-                    f"{var} = rt.t_join({frame.sp_var}, {node_id}, "
-                    f"{left}, {right}, {frame.env_var})"
-                )
-            else:
-                self._emit(f"{var} = rt.join({node_id}, {left}, {right})")
-            return var
-        if isinstance(node, Filter):
-            child = self._emit_plan(node.child, frame)
-            var = self._var("t" if in_loop else "v")
-            if self._fuse(node):
-                self.fusion.record(
-                    "filter", node_id, "predicate tree + compact",
-                    transient=in_loop,
-                )
-                if in_loop:
-                    self._emit(
-                        f"{var} = rt.t_f_filter({frame.sp_var}, {node_id}, "
-                        f"{child}, {frame.env_var})"
-                    )
-                else:
-                    self._emit(f"{var} = rt.f_filter({node_id}, {child})")
-            elif in_loop:
-                self._emit(
-                    f"{var} = rt.t_filter({frame.sp_var}, {node_id}, "
-                    f"{child}, {frame.env_var})"
-                )
-            else:
-                self._emit(f"{var} = rt.filter({node_id}, {child})")
-            return var
-        if isinstance(node, SemiJoin):
-            child = self._emit_plan(node.child, frame)
-            inner = self._emit_plan(node.inner, frame)
-            var = self._var("v")
-            self._emit(f"{var} = rt.semi_join({node_id}, {child}, {inner})")
-            return var
-        if isinstance(node, LeftLookup):
-            child = self._emit_plan(node.child, frame)
-            inner = self._emit_plan(node.inner, frame)
-            var = self._var("v")
-            self._emit(f"{var} = rt.left_lookup({node_id}, {child}, {inner})")
-            return var
-        if isinstance(node, Aggregate):
-            child = self._emit_plan(node.child, frame)
-            var = self._var("t" if in_loop else "v")
-            if in_loop:
-                self._emit(
-                    f"{var} = rt.t_aggregate({frame.sp_var}, {node_id}, "
-                    f"{child}, {frame.env_var})"
-                )
-            else:
-                self._emit(f"{var} = rt.aggregate({node_id}, {child})")
-            return var
-        if isinstance(node, Project):
-            child = self._emit_plan(node.child, frame)
-            var = self._var("t" if in_loop else "v")
-            if in_loop:
-                self._emit(
-                    f"{var} = rt.t_project({frame.sp_var}, {node_id}, "
-                    f"{child}, {frame.env_var})"
-                )
-            else:
-                self._emit(f"{var} = rt.project({node_id}, {child})")
-            return var
-        if isinstance(node, Distinct):
-            child = self._emit_plan(node.child, frame)
-            var = self._var("v")
-            self._emit(f"{var} = rt.distinct({node_id}, {child})")
-            return var
-        if isinstance(node, Sort):
-            child = self._emit_plan(node.child, frame)
-            var = self._var("v")
-            self._emit(f"{var} = rt.sort({node_id}, {child})")
-            return var
-        if isinstance(node, Limit):
-            child = self._emit_plan(node.child, frame)
-            var = self._var("v")
-            self._emit(f"{var} = rt.limit({node_id}, {child})")
-            return var
-        raise PlanError(f"code generator cannot handle node {node!r}")
+            kind = "scan"
+            description = (
+                f"{node.table} AS {node.binding}: "
+                f"{len(node.filters)} predicate(s) + compact"
+            )
+            # rt.t_f_scan masks every correlated predicate at full width
+            # (conservative: an index may answer the first)
+            widening = (
+                in_loop
+                and len(list(filter(referenced_params, node.filters))) >= 2
+            )
+        elif isinstance(node, Filter):
+            kind, description = "filter", "predicate tree + compact"
+        else:
+            kind = "subquery_predicate"
+            description = (
+                f"3VL predicate over {len(node.descriptors)} result "
+                "vector(s) + compact"
+            )
+        self.fusion.record(
+            kind, node_id, description, transient=in_loop, widening=widening
+        )
+        return True
 
     # -- subquery loops (the heart of the paper) -----------------------------
 
@@ -324,22 +268,10 @@ class CodeGenerator:
             f"{descriptor.index}: {res}"
             for descriptor, res in zip(node.descriptors, res_vars)
         ) + "}"
-        if self._fuse(node):
-            self.fusion.record(
-                "subquery_predicate", node_id,
-                f"3VL predicate over {len(node.descriptors)} result "
-                "vector(s) + compact",
-                transient=frame.sp_var is not None,
-            )
-            self._emit(
-                f"{var} = rt.f_apply_subquery_predicate("
-                f"{node_id}, {outer_var}, {vectors})"
-            )
-        else:
-            self._emit(
-                f"{var} = rt.apply_subquery_predicate("
-                f"{node_id}, {outer_var}, {vectors})"
-            )
+        name = "apply_subquery_predicate"
+        if self._fusion_site(node, node_id, frame.sp_var is not None):
+            name = "f_" + name
+        self._emit(f"{var} = rt.{name}({node_id}, {outer_var}, {vectors})")
         return var
 
     def _emit_subquery_column(

@@ -5,6 +5,10 @@ program — the analogue of the paper's generated CUDA/C driver — whose
 statements call into the :class:`Runtime` below.  The runtime owns the
 node registry, the per-subquery state (:class:`SubqueryProgram`), the
 memory-pool marks, and the per-node timing used by the cost model.
+Every operator entry point hands its node to
+:func:`repro.engine.evaluator.run_operator`, the one operator table;
+only the transient scan (index probe) and join (hoisted hash) add
+behaviour of their own.
 """
 
 from __future__ import annotations
@@ -13,20 +17,19 @@ import numpy as np
 
 from ..errors import ExecutionError
 from ..engine import operators as ops
-from ..engine.evaluator import run_plan
-from ..engine.exprs import _eval_three_valued, _nan_mask, evaluate
+from ..engine.evaluator import run_operator, run_plan, scalar_value
+from ..engine.exprs import _eval_in_three_valued, _eval_three_valued
 from ..engine.relation import Relation, computed_column
 from ..gpu import kernels
 from ..plan.expressions import (
     AggRef,
     ColRef,
     PlanExpr,
-    SubqueryRef,
     _replace_subquery_refs,
     referenced_params,
 )
 from ..plan.invariants import InvariantInfo, mark_invariants
-from ..plan.nodes import Aggregate, Filter, Join, Plan, Project, Scan, SubqueryFilter
+from ..plan.nodes import Join, Plan, Scan, SubqueryFilter
 from . import vectorize
 from .caching import SubqueryCache
 from .indexing import CorrelatedIndex, index_pays_off
@@ -208,7 +211,11 @@ class Runtime:
 
     # -- timing -------------------------------------------------------------
 
-    def _timed(self, node_id: int, fn):
+    def _timed(self, node_id: int, fn, *args) -> Relation:
+        """Run ``fn(*args)`` as plan node ``node_id``: its modelled time,
+        launches, calls and output rows are booked to the node.  Entry
+        points pass ``run_operator`` and its arguments straight in, so
+        no wrapper frame sits between an entry point and its operator."""
         stats = self.ctx.device.stats
         tracer = self.tracer
         span = None
@@ -220,7 +227,7 @@ class Runtime:
         before_ns = stats.total_ns
         before_launches = stats.kernel_launches
         try:
-            result = fn()
+            result = fn(*args)
         finally:
             self.node_times_ns[node_id] = (
                 self.node_times_ns.get(node_id, 0.0)
@@ -233,12 +240,11 @@ class Runtime:
             )
             if span is not None:
                 tracer.end(span)
-        if isinstance(result, Relation):
-            self.node_output_rows[node_id] = (
-                self.node_output_rows.get(node_id, 0) + result.num_rows
-            )
-            if span is not None:
-                span.set_attrs(rows=result.num_rows)
+        self.node_output_rows[node_id] = (
+            self.node_output_rows.get(node_id, 0) + result.num_rows
+        )
+        if span is not None:
+            span.set_attrs(rows=result.num_rows)
         return result
 
     def _add_overhead(self, sp: SubqueryProgram, before_ns: float) -> None:
@@ -249,79 +255,76 @@ class Runtime:
         )
 
     # -- flat operators (outer plan) ---------------------------------------
+    # Each entry point hands run_operator and the node's inputs straight
+    # to _timed; its name is what the generated statement calls.
 
     def scan(self, node_id: int) -> Relation:
-        node = self.nodes[node_id]
-        return self._timed(node_id, lambda: ops.scan(
-            self.ctx, node.table, node.binding, node.filters, None, node.columns
-        ))
+        return self._timed(
+            node_id, run_operator, self.ctx, self.nodes[node_id], ()
+        )
 
     def f_scan(self, node_id: int) -> Relation:
         """Fused twin of :meth:`scan`: the predicate chain and the
         compaction tail charge one fused launch (core.fusion)."""
-        node = self.nodes[node_id]
-        return self._timed(node_id, lambda: ops.scan(
-            self.ctx, node.table, node.binding, node.filters, None,
-            node.columns, fused=True,
-        ))
+        return self._timed(
+            node_id, run_operator, self.ctx, self.nodes[node_id], (), None,
+            True,
+        )
 
     def derived(self, node_id: int, inner: Relation) -> Relation:
-        node = self.nodes[node_id]
-        return inner.renamed_prefix(node.binding)
+        return run_operator(self.ctx, self.nodes[node_id], (inner,))
 
     def join(self, node_id: int, left: Relation, right: Relation) -> Relation:
-        node = self.nodes[node_id]
-        return self._timed(node_id, lambda: ops.join(
-            self.ctx, left, right, node.left_key, node.right_key,
-            build_side=node.build_side,
-        ))
+        return self._timed(
+            node_id, run_operator, self.ctx, self.nodes[node_id], (left, right)
+        )
 
     def cross_join(self, node_id: int, left: Relation, right: Relation) -> Relation:
-        return self._timed(node_id, lambda: ops.cross_join(self.ctx, left, right))
+        return self._timed(
+            node_id, run_operator, self.ctx, self.nodes[node_id], (left, right)
+        )
 
     def filter(self, node_id: int, rel: Relation) -> Relation:
-        node = self.nodes[node_id]
-        return self._timed(node_id, lambda: ops.filter_rel(
-            self.ctx, rel, node.predicate
-        ))
+        return self._timed(
+            node_id, run_operator, self.ctx, self.nodes[node_id], (rel,)
+        )
 
     def f_filter(self, node_id: int, rel: Relation) -> Relation:
         """Fused twin of :meth:`filter` (one launch per chain)."""
-        node = self.nodes[node_id]
-        return self._timed(node_id, lambda: ops.filter_rel(
-            self.ctx, rel, node.predicate, fused=True
-        ))
+        return self._timed(
+            node_id, run_operator, self.ctx, self.nodes[node_id], (rel,), None,
+            True,
+        )
 
     def semi_join(self, node_id: int, outer: Relation, inner: Relation) -> Relation:
-        node = self.nodes[node_id]
-        return self._timed(node_id, lambda: ops.semi_join(
-            self.ctx, outer, inner, node.outer_key, node.inner_key, node.negated
-        ))
+        return self._timed(
+            node_id, run_operator, self.ctx, self.nodes[node_id], (outer, inner)
+        )
 
     def aggregate(self, node_id: int, rel: Relation) -> Relation:
-        node = self.nodes[node_id]
-        return self._timed(node_id, lambda: ops.aggregate(
-            self.ctx, rel, node.groups, node.aggs, node.having
-        ))
+        return self._timed(
+            node_id, run_operator, self.ctx, self.nodes[node_id], (rel,)
+        )
 
     def project(self, node_id: int, rel: Relation) -> Relation:
-        node = self.nodes[node_id]
-        return self._timed(node_id, lambda: ops.project(
-            self.ctx, rel, node.exprs, node.names
-        ))
+        return self._timed(
+            node_id, run_operator, self.ctx, self.nodes[node_id], (rel,)
+        )
 
     def distinct(self, node_id: int, rel: Relation) -> Relation:
-        return self._timed(node_id, lambda: ops.distinct(self.ctx, rel))
+        return self._timed(
+            node_id, run_operator, self.ctx, self.nodes[node_id], (rel,)
+        )
 
     def sort(self, node_id: int, rel: Relation) -> Relation:
-        node = self.nodes[node_id]
-        return self._timed(node_id, lambda: ops.sort(
-            self.ctx, rel, node.keys, node.descending
-        ))
+        return self._timed(
+            node_id, run_operator, self.ctx, self.nodes[node_id], (rel,)
+        )
 
     def limit(self, node_id: int, rel: Relation) -> Relation:
-        node = self.nodes[node_id]
-        return self._timed(node_id, lambda: ops.limit(self.ctx, rel, node.count))
+        return self._timed(
+            node_id, run_operator, self.ctx, self.nodes[node_id], (rel,)
+        )
 
     def fetch(self, rel: Relation) -> Relation:
         before = self.ctx.device.stats.total_ns
@@ -384,38 +387,29 @@ class Runtime:
         """Type-A/N subquery: evaluate once, broadcast into a vector."""
         before = self.ctx.device.stats.total_ns
         try:
-            return self._uncorrelated_vector(outer, sp)
+            inner = run_plan(self.ctx, sp.plan)
+            if sp.descriptor.kind == "exists":
+                vector = ExistsResultVector(outer.num_rows)
+                vector.flags[:] = inner.num_rows > 0
+            elif sp.descriptor.kind == "in":
+                vector = TwoLevelResultVector(outer.num_rows)
+                values = inner.first_column().data.astype(np.float64)
+                for row in range(outer.num_rows):
+                    vector.store(row, values)
+            else:
+                value = scalar_value(inner)
+                vector = ScalarResultVector(outer.num_rows)
+                vector.values[:] = value
+                vector.valid[:] = not np.isnan(value)
+            return vector
         finally:
             self._add_overhead(sp, before)
 
-    def _uncorrelated_vector(self, outer: Relation, sp: SubqueryProgram):
-        inner = run_plan(self.ctx, sp.plan)
-        if sp.descriptor.kind == "exists":
-            vector = ExistsResultVector(outer.num_rows)
-            vector.flags[:] = inner.num_rows > 0
-        elif sp.descriptor.kind == "in":
-            vector = TwoLevelResultVector(outer.num_rows)
-            values = inner.first_column().data.astype(np.float64)
-            for row in range(outer.num_rows):
-                vector.store(row, values)
-        else:
-            if inner.num_rows != 1:
-                raise ExecutionError(
-                    f"scalar subquery produced {inner.num_rows} rows"
-                )
-            value = float(inner.first_column().data[0])
-            vector = ScalarResultVector(outer.num_rows)
-            vector.values[:] = value
-            vector.valid[:] = not np.isnan(value)
-        return vector
-
     def left_lookup(self, node_id: int, child: Relation, inner: Relation) -> Relation:
         """Outer-join lookup (Dayal count unnesting)."""
-        node = self.nodes[node_id]
-        return self._timed(node_id, lambda: ops.left_lookup(
-            self.ctx, child, inner, node.outer_key, node.inner_key,
-            node.value_column, node.output_name, node.default,
-        ))
+        return self._timed(
+            node_id, run_operator, self.ctx, self.nodes[node_id], (child, inner)
+        )
 
     def new_result(self, sp: SubqueryProgram, outer: Relation):
         size = outer.num_rows
@@ -490,15 +484,13 @@ class Runtime:
         sp.cache.put(key, value, valid)
 
     def t_scan(self, sp: SubqueryProgram, node_id: int, env) -> Relation:
-        node = self.nodes[node_id]
-        return self._timed(node_id, lambda: self._t_scan(sp, node, env))
+        return self._timed(node_id, self._t_scan, sp, self.nodes[node_id], env)
 
     def t_f_scan(self, sp: SubqueryProgram, node_id: int, env) -> Relation:
         """Fused twin of :meth:`t_scan` (core.fusion)."""
-        node = self.nodes[node_id]
-        return self._timed(node_id, lambda: self._t_scan(
-            sp, node, env, fused=True
-        ))
+        return self._timed(
+            node_id, self._t_scan, sp, self.nodes[node_id], env, True
+        )
 
     def _t_scan(
         self, sp: SubqueryProgram, node: Scan, env, fused: bool = False
@@ -527,65 +519,46 @@ class Runtime:
     def t_join(
         self, sp: SubqueryProgram, node_id: int, left: Relation, right: Relation, env
     ) -> Relation:
-        node = self.nodes[node_id]
         return self._timed(
-            node_id, lambda: self._t_join(sp, node, left, right, env)
+            node_id, self._t_join, sp, self.nodes[node_id], left, right, env
         )
 
     def _t_join(
         self, sp: SubqueryProgram, node: Join, left: Relation, right: Relation, env
     ) -> Relation:
         """Transient join; reuses the hoisted hash table when one side
-        is invariant."""
-        hoisted = id(node) in sp.info.hoisted_joins
-        if hoisted:
-            left_transient = sp.info.is_transient(node.left)
-            if left_transient:
-                invariant_rel, invariant_key = right, node.right_key
-                probe_rel, probe_key = left, node.left_key
-                side = "right"
-            else:
-                invariant_rel, invariant_key = left, node.left_key
-                probe_rel, probe_key = right, node.right_key
-                side = "left"
-            table = sp.hoisted_hash(node, invariant_rel, invariant_key)
-            if side == "right":
-                return ops.join(
-                    self.ctx, probe_rel, invariant_rel, probe_key,
-                    invariant_key, env, build_side="right", prebuilt=table,
-                )
-            return ops.join(
-                self.ctx, invariant_rel, probe_rel, invariant_key,
-                probe_key, env, build_side="left", prebuilt=table,
-            )
+        is invariant (the table is built on that side, once)."""
+        if id(node) not in sp.info.hoisted_joins:
+            return run_operator(self.ctx, node, (left, right), env)
+        if sp.info.is_transient(node.left):
+            side, table = "right", sp.hoisted_hash(node, right, node.right_key)
+        else:
+            side, table = "left", sp.hoisted_hash(node, left, node.left_key)
         return ops.join(
             self.ctx, left, right, node.left_key, node.right_key, env,
-            build_side=node.build_side,
+            build_side=side, prebuilt=table,
         )
 
     def t_filter(self, sp, node_id: int, rel: Relation, env) -> Relation:
-        node = self.nodes[node_id]
         return self._timed(
-            node_id, lambda: ops.filter_rel(self.ctx, rel, node.predicate, env)
+            node_id, run_operator, self.ctx, self.nodes[node_id], (rel,), env
         )
 
     def t_f_filter(self, sp, node_id: int, rel: Relation, env) -> Relation:
         """Fused twin of :meth:`t_filter` (core.fusion)."""
-        node = self.nodes[node_id]
-        return self._timed(node_id, lambda: ops.filter_rel(
-            self.ctx, rel, node.predicate, env, fused=True
-        ))
+        return self._timed(
+            node_id, run_operator, self.ctx, self.nodes[node_id], (rel,), env,
+            True,
+        )
 
     def t_aggregate(self, sp, node_id: int, rel: Relation, env) -> Relation:
-        node = self.nodes[node_id]
-        return self._timed(node_id, lambda: ops.aggregate(
-            self.ctx, rel, node.groups, node.aggs, node.having, env
-        ))
+        return self._timed(
+            node_id, run_operator, self.ctx, self.nodes[node_id], (rel,), env
+        )
 
     def t_project(self, sp, node_id: int, rel: Relation, env) -> Relation:
-        node = self.nodes[node_id]
         return self._timed(
-            node_id, lambda: ops.project(self.ctx, rel, node.exprs, node.names)
+            node_id, run_operator, self.ctx, self.nodes[node_id], (rel,), env
         )
 
     def invariant(self, sp: SubqueryProgram, node_id: int) -> Relation:
@@ -595,7 +568,7 @@ class Runtime:
             return sp.invariant_relation(node)
         # extraction disabled (ablation): re-evaluated per call, so the
         # cost belongs to this node
-        return self._timed(node_id, lambda: sp.invariant_relation(node))
+        return self._timed(node_id, sp.invariant_relation, node)
 
     def run_iteration(self, sp: SubqueryProgram, env: dict[str, float]):
         """One subquery iteration by direct plan walk.
@@ -608,23 +581,12 @@ class Runtime:
         def walk(node: Plan) -> Relation:
             if not sp.info.is_transient(node):
                 return sp.invariant_relation(node)
-            if isinstance(node, Scan):
-                return self._t_scan(sp, node, env, fused=sp.fused)
-            if isinstance(node, Join):
-                return self._t_join(sp, node, walk(node.left), walk(node.right), env)
-            if isinstance(node, Filter):
-                return ops.filter_rel(
-                    self.ctx, walk(node.child), node.predicate, env,
-                    fused=sp.fused,
-                )
-            if isinstance(node, Aggregate):
-                return ops.aggregate(
-                    self.ctx, walk(node.child), node.groups, node.aggs,
-                    node.having, env,
-                )
-            if isinstance(node, Project):
-                return ops.project(self.ctx, walk(node.child), node.exprs, node.names)
-            raise ExecutionError(f"cannot probe node {node!r}")
+            if type(node) is Scan:
+                return self._t_scan(sp, node, env, sp.fused)
+            inputs = [walk(child) for child in node.children()]
+            if type(node) is Join:
+                return self._t_join(sp, node, *inputs, env)
+            return run_operator(self.ctx, node, inputs, env, sp.fused)
 
         root = walk(sp.plan)
         if sp.descriptor.kind == "exists":
@@ -636,11 +598,7 @@ class Runtime:
     # result extraction ---------------------------------------------------
 
     def scalar_from(self, sp, rel: Relation) -> tuple[float, bool]:
-        if rel.num_rows != 1:
-            raise ExecutionError(
-                f"scalar subquery produced {rel.num_rows} rows"
-            )
-        value = float(rel.first_column().data[0])
+        value = scalar_value(rel)
         return value, not np.isnan(value)
 
     def exists_from(self, rel: Relation) -> bool:
@@ -759,12 +717,9 @@ class Runtime:
                 raise ExecutionError(
                     "only scalar subqueries may appear in the SELECT list"
                 )
-            out = outer.with_columns(
+            return ops._finish(self.ctx, outer.with_columns(
                 {node.output_name: computed_column(node.output_name, data)}
-            )
-            ops._materialize(self.ctx, out)
-            self.ctx.operator_done()
-            return out
+            ))
 
         return self._timed(node_id, run)
 
@@ -778,9 +733,8 @@ class Runtime:
         selection).  ``vectors`` maps subquery index -> result vector.
         """
         self.tracer.close_siblings("subquery")
-        node = self.nodes[node_id]
         return self._timed(
-            node_id, lambda: self._apply_predicate(node, outer, vectors)
+            node_id, self._apply_predicate, self.nodes[node_id], outer, vectors
         )
 
     def f_apply_subquery_predicate(
@@ -790,10 +744,9 @@ class Runtime:
         predicate tree over the result vectors and the compaction tail
         charge one fused launch (core.fusion)."""
         self.tracer.close_siblings("subquery")
-        node = self.nodes[node_id]
         return self._timed(
-            node_id,
-            lambda: self._apply_predicate(node, outer, vectors, fused=True),
+            node_id, self._apply_predicate, self.nodes[node_id], outer,
+            vectors, True,
         )
 
     def _apply_predicate(
@@ -803,57 +756,40 @@ class Runtime:
         vectors: dict[int, object],
         fused: bool = False,
     ) -> Relation:
-        if fused:
-            with kernels.fused(self.ctx.device, "fused_predicate"):
-                return self._apply_predicate_inner(node, outer, vectors)
-        return self._apply_predicate_inner(node, outer, vectors)
+        device = self.ctx.device
+        with kernels.fused(device, "fused_predicate") if fused else kernels.UNFUSED:
+            mapping: dict[int, AggRef] = {}
+            columns = {}
+            known_cols: dict[str, np.ndarray] = {}
+            by_index = {d.index: d for d in node.descriptors}
+            for index, vector in vectors.items():
+                marker = f"__subq{index}"
+                if isinstance(vector, ScalarResultVector):
+                    # NaN marks NULL; the three-valued Compare below reads
+                    # knownness straight off the values, so no side channel.
+                    data = vector.values
+                elif isinstance(vector, ExistsResultVector):
+                    data = vector.flags
+                else:  # TwoLevelResultVector: one set S per row
+                    descriptor = by_index[index]
+                    vector.freeze()
+                    data, known_cols[marker] = _eval_in_three_valued(
+                        self.ctx, outer, descriptor.in_operand,
+                        vector.membership, vector.lengths == 0,
+                        vector.null_flags(), descriptor.negated,
+                    )
+                columns[marker] = computed_column(marker, data)
+                mapping[index] = AggRef(marker)
 
-    def _apply_predicate_inner(
-        self, node: SubqueryFilter, outer: Relation, vectors: dict[int, object]
-    ) -> Relation:
-        mapping: dict[int, AggRef] = {}
-        columns = {}
-        known_cols: dict[str, np.ndarray] = {}
-        by_index = {d.index: d for d in node.descriptors}
-        for index, vector in vectors.items():
-            marker = f"__subq{index}"
-            if isinstance(vector, ScalarResultVector):
-                # NaN marks NULL; the three-valued Compare below reads
-                # knownness straight off the values, so no side channel.
-                data = vector.values
-            elif isinstance(vector, ExistsResultVector):
-                data = vector.flags
-            else:  # TwoLevelResultVector: reduce to 3VL membership first
-                descriptor = by_index[index]
-                vector.freeze()
-                operand = evaluate(descriptor.in_operand, outer, self.ctx, None)
-                if not isinstance(operand, np.ndarray):
-                    operand = np.full(outer.num_rows, operand, dtype=np.float64)
-                self.ctx.device.launch("in_membership", outer.num_rows, work=2.0)
-                membership = vector.membership(operand)
-                # x IN S: TRUE on a match, FALSE when S is empty, and
-                # UNKNOWN when there is no match but x is NULL or S
-                # contains a NULL (the NULL *might* have been x).
-                empty = vector.lengths == 0
-                operand_null = _nan_mask(operand, outer.num_rows)
-                self.ctx.device.launch("null_scan", outer.num_rows)
-                unknown = ~membership & ~empty & (
-                    operand_null | vector.null_flags()
-                )
-                known = ~unknown
-                data = (membership != descriptor.negated) & known
-                known_cols[marker] = known
-            columns[marker] = computed_column(marker, data)
-            mapping[index] = AggRef(marker)
-
-        augmented = outer.with_columns(columns)
-        predicate = _replace_subquery_refs(node.predicate, mapping)
-        truth, _ = _eval_three_valued(predicate, augmented, self.ctx, known_cols)
-        indices = kernels.compact(self.ctx.device, truth)
-        out = outer.take_no_charge(indices)
-        ops._materialize(self.ctx, out)
-        self.ctx.operator_done()
-        return out
+            augmented = outer.with_columns(columns)
+            predicate = _replace_subquery_refs(node.predicate, mapping)
+            truth, _ = _eval_three_valued(
+                predicate, augmented, self.ctx, known_cols
+            )
+            # the tail runs inside the scope, as it always has
+            return ops._finish(
+                self.ctx, outer, kernels.compact(device, truth)
+            )
 
 
 def _unique_tuples(keys: list[tuple]):

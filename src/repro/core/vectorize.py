@@ -22,6 +22,7 @@ import numpy as np
 from ..errors import ExecutionError
 from ..gpu import kernels
 from ..engine import operators as ops
+from ..engine.evaluator import run_operator
 from ..engine.exprs import evaluate
 from ..engine.relation import Relation, computed_column
 from ..plan.expressions import (
@@ -349,5 +350,5 @@ def _eval_project(sp, node: Project, batch, num_segments):
             data = np.full(num_segments, data, dtype=np.float64)
         return _PerSegment(child.rel, data.astype(np.float64), child.valid)
     seg_rel = _as_segmented(child, num_segments)
-    out = ops.project(sp.ctx, seg_rel.rel, node.exprs, node.names)
+    out = run_operator(sp.ctx, node, (seg_rel.rel,))
     return SegRelation(out, seg_rel.seg, num_segments)

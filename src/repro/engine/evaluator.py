@@ -1,7 +1,17 @@
-"""A straightforward plan interpreter for flat (unnested) plans.
+"""The operator table and a plan interpreter for flat (unnested) plans.
+
+:func:`run_operator` is the one place a plan node's fields become an
+:mod:`~repro.engine.operators` call.  Everything that executes an
+operator node goes through it: :func:`run_plan` below, every operator
+entry point of the drive-program runtime (:mod:`repro.core.runtime`,
+whose ``t_*`` twins pass the loop's parameter environment and whose
+``f_*`` twins pass ``fused=True``), the cost model's costing probe and
+the vectorised SUBQ path's projection.  Only the transient scan (index
+probe) and the transient join (hoisted hash table) of a SUBQ loop keep
+their own behaviour.
 
 Every engine, the GPU baselines (GPUDB+, OmniSci-like) included, runs
-``NestGPU.execute``; this evaluator runs the flat pieces inside it:
+``NestGPU.execute``; :func:`run_plan` runs the flat pieces inside it:
 invariant subtrees hoisted out of the SUBQ loop and uncorrelated
 subqueries (:mod:`repro.core.runtime`), the cost model's measured outer
 block and the sharded coordinator's tail.  It memoises results by
@@ -22,7 +32,7 @@ import numpy as np
 
 from ..errors import ExecutionError
 from ..gpu import kernels
-from ..plan.expressions import Const, _replace_subquery_refs
+from ..plan.expressions import AggRef, Const, _replace_subquery_refs
 from ..plan.nodes import (
     Aggregate,
     CrossJoin,
@@ -41,8 +51,63 @@ from ..plan.nodes import (
     SubqueryFilter,
 )
 from . import operators as ops
-from .exprs import _eval_three_valued
+from .exprs import _eval_in_three_valued, _eval_three_valued
 from .relation import Relation, computed_column
+
+
+def run_operator(ctx, node: Plan, inputs, env=None, fused: bool = False):
+    """Run one operator node over its input relations.
+
+    ``inputs`` are the node's inputs in ``node.children()`` order;
+    ``env`` binds correlated parameters; ``fused`` charges a selection's
+    predicate chain and compaction tail as one launch (only scans and
+    filters fuse).  Dispatch compares types instead of calling
+    ``isinstance``: this runs once per operator on the hot path.
+    """
+    kind = type(node)
+    if kind is Scan:
+        return ops.scan(
+            ctx, node.table, node.binding, node.filters, env, node.columns,
+            fused=fused,
+        )
+    if kind is Join:
+        left, right = inputs
+        return ops.join(
+            ctx, left, right, node.left_key, node.right_key, env,
+            build_side=node.build_side,
+        )
+    if kind is Filter:
+        return ops.filter_rel(ctx, inputs[0], node.predicate, env, fused=fused)
+    if kind is Aggregate:
+        return ops.aggregate(
+            ctx, inputs[0], node.groups, node.aggs, node.having, env
+        )
+    if kind is Project:
+        return ops.project(ctx, inputs[0], node.exprs, node.names)
+    if kind is Sort:
+        return ops.sort(ctx, inputs[0], node.keys, node.descending)
+    if kind is Limit:
+        return ops.limit(ctx, inputs[0], node.count)
+    if kind is Distinct:
+        return ops.distinct(ctx, inputs[0])
+    if kind is SemiJoin:
+        child, inner = inputs
+        return ops.semi_join(
+            ctx, child, inner, node.outer_key, node.inner_key, node.negated,
+            env,
+        )
+    if kind is LeftLookup:
+        child, inner = inputs
+        return ops.left_lookup(
+            ctx, child, inner, node.outer_key, node.inner_key,
+            node.value_column, node.output_name, node.default, env,
+        )
+    if kind is CrossJoin:
+        left, right = inputs
+        return ops.cross_join(ctx, left, right)
+    if kind is DerivedScan:
+        return inputs[0].renamed_prefix(node.binding)
+    raise ExecutionError(f"no operator runs node {node!r}")
 
 
 def run_plan(
@@ -54,111 +119,68 @@ def run_plan(
     """Execute a flat plan, returning the result relation."""
     if memo is None:
         memo = {}
-    return _run(ctx, plan, env, memo)
-
-
-def _run(ctx, node: Plan, env, memo) -> Relation:
-    key = id(node)
+    key = id(plan)
     if key in memo:
         return memo[key]
-    result = _dispatch(ctx, node, env, memo)
+    kind = type(plan)
+    if kind is SubqueryFilter:
+        result = _run_uncorrelated_subquery(ctx, plan, env, memo)
+    elif kind is SubqueryColumn:
+        result = _run_uncorrelated_subquery_column(ctx, plan, env, memo)
+    else:
+        inputs = [run_plan(ctx, child, env, memo) for child in plan.children()]
+        result = run_operator(ctx, plan, inputs, env)
     memo[key] = result
     return result
-
-
-def _dispatch(ctx, node: Plan, env, memo) -> Relation:
-    if isinstance(node, Scan):
-        return ops.scan(
-            ctx, node.table, node.binding, node.filters, env, node.columns
-        )
-    if isinstance(node, DerivedScan):
-        inner = _run(ctx, node.plan, env, memo)
-        return inner.renamed_prefix(node.binding)
-    if isinstance(node, CrossJoin):
-        left = _run(ctx, node.left, env, memo)
-        right = _run(ctx, node.right, env, memo)
-        return ops.cross_join(ctx, left, right)
-    if isinstance(node, Join):
-        left = _run(ctx, node.left, env, memo)
-        right = _run(ctx, node.right, env, memo)
-        return ops.join(
-            ctx, left, right, node.left_key, node.right_key, env,
-            build_side=node.build_side,
-        )
-    if isinstance(node, Filter):
-        child = _run(ctx, node.child, env, memo)
-        return ops.filter_rel(ctx, child, node.predicate, env)
-    if isinstance(node, SemiJoin):
-        child = _run(ctx, node.child, env, memo)
-        inner = _run(ctx, node.inner, env, memo)
-        return ops.semi_join(
-            ctx, child, inner, node.outer_key, node.inner_key, node.negated, env
-        )
-    if isinstance(node, LeftLookup):
-        child = _run(ctx, node.child, env, memo)
-        inner = _run(ctx, node.inner, env, memo)
-        return ops.left_lookup(
-            ctx, child, inner, node.outer_key, node.inner_key,
-            node.value_column, node.output_name, node.default, env,
-        )
-    if isinstance(node, SubqueryFilter):
-        return _run_uncorrelated_subquery(ctx, node, env, memo)
-    if isinstance(node, SubqueryColumn):
-        return _run_uncorrelated_subquery_column(ctx, node, env, memo)
-    if isinstance(node, Aggregate):
-        child = _run(ctx, node.child, env, memo)
-        return ops.aggregate(ctx, child, node.groups, node.aggs, node.having, env)
-    if isinstance(node, Project):
-        child = _run(ctx, node.child, env, memo)
-        return ops.project(ctx, child, node.exprs, node.names)
-    if isinstance(node, Distinct):
-        child = _run(ctx, node.child, env, memo)
-        return ops.distinct(ctx, child)
-    if isinstance(node, Sort):
-        child = _run(ctx, node.child, env, memo)
-        return ops.sort(ctx, child, node.keys, node.descending)
-    if isinstance(node, Limit):
-        child = _run(ctx, node.child, env, memo)
-        return ops.limit(ctx, child, node.count)
-    raise ExecutionError(f"evaluator cannot execute node {node!r}")
 
 
 def _run_uncorrelated_subquery(ctx, node: SubqueryFilter, env, memo) -> Relation:
     """Run each inner plan once, then select from the child.
 
-    Each ``SUBQ`` leaf becomes a constant: an EXISTS leaf its truth
-    value, a scalar leaf the value of its own inner plan (NaN for
-    NULL).  Without a NULL the predicate is an ordinary filter; with
-    one it is evaluated in three-valued logic, so ``x > NULL OR y < 5``
-    keeps the rows where ``y < 5`` and ``NOT (x > NULL)`` keeps none.
+    An EXISTS leaf becomes its truth value and a scalar leaf the value
+    of its own inner plan (NaN for NULL).  An IN leaf becomes a per-row
+    membership column in three-valued logic.  Without an IN leaf or a
+    NULL the predicate is an ordinary filter; otherwise it is evaluated
+    in three-valued logic, so ``x > NULL OR y < 5`` keeps the rows
+    where ``y < 5`` and ``NOT (x > NULL)`` keeps none.
     """
     if any(descriptor.is_correlated for descriptor in node.descriptors):
         raise ExecutionError(
             "correlated SUBQ reached the flat-plan evaluator; this engine "
             "requires unnesting (or use NestGPU's nested method)"
         )
-    child = _run(ctx, node.child, env, memo)
+    child = run_plan(ctx, node.child, env, memo)
     mapping = {}
+    columns = {}
+    known_cols = {}
+    null_scalar = False
     for descriptor, plan in zip(node.descriptors, node.inners):
-        inner = _run(ctx, plan, env, memo)
+        inner = run_plan(ctx, plan, env, memo)
         if descriptor.kind == "exists":
             value = (inner.num_rows > 0) != descriptor.negated
         elif descriptor.kind == "scalar":
-            value = _scalar_value(inner)
-        else:
-            raise ExecutionError(
-                f"the flat-plan evaluator cannot apply subquery kinds "
-                f"{[d.kind for d in node.descriptors]} in one predicate"
+            value = scalar_value(inner)
+            null_scalar = null_scalar or np.isnan(value)
+        else:  # in: one set S shared by every row
+            values = inner.first_column().data.astype(np.float64)
+            marker = f"__subq{descriptor.index}"
+            truth, known_cols[marker] = _eval_in_three_valued(
+                ctx, child, descriptor.in_operand,
+                lambda operand: np.isin(operand, values),
+                len(values) == 0, bool(np.isnan(values).any()),
+                descriptor.negated,
             )
+            columns[marker] = computed_column(marker, truth)
+            mapping[descriptor.index] = AggRef(marker)
+            continue
         mapping[descriptor.index] = Const(value)
     predicate = _replace_subquery_refs(node.predicate, mapping)
-    if not any(np.isnan(const.value) for const in mapping.values()):
+    if not columns and not null_scalar:
         return ops.filter_rel(ctx, child, predicate, env)
-    truth, _ = _eval_three_valued(predicate, child, ctx, {})
-    out = child.take_no_charge(kernels.compact(ctx.device, truth))
-    ops._materialize(ctx, out)
-    ctx.operator_done()
-    return out
+    truth, _ = _eval_three_valued(
+        predicate, child.with_columns(columns), ctx, known_cols
+    )
+    return ops._finish(ctx, child, kernels.compact(ctx.device, truth))
 
 
 def _run_uncorrelated_subquery_column(
@@ -173,15 +195,20 @@ def _run_uncorrelated_subquery_column(
         raise ExecutionError(
             "correlated SELECT-list SUBQ reached the flat-plan evaluator"
         )
-    child = _run(ctx, node.child, env, memo)
-    value = _scalar_value(_run(ctx, node.inner, env, memo))
+    child = run_plan(ctx, node.child, env, memo)
+    value = scalar_value(run_plan(ctx, node.inner, env, memo))
     data = np.full(child.num_rows, value, dtype=np.float64)
     return child.with_columns(
         {node.output_name: computed_column(node.output_name, data)}
     )
 
 
-def _scalar_value(inner: Relation) -> float:
+def scalar_value(inner: Relation) -> float:
+    """The value of a scalar subquery's result; NaN stands for NULL.
+
+    The one check that a scalar subquery yields exactly one row, for
+    the flat evaluator and the drive-program runtime alike.
+    """
     if inner.num_rows != 1:
         raise ExecutionError(f"scalar subquery returned {inner.num_rows} rows")
     return float(inner.first_column().data[0])

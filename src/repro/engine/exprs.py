@@ -177,6 +177,30 @@ def _nan_mask(value, size: int) -> np.ndarray:
     return np.zeros(size, dtype=bool)
 
 
+def _eval_in_three_valued(
+    ctx, rel: Relation, operand_expr: PlanExpr, members, empty, set_null,
+    negated: bool,
+):
+    """``x [NOT] IN S`` per row of ``rel`` -> ``(truth, known)`` arrays.
+
+    TRUE on a match, FALSE when S is empty, and UNKNOWN when there is no
+    match but x is NULL or S contains a NULL (the NULL *might* have been
+    x); NOT IN negates the known rows.  ``members(x)`` flags the rows
+    whose S holds x; ``empty`` and ``set_null`` describe each row's S,
+    as arrays or as one bool when every row shares the same S.
+    """
+    size = rel.num_rows
+    operand = evaluate(operand_expr, rel, ctx, None)
+    if not isinstance(operand, np.ndarray):
+        operand = np.full(size, operand, dtype=np.float64)
+    ctx.device.launch("in_membership", size, work=2.0)
+    membership = members(operand)
+    operand_null = _nan_mask(operand, size)
+    ctx.device.launch("null_scan", size)
+    known = ~(~(membership | empty) & (operand_null | set_null))
+    return (membership != negated) & known, known
+
+
 def _eval_three_valued(
     expr: PlanExpr, rel: Relation, ctx, known_cols: dict[str, np.ndarray]
 ):

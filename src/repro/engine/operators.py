@@ -20,24 +20,6 @@ from .exprs import evaluate
 from .relation import Relation, computed_column
 
 
-def _selection_mask(ctx, rel: Relation, filters: list[PlanExpr], env):
-    """Evaluate a predicate conjunction to a single 0/1 mask.
-
-    Returns ``None`` when every predicate folded to a constant truth
-    (no kernel ran, the relation passes through unfiltered).
-    """
-    mask = None
-    for predicate in filters:
-        result = evaluate(predicate, rel, ctx, env)
-        if not isinstance(result, np.ndarray):
-            if not result:
-                mask = np.zeros(rel.num_rows, dtype=bool)
-                break
-            continue
-        mask = result if mask is None else kernels.logical_and(ctx.device, mask, result)
-    return mask
-
-
 def scan(ctx, table_name: str, binding: str, filters: list[PlanExpr],
          env=None, columns: list[str] | None = None,
          fused: bool = False) -> Relation:
@@ -55,46 +37,20 @@ def scan(ctx, table_name: str, binding: str, filters: list[PlanExpr],
     rel = Relation.from_table(table, binding, names)
     if not filters:
         return rel
-    if fused:
-        with kernels.fused(ctx.device, "fused_scan"):
-            mask = _selection_mask(ctx, rel, filters, env)
-            indices = None if mask is None else kernels.compact(ctx.device, mask)
-    else:
-        mask = _selection_mask(ctx, rel, filters, env)
-        indices = None if mask is None else kernels.compact(ctx.device, mask)
-    if indices is None:
-        return rel
-    out = rel.take_no_charge(indices)
-    _materialize(ctx, out)
-    ctx.operator_done()
-    return out
+    return _select_all(ctx, rel, filters, env, fused, "fused_scan")
 
 
 def filter_rel(ctx, rel: Relation, predicate: PlanExpr, env=None,
                fused: bool = False) -> Relation:
     """Selection over an intermediate relation."""
-    if fused:
-        with kernels.fused(ctx.device, "fused_filter"):
-            result = evaluate(predicate, rel, ctx, env)
-            indices = (
-                kernels.compact(ctx.device, result)
-                if isinstance(result, np.ndarray) else None
-            )
-        if indices is None:
-            if result:
-                return rel
-            return rel.take_no_charge(np.empty(0, dtype=np.int64))
-    else:
+    with kernels.fused(ctx.device, "fused_filter") if fused else kernels.UNFUSED:
         result = evaluate(predicate, rel, ctx, env)
         if not isinstance(result, np.ndarray):
             if result:
                 return rel
             return rel.take_no_charge(np.empty(0, dtype=np.int64))
         indices = kernels.compact(ctx.device, result)
-    out = rel.take_no_charge(indices)
-    _materialize(ctx, out)
-    ctx.operator_done()
-    return out
+    return _finish(ctx, rel, indices)
 
 
 def filter_rel_multi(ctx, rel: Relation, predicates: list[PlanExpr],
@@ -111,16 +67,44 @@ def filter_rel_multi(ctx, rel: Relation, predicates: list[PlanExpr],
     """
     if not predicates:
         return rel
-    if not fused:
+    if fused:
+        return _select_all(ctx, rel, predicates, env, True, "fused_filter")
+    for predicate in predicates:
+        rel = filter_rel(ctx, rel, predicate, env)
+    return rel
+
+
+def _select_all(ctx, rel: Relation, predicates: list[PlanExpr], env,
+                fused: bool, tag: str) -> Relation:
+    """Keep the rows passing every predicate: one 0/1 mask, one compact.
+
+    Passes ``rel`` through when every predicate folded to a constant
+    truth (no kernel ran).  ``fused`` charges the masks and the
+    compaction as one launch recorded under ``tag``.
+    """
+    with kernels.fused(ctx.device, tag) if fused else kernels.UNFUSED:
+        mask = None
         for predicate in predicates:
-            rel = filter_rel(ctx, rel, predicate, env)
-        return rel
-    with kernels.fused(ctx.device, "fused_filter"):
-        mask = _selection_mask(ctx, rel, predicates, env)
-        indices = None if mask is None else kernels.compact(ctx.device, mask)
-    if indices is None:
-        return rel
-    out = rel.take_no_charge(indices)
+            result = evaluate(predicate, rel, ctx, env)
+            if not isinstance(result, np.ndarray):
+                if not result:
+                    mask = np.zeros(rel.num_rows, dtype=bool)
+                    break
+                continue
+            mask = (
+                result if mask is None
+                else kernels.logical_and(ctx.device, mask, result)
+            )
+        if mask is None:
+            return rel
+        indices = kernels.compact(ctx.device, mask)
+    return _finish(ctx, rel, indices)
+
+
+def _finish(ctx, rel: Relation, indices: np.ndarray | None = None) -> Relation:
+    """The operator tail: take ``indices`` of ``rel`` (all of it when
+    None), materialise the result and close the operator."""
+    out = rel if indices is None else rel.take_no_charge(indices)
     _materialize(ctx, out)
     ctx.operator_done()
     return out
@@ -182,12 +166,9 @@ def cross_join(ctx, left_rel: Relation, right_rel: Relation) -> Relation:
     ctx.device.launch("cross_join", total)
     left_idx = np.repeat(np.arange(n_left), n_right)
     right_idx = np.tile(np.arange(n_right), n_left)
-    out = left_rel.take_no_charge(left_idx).merged(
+    return _finish(ctx, left_rel.take_no_charge(left_idx).merged(
         right_rel.take_no_charge(right_idx)
-    )
-    _materialize(ctx, out)
-    ctx.operator_done()
-    return out
+    ))
 
 
 def semi_join(
@@ -208,11 +189,7 @@ def semi_join(
     mask = kernels.semi_probe(ctx.device, table, outer_keys)
     if negated:
         mask = kernels.logical_not(ctx.device, mask)
-    indices = kernels.compact(ctx.device, mask)
-    out = outer_rel.take_no_charge(indices)
-    _materialize(ctx, out)
-    ctx.operator_done()
-    return out
+    return _finish(ctx, outer_rel, kernels.compact(ctx.device, mask))
 
 
 def left_lookup(
@@ -242,12 +219,9 @@ def left_lookup(
     values = np.full(child.num_rows, default, dtype=np.float64)
     source = inner.column(value_column).data
     values[matched] = source[table.order[lo[matched]]]
-    out = child.with_columns(
+    return _finish(ctx, child.with_columns(
         {output_name: computed_column(output_name, values)}
-    )
-    _materialize(ctx, out)
-    ctx.operator_done()
-    return out
+    ))
 
 
 def aggregate(
@@ -269,11 +243,8 @@ def aggregate(
     else:
         out = _scalar_aggregate(ctx, rel, aggs, env)
     if having is not None:
-        out = filter_rel(ctx, out, having, env)
-    else:
-        _materialize(ctx, out)
-        ctx.operator_done()
-    return out
+        return filter_rel(ctx, out, having, env)
+    return _finish(ctx, out)
 
 
 def _scalar_aggregate(ctx, rel: Relation, aggs: list[AggSpecNode], env) -> Relation:
@@ -356,11 +327,7 @@ def distinct(ctx, rel: Relation) -> Relation:
         return rel
     arrays = [col.data for col in rel.columns.values()]
     _, reps = kernels.group_ids(ctx.device, arrays)
-    reps = np.sort(reps)
-    out = rel.take_no_charge(reps)
-    _materialize(ctx, out)
-    ctx.operator_done()
-    return out
+    return _finish(ctx, rel, np.sort(reps))
 
 
 def sort(ctx, rel: Relation, keys: list[str], descending: list[bool]) -> Relation:
@@ -368,11 +335,9 @@ def sort(ctx, rel: Relation, keys: list[str], descending: list[bool]) -> Relatio
     if rel.num_rows == 0:
         return rel
     key_arrays = [rel.column(k).data for k in keys]
-    order = kernels.sort_order(ctx.device, key_arrays, descending)
-    out = rel.take_no_charge(order)
-    _materialize(ctx, out)
-    ctx.operator_done()
-    return out
+    return _finish(
+        ctx, rel, kernels.sort_order(ctx.device, key_arrays, descending)
+    )
 
 
 def limit(ctx, rel: Relation, count: int) -> Relation:

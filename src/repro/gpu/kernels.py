@@ -14,7 +14,7 @@ and return fresh arrays.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,6 +57,11 @@ def fused(device: Device, tag: str):
         yield
     finally:
         device.end_fused(scope)
+
+
+#: The scope an operator body runs under when it is not fused: it
+#: changes nothing, so one body serves both pipelines.
+UNFUSED = nullcontext()
 
 
 # ---------------------------------------------------------------------------

@@ -143,6 +143,8 @@ def test_each_scalar_leaf_takes_its_own_subquery_value():
 
 
 NULL_SCALAR = "(SELECT avg(p_size) FROM part WHERE p_size > 1000)"
+RICH_SUPPLIERS = "(SELECT s_suppkey FROM supplier WHERE s_acctbal > 5000)"
+NULL_SET = "(SELECT max(s_suppkey) FROM supplier WHERE s_acctbal > 100000)"
 
 
 @pytest.mark.parametrize(
@@ -159,12 +161,25 @@ NULL_SCALAR = "(SELECT avg(p_size) FROM part WHERE p_size > 1000)"
         "p_size > (SELECT avg(p_size) FROM part) "
         "OR NOT EXISTS (SELECT * FROM nation WHERE n_nationkey = 99)",
         "EXISTS (SELECT * FROM nation WHERE n_nationkey = 99) OR p_size < 10",
+        "p_partkey IN (SELECT ps_partkey FROM partsupp "
+        f"WHERE ps_suppkey IN {RICH_SUPPLIERS})",
+        "EXISTS (SELECT ps_partkey FROM partsupp "
+        f"WHERE ps_suppkey IN {RICH_SUPPLIERS})",
+        "p_partkey NOT IN (SELECT ps_partkey FROM partsupp "
+        f"WHERE ps_suppkey NOT IN {RICH_SUPPLIERS})",
+        f"p_partkey NOT IN {NULL_SET} OR p_size < 10",
+        f"NOT (p_partkey IN {NULL_SET})",
+        "p_size > (SELECT avg(p_size) FROM part) "
+        "OR p_partkey IN (SELECT ps_partkey FROM partsupp WHERE ps_availqty < 100)",
+        "EXISTS (SELECT * FROM nation WHERE n_nationkey = 99) "
+        "OR p_partkey NOT IN (SELECT ps_partkey FROM partsupp WHERE ps_suppkey < 10)",
     ],
 )
 def test_uncorrelated_in_body_matches_the_oracle(body):
     """The body of an uncorrelated IN runs on the flat evaluator
-    (``uncorrelated_vector``), so a mix of SUBQ leaves, or a NULL one
-    under OR/NOT, reaches it from ``NestGPU.execute``."""
+    (``uncorrelated_vector``), so a mix of SUBQ leaves, an IN leaf in
+    three-valued logic, or a NULL leaf under OR/NOT, reaches it from
+    ``NestGPU.execute``."""
     from repro.baselines.rowstore import RowstoreEngine
     from repro.core import NestGPU
     from repro.tpch import generate_tpch
@@ -178,16 +193,3 @@ def test_uncorrelated_in_body_matches_the_oracle(body):
     oracle = RowstoreEngine(catalog).execute(sql).rows
     for mode in ("nested", "unnested", "auto"):
         assert NestGPU(catalog).execute(sql, mode=mode).rows == oracle, mode
-
-
-def test_an_in_subquery_leaf_raises_instead_of_returning_rows(ctx, rst_catalog):
-    from repro.plan.nodes import SubqueryFilter
-
-    plan = build(
-        rst_catalog,
-        "SELECT r_col1 FROM r WHERE r_col2 > (SELECT min(s_col2) FROM s) "
-        "OR r_col1 IN (SELECT t_col1 FROM t)",
-    )
-    node = next(n for n in plan.walk() if isinstance(n, SubqueryFilter))
-    with pytest.raises(ExecutionError, match="cannot apply subquery kinds"):
-        run_plan(ctx, node)

@@ -283,9 +283,8 @@ KEEP: dict[str, str] = {
             "has one",
             "repro.core.vectorize::_apply_seg_filter",
             "repro.core.vectorize::_eval_filter"),
-    **_same("uncorrelated WHERE subquery in a flat plan (type-A/N)",
-            "repro.engine.evaluator::_run_uncorrelated_subquery",
-            "repro.engine.evaluator::_scalar_value"),
+    "repro.engine.evaluator::_run_uncorrelated_subquery":
+        "uncorrelated WHERE subquery in a flat plan (type-A/N)",
     "repro.engine.evaluator::_run_uncorrelated_subquery_column":
         "uncorrelated scalar SUBQ in the SELECT list of an uncorrelated "
         "WHERE subquery",
