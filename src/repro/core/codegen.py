@@ -331,7 +331,8 @@ class CodeGenerator:
         )
         self._emit(f"rt.restore_pools({mark})")
         self._indent -= 2
-        self._emit("else:")
+        # a body the replay covers runs as one call (core.replay)
+        self._emit(f"elif not rt.replay_loop({sp}, {corr}, {res}, {mark}):")
         self._indent += 1
         self._emit(f"for {i} in range(rt.rows({outer_var})):")
         self._indent += 1

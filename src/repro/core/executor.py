@@ -78,6 +78,9 @@ class QueryResult:
     vector_node_ns: dict[int, float] = field(default_factory=dict)
     subquery_iterations: dict[int, int] = field(default_factory=dict)
     subquery_batches: dict[int, int] = field(default_factory=dict)
+    # how each SUBQ ran: "once", "vectorized", "replayed" or
+    # "loop: <reason>" (core.replay)
+    subquery_paths: dict[int, str] = field(default_factory=dict)
     subquery_overhead_ns: dict[int, float] = field(default_factory=dict)
     subquery_cache: dict[int, tuple[int, int]] = field(default_factory=dict)
     preload_ns: float = 0.0
@@ -649,6 +652,7 @@ def query_result(rel, runtimes: list[Runtime], stats: ExecutionStats,
         cache_hits=sum(sp.cache.hits for sp in subprograms),
         cache_misses=sum(sp.cache.misses for sp in subprograms),
         subquery_cache=subquery_cache,
+        subquery_paths={sp.descriptor.index: sp.path for sp in subprograms},
         **{
             name: _sum_dicts(getattr(runtime, name) for runtime in runtimes)
             for name in _RUNTIME_COUNTERS

@@ -30,7 +30,7 @@ from ..plan.expressions import (
 )
 from ..plan.invariants import InvariantInfo, mark_invariants
 from ..plan.nodes import Join, Plan, Scan, SubqueryFilter
-from . import vectorize
+from . import replay, vectorize
 from .caching import SubqueryCache
 from .indexing import CorrelatedIndex, index_pays_off
 from .subquery import (
@@ -59,8 +59,7 @@ class SubqueryProgram:
         )
         self.vectorized = (
             ctx.options.use_vectorization
-            and descriptor.kind in ("scalar", "exists")
-            and vectorize.can_vectorize(plan, self.info)
+            and vectorize.can_vectorize(plan, self.info, descriptor.kind)
         )
         self.batch_size = batch_size
         self._invariant_memo: dict[int, Relation] = {}
@@ -68,6 +67,19 @@ class SubqueryProgram:
         self._hash_memo: dict[int, object] = {}
         self._index_memo: dict[int, CorrelatedIndex | None] = {}
         self._expected_iterations = 0
+        # the segmented evaluator's per-node outputs, kept only while the
+        # replayed loop reads them (core.replay); its scratch twin
+        self.stages: dict[int, list] | None = None
+        self._scratch: SubqueryProgram | None = None
+        # how the SUBQ runs: "once" (uncorrelated), "vectorized",
+        # "replayed", or "loop: <why the replay refused it>"
+        if not descriptor.is_correlated:
+            self.path = "once"
+        elif self.vectorized:
+            self.path = "vectorized"
+        else:
+            reason = replay.refusal(self)
+            self.path = replay.REPLAYED if reason is None else f"loop: {reason}"
 
     # -- invariant extraction (paper Section III-D) -----------------------
 
@@ -458,6 +470,11 @@ class Runtime:
             self.ctx.raw_alloc.free_all()
 
     # per-iteration (loop) path -------------------------------------------
+
+    def replay_loop(self, sp: SubqueryProgram, corr, vector, marks) -> bool:
+        """Run a covered loop as one replay (core.replay); False when
+        the per-iteration statements must run instead."""
+        return replay.replay_loop(self, sp, corr, vector, marks)
 
     def param_env(
         self, sp: SubqueryProgram, corr: dict[str, np.ndarray], i: int

@@ -39,7 +39,6 @@ from ..plan.nodes import (
     Plan,
     Project,
     Scan,
-    SubqueryFilter,
 )
 
 
@@ -52,33 +51,50 @@ class SegRelation:
     num_segments: int
 
 
-def can_vectorize(plan: Plan, info) -> bool:
-    """Whether the batched path supports this subquery plan.
+def can_vectorize(plan: Plan, info, kind: str) -> bool:
+    """Whether the segmented evaluator covers this ``kind`` of body."""
+    return refusal(plan, info, kind) is None
 
-    Requirements: the transient region contains only scans, filters,
-    joins, one group-less aggregate and projections; every correlated
-    scan predicate is an equality against a single parameter.  Plans
-    outside this shape run the per-iteration loop instead.
+
+def refusal(plan: Plan, info, kind: str) -> str | None:
+    """Why the segmented evaluator cannot run this body; None if it can.
+
+    A scalar body is projections over exactly one group-less aggregate
+    (no DISTINCT argument, no HAVING); an EXISTS body has no aggregate.
+    Below that, the transient region holds only scans, filters, joins
+    and projections, and every correlated scan predicate is an equality
+    against a single parameter.  Any other body runs the per-iteration
+    loop instead.
     """
-    saw_aggregate = False
-    for node in plan.walk():
-        if not info.is_transient(node):
+    if kind not in ("scalar", "exists"):
+        return f"{kind.upper()} body"
+    node = plan
+    if kind == "scalar":
+        while type(node) is Project and info.is_transient(node):
+            node = node.child
+        if type(node) is not Aggregate or not info.is_transient(node):
+            return "scalar body without one aggregate"
+        if node.groups:
+            return "grouped aggregate"
+        if node.having is not None:
+            return "HAVING"
+        if any(spec.distinct for spec in node.aggs):
+            return "DISTINCT aggregate"
+        node = node.child
+    for sub in node.walk():
+        if not info.is_transient(sub):
             continue
-        if isinstance(node, SubqueryFilter):
-            return False
-        if isinstance(node, Aggregate):
-            if node.groups or saw_aggregate:
-                return False
-            saw_aggregate = True
-        elif isinstance(node, Scan):
-            for predicate in node.filters:
-                if not referenced_params(predicate):
-                    continue
-                if _equality_correlation(predicate) is None:
-                    return False
-        elif not isinstance(node, (Filter, Join, Project)):
-            return False
-    return True
+        if isinstance(sub, Aggregate):
+            return f"aggregate in a{'n EXISTS' if kind == 'exists' else ' scalar'} body"
+        if isinstance(sub, Scan):
+            for predicate in sub.filters:
+                if referenced_params(predicate) and (
+                    _equality_correlation(predicate) is None
+                ):
+                    return "non-equality correlation"
+        elif not isinstance(sub, (Filter, Join, Project)):
+            return f"{type(sub).__name__} in the body"
+    return None
 
 
 def _equality_correlation(predicate: PlanExpr):
@@ -162,17 +178,22 @@ def _eval(sp, node: Plan, batch, num_segments):
 def _eval_node(sp, node: Plan, batch, num_segments):
     if not sp.info.is_transient(node):
         return sp.invariant_relation(node)
-    if isinstance(node, Scan):
+    kind = type(node)
+    if kind is Scan:
         return _eval_scan(sp, node, batch, num_segments)
-    if isinstance(node, Filter):
-        return _eval_filter(sp, node, batch, num_segments)
-    if isinstance(node, Join):
-        return _eval_join(sp, node, batch, num_segments)
-    if isinstance(node, Aggregate):
-        return _eval_aggregate(sp, node, batch, num_segments)
-    if isinstance(node, Project):
-        return _eval_project(sp, node, batch, num_segments)
-    raise ExecutionError(f"vectorized path cannot execute {node!r}")
+    if kind is Filter:
+        out = _eval_filter(sp, node, batch, num_segments)
+    elif kind is Join:
+        out = _eval_join(sp, node, batch, num_segments)
+    elif kind is Aggregate:
+        out = _eval_aggregate(sp, node, batch, num_segments)
+    elif kind is Project:
+        out = _eval_project(sp, node, batch, num_segments)
+    else:
+        raise ExecutionError(f"vectorized path cannot execute {node!r}")
+    if sp.stages is not None:
+        sp.stages[id(node)] = [out]
+    return out
 
 
 def _seg_env(batch, seg: np.ndarray) -> dict[str, np.ndarray]:
@@ -213,12 +234,16 @@ def _eval_scan(sp, node: Scan, batch, num_segments) -> SegRelation:
         rel = base.take_no_charge(rows)
         ops._materialize(sp.ctx, rel)
         out = SegRelation(rel, seg, num_segments)
+        stages = [out]
         # remaining correlated predicates (composite correlations)
         for predicate in correlated[1:]:
             out = _apply_seg_filter(sp, out, predicate, batch)
+            stages.append(out)
     finally:
         device.end_fused(scope)
     sp.ctx.operator_done()
+    if sp.stages is not None:
+        sp.stages[id(node)] = stages
     return out
 
 

@@ -206,9 +206,12 @@ def _run_uncorrelated_subquery_column(
 def scalar_value(inner: Relation) -> float:
     """The value of a scalar subquery's result; NaN stands for NULL.
 
-    The one check that a scalar subquery yields exactly one row, for
-    the flat evaluator and the drive-program runtime alike.
+    The one check that a scalar subquery yields at most one row, for
+    the flat evaluator and the drive-program runtime alike: no row is
+    NULL, as in SQL.
     """
+    if inner.num_rows == 0:
+        return np.nan
     if inner.num_rows != 1:
         raise ExecutionError(f"scalar subquery returned {inner.num_rows} rows")
     return float(inner.first_column().data[0])

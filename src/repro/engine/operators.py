@@ -353,7 +353,11 @@ def fetch_result(ctx, rel: Relation) -> Relation:
 
 def _materialize(ctx, rel: Relation) -> None:
     """Charge materialization (Eq. 1's M term) and pool space."""
-    nbytes = rel.nbytes
+    charge_materialize(ctx, rel.nbytes)
+
+
+def charge_materialize(ctx, nbytes: int) -> None:
+    """:func:`_materialize` of a relation ``nbytes`` wide."""
     ctx.device.materialize(nbytes)
     ctx.alloc_intermediate(nbytes)
 

@@ -134,10 +134,14 @@ def logical_not(device: Device, mask: np.ndarray) -> np.ndarray:
 
 def compact(device: Device, mask: np.ndarray) -> np.ndarray:
     """Indices of set positions (prefix-sum + scatter of a 0/1 vector)."""
-    n = len(mask)
+    charge_compact(device, len(mask))
+    return np.flatnonzero(mask)
+
+
+def charge_compact(device: Device, n: int) -> None:
+    """The launches of :func:`compact` over ``n`` flags."""
     device.launch("prefix_sum", n, work=_log_work(n))
     device.launch("scatter", n)
-    return np.flatnonzero(mask)
 
 
 def gather(device: Device, data: np.ndarray, indices: np.ndarray) -> np.ndarray:
@@ -158,8 +162,18 @@ def reduce_full(device: Device, values: np.ndarray, op: str) -> float:
 
     ``avg`` over an empty column yields NaN, matching SQL NULL.
     """
-    n = len(values)
+    charge_reduce(device, len(values))
+    return reduce_value(values, op)
+
+
+def charge_reduce(device: Device, n: int) -> None:
+    """The launch of :func:`reduce_full` over ``n`` values."""
     device.launch("reduce", n, work=_log_work(max(n, 1)))
+
+
+def reduce_value(values: np.ndarray, op: str) -> float:
+    """The host half of :func:`reduce_full`: the reduction, uncharged."""
+    n = len(values)
     if op == "count":
         return float(n)
     if n == 0:
@@ -335,10 +349,16 @@ def hash_probe(
     device: Device, table: JoinHash, probe_keys: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Probe -> aligned (probe_indices, build_indices) of every match."""
-    device.launch("hash_probe", len(probe_keys), work=2.0)
     probe_idx, positions, total = expand_ranges(*table.ranges(probe_keys))
-    device.launch("join_expand", total)
+    charge_probe(device, len(probe_keys), total)
     return probe_idx, table.order[positions]
+
+
+def charge_probe(device: Device, probes: int, matches: int) -> None:
+    """The launches of :func:`hash_probe`: ``probes`` keys, ``matches``
+    output pairs."""
+    device.launch("hash_probe", probes, work=2.0)
+    device.launch("join_expand", matches)
 
 
 def semi_probe(device: Device, table: JoinHash, probe_keys: np.ndarray) -> np.ndarray:
@@ -440,7 +460,11 @@ def binary_search_ranges(
     matching slice.  The launch size is the probe count (log-cost per
     probe), not the table size.
     """
-    device.launch(
-        "index_search", len(probe_values), work=_log_work(max(len(index), 1))
-    )
+    charge_index_search(device, len(probe_values), len(index))
     return index.ranges(probe_values)
+
+
+def charge_index_search(device: Device, probes: int, indexed: int) -> None:
+    """The launch of :func:`binary_search_ranges`: ``probes`` searches
+    in an index over ``indexed`` values."""
+    device.launch("index_search", probes, work=_log_work(max(indexed, 1)))

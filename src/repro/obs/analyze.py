@@ -159,7 +159,10 @@ class AnalyzeReport:
             iters = r.subquery_iterations.get(key, 0)
             batches = r.subquery_batches.get(key, 0)
             hits, misses = r.subquery_cache.get(key, (0, 0))
-            stat_parts = [f"iterations={iters}"]
+            stat_parts = [
+                f"path={r.subquery_paths.get(key, '-')}",
+                f"iterations={iters}",
+            ]
             if batches:
                 stat_parts.append(f"vectorized batches={batches}")
             if hits or misses:

@@ -25,7 +25,7 @@ class TestEligibility:
         from repro.core.vectorize import can_vectorize
 
         plan, info = self._info_and_plan(rst_catalog, queries.PAPER_Q1)
-        assert can_vectorize(plan, info)
+        assert can_vectorize(plan, info, "scalar")
 
     def test_inequality_correlation_not_vectorizable(self, rst_catalog):
         from repro.core.vectorize import can_vectorize
@@ -37,13 +37,13 @@ class TestEligibility:
               SELECT min(s_col2) FROM s WHERE s_col1 > r_col1)
             """,
         )
-        assert not can_vectorize(plan, info)
+        assert not can_vectorize(plan, info, "scalar")
 
     def test_q2_inner_vectorizable(self, tpch_small):
         from repro.core.vectorize import can_vectorize
 
         plan, info = self._info_and_plan(tpch_small, queries.TPCH_Q2)
-        assert can_vectorize(plan, info)
+        assert can_vectorize(plan, info, "scalar")
 
     def test_nested_subquery_not_vectorizable(self, rst_catalog):
         from repro.core.vectorize import can_vectorize
@@ -56,7 +56,7 @@ class TestEligibility:
                 SELECT max(t_col3) FROM t WHERE t_col1 = s_col1))
             """,
         )
-        assert not can_vectorize(plan, info)
+        assert not can_vectorize(plan, info, "scalar")
 
 
 class TestEquivalence:
