@@ -15,6 +15,9 @@ operand becomes an iterative loop:
   scalar into the result vector, and roll the memory pools back;
 * with vectorization enabled the loop advances in batches, fusing the
   kernels of many iterations into segmented launches;
+* without it, a body the segmented evaluator covers is handed to one
+  runtime call, ``rt.replay_loop``, which charges every iteration as
+  the statements would; the statements run only when it declines;
 * finally the operator containing the subquery is evaluated with the
   result vector as an ordinary input column (Figure 4's last line).
 

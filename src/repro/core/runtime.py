@@ -9,6 +9,14 @@ Every operator entry point hands its node to
 :func:`repro.engine.evaluator.run_operator`, the one operator table;
 only the transient scan (index probe) and join (hoisted hash) add
 behaviour of their own.
+
+A correlated SUBQ takes one of three paths, recorded on its program as
+``SubqueryProgram.path``: *vectorized* (:meth:`Runtime.run_vector_batch`,
+batches of segmented launches), *replayed* (:meth:`Runtime.replay_loop`:
+the body computed once on the host for every key, each iteration's
+charges issued as the loop issues them, :mod:`repro.core.replay`), or
+the per-iteration *loop* the ``t_*`` entry points run, with the reason
+the other two refused it.
 """
 
 from __future__ import annotations

@@ -11,6 +11,12 @@ ablation bench.
 The evaluator walks only the *transient* spine of the subquery plan;
 invariant subtrees and hoisted hash tables come pre-computed from the
 :class:`~repro.core.runtime.SubqueryProgram`.
+
+:func:`refusal` is the coverage rule, and it serves two paths: with
+vectorisation on, a covered body runs here in batches; with it off, the
+replayed loop (:mod:`repro.core.replay`) runs the same evaluation once
+for every distinct key on a scratch device and reads each node's
+per-segment rows (``sp.stages``) to charge the loop's iterations.
 """
 
 from __future__ import annotations
@@ -85,7 +91,10 @@ def refusal(plan: Plan, info, kind: str) -> str | None:
         if not info.is_transient(sub):
             continue
         if isinstance(sub, Aggregate):
-            return f"aggregate in a{'n EXISTS' if kind == 'exists' else ' scalar'} body"
+            return (
+                "aggregate in an EXISTS body" if kind == "exists"
+                else "second aggregate"
+            )
         if isinstance(sub, Scan):
             for predicate in sub.filters:
                 if referenced_params(predicate) and (

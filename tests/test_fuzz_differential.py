@@ -31,7 +31,7 @@ from repro.sql import parse, unparse
 from repro.tpch import generate_tpch
 
 SMOKE_SEED = 7
-SMOKE_QUERIES = 25
+SMOKE_QUERIES = 50  # ci.yml "Differential fuzz smoke": seed 7 x 50
 
 
 @pytest.fixture(scope="module")

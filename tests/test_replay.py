@@ -196,3 +196,25 @@ def test_replay_runs_no_body_operator_per_miss(monkeypatch):
     assert result.cache_misses > 40
     # the outer plan's four joins and the hoisted subtree's two
     assert calls == ["join"] * 6
+
+
+@pytest.mark.parametrize("sql", [
+    # the inner SUBQ replays once per iteration of the outer loop
+    """SELECT r_col1 FROM r WHERE r_col2 = (
+         SELECT min(s_col2) FROM s WHERE s_col1 = r_col1 AND s_col3 = (
+           SELECT max(t_col3) FROM t WHERE t_col1 = s_col1))""",
+    # EXISTS over a join (outside the semi-join rewrite)
+    """SELECT r_col1 FROM r WHERE EXISTS (
+         SELECT * FROM s, t
+         WHERE s_col1 = r_col1 AND s_col3 = t_col1 AND t_col2 > 3)""",
+])
+def test_rst_shapes_replay_the_loop(monkeypatch, sql):
+    from conftest import make_rst_catalog
+
+    engine = NestGPU(
+        make_rst_catalog(), options=EngineOptions(use_vectorization=False),
+        mode="nested",
+    )
+    replayed, looped, paths = _both(lambda: engine.execute(sql), monkeypatch)
+    assert replayed == looped
+    assert "replayed" in paths.values()
