@@ -263,6 +263,9 @@ KEEP: dict[str, str] = {
         "mid-query switch: fires only when a nested plan loses mid-run",
     "repro.core.subquery::AdaptiveGovernor.iteration_done":
         "the governor on the unvectorized loop; no workload trips it",
+    "repro.core.replay::_Body._filter_step":
+        "a replayed body with a transient Filter node (a correlated "
+        "predicate kept above a join); no paper query has one",
     "repro.core.runtime::Runtime.run_iteration":
         "the costing probe's per-iteration path when vectorisation is off",
     "repro.core.executor::NestGPU._measure_program":
