@@ -319,7 +319,7 @@ class _Body:
     def _filter_step(self, ctx, sp, node: Filter):
         rel, rows_in = self._output(sp, node.child)
         template = _template(node.predicate, rel, self.env, array_only=True)
-        rows_out = _counts(self.scratch.stages[id(node)][-1], self.num_segments)
+        rows_out = self._output(sp, node)[1]
         row_bytes = rel.row_bytes
         device = ctx.device
 
@@ -346,7 +346,7 @@ class _Body:
             probe_key, build_key = node.right_key, node.left_key
         probe_rel, probe_rows = self._output(sp, probe)
         template = _template(probe_key, probe_rel, self.env)
-        matches = _counts(self.scratch.stages[id(node)][-1], self.num_segments)
+        matches = self._output(sp, node)[1]
         probe_bytes = probe_rel.row_bytes
         device = ctx.device
 
