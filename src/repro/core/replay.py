@@ -27,6 +27,7 @@ loop's.  Any other body keeps the loop, and the program records why
 
 from __future__ import annotations
 
+import copy
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -151,12 +152,14 @@ def _scratch(sp):
         ctx = sp.ctx
         # a scratch device holds every key's rows at once: no capacity
         device = _ScratchDevice(replace(ctx.device.spec, memory_bytes=1 << 62))
-        scratch_ctx = ExecutionContext(
+        # the program's plan, invariant marking and options, with its own
+        # context and first-use memos
+        scratch = sp._scratch = copy.copy(sp)
+        scratch.ctx = ExecutionContext(
             ctx.catalog, device, ctx.options, index_cache=dict(ctx.index_cache)
         )
-        scratch = sp._scratch = type(sp)(
-            scratch_ctx, sp.descriptor, sp.plan, sp.batch_size
-        )
+        scratch._base_memo, scratch._hash_memo = {}, {}
+        scratch._index_memo = {}
     scratch._invariant_memo = dict(sp._invariant_memo)
     scratch._expected_iterations = sp._expected_iterations
     scratch.stages = {}

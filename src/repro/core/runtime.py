@@ -176,13 +176,6 @@ class SubqueryProgram:
                 self._index_memo[memo_key] = None
         return self._index_memo[memo_key]
 
-    def scan_table(self, node: Scan, keys: np.ndarray) -> kernels.JoinHash:
-        """Uncharged host-side key table of the unindexed vectorized
-        scan (the device pays B full scans), sorted once per scan."""
-        if id(node) not in self._hash_memo:
-            self._hash_memo[id(node)] = kernels.JoinHash.build(keys)
-        return self._hash_memo[id(node)]
-
     @staticmethod
     def _shared_index_key(node: Scan, key_col: ColRef) -> tuple:
         """Value-based fingerprint of (scan base, indexed column).

@@ -237,9 +237,15 @@ def _eval_scan(sp, node: Scan, batch, num_segments) -> SegRelation:
             rows, seg = index.lookup_batch(device, params)
         else:
             device.launch("scan_compare", base.num_rows * len(params))
-            table = sp.scan_table(node, base.column(key_col.qual).data)
-            seg, positions, _ = kernels.expand_ranges(*table.ranges(params))
-            rows = table.order[positions]
+            # host: probe the few parameters with every base key (no
+            # sort of the base), then order the matches parameter-major
+            table = kernels.JoinHash.build(params)
+            rows, positions, _ = kernels.expand_ranges(
+                *table.ranges(base.column(key_col.qual).data)
+            )
+            seg = table.order[positions]
+            by_param = np.argsort(seg, kind="stable")
+            rows, seg = rows[by_param], seg[by_param]
         rel = base.take_no_charge(rows)
         ops._materialize(sp.ctx, rel)
         out = SegRelation(rel, seg, num_segments)
