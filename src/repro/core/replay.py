@@ -158,8 +158,7 @@ def _scratch(sp):
         scratch.ctx = ExecutionContext(
             ctx.catalog, device, ctx.options, index_cache=dict(ctx.index_cache)
         )
-        scratch._base_memo, scratch._hash_memo = {}, {}
-        scratch._index_memo = {}
+        scratch._base_memo, scratch._hash_memo, scratch._index_memo = {}, {}, {}
     scratch._invariant_memo = dict(sp._invariant_memo)
     scratch._expected_iterations = sp._expected_iterations
     scratch.stages = {}
@@ -193,6 +192,8 @@ class _Body:
         batch = {q: corr[q][rows] for q in sp.param_quals}
         self.num_segments = len(first)
         self.scratch = _scratch(sp)
+        # a stand-in binding: a parameter's value never changes which
+        # kernels an array-valued expression launches
         self.env = {q: 0.0 for q in sp.param_quals}
         try:
             if sp.descriptor.kind == "exists":
