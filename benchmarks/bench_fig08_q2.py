@@ -8,7 +8,7 @@ with NestGPU's nested execution comparable to the unnested GPU systems
 The paper also reports CPU-GPU transfers <= ~20% of NestGPU's Q2 time.
 """
 
-from repro.bench import figure8_q2, format_sweep, geometric_speedups, speedup
+from repro.bench import figure8_q2, format_sweep, speedup
 
 from conftest import save_report
 

@@ -55,9 +55,9 @@ def monetdb_spec() -> DeviceSpec:
     )
 
 
-def omnisci_spec(capacity_scale: float = 1.0) -> DeviceSpec:
+def omnisci_spec() -> DeviceSpec:
     """OmniSci on the V100: same silicon, less specialised kernels."""
-    v100 = DeviceSpec.v100(capacity_scale)
+    v100 = DeviceSpec.v100()
     return DeviceSpec(
         name="omnisci-v100",
         memory_bytes=v100.memory_bytes,

@@ -125,11 +125,9 @@ class OmniSciLike(BaselineSystem):
 
     name = "OmniSci"
 
-    def __init__(self, catalog: Catalog, capacity_scale: float = 1.0):
+    def __init__(self, catalog: Catalog):
         options = EngineOptions(use_memory_pools=False)
-        engine = NestGPU(
-            catalog, device=omnisci_spec(capacity_scale), options=options
-        )
+        engine = NestGPU(catalog, device=omnisci_spec(), options=options)
         super().__init__(catalog, engine, "unnested")
 
 

@@ -18,7 +18,6 @@ from .figures import (
 )
 from .report import (
     format_sweep,
-    geometric_speedups,
     speedup,
 )
 from .runner import (
@@ -45,7 +44,6 @@ __all__ = [
     "figure8_q2",
     "figure9_q4",
     "format_sweep",
-    "geometric_speedups",
     "run_sweep",
     "speedup",
 ]

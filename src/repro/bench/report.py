@@ -35,14 +35,3 @@ def speedup(sweep: Sweep, fast: str, slow: str, scale_factor: float) -> float:
     if numerator is None or denominator is None:
         raise ValueError("both series must have run at this scale factor")
     return numerator / denominator
-
-
-def geometric_speedups(sweep: Sweep, fast: str, slow: str) -> list[float]:
-    """Per-scale-factor speedups (skipping points where either failed)."""
-    out = []
-    for sf in sweep.scale_factors():
-        try:
-            out.append(speedup(sweep, fast, slow, sf))
-        except (ValueError, KeyError):
-            continue
-    return out

@@ -106,16 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--metrics", metavar="PATH",
         help="write the metrics registry as JSON and print the text dump",
     )
-    parser.add_argument(
-        "--no-adaptive", action="store_true",
-        help="disable mid-query re-planning (never abandon a running "
-        "nested loop for its unnested twin)",
-    )
-    parser.add_argument(
-        "--no-exact-selectivity", action="store_true",
-        help="use the planner's selectivity heuristics instead of exact "
-        "predicate counting at optimization time",
-    )
     return parser
 
 
@@ -154,11 +144,7 @@ def add_engine_arguments(parser) -> None:
 
 
 def engine_options(args) -> EngineOptions:
-    return EngineOptions(
-        adaptive=not getattr(args, "no_adaptive", False),
-        exact_selectivity=not getattr(args, "no_exact_selectivity", False),
-        fusion=getattr(args, "fusion", "off"),
-    )
+    return EngineOptions(fusion=args.fusion)
 
 
 def device_preset(args) -> DeviceSpec:
@@ -210,6 +196,33 @@ def make_session(args, tracer=None, metrics=None, coefficients=None):
         )
     except ValueError as exc:
         raise _usage_error(exc) from None
+
+
+def check_solo(label: str, statements, solo_engine, compare) -> int:
+    """``--verify-solo`` for every front door: each distinct statement
+    runs once on a fresh solo engine from ``solo_engine()``, and
+    ``compare(sql, solo_result)`` returns a mismatch description or
+    None.  Prints ``label: OK`` or the mismatch lines; returns the exit
+    status (0 or 1)."""
+    from .serve.plancache import normalize_sql
+
+    mismatches: list[str] = []
+    seen: set[str] = set()
+    for sql in statements:
+        key = normalize_sql(sql)
+        if key in seen:
+            continue
+        seen.add(key)
+        problem = compare(sql, solo_engine().execute(sql))
+        if problem:
+            mismatches.append(f"{key[:60]}: {problem}")
+    if mismatches:
+        print(f"{label} FAILED:", file=sys.stderr)
+        for line in mismatches:
+            print(f"  {line}", file=sys.stderr)
+        return 1
+    print(f"{label}: OK")
+    return 0
 
 
 def run_statement(db: NestGPU, sql: str, explain: bool = False,

@@ -54,12 +54,6 @@ class SubqueryCache:
         if self.enabled:
             self._entries[self._key(key)] = (value, valid)
 
-    @property
-    def hit_ratio(self) -> float:
-        """Hits over probes so far (0.0 before the first probe)."""
-        probes = self.hits + self.misses
-        return self.hits / probes if probes else 0.0
-
     # -- batch interface for the vectorized path -------------------------
 
     def probe_batch(

@@ -174,13 +174,6 @@ class Calibrator:
                 "kernel_window": len(self._kernels),
             }
 
-    def clear(self) -> None:
-        with self._lock:
-            capacity = self._kernels.capacity
-            self._kernels = _Ring(capacity)
-            self._transfers = _Ring(capacity)
-            self._materializes = _Ring(capacity)
-
     # -- fitting --------------------------------------------------------
 
     def fit(

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from ..engine import ExecutionContext
 from ..engine.evaluator import run_plan
 from ..gpu import Device, DeviceSpec
+from ..gpu.kernels import _log_work
 from ..plan.expressions import ColRef
 from ..plan.nodes import (
     Aggregate,
@@ -60,10 +61,6 @@ def _kernel_ns(spec: DeviceSpec, elements: float, work: float = 1.0) -> float:
     """One kernel: C + ceil(D/Th) * K * work (Eq. 1, first term)."""
     iterations = math.ceil(elements / spec.threads) if elements > 0 else 0
     return spec.launch_overhead_ns + iterations * spec.iteration_ns * work
-
-
-def _log_work(n: float) -> float:
-    return max(1.0, math.log2(n)) if n > 1 else 1.0
 
 
 def selection_cost_ns(
@@ -342,13 +339,11 @@ class NestedPrediction:
         return self.outer_ms + self.hoist_ms + self.loop_ms + self.upper_ms
 
 
-def predict_nested(
-    system, prepared, probe_iterations: int = 4, index_cache=None,
-) -> NestedPrediction:
+def predict_nested(system, prepared, index_cache=None) -> NestedPrediction:
     """Predict the nested execution time of a prepared query.
 
     Runs the outer flat block and the invariant extraction for real
-    (they must run in any case), probes a few subquery iterations
+    (they must run in any case), probes four subquery iterations
     ("execution islands"), and extrapolates Eq. (6).  It reads a copy of
     a session's ``index_cache`` and publishes nothing to it.
     """
@@ -407,7 +402,7 @@ def predict_nested(
     hoist_ms = device.stats.total_ms - before
 
     # islands: probe a few iterations / one batch, then extrapolate
-    probed_keys = list(dict.fromkeys(keys))[: max(1, probe_iterations)]
+    probed_keys = list(dict.fromkeys(keys))[:4]
     if sp.vectorized:
         batch_rows = min(sp.batch_size, effective)
         vector = (

@@ -178,7 +178,7 @@ def _diff_detail(oracle: list, got: list, limit: int = 3) -> str:
 class DifferentialRunner:
     """Runs queries through oracle + engine matrix and compares rows.
 
-    The engine factories are injectable so the test-suite can wire a
+    The engine factory is injectable so the test-suite can wire a
     deliberately broken engine and prove the harness detects it.
 
     With ``reuse_sessions=True`` each configuration gets one standing
@@ -194,13 +194,11 @@ class DifferentialRunner:
         self,
         catalog: Catalog,
         configs: list[tuple[str, EngineOptions]] | None = None,
-        oracle_factory=None,
         engine_factory=None,
         reuse_sessions: bool = False,
     ):
         self.catalog = catalog
         self.configs = configs or config_matrix("full")
-        self._oracle_factory = oracle_factory or RowstoreEngine
         self._engine_factory = engine_factory
         self._reuse = reuse_sessions and engine_factory is None
         self._sessions: dict[str, object] = {}
@@ -234,7 +232,7 @@ class DifferentialRunner:
         self._sessions.clear()
 
     def run(self, sql: str) -> Report:
-        oracle = canon_rows(self._oracle_factory(self.catalog).execute(sql).rows)
+        oracle = canon_rows(RowstoreEngine(self.catalog).execute(sql).rows)
         report = Report(sql=sql, oracle_rows=oracle)
         for position, (config_name, options) in enumerate(self.configs):
             engine = self._get_engine(config_name, options)

@@ -97,7 +97,7 @@ class _TableInfo:
         self.dec_cols: list[str] = []
         self.date_cols: list[str] = []
         self.str_cols: list[str] = []
-        for column in table.schema():
+        for column in table.columns:
             kind = column.dtype.name
             if kind == "int":
                 self.int_cols.append(column.name)

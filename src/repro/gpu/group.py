@@ -10,8 +10,7 @@ reports.
 
 Time on a group is scatter-gather parallel: the devices' clocks advance
 independently, and a barrier (an exchange, the gather) completes when
-the *slowest* participant does — ``makespan_ns`` over a set of
-snapshots is the max of their totals, not the sum.
+the *slowest* participant does: the max of their totals, not the sum.
 """
 
 from __future__ import annotations
@@ -87,11 +86,6 @@ class DeviceGroup:
         for device in self.devices:
             merged.accumulate(device.stats)
         return merged
-
-    @staticmethod
-    def makespan_ns(snapshots: list[ExecutionStats]) -> float:
-        """Completion time of a scatter-gather phase: the slowest clock."""
-        return max((snap.total_ns for snap in snapshots), default=0.0)
 
     def interconnect_bytes(self) -> int:
         """Total bytes moved over peer links (each copy counted once)."""

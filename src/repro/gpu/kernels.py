@@ -144,12 +144,6 @@ def charge_compact(device: Device, n: int) -> None:
     device.launch("scatter", n)
 
 
-def gather(device: Device, data: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """Gather ``data[indices]``."""
-    device.launch("gather", len(indices))
-    return data[indices]
-
-
 # ---------------------------------------------------------------------------
 # reductions
 # ---------------------------------------------------------------------------

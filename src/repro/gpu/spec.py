@@ -8,7 +8,7 @@ costs ``M`` per byte written.  Transfers move at PCIe bandwidth.
 
 Two presets mirror the paper's hardware: a Tesla V100 (32 GB HBM, the
 server GPU of Figures 8-13 and 15-16) and a GTX 1080 (8 GB GDDR5, the
-desktop GPU of the Figure 14 memory experiment).  ``capacity_scale``
+desktop GPU of the Figure 14 memory experiment).  ``with_memory``
 shrinks device memory in proportion to the micro-scale data so the
 out-of-memory crossover lands at the same scale factor as on real
 hardware (see DESIGN.md section 2).  An ``a100()`` preset models a
@@ -52,11 +52,11 @@ class DeviceSpec:
     malloc_overhead_ns: float
 
     @staticmethod
-    def v100(capacity_scale: float = 1.0) -> "DeviceSpec":
+    def v100() -> "DeviceSpec":
         """The paper's server GPU: Tesla V100, 32 GB HBM2, PCIe 3 x16."""
         return DeviceSpec(
             name="tesla-v100",
-            memory_bytes=int(32 * 2**30 * capacity_scale),
+            memory_bytes=32 * 2**30,
             threads=163_840,  # 80 SMs x 2048 resident threads
             launch_overhead_ns=5_000.0,
             iteration_ns=220.0,
@@ -66,11 +66,11 @@ class DeviceSpec:
         )
 
     @staticmethod
-    def gtx1080(capacity_scale: float = 1.0) -> "DeviceSpec":
+    def gtx1080() -> "DeviceSpec":
         """The paper's desktop GPU: GTX 1080, 8 GB GDDR5X."""
         return DeviceSpec(
             name="gtx-1080",
-            memory_bytes=int(8 * 2**30 * capacity_scale),
+            memory_bytes=8 * 2**30,
             threads=40_960,  # 20 SMs x 2048 resident threads
             launch_overhead_ns=6_000.0,
             iteration_ns=340.0,
@@ -80,7 +80,7 @@ class DeviceSpec:
         )
 
     @staticmethod
-    def a100(capacity_scale: float = 1.0) -> "DeviceSpec":
+    def a100() -> "DeviceSpec":
         """A modern HBM2e node GPU: A100-SXM 80 GB, PCIe 4 x16.
 
         Not a paper device — added for multi-device (sharded) runs so a
@@ -89,7 +89,7 @@ class DeviceSpec:
         """
         return DeviceSpec(
             name="a100-sxm-80gb",
-            memory_bytes=int(80 * 2**30 * capacity_scale),
+            memory_bytes=80 * 2**30,
             threads=221_184,  # 108 SMs x 2048 resident threads
             launch_overhead_ns=4_000.0,
             iteration_ns=150.0,

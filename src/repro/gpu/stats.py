@@ -5,10 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 
 #: Fields that are instantaneous *levels* (high-water marks), not
-#: accumulated flows.  ``minus`` carries the later snapshot's value
-#: through instead of subtracting: a peak is a maximum over the whole
-#: run, so the peak *between* two snapshots is not recoverable from the
-#: endpoints — the later high-water mark is the conservative answer.
+#: accumulated flows: ``accumulate`` takes their maximum instead of
+#: adding them.
 _LEVEL_FIELDS = frozenset({"peak_device_bytes"})
 
 
@@ -76,31 +74,6 @@ class ExecutionStats:
             )
         return clone
 
-    def minus(self, earlier: "ExecutionStats") -> "ExecutionStats":
-        """The activity between ``earlier`` and this snapshot.
-
-        Driven by ``dataclasses.fields()`` so a newly added counter is
-        diffed automatically: scalars subtract, per-tag dicts subtract
-        tag-wise (zero deltas dropped), and level fields
-        (``_LEVEL_FIELDS``) keep this snapshot's value.
-        """
-        diff = ExecutionStats()
-        for spec in fields(self):
-            value = getattr(self, spec.name)
-            if spec.name in _LEVEL_FIELDS:
-                setattr(diff, spec.name, value)
-            elif isinstance(value, dict):
-                delta_map = {}
-                prior = getattr(earlier, spec.name)
-                for tag, amount in value.items():
-                    delta = amount - prior.get(tag, type(amount)())
-                    if delta:
-                        delta_map[tag] = delta
-                setattr(diff, spec.name, delta_map)
-            else:
-                setattr(diff, spec.name, value - getattr(earlier, spec.name))
-        return diff
-
     def accumulate(self, other: "ExecutionStats") -> None:
         """Fold ``other`` into this snapshot (for device-group merges).
 
@@ -119,10 +92,3 @@ class ExecutionStats:
             else:
                 setattr(self, spec.name, getattr(self, spec.name) + value)
 
-    def to_dict(self) -> dict:
-        """Every field, dicts copied — for metrics dumps and JSON."""
-        out = {}
-        for spec in fields(self):
-            value = getattr(self, spec.name)
-            out[spec.name] = dict(value) if isinstance(value, dict) else value
-        return out

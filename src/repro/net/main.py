@@ -41,10 +41,9 @@ import json
 import signal
 import sys
 
-from ..cli import add_engine_arguments, make_session
-from ..engine import EngineOptions
+from ..cli import add_engine_arguments, check_solo, make_session
+from ..core import NestGPU
 from ..errors import ReproError
-from ..gpu import DeviceSpec
 from ..obs.telemetry import SLObjective
 from ..serve.concurrent import AsyncEngine
 from ..serve.plancache import normalize_sql
@@ -116,8 +115,6 @@ def build_net_parser() -> argparse.ArgumentParser:
                      help="rows per RESULT/ROWS page")
     run.add_argument("--scale", type=float, default=1.0,
                      help="scale for --verify-solo's local engine")
-    run.add_argument("--mode", choices=("auto", "nested", "unnested"),
-                     default="auto", help="mode for --verify-solo")
     run.add_argument("--verify-solo", action="store_true",
                      help="check rows are bit-identical to a local solo run")
     run.add_argument("--trace-dir", metavar="DIR", default=None,
@@ -223,30 +220,29 @@ def _serve(args) -> int:
     return 0
 
 
-def _verify_solo(statements, results, args) -> list[str]:
+def _verify_solo(statements, results, args) -> int:
     """Protocol rows vs a local fresh-engine run, per distinct statement.
 
     Both sides pass through the wire codec, so a mismatch is a real
     row difference, not a serialisation artefact.
     """
-    from ..core import NestGPU
-
-    device = DeviceSpec.v100()
-    mismatches: list[str] = []
-    seen: dict[str, list] = {}
+    received: dict[str, list] = {}
     for sql, result in zip(statements, results):
-        if result is None:
-            continue
-        key = normalize_sql(sql)
-        if key not in seen:
-            solo = NestGPU(
-                generate_tpch(args.scale), device=device,
-                options=EngineOptions(), mode=args.mode,
-            ).execute(sql)
-            seen[key] = decode_rows(encode_rows(solo.rows))
-        if repr(seen[key]) != repr(result.rows):
-            mismatches.append(f"{key[:60]}: rows differ from solo run")
-    return mismatches
+        if result is not None:
+            received.setdefault(normalize_sql(sql), []).append(result.rows)
+
+    def compare(sql, solo):
+        expected = repr(decode_rows(encode_rows(solo.rows)))
+        if any(repr(rows) != expected for rows in received[normalize_sql(sql)]):
+            return "rows differ from solo run"
+        return None
+
+    return check_solo(
+        "solo bit-identity",
+        [sql for sql, result in zip(statements, results) if result is not None],
+        lambda: NestGPU(generate_tpch(args.scale)),
+        compare,
+    )
 
 
 def _run(args) -> int:
@@ -294,14 +290,8 @@ def _run(args) -> int:
         status = _write_traces(args.trace_dir, client.tenant, traces)
         if status:
             return status
-    if args.verify_solo:
-        mismatches = _verify_solo(statements, results, args)
-        if mismatches:
-            print("solo bit-identity FAILED:", file=sys.stderr)
-            for line in mismatches:
-                print(f"  {line}", file=sys.stderr)
-            return 1
-        print("solo bit-identity: OK")
+    if args.verify_solo and _verify_solo(statements, results, args):
+        return 1
     return 1 if failures else 0
 
 

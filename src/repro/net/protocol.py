@@ -181,10 +181,6 @@ class FrameDecoder:
             del self._buffer[:HEADER_SIZE + length]
             frames.append(decode_body(body))
 
-    @property
-    def buffered(self) -> int:
-        return len(self._buffer)
-
 
 async def read_frame(reader, max_frame: int = DEFAULT_MAX_FRAME):
     """Read one frame from an :class:`asyncio.StreamReader`.

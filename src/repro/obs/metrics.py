@@ -46,10 +46,10 @@ class Counter:
 
     __slots__ = ("name", "value", "_lock")
 
-    def __init__(self, name: str, lock: threading.Lock | None = None):
+    def __init__(self, name: str):
         self.name = name
         self.value = 0
-        self._lock = lock if lock is not None else threading.Lock()
+        self._lock = threading.Lock()
 
     def inc(self, amount: float = 1) -> None:
         with self._lock:
@@ -61,10 +61,10 @@ class Gauge:
 
     __slots__ = ("name", "value", "_lock")
 
-    def __init__(self, name: str, lock: threading.Lock | None = None):
+    def __init__(self, name: str):
         self.name = name
         self.value: float | None = None
-        self._lock = lock if lock is not None else threading.Lock()
+        self._lock = threading.Lock()
 
     def set(self, value: float) -> None:
         with self._lock:
@@ -88,14 +88,14 @@ class Histogram:
 
     __slots__ = ("name", "count", "total", "min", "max", "buckets", "_lock")
 
-    def __init__(self, name: str, lock: threading.Lock | None = None):
+    def __init__(self, name: str):
         self.name = name
         self.count = 0
         self.total = 0.0
         self.min = math.inf
         self.max = -math.inf
         self.buckets: dict[int, int] = {}  # exponent -> count (sparse)
-        self._lock = lock if lock is not None else threading.Lock()
+        self._lock = threading.Lock()
 
     def observe(self, value: float) -> None:
         with self._lock:

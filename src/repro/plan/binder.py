@@ -218,8 +218,7 @@ class Binder:
             if isinstance(item, ast.TableRef):
                 table = self.catalog.table(item.name)
                 columns = [
-                    BoundColumn(c.name, c.dtype.name, table.column(c.name))
-                    for c in table.schema()
+                    BoundColumn(c.name, c.dtype.name, c) for c in table.columns
                 ]
                 binding = self._unique_binding(item.binding_name)
                 scope.add(item.binding_name, binding, columns)

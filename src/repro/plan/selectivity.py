@@ -110,14 +110,6 @@ class ExactSelectivity:
             self.computations += 1
         return value
 
-    def stats(self) -> dict:
-        with self._lock:
-            return {
-                "entries": len(self),
-                "hits": self.hits,
-                "computations": self.computations,
-            }
-
     # -- internals ------------------------------------------------------
 
     def _compute(self, predicate: PlanExpr, table: Table) -> float | None:

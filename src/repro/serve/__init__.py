@@ -20,7 +20,6 @@ from .concurrent import (
     PriorityFifoPolicy,
     QueryCancelled,
     QueryTicket,
-    SchedulingPolicy,
     TenantAccount,
     TenantBudget,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "PriorityFifoPolicy",
     "QueryCancelled",
     "QueryTicket",
-    "SchedulingPolicy",
     "TenantAccount",
     "TenantBudget",
     "ThreadGuard",

@@ -52,7 +52,7 @@ Multi-tenant QoS (the network server's substrate, see
 :class:`TenantBudget` caps a tenant's live HBM reservations and its
 in-flight query count inside the :class:`AdmissionController` — a
 quota-blocked tenant never blocks other tenants' admissions.  The
-engine's dequeue order is a pluggable :class:`SchedulingPolicy`:
+engine's dequeue order is one of two policies:
 :class:`PriorityFifoPolicy` is the historical ``(priority desc,
 arrival)`` rule, :class:`FairSharePolicy` is weighted fair queueing
 over tenants (stride scheduling on a virtual clock, so a backlogged
@@ -184,22 +184,13 @@ class TenantAccount:
             self.cancellations += 1
 
 
-class SchedulingPolicy:
-    """Dequeue-order strategy over the engine's pending tickets.
+class PriorityFifoPolicy:
+    """The historical order: priority descending, then arrival.
 
-    ``select`` returns (without removing) the ticket to run next from
-    a non-empty pending list.  The engine calls it under its queue
-    lock, so implementations may keep unsynchronized internal state.
+    A policy's ``select`` returns (without removing) the ticket to run
+    next from a non-empty pending list.  The engine calls it under its
+    queue lock, so a policy may keep unsynchronized internal state.
     """
-
-    name = "abstract"
-
-    def select(self, pending):  # pragma: no cover - interface
-        raise NotImplementedError
-
-
-class PriorityFifoPolicy(SchedulingPolicy):
-    """The historical order: priority descending, then arrival."""
 
     name = "priority"
 
@@ -207,7 +198,7 @@ class PriorityFifoPolicy(SchedulingPolicy):
         return min(pending, key=lambda t: (-t.priority, t.seq))
 
 
-class FairSharePolicy(SchedulingPolicy):
+class FairSharePolicy:
     """Weighted fair queueing across tenants (stride scheduling).
 
     Each tenant owns a virtual time; a pick charges the chosen tenant
@@ -440,13 +431,6 @@ class AdmissionController:
                             "deadline passed while waiting for admission"
                         )
                 self._cond.wait(remaining)
-
-    def admit(
-        self, nbytes: int, priority: int = 0, timeout: float | None = None,
-        tenant: str | None = None,
-    ) -> AdmissionTicket:
-        """``enqueue`` + ``wait`` in one call."""
-        return self.wait(self.enqueue(nbytes, priority, tenant), timeout)
 
     def _return_reservation(self, ticket: AdmissionTicket) -> None:
         """Give back an admitted ticket's bytes (caller holds the cond)."""

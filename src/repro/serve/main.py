@@ -39,11 +39,14 @@ import sys
 
 from ..cli import (
     add_engine_arguments,
+    check_solo,
     device_preset,
     engine_options,
     make_session,
 )
+from ..core import NestGPU
 from ..errors import ReproError
+from ..obs.export import write_trace_document
 from ..tpch import generate_tpch
 from .concurrent import AsyncEngine
 from .plancache import normalize_sql
@@ -99,13 +102,13 @@ def build_serve_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def verify_solo_identity(statements, args) -> list[str]:
-    """Fresh-session vs single-query engine, per distinct statement.
+def _verify_solo(statements, args) -> int:
+    """Fresh session vs single-query engine, per distinct statement.
 
-    Returns a list of mismatch descriptions (empty == all bit-identical).
     The session side uses a *fresh* session per statement: within-batch
     queries legitimately get faster as state amortises; the contract is
-    that the session machinery itself adds zero modelled cost.
+    that the session machinery itself adds zero modelled cost, so the
+    two ``total_ns`` must be bit-identical.
 
     With ``shards > 1`` the modelled times legitimately differ (the
     group pays exchanges and gathers the solo engine never sees), so
@@ -113,8 +116,6 @@ def verify_solo_identity(statements, args) -> list[str]:
     contain exactly the solo rows, order-insensitive, floats compared
     to 6 decimal places.
     """
-    from ..core import NestGPU
-
     def row_key(rows):
         def norm(value):
             if isinstance(value, float):
@@ -124,31 +125,34 @@ def verify_solo_identity(statements, args) -> list[str]:
 
         return sorted(tuple(norm(v) for v in row) for row in rows)
 
-    mismatches: list[str] = []
-    seen: set[str] = set()
-    for sql in statements:
-        key = normalize_sql(sql)
-        if key in seen:
-            continue
-        seen.add(key)
-        solo = NestGPU(
-            generate_tpch(args.scale), device=device_preset(args),
-            options=engine_options(args), mode=args.mode,
-        ).execute(sql)
+    def compare(sql, solo):
         with make_session(args) as session:
             fresh = session.execute(sql)
         if args.shards > 1:
             if row_key(solo.rows) != row_key(fresh.rows):
-                mismatches.append(
-                    f"{key[:60]}: sharded rows ({fresh.num_rows}) != "
+                return (
+                    f"sharded rows ({fresh.num_rows}) differ from "
                     f"solo rows ({solo.num_rows})"
                 )
         elif repr(solo.stats.total_ns) != repr(fresh.stats.total_ns):
-            mismatches.append(
-                f"{key[:60]}: solo {solo.stats.total_ns!r} ns != "
+            return (
+                f"solo {solo.stats.total_ns!r} ns != "
                 f"session {fresh.stats.total_ns!r} ns"
             )
-    return mismatches
+        return None
+
+    label = (
+        "solo bit-identity" if args.shards == 1
+        else f"sharded({args.shards}) row equivalence"
+    )
+    return check_solo(
+        label, statements,
+        lambda: NestGPU(
+            generate_tpch(args.scale), device=device_preset(args),
+            options=engine_options(args), mode=args.mode,
+        ),
+        compare,
+    )
 
 
 def write_device_trace(report, shards: int, path: str) -> None:
@@ -200,13 +204,10 @@ def write_device_trace(report, shards: int, path: str) -> None:
                     ),
                 },
             })
-    with open(path, "w") as handle:
-        json.dump(
-            {"traceEvents": events, "displayTimeUnit": "ms",
-             "otherData": {"clock": "modelled-device-ns"}},
-            handle,
-        )
-        handle.write("\n")
+    write_trace_document(path, {
+        "traceEvents": events, "displayTimeUnit": "ms",
+        "otherData": {"clock": "modelled-device-ns"},
+    })
 
 
 def serve_main(argv: list[str] | None = None) -> int:
@@ -403,15 +404,5 @@ def serve_main(argv: list[str] | None = None) -> int:
         )
 
     if args.verify_solo:
-        mismatches = verify_solo_identity(statements, args)
-        label = (
-            "solo bit-identity" if args.shards == 1
-            else f"sharded({args.shards}) row equivalence"
-        )
-        if mismatches:
-            print(f"{label} FAILED:", file=sys.stderr)
-            for line in mismatches:
-                print(f"  {line}", file=sys.stderr)
-            return 1
-        print(f"{label}: OK")
+        return _verify_solo(statements, args)
     return 0

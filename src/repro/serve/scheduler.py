@@ -20,12 +20,12 @@ the report types every front end shares; the engine that drives it is
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from ..core import QueryResult
 from ..core.executor import _sql_snippet
 from ..errors import ReproError
+from ..obs.export import write_trace_document
 
 
 class AdmissionError(ReproError):
@@ -124,9 +124,7 @@ class WorkloadReport:
         }
 
     def write_chrome_trace(self, path) -> None:
-        with open(path, "w") as handle:
-            json.dump(self.chrome_trace(), handle)
-            handle.write("\n")
+        write_trace_document(path, self.chrome_trace())
 
     def summary(self) -> str:
         return (
@@ -183,6 +181,11 @@ class StreamTimeline:
         )
         end = start + duration
         self.free_at[stream] = end
+        # every later start is at least the earliest stream clock, and
+        # clocks only move forward: an entry that ends by then can never
+        # hold HBM against a later placement again
+        floor = min(self.free_at)
+        self.in_flight = [(e, ws) for e, ws in self.in_flight if e > floor]
         self.in_flight.append((end, working_set))
         # one device: its PCIe transfer time.  A device group: each
         # shard has its *own* link to the host, so the serialized-bus

@@ -124,9 +124,7 @@ class EngineSession:
         mode: str = "auto",
         tracer=None,
         metrics=None,
-        plan_cache_capacity: int = 128,
         coefficients: CostCoefficients | None = None,
-        calibration: bool = True,
         shards: int = 1,
         interconnect: InterconnectSpec | str | None = None,
     ):
@@ -151,9 +149,6 @@ class EngineSession:
             )
             self.engine = self.sharded.planner
             self.states = self.sharded.shard_states
-            # the calibrator fits single-device kernel samples; a group's
-            # interleaved clocks would poison the fit
-            calibration = False
         else:
             self.engine = NestGPU(
                 catalog, device=device, options=options, mode=mode,
@@ -168,13 +163,16 @@ class EngineSession:
         self.device = self.states[0].device
         # the feedback loop's observe side: the session device samples
         # every kernel/transfer/materialization into the calibrator,
-        # and recalibrate() refits the cost-model coefficients from them
+        # and recalibrate() refits the cost-model coefficients from them.
+        # It fits single-device kernel samples; a group's interleaved
+        # clocks would poison the fit
         self.calibrator = (
-            Calibrator(self.engine.device_spec.threads) if calibration else None
+            Calibrator(self.engine.device_spec.threads) if shards == 1
+            else None
         )
         if self.calibrator is not None:
             self.device.sampler = self.calibrator
-        self.plan_cache = PlanCache(plan_cache_capacity)
+        self.plan_cache = PlanCache()
         self.queries_run = 0
         self._catalog_version = catalog.version
         self._closed = False
@@ -287,7 +285,7 @@ class EngineSession:
             if self._closed:
                 raise RuntimeError("session is closed")
             if self.calibrator is None:
-                raise RuntimeError("session was built with calibration=False")
+                raise RuntimeError("a sharded session has no calibrator")
             fitted = self.calibrator.fit(
                 self.engine.coefficients, min_samples=min_samples
             )

@@ -94,8 +94,9 @@ class ThreadGuard:
     *adds* an exception where a data race was about to happen.
     """
 
-    def __init__(self, lock: OwnedLock | None = None):
-        self.lock = lock
+    def __init__(self):
+        #: the legitimizing lock (:meth:`install_session` registers one)
+        self.lock: OwnedLock | None = None
         self.checks = 0
         self.violations = 0
         self._owners: dict[int, tuple[int, str]] = {}

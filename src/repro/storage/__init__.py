@@ -1,7 +1,7 @@
 """Column-store storage substrate: types, columns, tables, catalog."""
 
 from .catalog import Catalog
-from .column import Column, Dictionary, column_from_values, string_column
+from .column import Column, Dictionary, column_from_values
 from .datatypes import (
     BIGINT,
     DATE,
@@ -23,7 +23,6 @@ from .partition import (
     partition_indices,
     partition_table,
 )
-from .schema import ColumnDef, Schema, schema
 from .table import Table
 
 __all__ = [
@@ -33,11 +32,9 @@ __all__ = [
     "INT",
     "Catalog",
     "Column",
-    "ColumnDef",
     "DataType",
     "Dictionary",
     "PartitionSpec",
-    "Schema",
     "Table",
     "char",
     "column_from_values",
@@ -49,8 +46,6 @@ __all__ = [
     "decimal_type",
     "int_to_date",
     "int_type",
-    "schema",
-    "string_column",
     "string_type",
     "varchar",
 ]

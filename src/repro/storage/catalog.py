@@ -54,9 +54,6 @@ class Catalog:
         except KeyError:
             raise CatalogError(f"unknown table {name!r}") from None
 
-    def table_names(self) -> list[str]:
-        return [t.name for t in self._tables.values()]
-
     def resolve_column(self, column: str) -> str:
         """Return the name of the unique table owning ``column``.
 
@@ -71,7 +68,3 @@ class Catalog:
                 f"ambiguous column {column!r}: in tables {owners}"
             )
         return owners[0]
-
-    def total_bytes(self) -> int:
-        """Logical bytes across all base tables."""
-        return sum(t.nbytes for t in self._tables.values())

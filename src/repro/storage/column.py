@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..errors import ReproError
-from .datatypes import DataType, date_to_int, int_to_date, string_type
+from .datatypes import DataType, date_to_int, int_to_date
 
 
 class Dictionary:
@@ -107,10 +107,6 @@ class Column:
         """Gather rows by position, preserving type and dictionary."""
         return Column(self.name, self.dtype, self.data[indices], self.dictionary)
 
-    def slice(self, start: int, stop: int) -> "Column":
-        """A contiguous sub-column [start, stop)."""
-        return Column(self.name, self.dtype, self.data[start:stop], self.dictionary)
-
     def renamed(self, name: str) -> "Column":
         """The same column under a different name (projection aliasing)."""
         return Column(name, self.dtype, self.data, self.dictionary)
@@ -179,8 +175,3 @@ def column_from_values(name: str, dtype: DataType, values: Sequence) -> Column:
         data = np.asarray([date_to_int(v) for v in values], dtype=np.int64)
         return Column(name, dtype, data)
     return Column(name, dtype, np.asarray(values, dtype=dtype.np_dtype))
-
-
-def string_column(name: str, values: Sequence[str], width: int = 32) -> Column:
-    """Convenience constructor for test fixtures."""
-    return column_from_values(name, string_type(width), values)

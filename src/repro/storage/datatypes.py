@@ -44,10 +44,6 @@ class DataType:
     def is_string(self) -> bool:
         return self.name == "string"
 
-    @property
-    def is_numeric(self) -> bool:
-        return self.name in ("int", "decimal")
-
 
 def int_type(width: int = 4) -> DataType:
     """A signed integer column (keys, quantities, sizes)."""

@@ -68,11 +68,6 @@ class PartitionSpec:
                 f"{self.scheme} partitioning does not take a key column"
             )
 
-    def describe(self) -> str:
-        if self.scheme == "hash":
-            return f"hash({self.key}) % {self.shards}"
-        return f"{self.scheme} x {self.shards}"
-
 
 def hash_buckets(values: np.ndarray, shards: int) -> np.ndarray:
     """Shard index per value: ``mix64(value) % shards``.

@@ -2,18 +2,17 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..errors import CatalogError, ReproError
 from .column import Column, column_from_values
 from .datatypes import DataType
-from .schema import ColumnDef, Schema
 
 
 class Table:
-    """A named column-store table: a schema plus one column per field.
+    """A named column-store table: one typed column per field.
 
     Tables are immutable once constructed; operators create new tables
     rather than mutating existing ones, matching the materialization
@@ -59,24 +58,12 @@ class Table:
         return len(self._columns[0])
 
     @property
-    def num_columns(self) -> int:
-        return len(self._columns)
-
-    @property
     def columns(self) -> list[Column]:
         return list(self._columns)
 
     @property
     def column_names(self) -> list[str]:
         return [c.name for c in self._columns]
-
-    @property
-    def nbytes(self) -> int:
-        """Logical size in bytes under declared column widths."""
-        return sum(c.nbytes for c in self._columns)
-
-    def schema(self) -> Schema:
-        return Schema([ColumnDef(c.name, c.dtype) for c in self._columns])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Table({self.name!r}, rows={self.num_rows}, cols={self.column_names})"
@@ -101,10 +88,6 @@ class Table:
             sample = self.column(name).data[:50_000]
             self._distinct[name] = max(1, len(np.unique(sample)))
         return self._distinct[name]
-
-    def select_columns(self, names: Iterable[str]) -> "Table":
-        """Projection by column name, preserving this table's name."""
-        return Table(self.name, [self.column(n) for n in names])
 
     def take(self, indices: np.ndarray) -> "Table":
         """Gather rows by position across all columns."""

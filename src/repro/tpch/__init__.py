@@ -1,6 +1,6 @@
 """TPC-H substrate: micro-scale data generator and paper query texts."""
 
-from .generator import clear_cache, generate_tpch
+from .generator import generate_tpch
 from .queries import (
     ALL_EVALUATION_QUERIES,
     PAPER_Q1,
@@ -33,7 +33,6 @@ __all__ = [
     "TPCH_Q17",
     "TPCH_Q2",
     "TPCH_Q4",
-    "clear_cache",
     "generate_tpch",
     "rows_at_scale",
 ]

@@ -279,8 +279,3 @@ def generate_tpch(
     if use_cache:
         _CACHE[key] = catalog
     return catalog
-
-
-def clear_cache() -> None:
-    """Drop memoised catalogs (tests that probe memory use call this)."""
-    _CACHE.clear()

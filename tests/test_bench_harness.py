@@ -7,7 +7,6 @@ from repro.bench import (
     Sweep,
     figure11_q5,
     format_sweep,
-    geometric_speedups,
     run_sweep,
     speedup,
 )
@@ -60,10 +59,6 @@ class TestReport:
     def test_speedup_missing_raises(self):
         with pytest.raises(ValueError):
             speedup(_toy_sweep(), "b", "a", 2.0)
-
-    def test_geometric_speedups_skip_failures(self):
-        values = geometric_speedups(_toy_sweep(), "b", "a")
-        assert values == [10.0]
 
 
 class TestRunSweep:

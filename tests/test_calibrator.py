@@ -133,12 +133,6 @@ class TestFit:
         assert counts["kernels"] == 100
         assert counts["kernel_window"] == 16
 
-    def test_clear_resets_windows(self):
-        cal = Calibrator(SPEC.threads)
-        synthetic_samples(cal, SPEC)
-        cal.clear()
-        assert cal.sample_counts()["kernels"] == 0
-
 
 class TestSessionRecalibration:
     """The end-to-end loop: stale model -> observe -> refit -> better."""
@@ -229,7 +223,7 @@ class TestSessionRecalibration:
 
     def test_calibration_off_session_raises(self):
         catalog = make_rst_catalog()
-        with EngineSession(catalog, calibration=False) as session:
+        with EngineSession(catalog, shards=2) as session:
             assert session.calibrator is None
             with pytest.raises(RuntimeError):
                 session.recalibrate()

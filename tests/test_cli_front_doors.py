@@ -27,8 +27,7 @@ ENGINE_SHAPE = {
 }
 CONNECTION = {"--host": "127.0.0.1", "--port": None, "--token": "local"}
 
-# every option string and default, as declared before the three parsers
-# shared one engine option group
+# every option string and default of the six parsers
 EXPECTED = {
     "cli": {
         **ENGINE_SHAPE,
@@ -39,8 +38,6 @@ EXPECTED = {
         "--source": False,
         "--trace": None,
         "--metrics": None,
-        "--no-adaptive": False,
-        "--no-exact-selectivity": False,
     },
     "serve": {
         **ENGINE_SHAPE,
@@ -81,7 +78,6 @@ EXPECTED = {
         "--deadline": None,
         "--fetch-size": None,
         "--scale": 1.0,
-        "--mode": "auto",
         "--verify-solo": False,
         "--trace-dir": None,
         "-v --verbose": False,
@@ -200,3 +196,97 @@ class TestShardsValidatedOnce:
         )
         assert status == 2
         assert "shards must be >= 1" in capsys.readouterr().err
+
+
+class TestVerifySolo:
+    """``--verify-solo`` on both front doors runs one shared check: each
+    distinct statement once on a fresh solo engine."""
+
+    STATEMENTS = [
+        "SELECT count(*) AS c FROM region",
+        "SELECT n_name FROM nation WHERE n_regionkey = 1",
+    ]
+
+    @pytest.fixture
+    def solo_engine(self, monkeypatch):
+        """Counts the solo engines the check builds; with ``tamper`` on,
+        the nation statement's solo result gets one row and its modelled
+        total altered."""
+        from repro.core import NestGPU
+
+        class Solo(NestGPU):
+            built = 0
+            tamper = False
+
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                Solo.built += 1
+
+            def execute(self, sql):
+                result = super().execute(sql)
+                if Solo.tamper and "nation" in sql:
+                    result.rows[0] = (*result.rows[0][:-1], "tampered")
+                    result.stats.kernel_time_ns += 1.0
+                return result
+
+        monkeypatch.setattr("repro.serve.main.NestGPU", Solo)
+        monkeypatch.setattr("repro.net.main.NestGPU", Solo)
+        return Solo
+
+    @pytest.mark.parametrize("shards, mismatch", [
+        ("1", "ns != session"),
+        ("2", "sharded rows (5) differ from solo rows (5)"),
+    ])
+    @pytest.mark.parametrize("tamper", [False, True])
+    def test_serve(self, tmp_path, capsys, solo_engine, shards, mismatch,
+                   tamper):
+        workload = tmp_path / "two.sql"
+        workload.write_text(";\n".join(self.STATEMENTS) + ";\n")
+        solo_engine.tamper = tamper
+        status = serve_main([
+            "--workload", str(workload), "--scale", "0.01",
+            "--shards", shards, "--verify-solo",
+        ])
+        assert solo_engine.built == 2
+        out = capsys.readouterr()
+        if not tamper:
+            assert status == 0 and ": OK" in out.out
+            return
+        assert status == 1 and "FAILED" in out.err
+        lines = [line for line in out.err.splitlines() if mismatch in line]
+        assert len(lines) == 1
+        assert lines[0].startswith("  SELECT n_name FROM nation")
+
+    @pytest.mark.parametrize("tamper", [False, True])
+    def test_net_run(self, capsys, solo_engine, tamper):
+        from repro.net import NetServer, ServerThread
+        from repro.net.qos import single_tenant_registry
+        from repro.serve import AsyncEngine, EngineSession
+        from repro.tpch import generate_tpch
+
+        session = EngineSession(generate_tpch(0.01))
+        engine = AsyncEngine(session, workers=1)
+        server = ServerThread(
+            NetServer(engine, single_tenant_registry()),
+        ).start()
+        solo_engine.tamper = tamper
+        try:
+            status = net_main([
+                "run", "--port", str(server.port),
+                "-q", self.STATEMENTS[1], "--repeat", "2",
+                "--scale", "0.01", "--verify-solo",
+            ])
+        finally:
+            engine.shutdown(drain=False, timeout=10.0)
+            server.stop()
+            session.close()
+        assert solo_engine.built == 1  # the repeat runs solo once
+        out = capsys.readouterr()
+        if not tamper:
+            assert status == 0 and "solo bit-identity: OK" in out.out
+            return
+        assert status == 1 and "solo bit-identity FAILED" in out.err
+        assert (
+            "  SELECT n_name FROM nation WHERE n_regionkey = 1: "
+            "rows differ from solo run"
+        ) in out.err.splitlines()

@@ -11,9 +11,13 @@ from repro.storage import (
     Column,
     Dictionary,
     column_from_values,
-    string_column,
+    string_type,
     varchar,
 )
+
+
+def string_column(name, values):
+    return column_from_values(name, string_type(32), values)
 
 
 class TestDictionary:
@@ -80,10 +84,6 @@ class TestColumn:
         col = string_column("s", ["x", "y", "z"])
         taken = col.take(np.array([2, 0]))
         assert taken.to_python() == ["z", "x"]
-
-    def test_slice(self):
-        col = column_from_values("k", INT, [1, 2, 3, 4, 5])
-        assert col.slice(1, 3).to_python() == [2, 3]
 
     def test_renamed(self):
         col = column_from_values("k", INT, [1])

@@ -57,7 +57,7 @@ class TestNeverOverCapacity:
         controller = AdmissionController(CAPACITY)
 
         def admit_and_release(nbytes):
-            ticket = controller.admit(nbytes)
+            ticket = controller.wait(controller.enqueue(nbytes))
             # hold briefly so reservations genuinely overlap
             threading.Event().wait(0.001)
             controller.release(ticket)
@@ -92,7 +92,8 @@ class TestFifoFairness:
         """One-at-a-time admission makes the service order observable:
         it must be exactly ``(priority desc, arrival seq)``."""
         controller = AdmissionController(CAPACITY)
-        blocker = controller.admit(CAPACITY)  # everyone below must queue
+        # everyone below must queue
+        blocker = controller.wait(controller.enqueue(CAPACITY))
         tickets = [
             controller.enqueue(CAPACITY, priority=p) for p in priorities
         ]
@@ -136,7 +137,7 @@ class TestCancellationReleases:
     )
     def test_cancel_while_waiting_never_leaks(self, plan):
         controller = AdmissionController(CAPACITY)
-        blocker = controller.admit(CAPACITY)
+        blocker = controller.wait(controller.enqueue(CAPACITY))
         tickets = [controller.enqueue(n) for n, _ in plan]
         outcomes = {}
         outcome_lock = threading.Lock()
@@ -177,7 +178,7 @@ class TestCancellationReleases:
     ))
     def test_cancel_after_admission_releases_reservation(self, sizes):
         controller = AdmissionController(CAPACITY * 10)
-        tickets = [controller.admit(n) for n in sizes]
+        tickets = [controller.wait(controller.enqueue(n)) for n in sizes]
         assert controller.in_use == sum(sizes)
         for ticket in tickets:
             controller.cancel(ticket)
@@ -191,7 +192,7 @@ class TestCancellationReleases:
         from repro.serve import DeadlineExceeded
 
         controller = AdmissionController(CAPACITY)
-        blocker = controller.admit(CAPACITY)
+        blocker = controller.wait(controller.enqueue(CAPACITY))
         starved = controller.enqueue(1)
         with pytest.raises(DeadlineExceeded):
             controller.wait(starved, timeout=0.01)

@@ -23,20 +23,10 @@ class TestDataTypeBasics:
         assert INT.width == 4
         assert int_type(8).width == 8
 
-    def test_decimal_is_numeric(self):
-        assert DECIMAL.is_numeric
-        assert not DECIMAL.is_string
-
-    def test_int_is_numeric(self):
-        assert INT.is_numeric
-
-    def test_date_is_not_numeric(self):
-        assert not DATE.is_numeric
-        assert not DATE.is_string
-
     def test_string_flags(self):
         assert char(10).is_string
-        assert not char(10).is_numeric
+        assert not DECIMAL.is_string
+        assert not DATE.is_string
 
     def test_char_width(self):
         assert char(25).width == 25

@@ -53,8 +53,9 @@ class TestDeviceClock:
         device.launch("a", 10)
         before = device.snapshot()
         device.launch("a", 10)
-        delta = device.snapshot().minus(before)
-        assert delta.kernel_launches == 1
+        after = device.snapshot()
+        assert after.kernel_launches - before.kernel_launches == 1
+        assert device.stats.kernel_launches == 2  # the snapshot is a copy
 
     def test_transfer_fraction(self):
         device = Device(DeviceSpec.v100())

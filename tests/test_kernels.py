@@ -97,10 +97,6 @@ class TestPrefixSumCompact:
         arr = np.asarray(mask, dtype=bool)
         assert (kernels.compact(device, arr) == np.nonzero(arr)[0]).all()
 
-    def test_gather(self, device):
-        out = kernels.gather(device, np.array([10, 20, 30]), np.array([2, 0]))
-        assert (out == [30, 10]).all()
-
 
 class TestReductions:
     def test_full_reductions(self, device):

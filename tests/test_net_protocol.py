@@ -112,7 +112,8 @@ def test_decoder_survives_byte_by_byte_feeding(opcode, payload):
         if i < len(frame) - 1:
             assert not frames, "frame delivered before its last byte"
     assert frames == [(opcode, payload)]
-    assert decoder.buffered == 0
+    # nothing is left behind: the next frame decodes on its own
+    assert decoder.feed(frame) == [(opcode, payload)]
 
 
 def test_decoder_multiple_frames_in_one_chunk():
@@ -127,7 +128,7 @@ def test_decoder_holds_partial_trailing_frame():
     decoder = FrameDecoder()
     frames = decoder.feed(a + b[:5])
     assert frames == [(Opcode.FETCH, {"query_id": 1})]
-    assert decoder.buffered == 5
+    # the five held bytes complete with the rest of the frame
     assert decoder.feed(b[5:]) == [(Opcode.FETCH, {"query_id": 2})]
 
 

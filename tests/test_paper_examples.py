@@ -100,10 +100,6 @@ class TestDeviceSpecs:
         spec = DeviceSpec.gtx1080()
         assert spec.memory_bytes == 8 * 2**30
 
-    def test_capacity_scale(self):
-        spec = DeviceSpec.v100(capacity_scale=0.01)
-        assert spec.memory_bytes == int(32 * 2**30 * 0.01)
-
     def test_with_memory(self):
         spec = DeviceSpec.v100().with_memory(123)
         assert spec.memory_bytes == 123

@@ -137,4 +137,3 @@ def test_spec_validation():
         PartitionSpec("round_robin", 2, key="k")  # key is hash-only
     with pytest.raises(ReproError):
         PartitionSpec("block", 0)
-    assert PartitionSpec("hash", 4, key="k").describe() == "hash(k) % 4"

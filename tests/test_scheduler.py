@@ -242,6 +242,67 @@ class TestAdmissionControl:
         assert budget["peak_in_flight"] == 1
 
 
+class _UnprunedTimeline:
+    """The placement rule with every placed query kept in flight."""
+
+    def __init__(self, streams, capacity):
+        self.capacity = capacity
+        self.free_at = [0.0] * streams
+        self.in_flight = []
+        self.pushed_back = 0
+
+    def place(self, working_set, duration, stream):
+        if stream is None:
+            stream = min(
+                range(len(self.free_at)), key=self.free_at.__getitem__
+            )
+        start = self.free_at[stream]
+        while True:
+            running = [(end, ws) for end, ws in self.in_flight if end > start]
+            if sum(ws for _, ws in running) + working_set <= self.capacity:
+                break
+            start = min(end for end, _ in running)
+            self.pushed_back += 1
+        self.free_at[stream] = start + duration
+        self.in_flight.append((start + duration, working_set))
+        return stream, start
+
+
+class TestInFlightPrune:
+    def test_placements_equal_the_unpruned_rule(self, catalog, monkeypatch):
+        """300 paper-mix statements on 4 inline streams under an HBM
+        budget that fits two of their working sets (10-16 KB) but not
+        three: every placement equals the rule that never prunes, and
+        ``in_flight`` never holds more than one entry per stream."""
+        tight = DeviceSpec.v100().with_memory(40_000)
+        with EngineSession(catalog, device=tight) as session:
+            engine = inline_engine(session, 4, queue_capacity=300)
+            timeline = engine._timeline
+            reference = _UnprunedTimeline(4, timeline.capacity)
+            place = timeline.place
+            placed, expected, sizes = [], [], []
+
+            # the engine records an exception here as a failed query, so
+            # the checks run after the batch
+            def recorded(working_set, result, stream=None):
+                placement = place(working_set, result, stream)
+                placed.append(placement[:2])
+                expected.append(
+                    reference.place(working_set, placement[2], stream)
+                )
+                sizes.append(len(timeline.in_flight))
+                return placement
+
+            monkeypatch.setattr(timeline, "place", recorded)
+            report = engine.run_batch(paper_mix_statements() * 30)
+        assert len(report.completed) == len(placed) == 300
+        assert placed == expected
+        assert reference.pushed_back > 0  # admission push-back was exercised
+        assert len(reference.in_flight) == 300
+        # an inline engine places after each run: no other query is running
+        assert max(sizes) <= 4
+
+
 class TestDeterministicFairShare:
     def test_weighted_dequeue_order_is_exact(self, catalog):
         """Two tenants, weights 3:1, everything queued before the

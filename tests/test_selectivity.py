@@ -68,8 +68,7 @@ class TestCache:
         first = sel.lookup(predicate, "r")
         second = sel.lookup(predicate, "r")
         assert first == second
-        stats = sel.stats()
-        assert stats == {"entries": 1, "hits": 1, "computations": 1}
+        assert (len(sel), sel.hits, sel.computations) == (1, 1, 1)
 
     def test_catalog_version_bump_invalidates_and_recomputes(self):
         """Entries key on the replaced Table object: replacing ``r``
@@ -97,9 +96,8 @@ class TestCache:
         assert before > 0.0
         assert after == 0.0
         assert sel.lookup(other, "s") is not None
-        stats = sel.stats()
-        assert stats["computations"] == 3  # r, s, then the new r
-        assert stats["hits"] == 1  # s survived the replace of r
+        assert sel.computations == 3  # r, s, then the new r
+        assert sel.hits == 1  # s survived the replace of r
         assert len(sel) == 2  # the old r's entry went with the old r
 
 
@@ -152,4 +150,4 @@ class TestUnsupportedFallsBack:
         sel = ExactSelectivity(rst_catalog, max_rows=10)
         predicate = Compare("<", R_COL2, Const(25))
         assert sel.lookup(predicate, "r") is None
-        assert sel.stats()["computations"] == 0
+        assert sel.computations == 0

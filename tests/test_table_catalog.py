@@ -1,18 +1,10 @@
-"""Unit tests for tables, schemas, and the catalog."""
+"""Unit tests for tables and the catalog."""
 
 import numpy as np
 import pytest
 
 from repro.errors import CatalogError, ReproError
-from repro.storage import (
-    Catalog,
-    INT,
-    DECIMAL,
-    Schema,
-    Table,
-    column_from_values,
-    schema,
-)
+from repro.storage import Catalog, INT, DECIMAL, Table, column_from_values
 
 
 def _table(name="nums", n=5):
@@ -23,37 +15,11 @@ def _table(name="nums", n=5):
     )
 
 
-class TestSchema:
-    def test_names(self):
-        s = schema(("a", INT), ("b", DECIMAL))
-        assert s.names == ["a", "b"]
-
-    def test_index_of(self):
-        s = schema(("a", INT), ("b", DECIMAL))
-        assert s.index_of("b") == 1
-
-    def test_unknown_column(self):
-        s = schema(("a", INT))
-        with pytest.raises(CatalogError):
-            s.column("zzz")
-
-    def test_duplicate_names_rejected(self):
-        with pytest.raises(CatalogError):
-            schema(("a", INT), ("a", INT))
-
-    def test_row_width(self):
-        assert schema(("a", INT), ("b", DECIMAL)).row_width() == 12
-
-    def test_contains(self):
-        assert "a" in schema(("a", INT))
-        assert "b" not in schema(("a", INT))
-
-
 class TestTable:
     def test_shape(self):
         t = _table(n=7)
         assert t.num_rows == 7
-        assert t.num_columns == 2
+        assert t.column_names == ["a", "b"]
 
     def test_mismatched_lengths_rejected(self):
         a = column_from_values("a", INT, [1, 2])
@@ -76,12 +42,6 @@ class TestTable:
         with pytest.raises(CatalogError):
             t.column("zzz")
 
-    def test_select_columns(self):
-        t = _table()
-        sub = t.select_columns(["b"])
-        assert sub.column_names == ["b"]
-        assert sub.num_rows == t.num_rows
-
     def test_take(self):
         t = _table()
         taken = t.take(np.array([4, 0]))
@@ -90,14 +50,6 @@ class TestTable:
     def test_rows(self):
         t = _table(n=2)
         assert t.rows() == [(0, 0.0), (1, 1.5)]
-
-    def test_nbytes(self):
-        t = _table(n=10)
-        assert t.nbytes == 10 * (4 + 8)
-
-    def test_schema_roundtrip(self):
-        s = _table().schema()
-        assert s.names == ["a", "b"]
 
 
 class TestCatalog:
@@ -137,7 +89,3 @@ class TestCatalog:
         c = Catalog([_table("x"), _table("y")])
         assert len(c) == 2
         assert sorted(t.name for t in c) == ["x", "y"]
-
-    def test_total_bytes(self):
-        c = Catalog([_table("x", n=2), _table("y", n=3)])
-        assert c.total_bytes() == (2 + 3) * 12

@@ -11,7 +11,6 @@ from repro.tpch import (
     generate_tpch,
     rows_at_scale,
 )
-from repro.tpch.generator import clear_cache
 
 
 @pytest.fixture(scope="module")
@@ -48,7 +47,7 @@ class TestCardinalities:
 
 class TestSchemas:
     def test_all_tables_present(self, cat):
-        assert sorted(cat.table_names()) == sorted(TABLE_SPECS)
+        assert sorted(t.name for t in cat) == sorted(TABLE_SPECS)
 
     def test_column_order_matches_spec(self, cat):
         for name, spec in TABLE_SPECS.items():
@@ -118,9 +117,9 @@ class TestDeterminism:
     def test_same_seed_same_data(self):
         a = generate_tpch(0.25, seed=3, use_cache=False)
         b = generate_tpch(0.25, seed=3, use_cache=False)
-        for name in a.table_names():
-            ca = a.table(name).column(a.table(name).column_names[0]).data
-            cb = b.table(name).column(b.table(name).column_names[0]).data
+        for table in a:
+            ca = table.columns[0].data
+            cb = b.table(table.name).columns[0].data
             assert (ca == cb).all()
 
     # sha256 over every column array and dictionary, computed on commit
@@ -157,8 +156,6 @@ class TestDeterminism:
         ).all()
 
     def test_cache_returns_same_object(self):
-        clear_cache()
         a = generate_tpch(0.25, seed=5)
         b = generate_tpch(0.25, seed=5)
         assert a is b
-        clear_cache()

@@ -167,9 +167,6 @@ def ci_steps(text: str) -> dict[str, list[tuple[str, str]]]:
 # Keys are fnmatch patterns over "module::Qualified.name"; the first match
 # gives the reason, so the protocol-method patterns come first.
 
-_OWN_TEST = "small public API with its own unit test"
-
-
 def _same(reason: str, *labels: str) -> dict[str, str]:
     return dict.fromkeys(labels, reason)
 
@@ -185,8 +182,6 @@ KEEP: dict[str, str] = {
             "*.__enter__", "*.__exit__"),
     "repro.baselines.rowstore::Iterator.*":
         "abstract Volcano iterator (Figure 2); every operator overrides it",
-    "repro.serve.concurrent::SchedulingPolicy.select":
-        "abstract scheduling policy; both policies override it",
     "repro.obs.tracer::NullTracer.*":
         "null-object twin of Tracer; callers test `tracer.enabled` first",
     **_same("result interface of every system",
@@ -249,8 +244,6 @@ KEEP: dict[str, str] = {
         "graceful drain for embedders of the server thread",
     "repro.serve.concurrent::AdmissionController._key":
         "orders waiters when several queue for HBM at once",
-    "repro.serve.concurrent::AdmissionController.admit":
-        "enqueue + wait in one call: " + _OWN_TEST,
     **_same("gives a reservation back when a waiting query is cancelled",
             "repro.serve.concurrent::AdmissionController.cancel",
             "repro.serve.concurrent::AdmissionController._drop"),
@@ -299,35 +292,23 @@ KEEP: dict[str, str] = {
         "depth-2 nesting in the fuzz grammar; seed 7 x 50 draws none",
     "repro.core.subquery::TwoLevelResultVector.contains":
         "membership probe of the paper's two-level IN result vector",
-    # test instruments and small public APIs
-    "repro.gpu.stats::ExecutionStats.minus":
-        "snapshot diff the device tests measure a span of activity with",
-    "repro.gpu.kernels::gather": "one-launch gather primitive; " + _OWN_TEST,
-    "repro.tpch.generator::clear_cache":
-        "drops the memoised catalogs; " + _OWN_TEST,
-    **_same(_OWN_TEST,
-            "repro.obs.tracer::Span.duration_ns",
-            "repro.obs.tracer::Span.find_all",
-            "repro.storage.catalog::Catalog.table_names",
-            "repro.storage.catalog::Catalog.total_bytes",
-            "repro.storage.column::Column.slice",
-            "repro.storage.column::string_column",
-            "repro.storage.datatypes::DataType.is_numeric",
-            "repro.storage.datatypes::int_to_date",
-            "repro.storage.partition::PartitionSpec.describe",
-            "repro.storage.schema::*",
-            "repro.storage.table::Table.num_columns",
-            "repro.storage.table::Table.nbytes",
-            "repro.storage.table::Table.select_columns",
-            "repro.storage.table::Table.rows",
-            "repro.bench.report::geometric_speedups",
-            "repro.core.caching::SubqueryCache.hit_ratio",
-            "repro.core.calibrator::Calibrator.clear",
-            "repro.gpu.group::DeviceGroup.makespan_ns",
-            "repro.gpu.stats::ExecutionStats.to_dict",
-            "repro.net.protocol::FrameDecoder.buffered",
-            "repro.obs.metrics::Histogram.quantile",
-            "repro.plan.selectivity::ExactSelectivity.stats"),
+    # real calls that no entry point's statements reach
+    "repro.storage.datatypes::int_to_date":
+        "called by fuzz/generator.py (date literals), plan/binder.py "
+        "(INTERVAL folding) and Column.to_python (DATE columns); no entry "
+        "point draws a date literal or returns a DATE column",
+    # instruments other behaviours' tests measure with
+    "repro.obs.tracer::Span.duration_ns":
+        "tests/test_obs.py reads the tracer's span times with it",
+    "repro.obs.tracer::Span.find_all":
+        "tests/test_explain_analyze.py collects a trace's phase, "
+        "iteration and batch spans with it",
+    "repro.storage.table::Table.rows":
+        "tests/test_engine_edge_cases.py counts a base table's distinct "
+        "rows with it to check SELECT DISTINCT",
+    "repro.obs.metrics::Histogram.quantile":
+        "tests/test_telemetry.py reads the bucket estimator behind "
+        "percentiles() and to_dict() at any q with it",
 }
 
 
