@@ -3,12 +3,23 @@ iteration as the loop does.
 
 The paper's nested method (Section III-B) runs the subquery once per
 outer tuple, and the modelled clock has to keep doing that: Eqs. 1-9,
-the vectorisation ablation and every ``use_vectorization=False``
-configuration are built on it.  The host does not have to.  For a
-correlated body that the segmented evaluator covers
-(:func:`refusal` is None), :func:`replay_loop` evaluates the body once
-for every distinct parameter tuple with :mod:`repro.core.vectorize`,
-against a scratch device and context that nothing reads afterwards.
+the vectorisation ablation and every configuration that does not
+vectorise a body are built on it.  The host does not have to.  For a
+correlated body the replay covers (:func:`refusal` is None),
+:func:`replay_loop` evaluates the body once per execution with
+:mod:`repro.core.vectorize`, against a scratch device and context that
+nothing reads afterwards, from one of two segment sources chosen as the
+loop's ``Runtime._t_scan`` chooses its access path:
+
+* the first correlated scan predicate is ``col = $p``: one segment per
+  distinct parameter tuple, found through that equality; any later
+  correlated predicate (range, ``!=``, OR) is a row-local stage;
+* any other first predicate: the loop scans the whole base on every
+  miss.  The body's transient spine runs once over every base row with
+  the correlated predicates dropped, each output row carrying its base
+  row; per key, the correlated predicates are one mask over the base,
+  and a node's rows for that key are those whose base row passes.
+
 It then walks the outer rows in order and charges each iteration
 exactly what the loop would, from that iteration's segment counts:
 
@@ -40,6 +51,7 @@ from ..engine.relation import Relation, computed_column
 from ..errors import ReproError
 from ..gpu import Device, kernels
 from ..plan.expressions import AggRef, ColRef, referenced_params
+from ..plan.invariants import _node_has_params
 from ..plan.nodes import Aggregate, Filter, Join, Plan, Project, Scan
 from . import vectorize
 
@@ -48,21 +60,39 @@ REPLAYED = "replayed"
 
 
 def refusal(sp) -> str | None:
-    """Why the loop of ``sp`` cannot be replayed; None if it can."""
+    """Why the loop of ``sp`` cannot be replayed; None if it can.
+
+    The body has a ``vectorize.shape_refusal`` shape and every transient
+    join is hoisted, so one scan at most is transient.  Any row-local
+    correlated scan predicate is covered.  Over a whole-base scan (see
+    :func:`_whole_base_scan`) no other node may read a parameter.
+    """
     if not sp.ctx.options.use_invariant_extraction:
         return "invariant extraction off"
     if sp.fused:
         return "fused"
-    reason = vectorize.refusal(sp.plan, sp.info, sp.descriptor.kind)
+    reason = vectorize.shape_refusal(sp.plan, sp.info, sp.descriptor.kind)
     if reason is not None:
         return reason
+    whole_base = _whole_base_scan(sp) is not None
     for node in sp.plan.walk():
-        if (
-            type(node) is Join
-            and sp.info.is_transient(node)
-            and id(node) not in sp.info.hoisted_joins
-        ):
+        if not sp.info.is_transient(node):
+            continue
+        if type(node) is Join and id(node) not in sp.info.hoisted_joins:
             return "transient join"
+        if whole_base and type(node) is not Scan and _node_has_params(node):
+            return f"correlated {type(node).__name__} over a whole-base scan"
+    return None
+
+
+def _whole_base_scan(sp) -> Scan | None:
+    """The transient scan whose first correlated predicate is not
+    ``col = $p``: the loop reads its whole base on every miss."""
+    for node in sp.plan.walk():
+        if type(node) is Scan and sp.info.is_transient(node):
+            first = next(f for f in node.filters if referenced_params(f))
+            if vectorize._equality_correlation(first) is None:
+                return node
     return None
 
 
@@ -165,10 +195,6 @@ def _scratch(sp):
     return scratch
 
 
-def _counts(seg_rel, num_segments: int) -> list[int]:
-    return np.bincount(seg_rel.seg, minlength=num_segments).tolist()
-
-
 class _Body:
     """Per-segment results and the per-node charge steps of one loop."""
 
@@ -186,6 +212,9 @@ class _Body:
         self.steps: list[tuple[int, object]] = []
         self.aggregate = None
         self.projects: list[Project] = []
+        # over a whole-base scan: each evaluated stage's rows per key, and
+        # the scan's per-predicate counts per key (see _mask_pass)
+        self.key_rows: dict[int, list[int]] | None = None
         if not first:
             return
         rows = np.asarray(first)
@@ -195,16 +224,19 @@ class _Body:
         # a stand-in binding: a parameter's value never changes which
         # kernels an array-valued expression launches
         self.env = {q: 0.0 for q in sp.param_quals}
+        scan = _whole_base_scan(sp)
+        # over a whole-base scan the spine's segments are base rows
+        spine = batch if scan is None else {}
         try:
             if sp.descriptor.kind == "exists":
                 root = vectorize._eval(
-                    self.scratch, sp.plan, batch, self.num_segments
+                    self.scratch, sp.plan, spine, self.num_segments
                 )
-                self.flags = np.bincount(
-                    root.seg, minlength=self.num_segments
-                ) > 0
+                if scan is not None:
+                    self._mask_pass(scan, batch)
+                self.flags = np.asarray(self._counts(root)) > 0
             else:
-                self._scalar_values(sp, batch)
+                self._scalar_values(sp, spine, scan, batch)
         except ReproError as exc:
             raise _Refused(f"segmented evaluation failed: {exc}") from None
         node_ids = {id(node): i for i, node in enumerate(rt.nodes)}
@@ -212,9 +244,53 @@ class _Body:
 
     # -- values --------------------------------------------------------------
 
-    def _scalar_values(self, sp, batch) -> None:
+    def _mask_pass(self, scan: Scan, keys, result=None, reduce=None) -> None:
+        """Per key, the whole-base scan's correlated predicates as one
+        mask over the base, evaluated with the key's binding by the
+        loop's own ``evaluate`` (so NULL behaves as it does there); one
+        key's mask lives at a time.  The running conjunction gives the
+        loop's per-stage scan counts (``scan_counts``); a stage's rows
+        for the key are its rows whose base row passes (``key_rows``);
+        ``reduce`` gets the key's rows of ``result``."""
+        base = self.scratch.base_relation(scan)
+        ctx = self.scratch.ctx
+        correlated = [f for f in scan.filters if referenced_params(f)]
+        stages = [
+            stage for node_stages in self.scratch.stages.values()
+            for stage in node_stages
+        ]
+        # the scan's own stage: every base row, in base order
+        (whole,) = self.scratch.stages[id(scan)]
+        self.scan_counts = [[] for _ in correlated]
+        self.key_rows = {id(stage): [] for stage in stages}
+        for s in range(self.num_segments):
+            env = {q: values[s] for q, values in keys.items()}
+            mask = None
+            for predicate, counts in zip(correlated, self.scan_counts):
+                passed = evaluate(predicate, base, ctx, env)
+                if not isinstance(passed, np.ndarray):
+                    raise _Refused("constant predicate")
+                mask = passed if mask is None else mask & passed
+                counts.append(int(np.count_nonzero(mask)))
+            for stage in stages:
+                rows = mask if stage is whole else mask[stage.seg]
+                n = int(np.count_nonzero(rows))
+                self.key_rows[id(stage)].append(n)
+                if stage is result:
+                    reduce(s, rows, n)
+
+    def _counts(self, seg_rel) -> list[int]:
+        """Per-segment rows of an evaluated stage."""
+        if self.key_rows is not None:
+            return self.key_rows[id(seg_rel)]
+        return np.bincount(seg_rel.seg, minlength=self.num_segments).tolist()
+
+    def _scalar_values(self, sp, batch, scan, keys) -> None:
         """Per-segment scalars, reduced segment by segment exactly as the
-        loop's whole-column reduction does (same order, same sums)."""
+        loop's whole-column reduction does (same order, same sums): a
+        segment's rows are a slice, or over a whole-base scan the rows
+        whose base row passes the key's mask (filters and probe-side
+        joins keep probe order, so these come in the loop's order)."""
         projects = self.projects
         node = sp.plan
         while type(node) is Project:
@@ -225,27 +301,37 @@ class _Body:
         child = vectorize._as_segmented(
             vectorize._eval(scratch, node.child, batch, b), b
         )
-        if len(child.seg) and (np.diff(child.seg) < 0).any():
-            raise _Refused("unordered segments")
-        counts = np.bincount(child.seg, minlength=b)
-        ends = np.cumsum(counts).tolist()
-        starts = [0] + ends[:-1]
         env = vectorize._seg_env(batch, child.seg)
-        columns = {}
+        args = []
         for spec in node.aggs:
-            values = np.empty(b, dtype=np.float64)
-            if spec.op == "count" and spec.arg is None:
-                values[:] = counts
-            else:
+            arg = None
+            if spec.op != "count" or spec.arg is not None:
                 arg = evaluate(spec.arg, child.rel, scratch.ctx, env)
                 if not isinstance(arg, np.ndarray):
                     arg = np.full(child.rel.num_rows, arg, dtype=np.float64)
-                for s, (lo, hi) in enumerate(zip(starts, ends)):
-                    values[s] = (
-                        np.nan if hi == lo and spec.op != "count"
-                        else kernels.reduce_value(arg[lo:hi], spec.op)
-                    )
-            columns[spec.name] = computed_column(spec.name, values)
+            args.append(arg)
+        values = [np.empty(b, dtype=np.float64) for _ in node.aggs]
+
+        def reduce(s: int, rows, n: int) -> None:
+            for spec, arg, out in zip(node.aggs, args, values):
+                out[s] = (
+                    n if arg is None
+                    else np.nan if n == 0 and spec.op != "count"
+                    else kernels.reduce_value(arg[rows], spec.op)
+                )
+
+        if scan is not None:
+            self._mask_pass(scan, keys, child, reduce)
+        elif len(child.seg) and (np.diff(child.seg) < 0).any():
+            raise _Refused("unordered segments")
+        else:
+            ends = np.cumsum(self._counts(child)).tolist()
+            for s, (lo, hi) in enumerate(zip([0] + ends[:-1], ends)):
+                reduce(s, slice(lo, hi), hi - lo)
+        columns = {
+            spec.name: computed_column(spec.name, out)
+            for spec, out in zip(node.aggs, values)
+        }
         rel = self.aggregate_rel = Relation(columns, b)
         self.project_rels = []
         for project in reversed(projects):
@@ -283,23 +369,30 @@ class _Body:
         if node is self.aggregate:
             return self.aggregate_rel, [1] * self.num_segments
         seg_rel = self.scratch.stages[id(node)][-1]
-        return seg_rel.rel, _counts(seg_rel, self.num_segments)
+        return seg_rel.rel, self._counts(seg_rel)
 
     def _scan_step(self, ctx, sp, node: Scan):
         stages = self.scratch.stages[id(node)]
-        counts = [_counts(stage, self.num_segments) for stage in stages]
+        counts = (
+            self.scan_counts if self.key_rows is not None
+            else [self._counts(stage) for stage in stages]
+        )
         row_bytes = stages[0].rel.row_bytes
         correlated = [f for f in node.filters if referenced_params(f)]
         templates = [
             _template(f, stages[0].rel, self.env, array_only=True)
             for f in correlated
         ]
-        key_col = vectorize._equality_correlation(correlated[0])[0]
+        # the loop's access path: an index only through `col = $p` first
+        equality = vectorize._equality_correlation(correlated[0])
         device = ctx.device
 
         def step(s: int) -> _Rows:
             base = sp.base_relation(node)
-            index = sp.scan_index(node, base, key_col)
+            index = (
+                None if equality is None
+                else sp.scan_index(node, base, equality[0])
+            )
             if index is not None:
                 ctx.index_probes += 1
                 kernels.charge_index_search(device, 1, len(index))

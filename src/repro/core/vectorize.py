@@ -12,10 +12,12 @@ The evaluator walks only the *transient* spine of the subquery plan;
 invariant subtrees and hoisted hash tables come pre-computed from the
 :class:`~repro.core.runtime.SubqueryProgram`.
 
-:func:`refusal` is the coverage rule, and it serves two paths: with
-vectorisation on, a covered body runs here in batches; with it off, the
-replayed loop (:mod:`repro.core.replay`) runs the same evaluation once
-for every distinct key on a scratch device and reads each node's
+Two coverage rules share the body shapes of :func:`shape_refusal`.
+:func:`refusal` decides the vectorised path: with vectorisation on, a
+body whose correlated scan predicates are all ``col = $p`` runs here in
+batches.  The replayed loop (:mod:`repro.core.replay`) has its own rule,
+which also takes range, ``!=`` and OR correlations: it runs this
+evaluation once per execution on a scratch device and reads each node's
 per-segment rows (``sp.stages``) to charge the loop's iterations.
 """
 
@@ -63,14 +65,26 @@ def can_vectorize(plan: Plan, info, kind: str) -> bool:
 
 
 def refusal(plan: Plan, info, kind: str) -> str | None:
-    """Why the segmented evaluator cannot run this body; None if it can.
+    """Why this body cannot run here in batches; None if it can.
+
+    It must have a :func:`shape_refusal` shape, and every correlated
+    scan predicate must be an equality against a single parameter.  Any
+    other body runs the replayed or the per-iteration loop instead.
+    """
+    return shape_refusal(plan, info, kind, equalities_only=True)
+
+
+def shape_refusal(
+    plan: Plan, info, kind: str, equalities_only: bool = False
+) -> str | None:
+    """Why the segmented evaluator cannot walk this body; None if it can.
 
     A scalar body is projections over exactly one group-less aggregate
     (no DISTINCT argument, no HAVING); an EXISTS body has no aggregate.
     Below that, the transient region holds only scans, filters, joins
-    and projections, and every correlated scan predicate is an equality
-    against a single parameter.  Any other body runs the per-iteration
-    loop instead.
+    and projections.  ``equalities_only`` is the vectorised path's scan
+    clause (:func:`refusal`): every correlated scan predicate is then an
+    equality against a single parameter.
     """
     if kind not in ("scalar", "exists"):
         return f"{kind.upper()} body"
@@ -96,11 +110,12 @@ def refusal(plan: Plan, info, kind: str) -> str | None:
                 else "second aggregate"
             )
         if isinstance(sub, Scan):
-            for predicate in sub.filters:
-                if referenced_params(predicate) and (
-                    _equality_correlation(predicate) is None
-                ):
-                    return "non-equality correlation"
+            if equalities_only and any(
+                referenced_params(predicate)
+                and _equality_correlation(predicate) is None
+                for predicate in sub.filters
+            ):
+                return "non-equality correlation"
         elif not isinstance(sub, (Filter, Join, Project)):
             return f"{type(sub).__name__} in the body"
     return None
@@ -221,7 +236,12 @@ def _eval_scan(sp, node: Scan, batch, num_segments) -> SegRelation:
     base = sp.base_relation(node)
     correlated = [f for f in node.filters if referenced_params(f)]
     primary = _equality_correlation(correlated[0])
-    assert primary is not None, "can_vectorize guarantees equality correlation"
+    if primary is None:
+        # only the replay's whole-base source gets here (core.replay):
+        # every base row is its own segment, the predicates apply per key
+        out = SegRelation(base, np.arange(base.num_rows), base.num_rows)
+        sp.stages[id(node)] = [out]
+        return out
     key_col, qual = primary
     params = batch[qual]
 

@@ -9,9 +9,10 @@ must be equal, not close.
 
 import dataclasses
 
+import numpy as np
 import pytest
 
-from repro.core import NestGPU, replay
+from repro.core import NestGPU, replay, vectorize
 from repro.core.subquery import AdaptiveSwitch
 from repro.engine import EngineOptions
 from repro.errors import ReproError
@@ -19,6 +20,8 @@ from repro.fuzz.generator import generate_query
 from repro.fuzz.runner import DEFAULT_SCALE
 from repro.gpu import Device
 from repro.obs import Tracer
+from repro.plan.invariants import mark_invariants
+from repro.storage import Catalog, Table, decimal_type, int_type
 from repro.tpch import ALL_EVALUATION_QUERIES, generate_tpch
 
 SCALE = 0.5
@@ -86,9 +89,7 @@ def test_paper_queries_replay_the_loop(catalog, monkeypatch, name, config):
     engine = NestGPU(catalog, options=options, mode="nested")
     replayed, looped, paths = _both(lambda: engine.execute(sql), monkeypatch)
     assert replayed == looped
-    if name == "paper_q5":
-        assert paths == {0: "loop: non-equality correlation"}
-    elif name != "tpch_q4":
+    if name != "tpch_q4":
         assert paths == {0: "replayed"}
 
 
@@ -103,15 +104,16 @@ def test_fuzz_statements_replay_the_loop(monkeypatch):
             return type(exc).__name__, {}
 
     replayed_any = 0
-    for index in range(100):
+    for index in range(500):
         sql = generate_query(catalog, 7, index).sql
         engine = NestGPU(catalog, options=options, mode="nested")
         outcome(engine, sql, False)  # planning-time statistics memoised
         replayed, paths = outcome(engine, sql, False)
         looped, _ = outcome(engine, sql, True)
         assert replayed == looped, sql
+        assert "loop: non-equality correlation" not in paths.values(), sql
         replayed_any += "replayed" in paths.values()
-    assert replayed_any >= 10
+    assert replayed_any >= 372  # 326 before !=, range and OR bodies replayed
 
 
 def test_governor_fires_inside_a_replayed_loop(catalog, monkeypatch):
@@ -221,3 +223,172 @@ def test_rst_shapes_replay_the_loop(monkeypatch, sql):
     replayed, looped, paths = _both(lambda: engine.execute(sql), monkeypatch)
     assert replayed == looped
     assert "replayed" in paths.values()
+
+
+def test_paper_q5_runs_no_body_operator_per_miss(monkeypatch):
+    """``paper_q5``'s ``!=`` body: one spine evaluation per execution,
+    no transient scan, and a join count that the misses do not move."""
+    from repro.core.runtime import Runtime
+    from repro.engine import operators
+
+    catalog = generate_tpch(10)
+    engine = NestGPU(
+        catalog, options=EngineOptions(use_vectorization=False), mode="nested"
+    )
+    sql = ALL_EVALUATION_QUERIES["paper_q5"]
+    engine.execute(sql)
+    calls: list = []
+    for owner, name in ((operators, "join"), (Runtime, "_t_scan")):
+        def counted(*args, _real=getattr(owner, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    result = engine.execute(sql)
+    assert result.subquery_paths == {0: "replayed"}
+    assert result.cache_misses >= 5
+    # the outer plan's four joins and the hoisted subtree's two
+    assert calls == ["join"] * 6
+
+
+# -- non-equality correlations (the replay's own coverage) --------------------
+
+_RANGE_OPS = ("!=", "<", "<=", ">", ">=")
+#: where the non-equality sits among the scan's correlated predicates
+_POSITIONS = {
+    "sole": "s_col2 {op} r_col2",
+    "after_equality": "s_col1 = r_col1 AND s_col2 {op} r_col2",
+    "before_equality": "s_col2 {op} r_col2 AND s_col1 = r_col1",
+}
+_BODIES = {
+    "min": "SELECT r_col1, (SELECT min(s_col3) FROM s WHERE {corr}) FROM r",
+    "max": "SELECT r_col1, (SELECT max(s_col3) FROM s WHERE {corr}) FROM r",
+    "count_star": "SELECT r_col1, (SELECT count(*) FROM s WHERE {corr}) FROM r",
+    "count_col": "SELECT r_col1, (SELECT count(s_col3) FROM s WHERE {corr}) FROM r",
+    "sum": "SELECT r_col1, (SELECT sum(s_col3) FROM s WHERE {corr}) FROM r",
+    "avg": "SELECT r_col1, (SELECT avg(s_col3) FROM s WHERE {corr}) FROM r",
+    "exists": "SELECT r_col1 FROM r WHERE EXISTS (SELECT * FROM s WHERE {corr})",
+    "not_exists": (
+        "SELECT r_col1 FROM r WHERE NOT EXISTS (SELECT * FROM s WHERE {corr})"
+    ),
+    # a hoisted join above the correlated scan
+    "min_over_join": (
+        "SELECT r_col1, (SELECT min(t_col2) FROM s, t "
+        "WHERE {corr} AND s_col3 = t_col3 AND t_col2 > 3) FROM r"
+    ),
+}
+
+
+def _nullable_catalog():
+    """R's parameters without NULLs; U with NULLs (NaN) in the
+    correlated column and in one aggregate argument (``u_col2``), and a
+    NULL-free fractional one (``u_col3``) whose sum depends on the order
+    it adds its values in."""
+    rng = np.random.default_rng(3)
+    u_col1 = rng.integers(0, 12, size=300).astype(np.float64)
+    u_col2 = rng.integers(0, 50, size=300).astype(np.float64)
+    u_col3 = rng.random(300) * 1e3
+    u_col1[rng.random(300) < 0.2] = np.nan
+    u_col2[rng.random(300) < 0.2] = np.nan
+    r = Table.from_pydict(
+        "r", [("r_col1", int_type()), ("r_col2", int_type())],
+        {"r_col1": rng.integers(0, 14, size=30),
+         "r_col2": rng.integers(0, 50, size=30)},
+    )
+    u = Table.from_pydict(
+        "u", [("u_col1", decimal_type()), ("u_col2", decimal_type()),
+              ("u_col3", decimal_type())],
+        {"u_col1": u_col1, "u_col2": u_col2, "u_col3": u_col3},
+    )
+    return Catalog([r, u])
+
+
+def _replays_the_loop(catalog, sql, monkeypatch, **config):
+    engine = NestGPU(
+        catalog, options=EngineOptions(use_vectorization=False, **config),
+        mode="nested",
+    )
+    replayed, looped, paths = _both(lambda: engine.execute(sql), monkeypatch)
+    assert replayed == looped, sql
+    assert paths == {0: "replayed"}, sql
+
+
+@pytest.mark.parametrize("body", sorted(_BODIES))
+@pytest.mark.parametrize("position", sorted(_POSITIONS))
+@pytest.mark.parametrize("op", _RANGE_OPS)
+def test_non_equality_correlations_replay_the_loop(
+    rst_catalog, monkeypatch, op, position, body
+):
+    corr = _POSITIONS[position].format(op=op)
+    sql = _BODIES[body].format(corr=corr)
+    _replays_the_loop(rst_catalog, sql, monkeypatch)
+
+
+@pytest.mark.parametrize("config", sorted(LOOP_CONFIGS))
+@pytest.mark.parametrize("body", sorted(_BODIES))
+def test_sole_not_equal_replays_the_loop_in_every_config(
+    rst_catalog, monkeypatch, body, config
+):
+    sql = _BODIES[body].format(corr="s_col1 != r_col1")
+    _replays_the_loop(rst_catalog, sql, monkeypatch, **LOOP_CONFIGS[config])
+
+
+@pytest.mark.parametrize("body", sorted(_BODIES))
+def test_disjunctive_correlation_replays_the_loop(
+    rst_catalog, monkeypatch, body
+):
+    sql = _BODIES[body].format(corr="(s_col1 = r_col1 OR s_col2 < r_col2)")
+    _replays_the_loop(rst_catalog, sql, monkeypatch)
+
+
+@pytest.mark.parametrize("arg", ["u_col2", "u_col3"])
+@pytest.mark.parametrize("agg", ["min", "max", "count", "sum", "avg"])
+@pytest.mark.parametrize("op", _RANGE_OPS)
+def test_nulls_replay_the_loop(monkeypatch, op, agg, arg):
+    sql = (
+        f"SELECT r_col1, (SELECT {agg}({arg}) FROM u "
+        f"WHERE u_col1 {op} r_col1) FROM r"
+    )
+    _replays_the_loop(_nullable_catalog(), sql, monkeypatch)
+
+
+def test_vectorized_path_did_not_widen(rst_catalog):
+    """Every shape above keeps the vectorised path's refusal, so every
+    configuration keeps its modelled path."""
+    engine = NestGPU(rst_catalog, mode="nested")
+    corrs = [
+        _POSITIONS[position].format(op=op)
+        for op in _RANGE_OPS for position in _POSITIONS
+    ] + ["(s_col1 = r_col1 OR s_col2 < r_col2)"]
+    for corr in corrs:
+        for body in _BODIES.values():
+            sql = body.format(corr=corr)
+            (spec,) = engine.prepare(sql, mode="nested").program.specs
+            info = mark_invariants(spec.plan)
+            assert vectorize.refusal(
+                spec.plan, info, spec.descriptor.kind
+            ) == "non-equality correlation", sql
+            assert engine.execute(sql).subquery_paths == {0: "replayed"}, sql
+
+
+@pytest.mark.parametrize("node, sql", [
+    ("Filter", "SELECT r_col1, (SELECT min(s_col2) FROM s, t "
+               "WHERE s_col3 = t_col1 AND s_col1 != r_col1 "
+               "AND s_col2 + t_col2 > r_col2) FROM r"),
+    ("Aggregate", "SELECT r_col1, (SELECT max(s_col2 - r_col2) FROM s "
+                  "WHERE s_col1 != r_col1) FROM r"),
+])
+def test_correlation_above_a_whole_base_scan_keeps_the_loop(
+    rst_catalog, node, sql
+):
+    """Over a scan whose first correlated predicate is not ``col = $p``
+    only the scan may read a parameter; after an equality the same
+    bodies replay."""
+    engine = NestGPU(
+        rst_catalog, options=EngineOptions(use_vectorization=False),
+        mode="nested",
+    )
+    assert engine.execute(sql).subquery_paths == {
+        0: f"loop: correlated {node} over a whole-base scan"
+    }
+    sql = sql.replace("s_col1 != r_col1", "s_col1 = r_col1")
+    assert engine.execute(sql).subquery_paths == {0: "replayed"}

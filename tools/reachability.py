@@ -275,10 +275,8 @@ KEEP: dict[str, str] = {
     **_same("Figure 5 case 2: a subquery correlated with both join sides",
             "repro.engine.operators::cross_join",
             "repro.plan.nodes::CrossJoin.children"),
-    **_same("vectorized SUBQ body with a residual filter; no paper query "
-            "has one",
-            "repro.core.vectorize::_apply_seg_filter",
-            "repro.core.vectorize::_eval_filter"),
+    "repro.core.vectorize::_eval_filter":
+        "vectorized SUBQ body with a residual filter; no paper query has one",
     "repro.engine.evaluator::_run_uncorrelated_subquery":
         "uncorrelated WHERE subquery in a flat plan (type-A/N)",
     "repro.engine.evaluator::_run_uncorrelated_subquery_column":
@@ -288,15 +286,8 @@ KEEP: dict[str, str] = {
             "repro.engine.exprs::_python_compare",
             "repro.engine.exprs::_python_arith"),
     "repro.plan.binder::_apply_interval": "INTERVAL date arithmetic",
-    "repro.fuzz.generator::QueryGenerator._nested_subquery":
-        "depth-2 nesting in the fuzz grammar; seed 7 x 50 draws none",
     "repro.core.subquery::TwoLevelResultVector.contains":
         "membership probe of the paper's two-level IN result vector",
-    # real calls that no entry point's statements reach
-    "repro.storage.datatypes::int_to_date":
-        "called by fuzz/generator.py (date literals), plan/binder.py "
-        "(INTERVAL folding) and Column.to_python (DATE columns); no entry "
-        "point draws a date literal or returns a DATE column",
     # instruments other behaviours' tests measure with
     "repro.obs.tracer::Span.duration_ns":
         "tests/test_obs.py reads the tracer's span times with it",
