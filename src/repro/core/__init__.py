@@ -21,7 +21,7 @@ from .fusion import (
 )
 from .indexing import CorrelatedIndex, index_pays_off
 from .runtime import Runtime, SubqueryProgram
-from .sharded import ShardedEngine, ShardedPrepared
+from .sharded import ShardedEngine
 from .subquery import (
     ExistsResultVector,
     ScalarResultVector,
@@ -44,7 +44,6 @@ __all__ = [
     "Runtime",
     "ScalarResultVector",
     "ShardedEngine",
-    "ShardedPrepared",
     "SubqueryCache",
     "SubqueryProgram",
     "TwoLevelResultVector",

@@ -14,6 +14,7 @@ program, and runs it on the simulated device.  The execution mode is:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from ..engine import EngineOptions, ExecutionContext
 from ..errors import PlanError, UnnestingError
@@ -34,6 +35,9 @@ from .fusion import (
 )
 from .runtime import Runtime, SubqueryProgram
 from .subquery import AdaptiveGovernor, AdaptiveSwitch
+
+if TYPE_CHECKING:
+    from .sharded import Placement
 
 
 _MODES = ("auto", "nested", "unnested")
@@ -138,6 +142,10 @@ class PreparedQuery:
     # data-path fusion (core.fusion): how this program's fusion state
     # was chosen — off, forced on, analytic, or measured by the tuner
     fusion_decision: FusionDecision = FUSION_OFF
+    # on a device group of two or more (core.sharded): where each scan
+    # lives, and ``program`` is the body every shard runs; ``None`` at
+    # width 1
+    placement: Placement | None = None
 
 
 class NestGPU:

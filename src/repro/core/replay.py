@@ -32,7 +32,8 @@ exactly what the loop would, from that iteration's segment counts:
   miss.
 
 Rows, the modelled clock, every launch and every counter are the
-loop's.  Any other body keeps the loop, and the program records why
+loop's; under a tracer, so is the span tree, iteration spans included.
+Any other body keeps the loop, and the program records why
 (``SubqueryProgram.path``).
 """
 
@@ -100,17 +101,14 @@ def replay_loop(rt, sp, corr: dict[str, np.ndarray], vector, marks) -> bool:
     """Replay the loop of ``sp`` over every outer row into ``vector``.
 
     Returns False, with ``sp.path`` naming the reason, when the loop
-    must run instead: the body is not covered, a tracer is recording
-    (spans per iteration), a parameter is NULL, or the segmented
-    evaluation found a shape it cannot replay.  Nothing is charged
-    before that decision.
+    must run instead: the body is not covered, a parameter is NULL, or
+    the segmented evaluation found a shape it cannot replay.  Nothing is
+    charged before that decision.
     """
     if sp.path != REPLAYED:
         return False
     reason = None
-    if rt.tracer.enabled:
-        reason = "traced"
-    elif any(
+    if any(
         values.dtype.kind == "f" and np.isnan(values).any()
         for values in corr.values()
     ):
@@ -527,17 +525,27 @@ class _Body:
             results = [
                 (value, value == value) for value in self.values.tolist()
             ]
+        # a traced replay opens and closes each iteration span where
+        # Runtime.param_env and the store_* calls of the loop do
+        tracer = rt.tracer if rt.tracer.enabled else None
         for i in range(n):
             if governor is not None and i > 0:
                 governor.iteration_done(sp, i)
+            if tracer is not None:
+                tracer.end_iteration()
+                tracer.begin(f"iteration {i}", "iteration", i=i, subquery=index)
             key = keys[i]
             if cache.get(key) is not None:
+                if tracer is not None:
+                    tracer.end_iteration(cache_hit=True)
                 continue
             s = seg_of[i]
             for node_id, step in steps:
                 timed(node_id, step, s)
             value, valid = results[s]
             cache.put(key, value, valid)
+            if tracer is not None:
+                tracer.end_iteration(cache_hit=False)
             restore(marks)
         rows = np.asarray(seg_of)
         if exists:

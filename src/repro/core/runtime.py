@@ -16,10 +16,14 @@ batches of segmented launches), *replayed* (:meth:`Runtime.replay_loop`:
 the body computed once on the host for every key, each iteration's
 charges issued as the loop issues them, :mod:`repro.core.replay`), or
 the per-iteration *loop* the ``t_*`` entry points run, with the reason
-the other two refused it.
+the other two refused it.  An uncorrelated SUBQ runs once
+(:meth:`Runtime.uncorrelated_vector`); an uncorrelated IN keeps its one
+set for every outer row.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
@@ -397,7 +401,11 @@ class Runtime:
         return values
 
     def uncorrelated_vector(self, outer: Relation, sp: SubqueryProgram):
-        """Type-A/N subquery: evaluate once, broadcast into a vector."""
+        """Type-A/N subquery: evaluate once, broadcast into a vector.
+
+        An IN subquery returns its one set S as an array: every outer
+        row shares it, so it is held once, not once per row.
+        """
         before = self.ctx.device.stats.total_ns
         try:
             inner = run_plan(self.ctx, sp.plan)
@@ -405,10 +413,7 @@ class Runtime:
                 vector = ExistsResultVector(outer.num_rows)
                 vector.flags[:] = inner.num_rows > 0
             elif sp.descriptor.kind == "in":
-                vector = TwoLevelResultVector(outer.num_rows)
-                values = inner.first_column().data.astype(np.float64)
-                for row in range(outer.num_rows):
-                    vector.store(row, values)
+                vector = inner.first_column().data.astype(np.float64)
             else:
                 value = scalar_value(inner)
                 vector = ScalarResultVector(outer.num_rows)
@@ -788,13 +793,20 @@ class Runtime:
                     data = vector.values
                 elif isinstance(vector, ExistsResultVector):
                     data = vector.flags
-                else:  # TwoLevelResultVector: one set S per row
+                else:  # IN: a TwoLevelResultVector (one set S per row)
+                    # or an uncorrelated subquery's one S for every row
                     descriptor = by_index[index]
-                    vector.freeze()
+                    if isinstance(vector, np.ndarray):
+                        members = partial(np.isin, test_elements=vector)
+                        empty = len(vector) == 0
+                        set_null = bool(np.isnan(vector).any())
+                    else:
+                        vector.freeze()
+                        members, empty = vector.membership, vector.lengths == 0
+                        set_null = vector.null_flags()
                     data, known_cols[marker] = _eval_in_three_valued(
                         self.ctx, outer, descriptor.in_operand,
-                        vector.membership, vector.lengths == 0,
-                        vector.null_flags(), descriptor.negated,
+                        members, empty, set_null, descriptor.negated,
                     )
                 columns[marker] = computed_column(marker, data)
                 mapping[index] = AggRef(marker)

@@ -18,7 +18,10 @@ modelled interconnect, the classic scatter-gather shape:
    every inner row an outer binding can match lives on that binding's
    shard.  The choice is costed: broadcast pays N full host-to-device
    copies, shuffle pays home-slice loads plus peer-link traffic but
-   loops over 1/N of the inner rows per iteration.
+   loops over 1/N of the inner rows per iteration.  The costing is one
+   pure function, :func:`choose_placement`: it returns the decision
+   record and the winner's partitioned scans, and the engine then
+   renames exactly those scans to their form tables.
 4. **Drive** the generated body program once per shard against that
    shard's catalog (the program references tables by *name*, so one
    compiled program runs against N different shard catalogs).
@@ -42,15 +45,19 @@ device-seconds (flows add, peaks take the worst device) so modelled
 totals stay comparable with solo runs; ``QueryResult.makespan_ns`` is
 the wall-clock figure the scheduler and benches report.
 
-``shards=1`` delegates *wholly* to the wrapped solo engine — rows and
-modelled totals are bit-identical to a plain :class:`NestGPU` by
-construction, which the test suite pins.
+A prepared query is the solo :class:`PreparedQuery`.  At ``shards=1``
+it is returned unchanged (``placement is None``) and every call
+delegates *wholly* to the wrapped solo engine — rows and modelled
+totals are bit-identical to a plain :class:`NestGPU` by construction,
+which the test suite pins.  At two shards or more its ``program`` is
+the per-shard body program and its ``placement`` (:class:`Placement`)
+the only sharded planning state; a run never writes it.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -87,7 +94,7 @@ from ..storage import (
     partition_table,
 )
 from .calibrator import CostCoefficients
-from .codegen import DriveProgram, generate_drive_program
+from .codegen import generate_drive_program
 from .fusion import FusionPlan
 from .costmodel import _kernel_ns, gather_cost_ns, repartition_cost_ns
 from .executor import NestGPU, PreparedQuery, QueryResult, query_result
@@ -179,65 +186,211 @@ def _rr_rows(num_rows: int, shards: int, shard: int) -> int:
     return (num_rows - shard + shards - 1) // shards
 
 
-# -- prepared form ----------------------------------------------------------
+# -- placement ---------------------------------------------------------------
 
 
 @dataclass
-class _Placement:
-    """One scan's table placement under a strategy (for costing)."""
+class Placement:
+    """How a prepared query runs on a device group of two or more.
 
-    table: str
-    form: str  # 'full' | 'rr' | 'hash'
-    key: str | None
-    columns: tuple[str, ...]
-    nbytes: int  # referenced bytes on a full-table basis
-
-
-@dataclass
-class ShardedPrepared:
-    """A query planned for a device group, ready to run.
-
-    ``strategy`` is one of ``solo`` (group of one: full delegation),
-    ``coordinator`` (no legal driving scan: the solo program runs on
-    shard 0 alone), ``scatter`` (partitioned drive, no correlated
-    subqueries), ``broadcast`` (partitioned drive, inner tables
-    replicated) or ``shuffle`` (both sides hash-repartitioned on the
-    correlation key).
+    ``strategy`` is one of ``coordinator`` (no legal driving scan: the
+    solo program runs on shard 0 alone), ``scatter`` (partitioned
+    drive, no correlated subqueries), ``broadcast`` (partitioned drive,
+    inner tables replicated) or ``shuffle`` (both sides
+    hash-repartitioned on the correlation key).  ``exchanges`` is the
+    planned data movement; each run reports its own gather step in
+    ``QueryResult.group_report`` instead.
     """
 
-    solo: PreparedQuery
     strategy: str
-    #: the per-shard body program; the solo program when the group
-    #: runs it unsplit (``solo`` / ``coordinator`` strategies)
-    program: DriveProgram | None = None
+    decision: dict
     body: Plan | None = None
     tail: list = field(default_factory=list)
     exchanges: list[ExchangeStep] = field(default_factory=list)
-    #: (table, key, referenced columns) per hash form to materialise
-    hash_exchanges: list[tuple[str, str, tuple[str, ...]]] = field(
-        default_factory=list
-    )
-    decision: dict = field(default_factory=dict)
-    sql: str = ""
 
-    def __post_init__(self):
-        if self.program is None:
-            self.program = self.solo.program
 
-    # the PreparedQuery read surface, so callers holding either kind of
-    # prepared artifact read the same attributes
+def _scan_columns(catalog: Catalog, scan: Scan) -> tuple[str, ...]:
+    return tuple(scan.columns or catalog.table(scan.table).column_names)
 
-    @property
-    def choice(self) -> str:
-        return self.solo.choice
 
-    @property
-    def predicted_ms(self) -> float | None:
-        return self.solo.predicted_ms
+def _scan_bytes(catalog: Catalog, scan: Scan) -> int:
+    table = catalog.table(scan.table)
+    return sum(table.column(c).nbytes for c in _scan_columns(catalog, scan))
 
-    @property
-    def fusion_decision(self):
-        return self.solo.fusion_decision
+
+def _hashable(catalog: Catalog, table_name: str, column: str) -> bool:
+    """Per-column dictionaries make string codes incomparable across
+    columns — never hash on them."""
+    table = catalog.table(table_name)
+    return column in table and not table.column(column).dtype.is_string
+
+
+def _spec_scans(specs: list) -> list[Scan]:
+    """The base-table scans of a program's subquery plans."""
+    return [
+        node
+        for spec in specs
+        for node in spec.plan.walk()
+        if isinstance(node, Scan)
+    ]
+
+
+def choose_placement(
+    body: Plan,
+    specs: list,
+    catalog: Catalog,
+    device: DeviceSpec,
+    interconnect: InterconnectSpec,
+    shards: int,
+) -> tuple[dict, list[tuple[Scan, str | None]]]:
+    """Cost broadcast against shuffle for a body and its subqueries.
+
+    ``specs`` are the body program's subquery specs.  Returns the
+    decision record and the winner's partitioned scans, driving scan
+    first, each with its hash key (``None``: round-robin); every other
+    scan is a full replica on each shard.  No scans means no row-wise
+    driving scan: the coordinator runs the solo program.
+    """
+    candidates = candidate_scans(body)
+    if not candidates:
+        return {"reason": "no row-wise driving scan in the body"}, []
+    spec_scans = _spec_scans(specs)
+    body_scans = [n for n in body.walk() if isinstance(n, Scan)]
+
+    def loads_cost(forms: list[tuple[Scan, str | None]]) -> float:
+        """Host loads of every scan, plus the peer repartition of the
+        hash forms; scans of one (table, form, key) share one load."""
+        keys = {id(scan): key for scan, key in forms}
+        driving = forms[0][0]
+        loads: dict[tuple, tuple[str, ...]] = {}
+        for scan in [driving] + [
+            s for s in body_scans + spec_scans if s is not driving
+        ]:
+            key = keys.get(id(scan))
+            if id(scan) not in keys:
+                form = "full"
+            else:
+                form = "rr" if key is None else "hash"
+            cols = _scan_columns(catalog, scan)
+            load = (scan.table.lower(), form, key)
+            merged = loads.get(load)
+            loads[load] = cols if merged is None else tuple(
+                dict.fromkeys(merged + cols)
+            )
+        total = 0.0
+        for (table, form, _), cols in loads.items():
+            nbytes = sum(catalog.table(table).column(c).nbytes for c in cols)
+            if form == "full":
+                total += nbytes / device.pcie_bytes_per_ns
+                continue
+            total += (nbytes / shards) / device.pcie_bytes_per_ns
+            if form == "hash":
+                total += repartition_cost_ns(interconnect, shards, nbytes)
+        return total
+
+    def loop_cost(driving: Scan, hashed: set[int]) -> float:
+        """Per-shard iterations times the inner scans of one iteration."""
+        rows = catalog.table(driving.table).num_rows
+        iterations = max(float(driving.estimated_rows or rows), 1.0)
+        return (iterations / shards) * sum(
+            _kernel_ns(
+                device,
+                catalog.table(s.table).num_rows
+                / (shards if id(s) in hashed else 1),
+            )
+            for s in spec_scans
+        )
+
+    def join_co_partitions(driving: Scan, outer_col: str) -> dict:
+        """Body scans equi-joined with the driving scan *on the
+        partition key*: hashing them on their join column co-locates
+        every matching pair, so they ride the shuffle instead of
+        being replicated (an inner equi-join row exists only where
+        the keys are equal, i.e. in exactly one bucket)."""
+        by_binding = {s.binding: s for s in candidates if s is not driving}
+        co: dict[int, str] = {}
+        for node in body.walk():
+            if not isinstance(node, Join):
+                continue
+            for near, far in (
+                (node.left_key, node.right_key),
+                (node.right_key, node.left_key),
+            ):
+                if not (isinstance(near, ColRef) and isinstance(far, ColRef)):
+                    continue
+                if near.binding != driving.binding or near.column != outer_col:
+                    continue
+                scan = by_binding.get(far.binding)
+                if scan is None or id(scan) in co:
+                    continue
+                if _hashable(catalog, scan.table, far.column):
+                    co[id(scan)] = far.column
+        return co
+
+    # broadcast: drive the biggest safe scan, replicate the rest
+    bcast_driving = max(candidates, key=lambda s: _scan_bytes(catalog, s))
+    bcast_forms = [(bcast_driving, None)]
+    broadcast_ns = loads_cost(bcast_forms) + loop_cost(bcast_driving, set())
+
+    # shuffle: for each (safe driving scan, correlation qual) pair,
+    # hash-partition the driving scan on the outer column and every
+    # inner scan carrying `ic = $qual` on its inner column
+    quals = {q for s in spec_scans for q in _scan_correlations(s)}
+    best = None
+    for driving in candidates:
+        for qual in sorted(quals):
+            binding, _, outer_col = qual.partition(".")
+            if binding != driving.binding:
+                continue
+            if not _hashable(catalog, driving.table, outer_col):
+                continue
+            hash_nodes: dict[int, str] = {}
+            for scan in spec_scans:
+                col = _scan_correlations(scan).get(qual)
+                if col is None or col.dtype_name == "string":
+                    continue
+                if _hashable(catalog, scan.table, col.column):
+                    hash_nodes[id(scan)] = col.column
+            if not hash_nodes:
+                continue
+            join_nodes = join_co_partitions(driving, outer_col)
+            forms = [(driving, outer_col)] + [
+                (scan, nodes[id(scan)])
+                for scans, nodes in (
+                    (spec_scans, hash_nodes), (body_scans, join_nodes)
+                )
+                for scan in scans
+                if id(scan) in nodes
+            ]
+            cost = loads_cost(forms) + loop_cost(driving, set(hash_nodes))
+            if best is None or cost < best[0]:
+                best = (cost, qual, forms)
+
+    decision = {
+        "broadcast_ns": broadcast_ns,
+        "shuffle_ns": best[0] if best else None,
+        "shuffle_qual": best[1] if best else None,
+        "interconnect": interconnect.name,
+        "shards": shards,
+    }
+    if best is not None and best[0] < broadcast_ns:
+        decision["chosen"] = "shuffle"
+        forms = best[2]
+        placement = f"hash({best[1].partition('.')[2]}) % {shards}"
+    else:
+        correlated = any(spec.descriptor.is_correlated for spec in specs)
+        decision["chosen"] = "broadcast" if correlated else "scatter"
+        forms = bcast_forms
+        placement = f"round_robin % {shards}"
+    driving = forms[0][0]
+    decision["driving"] = f"{driving.table} AS {driving.binding} [{placement}]"
+    if forms is bcast_forms:
+        decision["reason"] = (
+            "no hashable correlation"
+            if best is None
+            else "replication cheaper than repartitioning"
+        )
+    return decision, forms
 
 
 class ShardedEngine:
@@ -302,19 +455,20 @@ class ShardedEngine:
 
     def prepare(
         self, sql: str, mode: str | None = None, tracer=None
-    ) -> ShardedPrepared:
-        """Plan a query for the group: solo plan + placement + exchanges."""
+    ) -> PreparedQuery:
+        """Plan a query for the group: the solo plan, and at two shards
+        or more the per-shard body program and its placement."""
         tracer = self.tracer if tracer is None else tracer
         self._sync_catalog()
         solo = self.planner.prepare(sql, mode, tracer=tracer)
         if self.shards == 1:
-            return ShardedPrepared(solo=solo, strategy="solo", sql=sql)
+            return solo
         with tracer.span("shard-plan", "phase", shards=self.shards):
-            return self._plan_group(solo, sql)
+            return self._plan_group(solo)
 
     def run_prepared(
         self,
-        prepared: ShardedPrepared,
+        prepared: PreparedQuery,
         tracer=None,
         metrics=None,
         observed: bool = True,
@@ -326,16 +480,17 @@ class ShardedEngine:
             metrics = self.metrics if metrics is None else metrics
         else:
             tracer, metrics = NULL_TRACER, None
-        if prepared.strategy == "solo":
+        placement = prepared.placement
+        if placement is None:
             # a group of one IS the solo engine (bit-identity pin)
             return self.planner.run_prepared(
-                prepared.solo, tracer=tracer, metrics=metrics
+                prepared, tracer=tracer, metrics=metrics
             )
         self._sync_catalog()
         self.group.reset(rebase_peak=True)
         pair_before = dict(self.group.pair_bytes)
         try:
-            if prepared.strategy == "coordinator":
+            if placement.strategy == "coordinator":
                 result = self._run_coordinator(prepared, tracer)
             else:
                 result = self._run_scatter_gather(prepared, tracer)
@@ -351,7 +506,7 @@ class ShardedEngine:
         if metrics is not None:
             self.planner._record_metrics(metrics, prepared, result)
             metrics.counter("shard.queries").inc()
-            metrics.counter(f"shard.strategy.{prepared.strategy}").inc()
+            metrics.counter(f"shard.strategy.{placement.strategy}").inc()
             metrics.histogram("shard.makespan_ms").observe(
                 result.makespan_ns / 1e6
             )
@@ -384,15 +539,16 @@ class ShardedEngine:
         if analyze:
             return self.planner.explain(sql, mode, analyze=True)
         prepared = self.prepare(sql, mode)
-        if prepared.strategy == "solo":
-            return self.planner.explain_prepared(prepared.solo)
+        placement = prepared.placement
+        if placement is None:
+            return self.planner.explain_prepared(prepared)
         lines = [
             f"device group: {self.shards} x {self.device_spec.name} "
             f"over {self.interconnect.name}",
             f"execution path: {prepared.choice}",
-            f"shard strategy: {prepared.strategy}",
+            f"shard strategy: {placement.strategy}",
         ]
-        decision = prepared.decision
+        decision = placement.decision
         if decision.get("broadcast_ns") is not None:
             lines.append(
                 f"  broadcast est: {decision['broadcast_ns'] / 1e6:.3f} ms"
@@ -406,24 +562,24 @@ class ShardedEngine:
             lines.append(f"  reason: {decision['reason']}")
         if decision.get("driving"):
             lines.append(f"driving scan: {decision['driving']}")
-        if prepared.exchanges:
+        if placement.exchanges:
             lines.append("exchanges:")
-            for step in prepared.exchanges:
+            for step in placement.exchanges:
                 lines.append(f"  {step.describe()}")
-        if prepared.body is not None:
+        if placement.body is not None:
             lines.append("")
             lines.append("body plan (each shard):")
-            lines.append(explain_plan(prepared.body, indent=1))
-        if prepared.tail:
+            lines.append(explain_plan(placement.body, indent=1))
+        if placement.tail:
             lines.append("")
             lines.append("coordinator tail (after gather):")
-            for node in prepared.tail:
+            for node in placement.tail:
                 lines.append(f"  {node}")
         return "\n".join(lines)
 
     # -- group planning -------------------------------------------------
 
-    def _plan_group(self, solo: PreparedQuery, sql: str) -> ShardedPrepared:
+    def _plan_group(self, solo: PreparedQuery) -> PreparedQuery:
         # deepcopy (inner plans included) before splitting: scan
         # rewrites must not touch the solo plan (it stays valid for
         # EXPLAIN / the planner's cache)
@@ -437,307 +593,58 @@ class ShardedEngine:
         program = generate_drive_program(
             None, body, fetch_result=False, fusion=body_fusion
         )
-        spec_scans = [
-            node
-            for spec in program.specs
-            for node in spec.plan.walk()
-            if isinstance(node, Scan)
-        ]
-        candidates = candidate_scans(body)
-        if not candidates:
-            return ShardedPrepared(
-                solo=solo,
-                strategy="coordinator",
-                decision={"reason": "no row-wise driving scan in the body"},
-                sql=sql,
-            )
-        correlated = any(
-            spec.descriptor.is_correlated for spec in program.specs
+        decision, forms = choose_placement(
+            body, program.specs, self.catalog, self.device_spec,
+            self.interconnect, self.shards,
         )
-        decision = self._decide(body, program, candidates, spec_scans)
-        strategy = decision["chosen"]
-        if not correlated and strategy == "broadcast":
-            strategy = "scatter"
-            decision["chosen"] = "scatter"
-        driving: Scan = decision.pop("_driving_scan")
-        hash_nodes: dict[int, str] = decision.pop("_hash_nodes")
-        exchanges, hash_exchanges = self._apply_placement(
-            body, program, spec_scans, driving, strategy, hash_nodes,
-            decision,
+        if not forms:
+            # the coordinator runs the solo program unsplit
+            return replace(solo, placement=Placement("coordinator", decision))
+        exchanges = self._apply_placement(body, program.specs, forms)
+        placement = Placement(
+            decision["chosen"], decision, body, tail, exchanges
         )
-        return ShardedPrepared(
-            solo=solo,
-            strategy=strategy,
-            program=program,
-            body=body,
-            tail=tail,
-            exchanges=exchanges,
-            hash_exchanges=hash_exchanges,
-            decision=decision,
-            sql=sql,
-        )
-
-    def _scan_columns(self, scan: Scan) -> tuple[str, ...]:
-        table = self.catalog.table(scan.table)
-        return tuple(scan.columns or table.column_names)
-
-    def _scan_bytes(self, scan: Scan) -> int:
-        table = self.catalog.table(scan.table)
-        return sum(
-            table.column(c).nbytes for c in self._scan_columns(scan)
-        )
-
-    def _decide(
-        self,
-        body: Plan,
-        program: DriveProgram,
-        candidates: list[Scan],
-        spec_scans: list[Scan],
-    ) -> dict:
-        """Cost broadcast vs shuffle; returns the decision record plus
-        the chosen driving scan and per-node hash assignments."""
-        spec = self.device_spec
-        shards = self.shards
-        body_scans = [n for n in body.walk() if isinstance(n, Scan)]
-
-        def placements_cost(placements: dict) -> float:
-            total = 0.0
-            for p in placements.values():
-                if p.form == "full":
-                    total += p.nbytes / spec.pcie_bytes_per_ns
-                    continue
-                total += (p.nbytes / shards) / spec.pcie_bytes_per_ns
-                if p.form == "hash":
-                    total += repartition_cost_ns(
-                        self.interconnect, shards, p.nbytes
-                    )
-            return total
-
-        def add_placement(placements, scan, form, key=None):
-            pkey = (scan.table.lower(), form, key)
-            cols = self._scan_columns(scan)
-            existing = placements.get(pkey)
-            if existing is not None:
-                merged = tuple(dict.fromkeys(existing.columns + cols))
-                existing.columns = merged
-                table = self.catalog.table(scan.table)
-                existing.nbytes = sum(
-                    table.column(c).nbytes for c in merged
-                )
-                return
-            placements[pkey] = _Placement(
-                scan.table, form, key, cols, self._scan_bytes(scan)
-            )
-
-        def iterations(driving: Scan) -> float:
-            rows = self.catalog.table(driving.table).num_rows
-            est = driving.estimated_rows or rows
-            return max(float(est), 1.0)
-
-        def join_co_partitions(driving: Scan, outer_col: str) -> dict:
-            """Body scans equi-joined with the driving scan *on the
-            partition key*: hashing them on their join column co-locates
-            every matching pair, so they ride the shuffle instead of
-            being replicated (an inner equi-join row exists only where
-            the keys are equal, i.e. in exactly one bucket)."""
-            by_binding = {
-                s.binding: s for s in candidates if s is not driving
-            }
-            co: dict[int, str] = {}
-            for node in body.walk():
-                if not isinstance(node, Join):
-                    continue
-                for near, far in (
-                    (node.left_key, node.right_key),
-                    (node.right_key, node.left_key),
-                ):
-                    if not (
-                        isinstance(near, ColRef) and isinstance(far, ColRef)
-                    ):
-                        continue
-                    if (near.binding != driving.binding
-                            or near.column != outer_col):
-                        continue
-                    scan = by_binding.get(far.binding)
-                    if scan is None or id(scan) in co:
-                        continue
-                    table = self.catalog.table(scan.table)
-                    if (far.column not in table
-                            or table.column(far.column).dtype.is_string):
-                        continue
-                    co[id(scan)] = far.column
-            return co
-
-        # broadcast: drive the biggest safe scan, replicate the rest
-        bcast_driving = max(candidates, key=self._scan_bytes)
-        bcast_placements: dict = {}
-        add_placement(bcast_placements, bcast_driving, "rr")
-        for scan in body_scans + spec_scans:
-            if scan is bcast_driving:
-                continue
-            add_placement(bcast_placements, scan, "full")
-        bcast_loop = sum(
-            _kernel_ns(spec, self.catalog.table(s.table).num_rows)
-            for s in spec_scans
-        )
-        broadcast_ns = placements_cost(bcast_placements) + (
-            iterations(bcast_driving) / shards
-        ) * bcast_loop
-
-        # shuffle: for each (safe driving scan, correlation qual) pair,
-        # hash-partition the driving scan on the outer column and every
-        # inner scan carrying `ic = $qual` on its inner column
-        quals = {
-            q for s in spec_scans for q in _scan_correlations(s)
-        }
-        best = None
-        for driving in candidates:
-            table = self.catalog.table(driving.table)
-            for qual in sorted(quals):
-                binding, _, outer_col = qual.partition(".")
-                if binding != driving.binding:
-                    continue
-                if outer_col not in table:
-                    continue
-                if table.column(outer_col).dtype.is_string:
-                    # per-column dictionaries make string codes
-                    # incomparable across columns — never hash them
-                    continue
-                hash_nodes: dict[int, str] = {}
-                for scan in spec_scans:
-                    col = _scan_correlations(scan).get(qual)
-                    if col is None or col.dtype_name == "string":
-                        continue
-                    inner_table = self.catalog.table(scan.table)
-                    if col.column not in inner_table:
-                        continue
-                    if inner_table.column(col.column).dtype.is_string:
-                        continue
-                    hash_nodes[id(scan)] = col.column
-                if not hash_nodes:
-                    continue
-                join_nodes = join_co_partitions(driving, outer_col)
-                placements: dict = {}
-                add_placement(placements, driving, "hash", outer_col)
-                for scan in body_scans:
-                    if scan is driving:
-                        continue
-                    key = join_nodes.get(id(scan))
-                    if key is None:
-                        add_placement(placements, scan, "full")
-                    else:
-                        add_placement(placements, scan, "hash", key)
-                for scan in spec_scans:
-                    key = hash_nodes.get(id(scan))
-                    if key is None:
-                        add_placement(placements, scan, "full")
-                    else:
-                        add_placement(placements, scan, "hash", key)
-                loop = sum(
-                    _kernel_ns(
-                        spec,
-                        self.catalog.table(s.table).num_rows
-                        / (shards if id(s) in hash_nodes else 1),
-                    )
-                    for s in spec_scans
-                )
-                cost = placements_cost(placements) + (
-                    iterations(driving) / shards
-                ) * loop
-                if best is None or cost < best[0]:
-                    best = (cost, driving, qual, {**hash_nodes, **join_nodes})
-
-        decision = {
-            "broadcast_ns": broadcast_ns,
-            "shuffle_ns": best[0] if best else None,
-            "shuffle_qual": best[2] if best else None,
-            "interconnect": self.interconnect.name,
-            "shards": self.shards,
-        }
-        if best is not None and best[0] < broadcast_ns:
-            decision["chosen"] = "shuffle"
-            decision["driving"] = (
-                f"{best[1].table} AS {best[1].binding} "
-                f"[hash({best[2].partition('.')[2]}) % {self.shards}]"
-            )
-            decision["_driving_scan"] = best[1]
-            decision["_hash_nodes"] = best[3]
-        else:
-            decision["chosen"] = "broadcast"
-            decision["driving"] = (
-                f"{bcast_driving.table} AS {bcast_driving.binding} "
-                f"[round_robin % {self.shards}]"
-            )
-            decision["reason"] = (
-                "no hashable correlation"
-                if best is None
-                else "replication cheaper than repartitioning"
-            )
-            decision["_driving_scan"] = bcast_driving
-            decision["_hash_nodes"] = {}
-        return decision
+        return replace(solo, program=program, placement=placement)
 
     def _apply_placement(
-        self,
-        body: Plan,
-        program: DriveProgram,
-        spec_scans: list[Scan],
-        driving: Scan,
-        strategy: str,
-        hash_nodes: dict[int, str],
-        decision: dict,
-    ) -> tuple[list[ExchangeStep], list[tuple[str, str, tuple[str, ...]]]]:
-        """Rewrite scan nodes to form-qualified names, register the form
-        tables in every shard catalog, and emit the exchange steps."""
+        self, body: Plan, specs: list, forms: list[tuple[Scan, str | None]]
+    ) -> list[ExchangeStep]:
+        """Rename each partitioned scan to its form table, register the
+        forms in every shard catalog, and list the exchange steps: the
+        round-robin home slice, the full replicas, the repartitions."""
         exchanges: list[ExchangeStep] = []
-        hash_exchanges: dict[tuple[str, str], set] = {}
-        if strategy == "shuffle":
-            outer_col = decision["shuffle_qual"].partition(".")[2]
-            form = self._ensure_form(driving.table, key=outer_col)
-            cols = self._scan_columns(driving)
-            driving.table = form
-            hash_exchanges.setdefault(
-                (form.split("##")[0], outer_col), set()
-            ).update(cols)
-            co_scans = [
-                n for n in body.walk()
-                if isinstance(n, Scan) and n is not driving
-            ]
-            for scan in spec_scans + co_scans:
-                key = hash_nodes.get(id(scan))
-                if key is None:
-                    continue
-                base_name = scan.table
-                form = self._ensure_form(base_name, key=key)
-                hash_exchanges.setdefault((base_name, key), set()).update(
-                    self._scan_columns(scan)
+        hashed: dict[tuple[str, str], set] = {}
+        for scan, key in forms:
+            cols = _scan_columns(self.catalog, scan)
+            form = self._ensure_form(scan.table, key)
+            if key is None:
+                home = self.shard_states[0].catalog.table(form)
+                exchanges.append(
+                    ExchangeStep(
+                        kind="broadcast",
+                        table=scan.table,
+                        form=form,
+                        columns=cols,
+                        host_bytes_per_shard=sum(
+                            home.column(c).nbytes for c in cols
+                        ),
+                        note="home slice (round-robin)",
+                    )
                 )
-                scan.table = form
-        else:
-            form = self._ensure_form(driving.table)
-            cols = self._scan_columns(driving)
-            home = self.shard_states[0].catalog.table(form)
-            bytes_per_shard = sum(home.column(c).nbytes for c in cols)
-            exchanges.append(
-                ExchangeStep(
-                    kind="broadcast",
-                    table=driving.table,
-                    form=form,
-                    columns=cols,
-                    host_bytes_per_shard=bytes_per_shard,
-                    note="home slice (round-robin)",
+            else:
+                hashed.setdefault((form.split("##")[0], key), set()).update(
+                    cols
                 )
-            )
-            driving.table = form
+            scan.table = form
         # every scan left on a plain name is a full replica per shard;
         # record the distinct ones so EXPLAIN shows the broadcast set
         seen: set[tuple[str, tuple[str, ...]]] = set()
         for scan in [
             n for n in body.walk() if isinstance(n, Scan)
-        ] + spec_scans:
+        ] + _spec_scans(specs):
             if "##" in scan.table:
                 continue
-            cols = self._scan_columns(scan)
+            cols = _scan_columns(self.catalog, scan)
             dedup = (scan.table.lower(), cols)
             if dedup in seen:
                 continue
@@ -748,22 +655,15 @@ class ShardedEngine:
                     table=scan.table,
                     form=scan.table,
                     columns=cols,
-                    host_bytes_per_shard=self._scan_bytes(scan),
+                    host_bytes_per_shard=_scan_bytes(self.catalog, scan),
                     note="full replica",
                 )
             )
-        hash_list: list[tuple[str, str, tuple[str, ...]]] = []
-        for (table, key), cols in hash_exchanges.items():
+        for (table, key), cols in hashed.items():
             ordered = tuple(sorted(cols))
-            hash_list.append((table, key, ordered))
-            width = sum(
-                self.catalog.table(table).column(c).dtype.width
-                for c in ordered
-            )
+            base = self.catalog.table(table)
+            width = sum(base.column(c).dtype.width for c in ordered)
             matrix = self._pair_matrix(table, key)
-            link_bytes = int(
-                (matrix.sum() - np.trace(matrix)) * width
-            )
             exchanges.append(
                 ExchangeStep(
                     kind="repartition",
@@ -771,18 +671,15 @@ class ShardedEngine:
                     form=f"{table}##hash:{key}",
                     columns=ordered,
                     key=key,
-                    link_bytes=link_bytes,
+                    link_bytes=int((matrix.sum() - np.trace(matrix)) * width),
                     cost_ns=repartition_cost_ns(
                         self.interconnect,
                         self.shards,
-                        sum(
-                            self.catalog.table(table).column(c).nbytes
-                            for c in ordered
-                        ),
+                        sum(base.column(c).nbytes for c in ordered),
                     ),
                 )
             )
-        return exchanges, hash_list
+        return exchanges
 
     # -- shard catalog forms --------------------------------------------
 
@@ -833,7 +730,7 @@ class ShardedEngine:
         if tracer.enabled:
             tracer.bind_device(ctx.device)
         result = self.planner.run_prepared(
-            prepared.solo, tracer=tracer, metrics=None, ctx=ctx
+            prepared, tracer=tracer, metrics=None, ctx=ctx
         )
         result.shards = self.shards
         result.makespan_ns = result.stats.total_ns
@@ -841,11 +738,11 @@ class ShardedEngine:
             f"sharded-{self.shards}:coordinator:{prepared.choice}"
         )
         result.group_report = self._group_report(
-            prepared, [result.stats.total_ns], result.makespan_ns
+            prepared.placement, [result.stats.total_ns], result.makespan_ns
         )
         return result
 
-    def _run_exchanges(self, prepared, tracer) -> None:
+    def _run_exchanges(self, placement: Placement) -> None:
         """Materialise hash forms: home-slice loads + peer link traffic.
 
         Per column all-or-nothing: if the hash form is resident on every
@@ -854,8 +751,10 @@ class ShardedEngine:
         links, and the arrived slice is admitted without a host
         transfer (the links already paid for the movement).
         """
-        for table, key, cols in prepared.hash_exchanges:
-            form = f"{table}##hash:{key}"
+        for step in placement.exchanges:
+            if step.kind != "repartition":
+                continue
+            table, key, cols, form = step.table, step.key, step.columns, step.form
             rr_name = f"{table}##rr"
             base = self.catalog.table(table)
             matrix = self._pair_matrix(table, key)
@@ -895,11 +794,11 @@ class ShardedEngine:
                     )
 
     def _run_scatter_gather(self, prepared, tracer) -> QueryResult:
-        program = prepared.program
+        program, placement = prepared.program, prepared.placement
         with tracer.span(
-            "exchange", "phase", strategy=prepared.strategy
+            "exchange", "phase", strategy=placement.strategy
         ):
-            self._run_exchanges(prepared, tracer)
+            self._run_exchanges(placement)
         partials: list[Relation] = []
         runtimes = []
         body_ends: list[float] = []
@@ -908,7 +807,7 @@ class ShardedEngine:
                 tracer.bind_device(state.device)
             # the shard body runs on the solo engine's own execute path
             with tracer.span(
-                f"shard-{k}", "shard", device=k, strategy=prepared.strategy
+                f"shard-{k}", "shard", device=k, strategy=placement.strategy
             ):
                 with tracer.span("preload", "phase"):
                     self.planner._preload(state, program)
@@ -933,8 +832,8 @@ class ShardedEngine:
         with tracer.span("tail", "phase"):
             rel = run_plan(
                 coordinator,
-                (prepared.tail or [prepared.body])[0],
-                memo={id(prepared.body): gathered},
+                (placement.tail or [placement.body])[0],
+                memo={id(placement.body): gathered},
             )
         tail_end = coordinator.device.stats.total_ns
         final = ops.fetch_result(coordinator, rel)
@@ -942,32 +841,28 @@ class ShardedEngine:
         makespan = max(body_ends) + (
             coordinator.device.stats.total_ns - body_ends[0]
         )
-        prepared.exchanges = [
-            step for step in prepared.exchanges if step.kind != "gather"
-        ] + [
-            ExchangeStep(
-                kind="gather",
-                table="(result)",
-                form="(coordinator)",
-                link_bytes=gather_bytes,
-                cost_ns=gather_cost_ns(
-                    self.interconnect, self.shards, gather_bytes
-                ),
-            )
-        ]
+        gather = ExchangeStep(
+            kind="gather",
+            table="(result)",
+            form="(coordinator)",
+            link_bytes=gather_bytes,
+            cost_ns=gather_cost_ns(self.interconnect, self.shards, gather_bytes),
+        )
         return query_result(
             final,
             runtimes,
             self.group.merged_stats(),
             plan_choice=(
-                f"sharded-{self.shards}:{prepared.strategy}:"
+                f"sharded-{self.shards}:{placement.strategy}:"
                 f"{prepared.choice}"
             ),
             drive_source=program.source,
             fetch_ns=fetch_ns,
             shards=self.shards,
             makespan_ns=makespan,
-            group_report=self._group_report(prepared, body_ends, makespan),
+            group_report=self._group_report(
+                placement, body_ends, makespan, (gather,)
+            ),
         )
 
     def _concat(self, ctx, partials: list[Relation]) -> Relation:
@@ -989,19 +884,23 @@ class ShardedEngine:
         return gathered
 
     def _group_report(
-        self, prepared, body_ends: list[float], makespan: float
+        self,
+        placement: Placement,
+        body_ends: list[float],
+        makespan: float,
+        gather: tuple[ExchangeStep, ...] = (),
     ) -> dict:
+        """The run's group report: the planned exchanges plus this
+        run's own gather step."""
         snapshots = self.group.snapshots()
         return {
             "shards": self.shards,
-            "strategy": prepared.strategy,
+            "strategy": placement.strategy,
             "interconnect": self.interconnect.name,
-            "decision": {
-                k: v
-                for k, v in prepared.decision.items()
-                if not k.startswith("_")
-            },
-            "exchanges": [asdict(step) for step in prepared.exchanges],
+            "decision": dict(placement.decision),
+            "exchanges": [
+                asdict(step) for step in [*placement.exchanges, *gather]
+            ],
             "body_end_ns": list(body_ends),
             "makespan_ns": makespan,
             "devices": [

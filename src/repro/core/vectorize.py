@@ -142,7 +142,8 @@ def run_batch(sp, batch: dict[str, np.ndarray]):
 
     Returns:
         ``(values, valid)`` arrays of length B for scalar subqueries,
-        a boolean array for EXISTS, or ``(values, seg)`` for IN.
+        or a boolean array for EXISTS (:func:`shape_refusal` refuses
+        every IN body).
     """
     num_segments = len(next(iter(batch.values())))
     result = _eval(sp, sp.plan, batch, num_segments)
@@ -152,10 +153,6 @@ def run_batch(sp, batch: dict[str, np.ndarray]):
         return kernels.segmented_any(
             sp.ctx.device, seg_rel.seg, num_segments
         )
-    if descriptor.kind == "in":
-        seg_rel = _require_seg(result)
-        column = seg_rel.rel.first_column()
-        return column.data.astype(np.float64), seg_rel.seg
     # scalar: the root produced one row per segment
     if isinstance(result, _PerSegment):
         return result.values, result.valid

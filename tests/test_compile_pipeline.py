@@ -14,7 +14,7 @@ from __future__ import annotations
 import pytest
 from conftest import make_rst_catalog
 
-from repro.core import NestGPU, ShardedEngine, executor
+from repro.core import NestGPU, PreparedQuery, ShardedEngine, executor
 from repro.engine import EngineOptions
 from repro.plan import Binder, PlanBuilder
 from repro.serve import EngineSession
@@ -122,7 +122,7 @@ def test_one_codegen_pass_per_candidate_in_every_fusion_mode(
 
 def test_sharded_prepare_parses_and_binds_once(catalog, calls):
     prepared = ShardedEngine(catalog, shards=2).prepare(CORRELATED)
-    assert prepared.strategy != "solo"
+    assert prepared.placement is not None
     assert (calls["parse"], calls["bind"]) == (1, 1)
 
 
@@ -153,10 +153,14 @@ def test_sharded_session_drive_source_compiles_once(catalog, calls):
 
 
 def test_sharded_prepared_reads_like_a_prepared_query(catalog):
-    solo = ShardedEngine(catalog, shards=1).prepare(CORRELATED)
-    assert solo.program is solo.solo.program  # falls back to the solo one
+    solo = NestGPU(catalog).prepare(CORRELATED)
+    one = ShardedEngine(catalog, shards=1).prepare(CORRELATED)
+    assert isinstance(one, PreparedQuery) and one.placement is None
+    assert one.program.source == solo.program.source
     group = ShardedEngine(catalog, shards=2).prepare(CORRELATED)
-    assert group.program is not group.solo.program  # the per-shard body
-    for prepared in (solo, group):
-        assert prepared.fusion_decision is prepared.solo.fusion_decision
-        assert prepared.choice == prepared.solo.choice
+    assert isinstance(group, PreparedQuery) and group.placement is not None
+    assert group.program.source != solo.program.source  # the per-shard body
+    assert group.plan is not group.placement.body  # the solo plan stays
+    for prepared in (one, group):
+        assert prepared.fusion_decision == solo.fusion_decision
+        assert prepared.choice == solo.choice

@@ -20,6 +20,7 @@ from repro.fuzz.generator import generate_query
 from repro.fuzz.runner import DEFAULT_SCALE
 from repro.gpu import Device
 from repro.obs import Tracer
+from repro.obs.telemetry import span_to_dict
 from repro.plan.invariants import mark_invariants
 from repro.storage import Catalog, Table, decimal_type, int_type
 from repro.tpch import ALL_EVALUATION_QUERIES, generate_tpch
@@ -156,12 +157,68 @@ def test_governor_fires_inside_a_replayed_loop(catalog, monkeypatch):
     assert len(drives) == 2  # the warm-up run and the replayed run
 
 
-def test_traced_run_keeps_the_loop(catalog):
+def test_traced_run_replays(catalog):
     engine = NestGPU(
         catalog, options=EngineOptions(use_vectorization=False), mode="nested"
     )
     result = engine.execute(ALL_EVALUATION_QUERIES["tpch_q17"], tracer=Tracer())
-    assert result.subquery_paths == {0: "loop: traced"}
+    assert result.subquery_paths == {0: "replayed"}
+
+
+def _modelled(node: dict) -> dict:
+    """A ``span_to_dict`` tree without the host's ``wall_us``."""
+    attrs = {k: v for k, v in node.get("attrs", {}).items() if k != "wall_us"}
+    children = [_modelled(child) for child in node.get("children", [])]
+    return {**node, "attrs": attrs, "children": children}
+
+
+def _traced_trees(engine, sql, monkeypatch):
+    """The span trees of a traced replay and a traced forced loop, and
+    the paths each run took."""
+    trees, paths = [], []
+    for forced_loop in (False, True):
+        tracer = Tracer()
+        with monkeypatch.context() as patch:
+            if forced_loop:
+                patch.setattr(replay, "refusal", lambda sp: "forced")
+            paths.append(engine.execute(sql, tracer=tracer).subquery_paths)
+        tracer.finish()
+        trees.append([_modelled(span_to_dict(root)) for root in tracer.roots])
+    return trees, paths
+
+
+@pytest.mark.parametrize("config", sorted(LOOP_CONFIGS))
+@pytest.mark.parametrize("name", sorted(ALL_EVALUATION_QUERIES))
+def test_traced_replay_matches_the_traced_loop(
+    tpch_small, monkeypatch, name, config
+):
+    """Span names, categories, attributes, modelled start and end and
+    kernel launches: the replay's iteration spans are the loop's."""
+    sql = ALL_EVALUATION_QUERIES[name]
+    options = EngineOptions(use_vectorization=False, **LOOP_CONFIGS[config])
+    engine = NestGPU(tpch_small, options=options, mode="nested")
+    engine.execute(sql)  # planning-time statistics are memoised
+    (replayed, looped), paths = _traced_trees(engine, sql, monkeypatch)
+    assert replayed == looped
+    if name != "tpch_q4":
+        assert paths == [{0: "replayed"}, {0: "loop: forced"}]
+        assert "'category': 'iteration'" in repr(replayed)
+
+
+def test_traced_fuzz_statements_replay_the_loop(monkeypatch):
+    catalog = generate_tpch(DEFAULT_SCALE)
+    options = EngineOptions(use_vectorization=False)
+    replayed_any = cache_hits = 0
+    for index in range(80):
+        sql = generate_query(catalog, 7, index).sql
+        engine = NestGPU(catalog, options=options, mode="nested")
+        engine.execute(sql)  # planning-time statistics are memoised
+        (replayed, looped), paths = _traced_trees(engine, sql, monkeypatch)
+        assert replayed == looped, sql
+        if "replayed" in paths[0].values():
+            replayed_any += 1
+            cache_hits += repr(replayed).count("'cache_hit': True")
+    assert replayed_any >= 61 and cache_hits > 0
 
 
 def test_explain_analyze_names_the_path(catalog):
@@ -172,7 +229,7 @@ def test_explain_analyze_names_the_path(catalog):
         catalog, options=EngineOptions(use_vectorization=False), mode="nested"
     )
     text = explain_analyze(loop, sql).render()
-    assert "path=loop: traced   iterations=" in text
+    assert "path=replayed   iterations=" in text
     text = explain_analyze(NestGPU(catalog, mode="nested"), sql).render()
     assert "path=vectorized   iterations=" in text
 

@@ -3,22 +3,30 @@ cost-driven broadcast/shuffle choice, exchange reuse, session wiring."""
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import math
 
 import pytest
 from conftest import make_rst_catalog
 
-from repro.core import NestGPU, ShardedEngine
+from repro.core import NestGPU, ShardedEngine, generate_drive_program
 from repro.core.executor import preload_columns
+from repro.core.sharded import choose_placement, split_tail
+from repro.gpu import DeviceSpec
 from repro.gpu.spec import InterconnectSpec, LinkSpec
 from repro.obs import MetricsRegistry
+from repro.plan.nodes import Scan
 from repro.serve import EngineSession
 from repro.tpch import ALL_EVALUATION_QUERIES, generate_tpch
 
 RST_SQL = (
     "SELECT r_col1, r_col2 FROM r WHERE r_col2 = "
     "(SELECT MIN(s_col2) FROM s WHERE s_col1 = r.r_col1)"
+)
+GLACIAL = InterconnectSpec(
+    name="glacial",
+    default_link=LinkSpec(bytes_per_ns=0.001, latency_ns=5e7),
 )
 
 # The 8 paper queries at sf 0.5 on one standing session per (shards,
@@ -283,22 +291,70 @@ def test_interconnect_flips_broadcast_to_shuffle():
         interconnect=InterconnectSpec.nvswitch(),
     )
     prepared_fast = fast.prepare(sql)
-    assert prepared_fast.strategy == "shuffle"
+    assert prepared_fast.placement.strategy == "shuffle"
 
-    glacial = InterconnectSpec(
-        name="glacial",
-        default_link=LinkSpec(bytes_per_ns=0.001, latency_ns=5e7),
-    )
     slow = ShardedEngine(
-        make_rst_catalog(n_s=20000), shards=4, interconnect=glacial,
+        make_rst_catalog(n_s=20000), shards=4, interconnect=GLACIAL,
     )
     prepared_slow = slow.prepare(sql)
-    assert prepared_slow.strategy == "broadcast"
+    assert prepared_slow.placement.strategy == "broadcast"
 
     # both strategies produce the solo rows
     solo = NestGPU(make_rst_catalog(n_s=20000)).execute(sql)
     assert canon(fast.run_prepared(prepared_fast).rows) == canon(solo.rows)
     assert canon(slow.run_prepared(prepared_slow).rows) == canon(solo.rows)
+
+
+def test_placement_function_reproduces_the_interconnect_flip():
+    """The costing is a pure function of the body and the group: it
+    makes the engine's two choices above, and registers no form and
+    renames no scan on the way."""
+    catalog = make_rst_catalog(n_s=20000)
+    body, _ = split_tail(copy.deepcopy(NestGPU(catalog).prepare(RST_SQL).plan))
+    specs = generate_drive_program(None, body, fetch_result=False).specs
+
+    def scan_tables() -> list[str]:
+        plans = [body, *(spec.plan for spec in specs)]
+        return [n.table for p in plans for n in p.walk() if isinstance(n, Scan)]
+
+    tables = scan_tables()
+    chosen = {}
+    for fabric in (InterconnectSpec.nvswitch(), GLACIAL):
+        decision, forms = choose_placement(
+            body, specs, catalog, DeviceSpec.v100(), fabric, 4
+        )
+        engine = ShardedEngine(catalog, shards=4, interconnect=fabric)
+        assert engine.prepare(RST_SQL).placement.decision == decision
+        chosen[fabric.name] = (
+            decision["chosen"], [(scan.table, key) for scan, key in forms]
+        )
+    assert chosen == {
+        "nvswitch": ("shuffle", [("r", "r_col1"), ("s", "s_col1")]),
+        "glacial": ("broadcast", [("r", None)]),
+    }
+    assert scan_tables() == tables
+    assert all("##" not in table.name for table in catalog)
+
+
+def test_runs_leave_the_placement_as_planned():
+    """Each run reports its own gather step; the cached placement keeps
+    the planned exchanges and a decision with public keys only."""
+    engine = ShardedEngine(
+        make_rst_catalog(n_s=20000), shards=4,
+        interconnect=InterconnectSpec.nvswitch(),
+    )
+    prepared = engine.prepare(RST_SQL)
+    placement = prepared.placement
+    planned = list(placement.exchanges)
+    assert [step.kind for step in planned] == ["repartition"] * 2
+    assert not any(key.startswith("_") for key in placement.decision)
+    for _ in range(2):
+        report = engine.run_prepared(prepared).group_report
+        assert placement.exchanges == planned
+        assert [step["kind"] for step in report["exchanges"]] == [
+            "repartition", "repartition", "gather"
+        ]
+        assert report["decision"] == placement.decision
 
 
 def test_explain_surfaces_group_and_strategy():
@@ -317,7 +373,7 @@ def test_derived_table_falls_back_to_coordinator(rst_catalog):
     sql = "SELECT a FROM (SELECT r_col1 AS a FROM r) d WHERE a > 3"
     engine = ShardedEngine(rst_catalog, shards=4)
     prepared = engine.prepare(sql)
-    assert prepared.strategy == "coordinator"
+    assert prepared.placement.strategy == "coordinator"
     solo = NestGPU(rst_catalog).execute(sql)
     assert canon(engine.run_prepared(prepared).rows) == canon(solo.rows)
 
@@ -331,11 +387,11 @@ def test_traced_coordinator_run_leaves_shard_profiling_off(rst_catalog):
     coordinator = engine.prepare(
         "SELECT a FROM (SELECT r_col1 AS a FROM r) d WHERE a > 3"
     )
-    assert coordinator.strategy == "coordinator"
+    assert coordinator.placement.strategy == "coordinator"
     engine.run_prepared(coordinator, tracer=Tracer())
     assert engine.shard_states[0].profile_node_ns is None
     body = engine.prepare(RST_SQL)
-    assert body.strategy != "coordinator"
+    assert body.placement.strategy != "coordinator"
     engine.run_prepared(body)
     assert engine.shard_states[0].profile_node_ns is None
 

@@ -189,9 +189,6 @@ KEEP: dict[str, str] = {
             "repro.baselines.rowstore::RowstoreResult.total_ms",
             "repro.baselines.rowstore::RowstoreResult.num_rows",
             "repro.net.client::NetResult.total_ns"),
-    **_same("PreparedQuery interface: a ShardedPrepared stands in for one",
-            "repro.core.sharded::ShardedPrepared.predicted_ms",
-            "repro.core.sharded::ShardedPrepared.fusion_decision"),
     # front doors no CI job drives
     "repro.cli::repl": "the interactive REPL (stdin), a documented front door",
     "repro.cli::format_result": "prints rows for `repro.cli -q` and the REPL",
@@ -203,9 +200,6 @@ KEEP: dict[str, str] = {
     "repro.core.executor::NestGPU.explain_prepared":
         "EXPLAIN (`repro.cli --explain`, REPL `\\explain`)",
     "repro.core.executor::NestGPU._node_depth_map": "EXPLAIN's plan indentation",
-    **_same("EXPLAIN of a sharded plan",
-            "repro.core.sharded::ShardedEngine.explain",
-            "repro.plan.exchange::ExchangeStep.describe"),
     "repro.core.sharded::ShardedEngine.drive_source":
         "`--source` on a sharded engine (engine interface shared with NestGPU)",
     "repro.core.sharded::ShardedEngine.execute":
@@ -264,7 +258,7 @@ KEEP: dict[str, str] = {
     "repro.core.executor::NestGPU._measure_program":
         "the fusion tuner's harness; runs only for a widening site",
     "repro.obs.tracer::Tracer.end_iteration":
-        "per-iteration spans of the unvectorized loop under a tracer",
+        "per-iteration spans of the loop and its replay under a tracer",
     "repro.bench.runner::_slug": "names run_sweep's per-cell trace files",
     # SQL and plan shapes no paper query or CI statement has
     **_same("drive-program entry point emitted by codegen; a tracing.SHIMS "
