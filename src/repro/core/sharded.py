@@ -266,11 +266,11 @@ def choose_placement(
         for scan in [driving] + [
             s for s in body_scans + spec_scans if s is not driving
         ]:
-            key = keys.get(id(scan))
-            if id(scan) not in keys:
-                form = "full"
-            else:
+            if id(scan) in keys:
+                key = keys[id(scan)]
                 form = "rr" if key is None else "hash"
+            else:
+                form, key = "full", None
             cols = _scan_columns(catalog, scan)
             load = (scan.table.lower(), form, key)
             merged = loads.get(load)
