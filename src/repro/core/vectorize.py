@@ -257,10 +257,7 @@ def _eval_scan(sp, node: Scan, batch, num_segments) -> SegRelation:
             # host: probe the few parameters with every base key (no
             # sort of the base), then order the matches parameter-major
             table = kernels.JoinHash.build(params)
-            rows, positions, _ = kernels.expand_ranges(
-                *table.ranges(base.column(key_col.qual).data)
-            )
-            seg = table.order[positions]
+            rows, seg = table.matches(base.column(key_col.qual).data)
             by_param = np.argsort(seg, kind="stable")
             rows, seg = rows[by_param], seg[by_param]
         rel = base.take_no_charge(rows)

@@ -214,11 +214,9 @@ def left_lookup(
     table = kernels.hash_build(ctx.device, inner_keys)
     outer_keys = _key_array(ctx, child, outer_key, env)
     ctx.device.launch("left_lookup", child.num_rows, work=2.0)
-    lo, counts = table.ranges(outer_keys)
-    matched = np.flatnonzero(counts)
+    matched, rows = table.first_matches(outer_keys)
     values = np.full(child.num_rows, default, dtype=np.float64)
-    source = inner.column(value_column).data
-    values[matched] = source[table.order[lo[matched]]]
+    values[matched] = inner.column(value_column).data[rows]
     return _finish(ctx, child.with_columns(
         {output_name: computed_column(output_name, values)}
     ))

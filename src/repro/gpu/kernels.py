@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -232,89 +232,175 @@ def segmented_any(
 
 
 # ---------------------------------------------------------------------------
-# hash join primitives: the one key -> [lo, lo+count) -> positions lookup
-# behind join, semi-join, left lookup, the correlated index and the
-# vectorized scan; which path answers inside `ranges` is host work only
+# hash join primitives: the one key -> build rows lookup behind join,
+# semi-join, left lookup, the correlated index and the vectorized scan;
+# which path answers inside `JoinHash` is host work only
 # ---------------------------------------------------------------------------
 
-# Density rule.  The direct-address table costs ~4 sequential passes over
+# Density rule.  The direct-address table costs ~5 sequential passes over
 # `span` slots (~1 ns each) and saves two binary searches (~25 ns each,
-# even over 20 keys) per probe, so it pays up to span ~ 12 x probes; at
-# two int64 per slot, span <= 4 x (build + probe) also keeps it within a
-# small multiple of the arrays in hand (+1024: small builds with gaps).
-# Both sides are read off the arrays, so there is nothing to tune.
+# even over 20 keys) per probe, so it pays up to span ~ 10 x probes; at
+# up to three int64 and a bool per slot, span <= 4 x (build + probe) also
+# keeps it within a small multiple of the arrays in hand (+1024: small
+# builds with gaps).  Both sides are read off the arrays, so there is
+# nothing to tune.
 _DENSE_SLOTS_PER_KEY = 4
 _DENSE_FREE_SLOTS = 1024
 
 
-@dataclass
+class _Direct(NamedTuple):
+    """A direct-address table: key ``k`` sits in slot ``k - base``;
+    slots 0 and ``top`` are the below- and above-range sentinels."""
+
+    base: np.int64  # not a Python int: clip() then skips np.iinfo checks
+    top: int
+    count: np.ndarray  # slot -> how many build rows hold the key
+    present: np.ndarray  # count > 0: a semi-join's whole answer
+    row: np.ndarray | None  # slot -> build row; None when a key repeats
+
+
 class JoinHash:
-    """A build-side 'hash table': sorted keys + the stable permutation,
-    so ``order[lo:lo+count]`` are a key's build rows in build order.
+    """A build side's key lookup: each probe key's build rows, in build
+    order.
 
     :func:`hash_build` charges the device (``Ht`` per element, Eq. 2);
-    ``nbytes`` is the modelled footprint.  Dense integer keys also get
-    a lazily built direct-address ``first[]/count[]`` table — host
-    memory, never charged to the modelled HBM.
+    ``nbytes`` is the modelled footprint, sorted keys plus the stable
+    permutation, whatever the host does.  On the host, integer keys
+    within the density rule are direct-addressed through a table counted
+    off the *unsorted* keys at the first probe.  When no key repeats it
+    also maps each slot to its build row, so a probe is a few gathers, a
+    semi-join one, and nothing is sorted.  ``keys_sorted``/``order`` are
+    computed when first read: to expand a repeated key's run, or for
+    probes that take the two binary searches (float, NaN, uint64, a
+    sparse span).  ``JoinHash(keys_sorted, order)`` is a table handed
+    its sort, as the correlated index is; it gets no row map.  The
+    direct table and the sort are host memory, never modelled HBM.
     """
 
-    keys_sorted: np.ndarray
-    order: np.ndarray
-    # (base, top, first, count), published whole: readers see None or all
-    _dense: tuple | None = field(default=None, repr=False, compare=False)
-
-    def __len__(self) -> int:
-        return len(self.keys_sorted)
-
-    @property
-    def nbytes(self) -> int:
-        return self.keys_sorted.nbytes + self.order.nbytes
+    def __init__(self, keys_sorted: np.ndarray, order: np.ndarray | None):
+        self._keys = keys_sorted
+        # each published whole: readers see None or all of it
+        self._sorted: tuple | None = (keys_sorted, order)
+        self._dense: _Direct | None = None
+        self._first = None  # slot -> start of its run in keys_sorted
 
     @classmethod
     def build(cls, keys: np.ndarray) -> "JoinHash":
-        """Sort ``keys`` stably; uncharged (see :func:`hash_build`)."""
-        order = stable_order([keys])
-        return cls(keys[order], order)
+        """Keep ``keys`` in build order; uncharged (see :func:`hash_build`)."""
+        table = cls(keys, None)
+        table._sorted = None
+        return table
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    @property
+    def nbytes(self) -> int:
+        return self._keys.nbytes + len(self._keys) * np.dtype(np.intp).itemsize
+
+    @property
+    def keys_sorted(self) -> np.ndarray:
+        return (self._sorted or self._sort())[0]
+
+    @property
+    def order(self) -> np.ndarray:
+        return (self._sorted or self._sort())[1]
+
+    def _sort(self) -> tuple:
+        order = stable_order([self._keys])
+        self._sorted = (self._keys[order], order)
+        return self._sorted
 
     def ranges(self, probe_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Each probe key's run in ``keys_sorted`` -> ``(lo, counts)``,
-        ``lo`` being the left insertion point even for a miss.
+        ``lo`` being the left insertion point even for a miss; read off
+        the counts, without sorting, when direct-addressed."""
+        if not len(self._keys):
+            return np.zeros(len(probe_keys), np.intp), np.zeros(len(probe_keys), np.intp)
+        return self._runs(probe_keys, *self._direct(probe_keys))
 
-        Integer keys within the density rule are direct-addressed.
-        Float/NaN keys, float probes of integer builds, uint64 and
-        sparse or huge spans take the two binary searches, whose NaN
-        and mixed-dtype ordering is the engine's NULL semantics.
-        """
-        common = np.result_type(self.keys_sorted, probe_keys)  # uint64: no
+    def matches(self, probe_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every match -> ``(probe_indices, build_rows)``, in probe order
+        and, within a probe, in build order."""
+        return self._match(probe_keys, every=True)
+
+    def first_matches(self, probe_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each matched probe and its first build row, as :meth:`matches`."""
+        return self._match(probe_keys, every=False)
+
+    def contains(self, probe_keys: np.ndarray) -> np.ndarray:
+        """Presence mask over the probes: a semi-join's answer."""
+        if not len(self._keys):
+            return np.zeros(len(probe_keys), dtype=bool)
+        dense, slot = self._direct(probe_keys)
+        if dense is None:
+            return self._search(probe_keys)[1] > 0
+        return dense.present.take(slot)
+
+    def _match(self, probe_keys: np.ndarray, every: bool) -> tuple[np.ndarray, np.ndarray]:
+        if not len(self._keys):
+            return np.empty(0, np.intp), np.empty(0, np.intp)
+        dense, slot = self._direct(probe_keys)
+        if dense is not None and dense.row is not None:
+            hit = np.flatnonzero(dense.present.take(slot))
+            return hit, dense.row.take(slot.take(hit))
+        lo, counts = self._runs(probe_keys, dense, slot)
+        if every:
+            segments, positions, _ = expand_ranges(lo, counts)
+            return segments, self.order[positions]
+        hit = np.flatnonzero(counts)
+        return hit, self.order[lo[hit]]
+
+    def _direct(self, probe_keys: np.ndarray) -> tuple:
+        """``(table, slots)`` when these probes are direct-addressed,
+        else ``(None, None)``: the sorted search answers."""
+        common = np.result_type(self._keys, probe_keys)  # uint64: no
         dense = np.can_cast(common, np.int64) and (
             self._dense or self._build_dense(len(probe_keys))
         )
         if not dense:
-            lo = np.searchsorted(self.keys_sorted, probe_keys, side="left")
-            hi = np.searchsorted(self.keys_sorted, probe_keys, side="right")
-            return lo, hi - lo
-        base, top, first, count = dense
-        # slots 0 and `top` are the below- and above-range sentinels
-        slot = probe_keys.astype(np.int64, copy=False).clip(base, base + top)
-        slot -= base
-        return first.take(slot), count.take(slot)
+            return None, None
+        slot = probe_keys.astype(np.int64, copy=False).clip(
+            dense.base, dense.base + dense.top
+        )
+        slot -= dense.base
+        return dense, slot
 
-    def _build_dense(self, probes: int) -> tuple | None:
+    def _runs(self, probe_keys, dense, slot) -> tuple[np.ndarray, np.ndarray]:
+        if dense is None:
+            return self._search(probe_keys)
+        if self._first is None:  # only a run's position needs the scan
+            self._first = np.cumsum(dense.count) - dense.count
+        return self._first.take(slot), dense.count.take(slot)
+
+    def _search(self, probe_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Two binary searches, whose NaN and mixed-dtype ordering is the
+        engine's NULL semantics."""
         keys = self.keys_sorted
-        if not len(keys):
-            return None
-        low, high = int(keys[0]), int(keys[-1])
+        lo = np.searchsorted(keys, probe_keys, side="left")
+        return lo, np.searchsorted(keys, probe_keys, side="right") - lo
+
+    def _build_dense(self, probes: int) -> _Direct | None:
+        keys = self._keys
+        if self._sorted:  # a sorted table's ends are free
+            low, high = int(self._sorted[0][0]), int(self._sorted[0][-1])
+        else:
+            low, high = int(keys.min()), int(keys.max())
         span = high - low + 1
         room = _DENSE_SLOTS_PER_KEY * (len(keys) + probes) + _DENSE_FREE_SLOTS
         # 2^62: `key - base` and the clip bounds cannot overflow int64
         if span > room or not -(1 << 62) < low <= high < 1 << 62:
             return None
-        count = np.bincount(keys.astype(np.int64, copy=False) - (low - 1),
-                            minlength=span + 2)
-        # an int64 `base` keeps clip() off its per-call np.iinfo bound
-        # checks (a Python int bound costs more than a 1-key clamp)
         base = np.int64(low - 1)
-        self._dense = (base, span + 1, np.cumsum(count) - count, count)
+        slots = keys.astype(np.int64, copy=False) - base
+        count = np.bincount(slots, minlength=span + 2)
+        present = count.astype(bool)
+        row = None
+        # keys never sorted are in build order, so slot -> row is arange
+        if self._sorted is None and np.count_nonzero(present) == len(keys):
+            row = np.zeros(span + 2, dtype=np.intp)
+            row[slots] = np.arange(len(keys))
+        self._dense = _Direct(base, span + 1, count, present, row)
         return self._dense
 
 
@@ -322,7 +408,7 @@ def expand_ranges(lo: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.nd
     """Enumerate every ``[lo, lo+count)`` -> (segments, positions, total):
     the probe each match belongs to (probe order) and its slot in the
     sorted build (stable build order within a probe).  A compaction
-    when no probe matched twice, as for every unique-key build.
+    when no probe matched twice, as for a unique-key index.
     """
     total = int(counts.sum())
     if np.count_nonzero(counts) == total:
@@ -343,9 +429,9 @@ def hash_probe(
     device: Device, table: JoinHash, probe_keys: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Probe -> aligned (probe_indices, build_indices) of every match."""
-    probe_idx, positions, total = expand_ranges(*table.ranges(probe_keys))
-    charge_probe(device, len(probe_keys), total)
-    return probe_idx, table.order[positions]
+    probe_idx, build_idx = table.matches(probe_keys)
+    charge_probe(device, len(probe_keys), len(probe_idx))
+    return probe_idx, build_idx
 
 
 def charge_probe(device: Device, probes: int, matches: int) -> None:
@@ -358,7 +444,7 @@ def charge_probe(device: Device, probes: int, matches: int) -> None:
 def semi_probe(device: Device, table: JoinHash, probe_keys: np.ndarray) -> np.ndarray:
     """EXISTS probe -> mask over probe side (the paper's Q4 semi-join)."""
     device.launch("semi_probe", len(probe_keys), work=2.0)
-    return table.ranges(probe_keys)[1] > 0
+    return table.contains(probe_keys)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,9 @@ Every primitive is checked against a plain-numpy oracle; hypothesis
 drives the property cases.
 """
 
+import sys
+import threading
+from contextlib import ExitStack
 from unittest import mock
 
 import numpy as np
@@ -11,13 +14,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import CorrelatedIndex
+from repro.core import CorrelatedIndex, vectorize
 from repro.engine import ExecutionContext, Relation
 from repro.engine import operators as ops
 from repro.engine.relation import computed_column
 from repro.gpu import Device, DeviceSpec, kernels
-from repro.plan.expressions import ColRef
+from repro.plan.expressions import ColRef, Compare, ParamRef
+from repro.plan.nodes import Scan
+from repro.serve import EngineSession, paper_mix_statements
 from repro.storage import BIGINT, DECIMAL, Catalog, Column
+from repro.tpch import generate_tpch
 
 
 @pytest.fixture()
@@ -410,42 +416,114 @@ def _key_cases():
             np.array([1.0, 2.5, nan, 2.0, 2.0]), np.array([2, 1, 7])),
         "two keys 10^12 apart": (
             np.array([5, 5 + 10**12]), rng.integers(0, 10, size=2000)),
+        "unique dense build with gaps, probes past both ends": (
+            rng.choice(np.arange(200, 900), size=300, replace=False),
+            rng.integers(0, 1100, size=800)),
+        "repeated keys, narrow span": (
+            rng.integers(10, 20, size=400), rng.integers(0, 30, size=300)),
+        "bool keys": (
+            rng.integers(0, 2, size=40).astype(bool),
+            rng.integers(0, 2, size=90).astype(bool)),
+        "bool unique build": (np.array([True, False]), np.array([False, True, True])),
+        "uint8 keys": (
+            rng.permutation(256)[:200].astype(np.uint8),
+            rng.integers(0, 256, size=500).astype(np.uint8)),
+        "empty build, float probes": (
+            np.empty(0, dtype=i64), np.array([1.0, nan, -3.5, 2.0])),
     }
 
 
 KEY_CASES = _key_cases()
-# cases that must stay on the two-searchsorted path and allocate no table
-SORTED_PATH_CASES = {
-    "uint64 keys (no int64 image: sorted path)", "empty build", "empty both",
-    "build next to the int64 limit", "float keys", "NaN keys on both sides",
-    "float probes of an int build", "int probes of a float build",
-    "two keys 10^12 apart",
+# Which path answers each case's probes: "row map" (unique integer keys:
+# a slot -> build row table), "ranges" (repeated integer keys: first[] /
+# count[] slots, sorted only to expand a run), "sorted search" (the two
+# binary searches over the sorted keys) or "empty" (an empty build:
+# answered without looking).
+KEY_PATHS = {
+    "int64 duplicates, negatives, probes past both ends": "ranges",
+    "int32 keys": "ranges",
+    "uint32 keys": "ranges",
+    "uint8 build, int64 probe": "ranges",
+    "uint64 keys (no int64 image: sorted path)": "sorted search",
+    "unique build (PK side)": "row map",
+    "empty build": "empty",
+    "empty probe": "ranges",
+    "empty both": "empty",
+    "all miss inside the span": "row map",
+    "only the two sentinel slots": "row map",
+    "probes at the int64 limits": "ranges",
+    "build next to the int64 limit": "sorted search",
+    "float keys": "sorted search",
+    "NaN keys on both sides": "sorted search",
+    "float probes of an int build": "sorted search",
+    "int probes of a float build": "sorted search",
+    "two keys 10^12 apart": "sorted search",
+    "unique dense build with gaps, probes past both ends": "row map",
+    "repeated keys, narrow span": "ranges",
+    "bool keys": "ranges",
+    "bool unique build": "row map",
+    "uint8 keys": "row map",
+    "empty build, float probes": "empty",
 }
+
+
+def path_taken(table):
+    """Which of the KEY_PATHS answered ``table``'s probes so far."""
+    if not len(table):
+        assert table._dense is None and table._sorted is None
+        return "empty"
+    if table._dense is None:
+        return "sorted search"
+    return "ranges" if table._dense.row is None else "row map"
+
+
+def assert_path(table, case, expands):
+    """``case`` took its KEY_PATHS path and sorted only if it had to:
+    for the binary searches, or to expand a repeated key's run."""
+    path = path_taken(table)
+    assert path == KEY_PATHS[case]
+    needs_sort = path == "sorted search" or (path == "ranges" and expands)
+    assert (table._sorted is not None) == needs_sort
 
 
 @pytest.mark.parametrize("case", sorted(KEY_CASES))
 class TestKeyLookupAgainstParent:
     """New kernel == parent kernel: arrays and the launch list."""
 
-    def _both(self, case, new_fn, parent_fn):
+    def _both(self, case, new_fn, parent_fn, expands=False, table=None):
         build, probe = KEY_CASES[case]
         new_dev, old_dev = RecordingDevice(), RecordingDevice()
-        table = kernels.hash_build(new_dev, build)
-        reference = kernels.hash_build(old_dev, build)
+        if table is None:
+            table = kernels.hash_build(new_dev, build)
+            reference = kernels.hash_build(old_dev, build)
+            # the parent's footprint, read without forcing the sort
+            assert table.nbytes == build.nbytes + 8 * len(build)
+            assert table._sorted is None
+        else:  # built and charged before: compare the probe's launches
+            reference = kernels.JoinHash.build(build)
         got = new_fn(new_dev, table, probe)
         assert_identical(
             got if isinstance(got, tuple) else (got,),
             parent_fn(old_dev, reference, probe),
         )
         assert new_dev.launches == old_dev.launches
+        assert table.nbytes == reference.keys_sorted.nbytes + reference.order.nbytes
         assert reference._dense is None  # the oracle never touched `ranges`
-        assert (table._dense is None) == (case in SORTED_PATH_CASES)
+        assert_path(table, case, expands)
+        return table
 
     def test_hash_probe(self, case):
-        self._both(case, kernels.hash_probe, parent_hash_probe)
+        self._both(case, kernels.hash_probe, parent_hash_probe, expands=True)
 
     def test_semi_probe(self, case):
         self._both(case, kernels.semi_probe, parent_semi_probe)
+
+    def test_semi_probe_then_hash_probe_on_one_table(self, case):
+        # a presence answer needs no sort; the later expansion may
+        table = self._both(case, kernels.semi_probe, parent_semi_probe)
+        assert table._first is None  # nor a run's position
+        self._both(case, kernels.hash_probe, parent_hash_probe, expands=True,
+                   table=table)
 
     def test_ranges_equal_the_two_binary_searches(self, case):
         # stronger than any caller needs: `lo` agrees for misses too
@@ -474,32 +552,41 @@ class TestKeyLookupAgainstParent:
             )
         assert new_dev.launches == old_dev.launches
         assert index.nbytes == build.nbytes + reference.order.nbytes
+        # a table handed its sort holds keys in sorted order: no row map
+        assert_identical(
+            kernels.hash_probe(new_dev, index, probe),
+            parent_hash_probe(old_dev, reference, probe),
+        )
+        assert index._dense is None or index._dense.row is None
 
     def test_left_lookup(self, case):
-        build, probe = KEY_CASES[case]
-        payload = np.arange(len(build)) * 1.5 - 7.0
+        assert_left_lookup_matches_parent(*KEY_CASES[case])
 
-        def relations():
-            ctx = ExecutionContext(Catalog([]), RecordingDevice())
-            inner = Relation(
-                {"i.k": _column("i.k", build), "i.v": computed_column("i.v", payload)},
-                len(build),
-            )
-            child = Relation({"o.k": _column("o.k", probe)}, len(probe))
-            return ctx, child, inner
 
-        keys = (ColRef("o", "k", "int"), ColRef("i", "k", "int"))
-        new_ctx, child, inner = relations()
-        got = ops.left_lookup(new_ctx, child, inner, *keys, "i.v", "agg", 0.0)
-        old_ctx, child, inner = relations()
-        expected = parent_left_lookup(old_ctx, child, inner, *keys, "i.v", "agg", 0.0)
-        assert list(got.columns) == list(expected.columns)
-        assert_identical(
-            [c.data for c in got.columns.values()],
-            [c.data for c in expected.columns.values()],
+def assert_left_lookup_matches_parent(build, probe):
+    payload = np.arange(len(build)) * 1.5 - 7.0
+
+    def relations():
+        ctx = ExecutionContext(Catalog([]), RecordingDevice())
+        inner = Relation(
+            {"i.k": _column("i.k", build), "i.v": computed_column("i.v", payload)},
+            len(build),
         )
-        assert new_ctx.device.launches == old_ctx.device.launches
-        assert new_ctx.device.stats.total_ns == old_ctx.device.stats.total_ns
+        child = Relation({"o.k": _column("o.k", probe)}, len(probe))
+        return ctx, child, inner
+
+    keys = (ColRef("o", "k", "int"), ColRef("i", "k", "int"))
+    new_ctx, child, inner = relations()
+    got = ops.left_lookup(new_ctx, child, inner, *keys, "i.v", "agg", 0.0)
+    old_ctx, child, inner = relations()
+    expected = parent_left_lookup(old_ctx, child, inner, *keys, "i.v", "agg", 0.0)
+    assert list(got.columns) == list(expected.columns)
+    assert_identical(
+        [c.data for c in got.columns.values()],
+        [c.data for c in expected.columns.values()],
+    )
+    assert new_ctx.device.launches == old_ctx.device.launches
+    assert new_ctx.device.stats.total_ns == old_ctx.device.stats.total_ns
 
 
 def _column(name, data):
@@ -552,6 +639,146 @@ class TestKeyLookupProperties:
         )
 
 
+class _ScanProgram:
+    """The members of a SubqueryProgram the unindexed segment scan reads."""
+
+    def __init__(self, base):
+        self.ctx = ExecutionContext(Catalog([]), RecordingDevice())
+        self.base, self.fused, self.stages = base, False, None
+
+    def base_relation(self, node):
+        return self.base
+
+    def scan_index(self, node, base, key_col):
+        return None
+
+
+def parent_segment_scan(ctx, base, keys, params):
+    """The parent's unindexed `_eval_scan`: the parameters sorted as the
+    build, every base key probed, the matches ordered parameter-major."""
+    ctx.device.launch("scan_compare", base.num_rows * len(params))
+    order = np.argsort(params, kind="stable")
+    lo = np.searchsorted(params[order], keys, side="left")
+    hi = np.searchsorted(params[order], keys, side="right")
+    counts = hi - lo
+    total = int(counts.sum())
+    rows = np.repeat(np.arange(len(keys)), counts)
+    starts = np.repeat(lo, counts)
+    offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
+    seg = order[starts + offsets]
+    by_param = np.argsort(seg, kind="stable")
+    rows, seg = rows[by_param], seg[by_param]
+    ops._materialize(ctx, base.take_no_charge(rows))
+    ctx.operator_done()
+    return rows, seg
+
+
+def assert_segment_scan_matches_parent(params, keys):
+    base = Relation(
+        {"t.k": _column("t.k", keys),
+         "t.id": computed_column("t.id", np.arange(len(keys), dtype=np.float64))},
+        len(keys),
+    )
+    node = Scan("t", "t", [Compare("=", ColRef("t", "k", "int"), ParamRef("o.k", "int"))])
+    sp = _ScanProgram(base)
+    out = vectorize._eval_scan(sp, node, {"o.k": params}, len(params))
+    old = _ScanProgram(base)
+    rows, seg = parent_segment_scan(old.ctx, base, base.column("t.k").data, params)
+    assert_identical((out.rel.column("t.id").data, out.seg), (rows.astype(np.float64), seg))
+    assert sp.ctx.device.launches == old.ctx.device.launches
+
+
+# integer builds the direct-address paths answer, unique (the row map) or
+# with repeats (first[]/count[]), probed past both ends
+int_builds = st.builds(
+    lambda xs, dtype: np.asarray(xs, dtype=np.int64).astype(dtype),
+    st.lists(st.integers(-200, 200), max_size=120, unique=True)
+    | st.lists(st.integers(-15, 15), max_size=120),
+    st.sampled_from([np.int64, np.int32]),
+)
+int_probes = st.lists(st.integers(-260, 260), max_size=150).map(
+    lambda xs: np.asarray(xs, dtype=np.int64)
+)
+
+
+class TestIntegerBuildsAgainstParent:
+    @given(build=int_builds, probe=int_probes)
+    @settings(max_examples=60, deadline=None)
+    def test_every_key_lookup_matches_parent(self, build, probe):
+        new_dev, old_dev = RecordingDevice(), RecordingDevice()
+        table = kernels.hash_build(new_dev, build)
+        reference = kernels.hash_build(old_dev, build)
+        # presence first: the later expansion must not depend on it
+        assert_identical(
+            (kernels.semi_probe(new_dev, table, probe),),
+            parent_semi_probe(old_dev, reference, probe),
+        )
+        assert_identical(
+            kernels.hash_probe(new_dev, table, probe),
+            parent_hash_probe(old_dev, reference, probe),
+        )
+        assert new_dev.launches == old_dev.launches
+        unique = len(np.unique(build)) == len(build)
+        assert path_taken(table) == (
+            "empty" if not len(build) else "row map" if unique else "ranges")
+        assert (table._sorted is not None) == (len(build) > 0 and not unique)
+        assert_left_lookup_matches_parent(build, probe)
+        assert_segment_scan_matches_parent(build, probe)
+
+
+def test_one_table_probed_from_more_threads_than_cores():
+    """The lazy sort, direct table and run starts are each published by
+    one assignment: however the threads interleave, a shared table
+    answers every probe as the parent did."""
+    cases = ["int64 duplicates, negatives, probes past both ends", "float keys"]
+    before = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for case in cases * 10:
+            build, probe = KEY_CASES[case]
+            reference = kernels.JoinHash.build(build)
+            expected = parent_hash_probe(RecordingDevice(), reference, probe)
+            (present,) = parent_semi_probe(RecordingDevice(), reference, probe)
+            table, answers = kernels.JoinHash.build(build), []
+
+            def probe_table():
+                answers.append((*table.matches(probe), table.contains(probe)))
+
+            threads = [threading.Thread(target=probe_table) for _ in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+            assert len(answers) == len(threads)
+            for answer in answers:
+                assert_identical(answer, (*expected, present))
+    finally:
+        sys.setswitchinterval(before)
+
+
+def test_warm_paper_mix_sorts_no_build_and_searches_no_key():
+    """Tier-1 twin of CI's "Warm paper-mix profile" step (a time share
+    there, a count here): every paper-mix build has unique keys or feeds
+    a semi-join, so a warm pass answers each lookup by direct address."""
+    mix = paper_mix_statements()
+    session = EngineSession(generate_tpch(10))
+    for sql in mix:
+        session.execute(sql)  # warm the plan cache and residency
+    with ExitStack() as stack:
+        calls = {
+            name: stack.enter_context(mock.patch.object(
+                kernels.JoinHash, name, autospec=True,
+                side_effect=getattr(kernels.JoinHash, name)))
+            for name in ("_direct", "_sort", "_search")
+        }
+        for sql in mix:
+            session.execute(sql)
+    assert calls["_direct"].call_count > 0  # the spies are live
+    assert calls["_sort"].call_count == 0
+    assert calls["_search"].call_count == 0
+
+
 class TestDensityRule:
     """When the direct-address table is (not) built — read off the arrays."""
 
@@ -594,8 +821,9 @@ class TestDensityRule:
         build = np.arange(0, 4000, 4)  # span 3997 over 1000 keys
         table = kernels.JoinHash.build(build)
         table.ranges(np.arange(10))
-        base, top, first, count = table._dense
-        assert len(first) == len(count) == top + 1 == 3997 + 2
+        base, top, count, present, row = table._dense
+        first = table._first
+        assert len(first) == len(count) == len(present) == len(row) == top + 1 == 3997 + 2
         assert first[0] == 0 and count[0] == 0  # below-range sentinel
         assert first[top] == len(build) and count[top] == 0  # above-range
         assert table.nbytes == build.nbytes * 2  # modelled footprint unchanged
