@@ -684,32 +684,17 @@ def preload_columns(catalog: Catalog, program: DriveProgram) -> list[tuple[str, 
     admission control, which sums the same set's bytes to estimate a
     query's device working set before letting it run.
     """
-    levels: list[list[tuple[str, str]]] = []
+    def key(tc: tuple[str, str]) -> tuple:
+        return (catalog.table(tc[0]).num_rows, *tc)
 
-    def collect(plan, depth: int) -> None:
-        while len(levels) <= depth:
-            levels.append([])
-        for node in plan.walk():
-            if isinstance(node, Scan):
-                for column in node.columns or []:
-                    levels[depth].append((node.table, column))
-
-    collect_plans = [(spec.plan, 1) for spec in program.specs]
-    outer_nodes = [n for n in program.nodes if isinstance(n, Scan)]
-    levels.append([])
-    for node in outer_nodes:
-        for column in node.columns or []:
-            levels[0].append((node.table, column))
-    for plan, depth in collect_plans:
-        collect(plan, depth)
-    ordered: list[tuple[str, str]] = []
-    seen = set()
-    for level in reversed(levels):
-        level_sorted = sorted(
-            set(level), key=lambda tc: (catalog.table(tc[0]).num_rows, *tc)
-        )
-        for key in level_sorted:
-            if key not in seen:
-                seen.add(key)
-                ordered.append(key)
-    return ordered
+    body = {
+        (node.table, column)
+        for spec in program.specs for node in spec.plan.walk()
+        if isinstance(node, Scan) for column in node.columns or []
+    }
+    outer = {
+        (node.table, column)
+        for node in program.nodes
+        if isinstance(node, Scan) for column in node.columns or []
+    }
+    return sorted(body, key=key) + sorted(outer - body, key=key)

@@ -318,8 +318,11 @@ class NetServer:
                     f"no prepared statement {stmt_id}", query_id,
                 )
                 return
+            params = payload.get("params", [])
             try:
-                sql = statement.bind(*payload.get("params", []))
+                if not isinstance(params, list):
+                    raise TypeError("EXECUTE params must be a JSON array")
+                sql = statement.bind(*params)
             except (TypeError, ValueError) as exc:
                 await conn.send_error(
                     ErrorCode.BAD_REQUEST, str(exc), query_id,

@@ -25,7 +25,9 @@ by the work the session genuinely amortised away.
 
 from __future__ import annotations
 
+import math
 import re
+from decimal import Decimal
 
 from ..core import NestGPU, PreparedQuery, QueryResult, ShardedEngine
 from ..core.calibrator import Calibrator, CostCoefficients
@@ -47,8 +49,16 @@ def render_param(value) -> str:
     """A Python value as a SQL literal for parameter substitution."""
     if isinstance(value, bool):
         return "1" if value else "0"
-    if isinstance(value, (int, float)):
+    if isinstance(value, int):
         return repr(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"cannot bind a non-finite float ({value!r})")
+        text = repr(value)
+        if "e" in text:  # the lexer has no exponent form
+            text = format(Decimal(text), "f")
+            text += "" if "." in text else ".0"
+        return text
     if isinstance(value, str):
         return "'" + value.replace("'", "''") + "'"
     raise TypeError(

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
 from repro.storage import Catalog, Table, int_type, decimal_type
 from repro.tpch import generate_tpch

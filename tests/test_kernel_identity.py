@@ -8,85 +8,52 @@ modelled clock, the launch sequence and device memory may not move.
 queries x {nested, unnested, auto} x {vectorized, per-iteration loop}
 at SF 0.5 and SF 10, on a solo ``NestGPU`` and on the warm (second)
 execute of an ``EngineSession``.  It was written once, on that commit,
-by running this file as a script::
+by running this file as a script (``--check`` compares instead)::
 
-    PYTHONPATH=src python tests/test_kernel_identity.py > tests/data/kernel_identity.jsonl
+    PYTHONPATH=src:tools python tests/test_kernel_identity.py > tests/data/kernel_identity.jsonl
 
-and is never regenerated by a change that claims identity.  Everything
-is compared exactly except ``total_ns``, which gets one part in 10^12:
-``preload_columns`` orders same-size columns by set iteration, so the
-parent's own float sums differ in the last digit between processes
-with different ``PYTHONHASHSEED`` (ROADMAP item 1).
+and is never regenerated by a change that claims identity.  The
+observation is ``tools/corpus.py``'s.  Everything is compared exactly
+except ``total_ns``, which gets one part in 10^12: on that commit
+``preload_columns`` ordered same-size columns by set iteration, so its
+float sums differed in the last digit between processes with different
+``PYTHONHASHSEED``.
 """
 
-import hashlib
-import json
+import sys
 from pathlib import Path
 
 import pytest
 
+import corpus
 from repro.core import NestGPU
 from repro.engine import EngineOptions
-from repro.errors import ReproError
-from repro.gpu import Device
 from repro.serve import EngineSession
 from repro.tpch import ALL_EVALUATION_QUERIES, generate_tpch
 
 FIXTURE = Path(__file__).parent / "data" / "kernel_identity.jsonl"
+FIELDS = ("config", "run")
 SCALES = (0.5, 10)
 MODES = ("nested", "unnested", "auto")
 
 
-def _observe(run, launches: list) -> dict:
-    """One execution -> everything the change promises not to move."""
-    del launches[:]
-    try:
-        result = run()
-    except ReproError as exc:  # an unnester refusal is part of the pin
-        return {"error": type(exc).__name__}
-    stats = result.stats
-    return {
-        "rows": hashlib.sha256(repr(result.rows).encode()).hexdigest()[:16],
-        "row_count": len(result.rows),
-        "total_ns": stats.total_ns,
-        "kernel_launches": stats.kernel_launches,
-        "launches_by_tag": dict(sorted(stats.launches_by_tag.items())),
-        "peak_device_bytes": stats.peak_device_bytes,
-        # every (tag, elements, work) in order, the cost model's probe
-        # runs inside prepare included
-        "launch_sequence": hashlib.sha256(
-            repr(launches).encode()
-        ).hexdigest()[:16],
-    }
-
-
 def observe_config(scale: float, vectorized: bool) -> dict:
     """All modes x queries of one (scale, vectorization) configuration."""
-    launches: list = []
-    charge = Device.launch
-
-    def recording_launch(self, tag, elements, work=1.0):
-        launches.append((tag, int(elements), float(work)))
-        return charge(self, tag, elements, work)
-
+    config = _config_key(scale, vectorized)
     catalog = generate_tpch(scale)
     options = EngineOptions(use_vectorization=vectorized)
     out = {}
-    Device.launch = recording_launch
-    try:
-        with EngineSession(catalog, options=options) as session:
-            for mode in MODES:
-                for name, sql in sorted(ALL_EVALUATION_QUERIES.items()):
-                    solo = NestGPU(catalog, options=options, mode=mode)
-                    out[f"{mode}/{name}/solo"] = _observe(
-                        lambda: solo.execute(sql), launches
-                    )
-                    _observe(lambda: session.execute(sql, mode=mode), launches)
-                    out[f"{mode}/{name}/session"] = _observe(
-                        lambda: session.execute(sql, mode=mode), launches
-                    )
-    finally:
-        Device.launch = charge
+    with EngineSession(catalog, options=options) as session:
+        for mode in MODES:
+            for name, sql in sorted(ALL_EVALUATION_QUERIES.items()):
+                solo = NestGPU(catalog, options=options, mode=mode)
+                out[config, f"{mode}/{name}/solo"] = corpus.record(
+                    corpus.observe(lambda: solo.execute(sql))
+                )
+                corpus.observe(lambda: session.execute(sql, mode=mode))
+                out[config, f"{mode}/{name}/session"] = corpus.record(
+                    corpus.observe(lambda: session.execute(sql, mode=mode))
+                )
     return out
 
 
@@ -94,29 +61,21 @@ def _config_key(scale: float, vectorized: bool) -> str:
     return f"sf{scale}/{'vectorized' if vectorized else 'loop'}"
 
 
-def _same(observed: dict, pinned: dict) -> bool:
-    total, pinned_total = observed.pop("total_ns", None), pinned.pop("total_ns", None)
-    return observed == pinned and total == pytest.approx(pinned_total, rel=1e-12)
-
-
 @pytest.mark.parametrize("vectorized", [True, False], ids=["vectorized", "loop"])
 @pytest.mark.parametrize("scale", SCALES)
 def test_paper_queries_match_parent_commit(scale, vectorized):
     config = _config_key(scale, vectorized)
-    records = map(json.loads, FIXTURE.read_text().splitlines())
-    pinned = {r.pop("run"): r for r in records if r.pop("config") == config}
-    observed = observe_config(scale, vectorized)
-    assert sorted(observed) == sorted(pinned)
-    moved = {
-        run: (observed[run], pinned[run])
-        for run in pinned if not _same(dict(observed[run]), dict(pinned[run]))
+    pinned = {
+        key: record for key, record in corpus.load_pin(FIXTURE, FIELDS).items()
+        if key[0] == config
     }
-    assert not moved
+    assert not corpus.moved(observe_config(scale, vectorized), pinned, rel=1e-12)
 
 
 if __name__ == "__main__":
-    for scale in SCALES:
-        for vectorized in (True, False):
-            config = _config_key(scale, vectorized)
-            for run, seen in sorted(observe_config(scale, vectorized).items()):
-                print(json.dumps({"config": config, "run": run, **seen}, sort_keys=True))
+    sys.exit(corpus.pin_main(
+        "--check" in sys.argv, FIXTURE, FIELDS,
+        (item for scale in SCALES for vectorized in (True, False)
+         for item in sorted(observe_config(scale, vectorized).items())),
+        rel=1e-12,
+    ))

@@ -221,6 +221,38 @@ class TestBadMode:
         client.close()
 
 
+class TestExecuteParams:
+    """A prepared statement's parameters arrive unchecked from the wire:
+    anything but a JSON array of finite values is a bad request."""
+
+    TEMPLATE = ("SELECT o_orderkey FROM orders "
+                "WHERE o_orderpriority = $1 OR o_orderpriority = $2")
+
+    def test_params_must_be_an_array(self, fast):
+        client = fast.client()
+        stmt_id = client.prepare(self.TEMPLATE)
+        for query_id, params in ((1001, "ab"), (1002, {"a": 1, "b": 2})):
+            client.send_frame(Opcode.EXECUTE, {
+                "query_id": query_id, "stmt_id": stmt_id, "params": params,
+            })
+            with pytest.raises(NetClientError) as exc_info:
+                client.wait(query_id)
+            assert exc_info.value.code == ErrorCode.BAD_REQUEST
+        assert client.execute(stmt_id=stmt_id, params=("a", "b")).num_rows == 0
+        client.close()
+
+    def test_float_params_bind_or_are_refused(self, fast):
+        client = fast.client()
+        stmt_id = client.prepare(
+            "SELECT count(*) AS c FROM orders WHERE o_totalprice > $1"
+        )
+        assert client.execute(stmt_id=stmt_id, params=(1e20,)).num_rows == 1
+        with pytest.raises(NetClientError) as exc_info:
+            client.execute(stmt_id=stmt_id, params=(float("nan"),))
+        assert exc_info.value.code == ErrorCode.BAD_REQUEST
+        client.close()
+
+
 class TestBackpressure:
     def test_full_queue_carries_retry_after(self, catalog):
         harness = Harness(

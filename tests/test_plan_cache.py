@@ -7,6 +7,7 @@ from conftest import rows_set
 
 from repro.baselines import RowstoreEngine
 from repro.serve import EngineSession, PlanCache, normalize_sql
+from repro.sql import parse
 from repro.tpch import ALL_EVALUATION_QUERIES, generate_tpch
 
 Q4 = ALL_EVALUATION_QUERIES["tpch_q4"]
@@ -187,6 +188,29 @@ class TestPreparedStatements:
         )
         with pytest.raises(ValueError):
             statement.execute(1, 2)
+
+    @pytest.mark.parametrize(
+        "value", [1e-7, 1e20, 1e300, -2.5e-300, 5e-324, 0.1, 1 / 3]
+    )
+    def test_float_parameter_round_trips(self, session, value):
+        """A float binds as a decimal literal that parses back to the
+        same float; the lexer has no exponent form."""
+        statement = session.prepare_statement(
+            "SELECT count(*) AS c FROM orders WHERE o_totalprice > $1"
+        )
+        literal = parse(statement.bind(value)).where.right
+        assert literal.kind == "decimal" and literal.value == value
+        assert statement.execute(value).rows[0][0] == (
+            statement.execute(0.0).rows[0][0] if abs(value) < 1 else 0
+        )
+
+    def test_non_finite_float_parameter_rejected(self, session):
+        statement = session.prepare_statement(
+            "SELECT count(*) AS c FROM orders WHERE o_totalprice > $1"
+        )
+        for value in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError):
+                statement.bind(value)
 
     def test_string_parameter_quoting(self, session):
         statement = session.prepare_statement(

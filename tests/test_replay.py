@@ -4,7 +4,8 @@ Each statement runs twice in one process: once with the replay
 (``repro.core.replay``) and once with the per-iteration loop forced by
 patching the coverage predicate.  Rows, the modelled clock, the launch
 sequence, device memory, every per-node booking and every loop counter
-must be equal, not close.
+must be equal, not close.  The observation is ``tools/corpus.py``'s; the
+fuzz corpus's replay checks run in its one pass (``tests/test_corpus.py``).
 """
 
 import dataclasses
@@ -12,13 +13,10 @@ import dataclasses
 import numpy as np
 import pytest
 
+import corpus
 from repro.core import NestGPU, replay, vectorize
 from repro.core.subquery import AdaptiveSwitch
 from repro.engine import EngineOptions
-from repro.errors import ReproError
-from repro.fuzz.generator import generate_query
-from repro.fuzz.runner import DEFAULT_SCALE
-from repro.gpu import Device
 from repro.obs import Tracer
 from repro.obs.telemetry import span_to_dict
 from repro.plan.invariants import mark_invariants
@@ -39,82 +37,26 @@ def catalog():
     return generate_tpch(SCALE)
 
 
-def _observe(run, monkeypatch, forced_loop: bool) -> tuple[dict, dict]:
-    launches: list = []
-    charge = Device.launch
-
-    def recording_launch(self, tag, elements, work=1.0):
-        launches.append((tag, int(elements), float(work)))
-        return charge(self, tag, elements, work)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(Device, "launch", recording_launch)
-        if forced_loop:
-            patch.setattr(replay, "refusal", lambda sp: "forced")
-        result = run()
-    stats = result.stats
-    return {
-        "rows": repr(result.rows),  # NaN (NULL) never equals itself
-        "total_ns": stats.total_ns,
-        "launches": launches,
-        "launches_by_tag": stats.launches_by_tag,
-        "peak_device_bytes": stats.peak_device_bytes,
-        "malloc_calls": stats.malloc_calls,
-        "node_times_ns": result.node_times_ns,
-        "node_calls": result.node_calls,
-        "node_launches": result.node_launches,
-        "node_output_rows": result.node_output_rows,
-        "subquery_iterations": result.subquery_iterations,
-        "subquery_cache": result.subquery_cache,
-        "index_probes": result.index_probes,
-        "pool_restores": result.pool_restores,
-        "adaptive_switch": result.adaptive_switch,
-        "abandoned_ms": result.abandoned_ms,
-    }, result.subquery_paths
-
-
-def _both(run, monkeypatch):
+def _both(run):
     run()  # planning-time statistics are memoised by the first run
-    replayed, paths = _observe(run, monkeypatch, forced_loop=False)
-    looped, loop_paths = _observe(run, monkeypatch, forced_loop=True)
-    assert all(path == "loop: forced" for path in loop_paths.values()
+    replayed = corpus.observe(run)
+    looped = corpus.observe(run, forced_loop=True)
+    assert all(path == "loop: forced" for path in looped[0].subquery_paths.values()
                if path.startswith("loop"))
-    return replayed, looped, paths
+    return (corpus.replay_view(replayed), corpus.replay_view(looped),
+            replayed[0].subquery_paths)
 
 
 @pytest.mark.parametrize("config", sorted(LOOP_CONFIGS))
 @pytest.mark.parametrize("name", sorted(ALL_EVALUATION_QUERIES))
-def test_paper_queries_replay_the_loop(catalog, monkeypatch, name, config):
+def test_paper_queries_replay_the_loop(catalog, name, config):
     options = EngineOptions(use_vectorization=False, **LOOP_CONFIGS[config])
     sql = ALL_EVALUATION_QUERIES[name]
     engine = NestGPU(catalog, options=options, mode="nested")
-    replayed, looped, paths = _both(lambda: engine.execute(sql), monkeypatch)
+    replayed, looped, paths = _both(lambda: engine.execute(sql))
     assert replayed == looped
     if name != "tpch_q4":
         assert paths == {0: "replayed"}
-
-
-def test_fuzz_statements_replay_the_loop(monkeypatch):
-    catalog = generate_tpch(DEFAULT_SCALE)
-    options = EngineOptions(use_vectorization=False)
-
-    def outcome(engine, sql, forced_loop):
-        try:
-            return _observe(lambda: engine.execute(sql), monkeypatch, forced_loop)
-        except ReproError as exc:  # e.g. an unnester refusal: both alike
-            return type(exc).__name__, {}
-
-    replayed_any = 0
-    for index in range(500):
-        sql = generate_query(catalog, 7, index).sql
-        engine = NestGPU(catalog, options=options, mode="nested")
-        outcome(engine, sql, False)  # planning-time statistics memoised
-        replayed, paths = outcome(engine, sql, False)
-        looped, _ = outcome(engine, sql, True)
-        assert replayed == looped, sql
-        assert "loop: non-equality correlation" not in paths.values(), sql
-        replayed_any += "replayed" in paths.values()
-    assert replayed_any >= 372  # 326 before !=, range and OR bodies replayed
 
 
 def test_governor_fires_inside_a_replayed_loop(catalog, monkeypatch):
@@ -148,9 +90,7 @@ def test_governor_fires_inside_a_replayed_loop(catalog, monkeypatch):
         engine.prepare(sql, mode="nested"),
         fallback=engine.prepare(sql, mode="unnested"), unnested_ms=1e-6,
     )
-    replayed, looped, paths = _both(
-        lambda: engine.run_prepared(prepared), monkeypatch
-    )
+    replayed, looped, paths = _both(lambda: engine.run_prepared(prepared))
     assert replayed == looped
     assert replayed["adaptive_switch"] and paths == {}
     assert len(fired) == 3 and fired[1] == fired[2] >= 8
@@ -172,16 +112,16 @@ def _modelled(node: dict) -> dict:
     return {**node, "attrs": attrs, "children": children}
 
 
-def _traced_trees(engine, sql, monkeypatch):
+def traced_trees(engine, sql):
     """The span trees of a traced replay and a traced forced loop, and
     the paths each run took."""
     trees, paths = [], []
     for forced_loop in (False, True):
         tracer = Tracer()
-        with monkeypatch.context() as patch:
-            if forced_loop:
-                patch.setattr(replay, "refusal", lambda sp: "forced")
-            paths.append(engine.execute(sql, tracer=tracer).subquery_paths)
+        result, _ = corpus.observe(
+            lambda: engine.execute(sql, tracer=tracer), forced_loop
+        )
+        paths.append(result.subquery_paths)
         tracer.finish()
         trees.append([_modelled(span_to_dict(root)) for root in tracer.roots])
     return trees, paths
@@ -189,36 +129,18 @@ def _traced_trees(engine, sql, monkeypatch):
 
 @pytest.mark.parametrize("config", sorted(LOOP_CONFIGS))
 @pytest.mark.parametrize("name", sorted(ALL_EVALUATION_QUERIES))
-def test_traced_replay_matches_the_traced_loop(
-    tpch_small, monkeypatch, name, config
-):
+def test_traced_replay_matches_the_traced_loop(tpch_small, name, config):
     """Span names, categories, attributes, modelled start and end and
     kernel launches: the replay's iteration spans are the loop's."""
     sql = ALL_EVALUATION_QUERIES[name]
     options = EngineOptions(use_vectorization=False, **LOOP_CONFIGS[config])
     engine = NestGPU(tpch_small, options=options, mode="nested")
     engine.execute(sql)  # planning-time statistics are memoised
-    (replayed, looped), paths = _traced_trees(engine, sql, monkeypatch)
+    (replayed, looped), paths = traced_trees(engine, sql)
     assert replayed == looped
     if name != "tpch_q4":
         assert paths == [{0: "replayed"}, {0: "loop: forced"}]
         assert "'category': 'iteration'" in repr(replayed)
-
-
-def test_traced_fuzz_statements_replay_the_loop(monkeypatch):
-    catalog = generate_tpch(DEFAULT_SCALE)
-    options = EngineOptions(use_vectorization=False)
-    replayed_any = cache_hits = 0
-    for index in range(80):
-        sql = generate_query(catalog, 7, index).sql
-        engine = NestGPU(catalog, options=options, mode="nested")
-        engine.execute(sql)  # planning-time statistics are memoised
-        (replayed, looped), paths = _traced_trees(engine, sql, monkeypatch)
-        assert replayed == looped, sql
-        if "replayed" in paths[0].values():
-            replayed_any += 1
-            cache_hits += repr(replayed).count("'cache_hit': True")
-    assert replayed_any >= 61 and cache_hits > 0
 
 
 def test_explain_analyze_names_the_path(catalog):
@@ -270,14 +192,14 @@ def test_replay_runs_no_body_operator_per_miss(monkeypatch):
          SELECT * FROM s, t
          WHERE s_col1 = r_col1 AND s_col3 = t_col1 AND t_col2 > 3)""",
 ])
-def test_rst_shapes_replay_the_loop(monkeypatch, sql):
+def test_rst_shapes_replay_the_loop(sql):
     from conftest import make_rst_catalog
 
     engine = NestGPU(
         make_rst_catalog(), options=EngineOptions(use_vectorization=False),
         mode="nested",
     )
-    replayed, looped, paths = _both(lambda: engine.execute(sql), monkeypatch)
+    replayed, looped, paths = _both(lambda: engine.execute(sql))
     assert replayed == looped
     assert "replayed" in paths.values()
 
@@ -359,12 +281,12 @@ def _nullable_catalog():
     return Catalog([r, u])
 
 
-def _replays_the_loop(catalog, sql, monkeypatch, **config):
+def _replays_the_loop(catalog, sql, **config):
     engine = NestGPU(
         catalog, options=EngineOptions(use_vectorization=False, **config),
         mode="nested",
     )
-    replayed, looped, paths = _both(lambda: engine.execute(sql), monkeypatch)
+    replayed, looped, paths = _both(lambda: engine.execute(sql))
     assert replayed == looped, sql
     assert paths == {0: "replayed"}, sql
 
@@ -373,39 +295,37 @@ def _replays_the_loop(catalog, sql, monkeypatch, **config):
 @pytest.mark.parametrize("position", sorted(_POSITIONS))
 @pytest.mark.parametrize("op", _RANGE_OPS)
 def test_non_equality_correlations_replay_the_loop(
-    rst_catalog, monkeypatch, op, position, body
+    rst_catalog, op, position, body
 ):
     corr = _POSITIONS[position].format(op=op)
     sql = _BODIES[body].format(corr=corr)
-    _replays_the_loop(rst_catalog, sql, monkeypatch)
+    _replays_the_loop(rst_catalog, sql)
 
 
 @pytest.mark.parametrize("config", sorted(LOOP_CONFIGS))
 @pytest.mark.parametrize("body", sorted(_BODIES))
 def test_sole_not_equal_replays_the_loop_in_every_config(
-    rst_catalog, monkeypatch, body, config
+    rst_catalog, body, config
 ):
     sql = _BODIES[body].format(corr="s_col1 != r_col1")
-    _replays_the_loop(rst_catalog, sql, monkeypatch, **LOOP_CONFIGS[config])
+    _replays_the_loop(rst_catalog, sql, **LOOP_CONFIGS[config])
 
 
 @pytest.mark.parametrize("body", sorted(_BODIES))
-def test_disjunctive_correlation_replays_the_loop(
-    rst_catalog, monkeypatch, body
-):
+def test_disjunctive_correlation_replays_the_loop(rst_catalog, body):
     sql = _BODIES[body].format(corr="(s_col1 = r_col1 OR s_col2 < r_col2)")
-    _replays_the_loop(rst_catalog, sql, monkeypatch)
+    _replays_the_loop(rst_catalog, sql)
 
 
 @pytest.mark.parametrize("arg", ["u_col2", "u_col3"])
 @pytest.mark.parametrize("agg", ["min", "max", "count", "sum", "avg"])
 @pytest.mark.parametrize("op", _RANGE_OPS)
-def test_nulls_replay_the_loop(monkeypatch, op, agg, arg):
+def test_nulls_replay_the_loop(op, agg, arg):
     sql = (
         f"SELECT r_col1, (SELECT {agg}({arg}) FROM u "
         f"WHERE u_col1 {op} r_col1) FROM r"
     )
-    _replays_the_loop(_nullable_catalog(), sql, monkeypatch)
+    _replays_the_loop(_nullable_catalog(), sql)
 
 
 def test_vectorized_path_did_not_widen(rst_catalog):

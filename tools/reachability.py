@@ -255,8 +255,6 @@ KEEP: dict[str, str] = {
         "predicate kept above a join); no paper query has one",
     "repro.core.runtime::Runtime.run_iteration":
         "the costing probe's per-iteration path when vectorisation is off",
-    "repro.core.executor::NestGPU._measure_program":
-        "the fusion tuner's harness; runs only for a widening site",
     "repro.obs.tracer::Tracer.end_iteration":
         "per-iteration spans of the loop and its replay under a tracer",
     "repro.bench.runner::_slug": "names run_sweep's per-cell trace files",
