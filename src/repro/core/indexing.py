@@ -27,8 +27,12 @@ class CorrelatedIndex(kernels.JoinHash):
     """Sorted column values (``keys_sorted``) + original rows (``order``)."""
 
     @classmethod
-    def build(cls, device: Device, values: np.ndarray) -> "CorrelatedIndex":
-        """Sort the column on the device (charged as a sort kernel)."""
+    def build(cls, device: Device, values: np.ndarray, presorted=None):
+        """Sort the column on the device (charged as a sort kernel); the
+        host reuses ``presorted``, ``(keys_sorted, order)``, if given."""
+        if presorted is not None:
+            kernels.charge_sort(device, len(values))
+            return cls(*presorted)
         order = kernels.sort_order(device, [values], [False])
         return cls(values[order], order)
 

@@ -26,7 +26,8 @@ exactly what the loop would, from that iteration's segment counts:
 * the governor check, the cache get and put and the pool restore;
 * per body node, the ``Runtime._timed`` booking around the node's
   launches, materialisations and pool allocations, issued through the
-  same kernel and operator helpers the real operators call;
+  same kernel and operator helpers the real operators call, inside the
+  same fusion scopes when the program is fused;
 * lazily memoised first-use work (base relation, correlated index,
   hoisted hash table), which the real memos charge inside the first
   miss.
@@ -70,8 +71,6 @@ def refusal(sp) -> str | None:
     """
     if not sp.ctx.options.use_invariant_extraction:
         return "invariant extraction off"
-    if sp.fused:
-        return "fused"
     reason = vectorize.shape_refusal(sp.plan, sp.info, sp.descriptor.kind)
     if reason is not None:
         return reason
@@ -164,6 +163,24 @@ def _template(expr, rel: Relation, env, array_only: bool = False):
     if array_only and not isinstance(result, np.ndarray):
         raise _Refused("constant predicate")
     return recorder.launches
+
+
+def _charge_select(ctx, templates, n: int, out: int, row_bytes: int,
+                   fused: bool) -> None:
+    """A selection's charges as ``ops._select_all`` makes them: each
+    predicate's launches over ``n`` rows, joined by ``logical_and``,
+    and the compact, in one fused launch if ``fused``; then the
+    materialise of ``out`` rows."""
+    device = ctx.device
+    with kernels.fused(device, "fused_filter") if fused else kernels.UNFUSED:
+        for k, template in enumerate(templates):
+            for tag, work in template:
+                device.launch(tag, n, work)
+            if k:
+                device.launch("scan_and", n)
+        kernels.charge_compact(device, n)
+    ops.charge_materialize(ctx, row_bytes * out)
+    ctx.operator_done()
 
 
 class _ScratchDevice(Device):
@@ -383,7 +400,19 @@ class _Body:
         ]
         # the loop's access path: an index only through `col = $p` first
         equality = vectorize._equality_correlation(correlated[0])
-        device = ctx.device
+        device, fused = ctx.device, sp.fused
+
+        def selections(first: int) -> list:
+            # ops.filter_rel_multi over predicates first..: one selection
+            # each, or one fused selection over all of them
+            rest = list(range(first, len(correlated)))
+            chains = [rest] if fused else [[k] for k in rest]
+            return [
+                ([templates[k] for k in chain], chain[-1])
+                for chain in chains if chain
+            ]
+
+        after = [selections(0), selections(1)]  # without, with the index
 
         def step(s: int) -> _Rows:
             base = sp.base_relation(node)
@@ -399,13 +428,10 @@ class _Body:
                 first = 1
             else:
                 n, first = base.num_rows, 0
-            for k in range(first, len(correlated)):
-                for tag, work in templates[k]:
-                    device.launch(tag, n, work)
-                kernels.charge_compact(device, n)
-                n = counts[k][s]
-                ops.charge_materialize(ctx, row_bytes * n)
-                ctx.operator_done()
+            for chain, last in after[first]:
+                out = counts[last][s]
+                _charge_select(ctx, chain, n, out, row_bytes, fused)
+                n = out
             ctx.operator_done()
             return _Rows(n)
 
@@ -416,16 +442,10 @@ class _Body:
         template = _template(node.predicate, rel, self.env, array_only=True)
         rows_out = self._output(sp, node)[1]
         row_bytes = rel.row_bytes
-        device = ctx.device
 
         def step(s: int) -> _Rows:
-            n = rows_in[s]
-            for tag, work in template:
-                device.launch(tag, n, work)
-            kernels.charge_compact(device, n)
             out = rows_out[s]
-            ops.charge_materialize(ctx, row_bytes * out)
-            ctx.operator_done()
+            _charge_select(ctx, [template], rows_in[s], out, row_bytes, sp.fused)
             return _Rows(out)
 
         return step

@@ -153,7 +153,9 @@ class SubqueryProgram:
         on the scan's structural fingerprint: an index built by an
         earlier query in the session is reused without re-paying the
         sort (for a per-query context the cache starts empty, so solo
-        execution is unchanged).
+        execution is unchanged).  Over an unfiltered base column the
+        host's sort is the column's own, kept by its table
+        (``Table.sorted_column``); the device is charged for it as ever.
         """
         memo_key = id(node)
         if memo_key not in self._index_memo:
@@ -172,7 +174,12 @@ class SubqueryProgram:
             )
             if build:
                 values = base.column(key_col.qual).data
-                index = CorrelatedIndex.build(self.ctx.device, values)
+                table = self.ctx.catalog.table(node.table)
+                presorted = (
+                    table.sorted_column(key_col.column)
+                    if values is table.column(key_col.column).data else None
+                )
+                index = CorrelatedIndex.build(self.ctx.device, values, presorted)
                 self.ctx.alloc_scratch(index.nbytes)
                 self._index_memo[memo_key] = index
                 self.ctx.index_cache[shared_key] = index

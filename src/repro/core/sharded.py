@@ -538,7 +538,10 @@ class ShardedEngine:
         """
         if analyze:
             return self.planner.explain(sql, mode, analyze=True)
-        prepared = self.prepare(sql, mode)
+        return self.explain_prepared(self.prepare(sql, mode))
+
+    def explain_prepared(self, prepared: PreparedQuery) -> str:
+        """The distributed EXPLAIN of an already prepared query."""
         placement = prepared.placement
         if placement is None:
             return self.planner.explain_prepared(prepared)

@@ -90,8 +90,29 @@ def compare_arrays(device: Device, left: np.ndarray, right: np.ndarray, op: str)
 
 
 def isin(device: Device, data: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Membership mask — how dictionary-encoded LIKE is evaluated."""
+    """Membership mask — how dictionary-encoded LIKE is evaluated.
+
+    Integer values within :class:`JoinHash`'s density rule are one
+    gather through a presence table over their ``[min, max]``, whose end
+    slots read False for data outside it; float or NaN data, a sparse
+    span or uint64 data against a negative value take ``np.isin``.
+    """
     device.launch("scan_isin", len(data), work=2.0)
+    if len(values) and data.dtype.kind in "iu" and values.dtype.kind in "iu":
+        low, high = int(values.min()), int(values.max())
+        room = _DENSE_SLOTS_PER_KEY * (len(data) + len(values)) + _DENSE_FREE_SLOTS
+        if (
+            high - low < room
+            and -(1 << 62) < low <= high < 1 << 62
+            and (low >= 0 or data.dtype != np.uint64)
+        ):
+            present = np.zeros(high - low + 3, dtype=bool)
+            present[values.astype(np.int64) - (low - 1)] = True
+            # uint64 data past the int64 range wraps negative and clips
+            # to low - 1 (>= -1 here): the False slot
+            slot = np.clip(data, low - 1, high + 1, dtype=np.int64)
+            slot -= low - 1
+            return present.take(slot)
     return np.isin(data, values)
 
 
@@ -493,9 +514,13 @@ def sort_order(
     """Row permutation ordering by the given keys (first key primary)."""
     if not keys:
         raise ExecutionError("sort requires at least one key")
-    n = len(keys[0])
-    device.launch("sort", n, work=_log_work(max(n, 1)) * 2.0)
+    charge_sort(device, len(keys[0]))
     return stable_order([(-k if desc else k) for k, desc in zip(keys, descending)])
+
+
+def charge_sort(device: Device, n: int) -> None:
+    """The launch of :func:`sort_order` over ``n`` rows."""
+    device.launch("sort", n, work=_log_work(max(n, 1)) * 2.0)
 
 
 def group_ids(

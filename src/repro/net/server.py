@@ -34,6 +34,7 @@ use it.
 from __future__ import annotations
 
 import asyncio
+import sys
 import threading
 
 from ..errors import ReproError
@@ -337,12 +338,18 @@ class NetServer:
                     "EXECUTE requires sql or stmt_id", query_id,
                 )
                 return
+        deadline_s = payload.get("deadline_s")
+        fetch_size = payload.get("fetch_size") or self.fetch_size
+        problem = _limits_problem(deadline_s, fetch_size)
+        if problem is not None:
+            await conn.send_error(ErrorCode.BAD_REQUEST, problem, query_id)
+            return
         try:
             ticket = self.engine.submit(
                 sql,
                 mode=mode,
                 priority=conn.spec.priority,
-                deadline_s=payload.get("deadline_s"),
+                deadline_s=deadline_s,
                 tenant=conn.spec.name,
                 trace=bool(payload.get("trace")),
             )
@@ -358,7 +365,6 @@ class NetServer:
             )
             return
         conn.tickets[query_id] = ticket
-        fetch_size = payload.get("fetch_size") or self.fetch_size
         task = asyncio.create_task(
             self._deliver_result(conn, query_id, ticket, fetch_size)
         )
@@ -507,6 +513,18 @@ class NetServer:
         Opcode.METRICS: _on_metrics,
         Opcode.FLIGHT_RECORDER: _on_flight,
     }
+
+
+def _limits_problem(deadline_s, fetch_size) -> str | None:
+    """Why an EXECUTE's ``deadline_s`` or ``fetch_size`` is refused: a
+    bool, NaN, inf or an int past the float range is."""
+    if deadline_s is not None and not (
+        type(deadline_s) in (int, float) and 0 <= deadline_s <= sys.float_info.max
+    ):
+        return "deadline_s must be a finite number of seconds >= 0"
+    if type(fetch_size) is not int or fetch_size < 1:
+        return "fetch_size must be a positive integer"
+    return None
 
 
 class ServerThread:

@@ -31,6 +31,7 @@ class Table:
         self._columns = list(columns)
         self._by_name = {c.name: c for c in columns}
         self._distinct: dict[str, int] = {}  # column -> distinct_count
+        self._sorted: dict[str, tuple] = {}  # column -> sorted_column
         if len(self._by_name) != len(columns):
             raise CatalogError(f"table {name!r}: duplicate column names")
 
@@ -88,6 +89,17 @@ class Table:
             sample = self.column(name).data[:50_000]
             self._distinct[name] = max(1, len(np.unique(sample)))
         return self._distinct[name]
+
+    def sorted_column(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        """``(values ascending, their stable row order)``: the sort of a
+        correlated index over the whole column, done once per table."""
+        if name not in self._sorted:
+            from ..gpu.kernels import stable_order  # storage sits below gpu
+
+            data = self.column(name).data
+            order = stable_order([data])
+            self._sorted[name] = (data[order], order)
+        return self._sorted[name]
 
     def take(self, indices: np.ndarray) -> "Table":
         """Gather rows by position across all columns."""

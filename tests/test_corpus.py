@@ -5,12 +5,15 @@ vectorisation-off leg runs every statement: its cold run is both the
 pinned record and the warm-up of the replay check, which re-runs each
 statement with a replayed SUBQ on the warm engine, replayed and with
 the loop forced; for the first 80 fuzz statements the traced replay is
-compared with the traced forced loop on the same engine.  The other
+compared with the traced forced loop on the same engine.  The
+``fusion="auto"`` twin of that leg runs the same replay check on the
+paper queries and the first ``FUSED_FIRST`` fuzz statements.  The other
 solo legs run the paper queries and the first ``SOLO_FIRST`` fuzz
 statements, the sharded legs the first ``SHARD_FIRST``.  CI checks every
 record (``python tools/corpus.py --check``).
 """
 
+from collections import defaultdict
 from types import SimpleNamespace
 
 import pytest
@@ -22,10 +25,14 @@ from repro.gpu import kernels
 from repro.tpch import ALL_EVALUATION_QUERIES, generate_tpch
 from test_replay import traced_trees
 
-SOLO_FIRST, SHARD_FIRST, TRACED_FIRST = 25, 100, 80
+SOLO_FIRST, FUSED_FIRST, SHARD_FIRST, TRACED_FIRST = 25, 100, 100, 80
+#: the legs whose replayed SUBQs are checked against the forced loop
+REPLAY_LEGS = ("novec/nested", "auto-novec/nested")
 FIRST = {
-    leg: len(ALL_EVALUATION_QUERIES)
-    + (SHARD_FIRST if leg.startswith("sharded") else SOLO_FIRST)
+    leg: len(ALL_EVALUATION_QUERIES) + (
+        SHARD_FIRST if leg.startswith("sharded")
+        else FUSED_FIRST if leg == "auto-novec/nested" else SOLO_FIRST
+    )
     for leg in corpus.LEGS if leg != "novec/nested"
 }
 
@@ -42,15 +49,18 @@ def pinned():
 
 @pytest.fixture(scope="module")
 def corpus_pass(catalog):
-    seen = SimpleNamespace(records={}, paths={}, differs={}, traced={})
+    seen = SimpleNamespace(
+        records={}, paths=defaultdict(dict), differs={}, traced={}
+    )
     traced = {f"seed{corpus.SEED}-{index}" for index in range(TRACED_FIRST)}
     for run in corpus.walk(catalog, corpus.statements(catalog), first=FIRST):
         seen.records[run.key,] = run.record
-        if run.leg != "novec/nested":
-            continue
-        seen.paths[run.name] = run.paths
-        seen.differs[run.name] = corpus.replay_differs(run)
-        if run.name in traced and "replayed" in run.paths.values():
+        seen.paths[run.leg][run.name] = run.paths
+        if run.leg in REPLAY_LEGS:
+            seen.differs[run.key] = corpus.replay_differs(run)
+        if run.leg == "novec/nested" and run.name in traced and (
+            "replayed" in run.paths.values()
+        ):
             (replayed, looped), paths = traced_trees(run.engine, run.sql)
             seen.traced[run.name] = (
                 replayed == looped, paths[0],
@@ -59,13 +69,36 @@ def corpus_pass(catalog):
     return seen
 
 
-def test_fuzz_statements_replay_the_loop(corpus_pass):
-    assert not {name: diff for name, diff in corpus_pass.differs.items() if diff}
-    fuzz = [paths.values() for name, paths in corpus_pass.paths.items()
+def _fuzz_paths(corpus_pass, leg: str) -> list:
+    return [paths.values() for name, paths in corpus_pass.paths[leg].items()
             if name.startswith("seed")]
+
+
+def _differs(corpus_pass, leg: str) -> dict:
+    return {key: diff for key, diff in corpus_pass.differs.items()
+            if diff and key.endswith(f"/{leg}")}
+
+
+def test_fuzz_statements_replay_the_loop(corpus_pass):
+    assert not _differs(corpus_pass, "novec/nested")
+    fuzz = _fuzz_paths(corpus_pass, "novec/nested")
     assert not any("loop: non-equality correlation" in paths for paths in fuzz)
     # 326 before !=, range and OR bodies replayed
     assert sum("replayed" in paths for paths in fuzz) >= 372
+
+
+def test_fused_statements_replay_the_loop(corpus_pass):
+    """Fusion changes how a body's launches are charged, not whether it
+    replays: no ``fusion="auto"`` SUBQ keeps the loop for being fused."""
+    assert not _differs(corpus_pass, "auto-novec/nested")
+    fuzz = _fuzz_paths(corpus_pass, "auto-novec/nested")
+    # 0 while a fused body kept the loop
+    assert sum("replayed" in paths for paths in fuzz) >= 76
+    for leg in ("auto/nested", "auto-novec/nested"):
+        assert not any(
+            "loop: fused" in paths.values()
+            for paths in corpus_pass.paths[leg].values()
+        )
 
 
 def test_traced_fuzz_statements_replay_the_loop(corpus_pass):

@@ -122,3 +122,35 @@ class TestIndexingEndToEnd:
         ))
         result = db.execute(queries.PAPER_Q7, mode="nested")
         assert "index_search" not in result.stats.launches_by_tag
+
+
+class TestBaseColumnSort:
+    def test_second_engine_reuses_the_tables_sort_on_the_same_clock(
+        self, monkeypatch
+    ):
+        """An unfiltered base column is sorted once per table: a second
+        fresh engine charges the index's sort again but sorts nothing."""
+        import corpus
+        from repro.core import NestGPU
+        from repro.gpu import kernels
+        from repro.tpch import ALL_EVALUATION_QUERIES, generate_tpch
+
+        catalog = generate_tpch(2.0, use_cache=False)
+        indexed = catalog.table("lineitem").column("l_partkey").data
+        sorted_indexed = []
+        stable_order = kernels.stable_order
+
+        def spy(keys):
+            sorted_indexed.append(any(key is indexed for key in keys))
+            return stable_order(keys)
+
+        monkeypatch.setattr(kernels, "stable_order", spy)
+        sql = ALL_EVALUATION_QUERIES["tpch_q17"]
+        first, second = (
+            corpus.record(corpus.observe(lambda: NestGPU(catalog).execute(sql)))
+            for _ in range(2)
+        )
+        assert sorted_indexed.count(True) == 1  # the first engine's index
+        assert first["launches_by_tag"]["sort"] == 1
+        for field in ("total_ns", "launch_sequence", "peak_device_bytes"):
+            assert second[field] == first[field]

@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import CorrelatedIndex, vectorize
@@ -66,10 +66,65 @@ class TestCompare:
         assert device.stats.kernel_time_ns > 0
 
 
+INT_DTYPES = ("int8", "int16", "int32", "int64",
+              "uint8", "uint16", "uint32", "uint64")
+
+
+def _ints(dtype) -> st.SearchStrategy:
+    """Small codes near the value lists, the dtype's ends, anything."""
+    info = np.iinfo(dtype)
+    low, high = int(info.min), int(info.max)
+    return st.one_of(
+        st.integers(max(low, -5), 40),
+        st.sampled_from([low, low + 1, high - 1, high]),
+        st.integers(low, high),
+    )
+
+
+@st.composite
+def isin_cases(draw):
+    data_dtype = draw(st.sampled_from(INT_DTYPES))
+    # the binder's code lists are int64
+    values_dtype = draw(st.sampled_from(("int64", data_dtype, "uint64")))
+    data = draw(st.lists(_ints(data_dtype), max_size=60))
+    values = draw(st.lists(_ints(values_dtype), max_size=8))
+    duplicates = draw(st.lists(st.sampled_from(values), max_size=3)) if values else []
+    return (np.asarray(data, dtype=data_dtype),
+            np.asarray(values + duplicates, dtype=values_dtype))
+
+
 class TestLogicalAndIsin:
     def test_isin(self, device):
         mask = kernels.isin(device, np.array([1, 2, 3, 4]), np.array([2, 4]))
         assert (mask == [False, True, False, True]).all()
+
+    @given(case=isin_cases())
+    @example(case=(  # uint64 data wraps negative: -1 must not match it
+        np.array([2**64 - 1, 1, 2**63], dtype=np.uint64),
+        np.array([-1, 1, 1], dtype=np.int64),
+    ))
+    @example(case=(
+        np.array([-(2**63), 2**63 - 1, 0], dtype=np.int64),
+        np.array([3, 0], dtype=np.uint64),
+    ))
+    @settings(max_examples=200, deadline=None)
+    def test_isin_matches_np_isin_over_integer_dtypes(self, case):
+        data, values = case
+        recorder = RecordingDevice()
+        mask = kernels.isin(recorder, data, values)
+        assert mask.dtype == bool and (mask == np.isin(data, values)).all()
+        assert recorder.launches == [("scan_isin", len(data), 2.0)]
+
+    def test_integer_codes_gather_and_float_or_nan_takes_np_isin(self, device):
+        codes = np.array([-3, 0, 5, 9, 200, -32768], dtype=np.int16)
+        with mock.patch.object(np, "isin", wraps=np.isin) as spy:
+            mask = kernels.isin(device, codes, np.array([0, 5, 120]))
+            assert spy.call_count == 0
+            assert mask.tolist() == [False, True, True, False, False, False]
+            floats = np.array([1.0, np.nan, 2.5])
+            mask = kernels.isin(device, floats, np.array([np.nan, 2.5]))
+            assert spy.call_count == 1
+            assert mask.tolist() == np.isin(floats, [np.nan, 2.5]).tolist()
 
     def test_logical(self, device):
         a = np.array([True, True, False])

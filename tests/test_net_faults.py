@@ -253,6 +253,30 @@ class TestExecuteParams:
         client.close()
 
 
+class TestExecuteLimits:
+    """``deadline_s`` and ``fetch_size`` arrive unchecked from the wire:
+    anything but a finite number >= 0 / a positive integer is a bad
+    request, answered on a connection that keeps working."""
+
+    @pytest.mark.parametrize("field, bad", [
+        ("deadline_s", "soon"),
+        ("fetch_size", "x"),
+    ])
+    def test_bad_limit_is_a_bad_request(self, fast, field, bad):
+        client = fast.client(timeout_s=10.0)
+        client.send_frame(Opcode.EXECUTE, {
+            "query_id": 2001, "sql": SQL, field: bad,
+        })
+        with pytest.raises(NetClientError) as exc_info:
+            client.wait(2001)
+        assert exc_info.value.code == ErrorCode.BAD_REQUEST
+        assert field in str(exc_info.value)
+        fast.settle()
+        assert fast.engine.admission.in_use == 0
+        assert client.execute(SQL).num_rows > 0
+        client.close()
+
+
 class TestBackpressure:
     def test_full_queue_carries_retry_after(self, catalog):
         harness = Harness(

@@ -141,9 +141,9 @@ def test_catalog_replace_brings_the_new_tables_value():
 def counted_index_builds(monkeypatch):
     original, calls = CorrelatedIndex.build, []
 
-    def counting(device, values):
+    def counting(device, values, presorted=None):
         calls.append(len(values))
-        return original(device, values)
+        return original(device, values, presorted)
 
     monkeypatch.setattr(CorrelatedIndex, "build", staticmethod(counting))
     return calls

@@ -226,7 +226,7 @@ def _sharded_record(engine: ShardedEngine, sql: str, mode: str) -> dict:
     try:
         prepared = engine.prepare(sql, mode)
         seen = {"cold": run(prepared), "warm": run(prepared)}
-        seen["explain"] = _digest(engine.explain(sql, mode))
+        seen["explain"] = _digest(engine.explain_prepared(prepared))
     except ReproError as exc:
         return {"error": type(exc).__name__}
     # the JSON form, so tuples compare equal to the pin's lists

@@ -202,6 +202,8 @@ KEEP: dict[str, str] = {
     "repro.core.executor::NestGPU._node_depth_map": "EXPLAIN's plan indentation",
     "repro.core.sharded::ShardedEngine.drive_source":
         "`--source` on a sharded engine (engine interface shared with NestGPU)",
+    "repro.core.sharded::ShardedEngine.explain":
+        "`--explain` on a sharded engine (engine interface shared with NestGPU)",
     "repro.core.sharded::ShardedEngine.execute":
         "engine interface shared with NestGPU; front doors go through sessions",
     "repro.core.fusion::FusionPlan.describe": "EXPLAIN's fusion lines",
