@@ -29,7 +29,7 @@ produced source is kept on the program object — ``print(result
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from ..errors import PlanError
 from ..plan.binder import SubqueryDescriptor
@@ -78,10 +78,22 @@ OPERATORS = {
 
 @dataclass
 class SubquerySpec:
-    """What the runtime needs to instantiate one SubqueryProgram."""
+    """What the runtime needs to instantiate one SubqueryProgram: the
+    body plan and its transient/invariant marking, computed once here
+    and read by every run, the cost model's probe and EXPLAIN."""
 
     descriptor: SubqueryDescriptor
     plan: Plan
+    info: InvariantInfo
+
+
+@lru_cache(maxsize=256)
+def _compile(source: str):
+    """Drive code per distinct source, process-wide.  The source is a
+    pure function of plan shape (node ids, no literals), so fresh
+    engines and distinct bindings of one statement share one code
+    object; a ``SyntaxError`` propagates and is not stored."""
+    return compile(source, "<drive-program>", "exec")
 
 
 @dataclass
@@ -98,7 +110,7 @@ class DriveProgram:
     @cached_property
     def code(self):
         """Compiled on first use: a candidate that never runs never pays."""
-        return compile(self.source, "<drive-program>", "exec")
+        return _compile(self.source)
 
     @cached_property
     def drive(self):
@@ -298,7 +310,8 @@ class CodeGenerator:
         frame: "_Frame",
     ) -> str:
         spec_index = len(self._specs)
-        self._specs.append(SubquerySpec(descriptor, body))
+        info = mark_invariants(body)
+        self._specs.append(SubquerySpec(descriptor, body, info))
 
         k = spec_index
         sp, corr, res, mark = f"sp{k}", f"corr{k}", f"res{k}", f"mark{k}"
@@ -352,7 +365,7 @@ class CodeGenerator:
             self._indent -= 1
 
         # inline the subquery's operator statements (Figure 4)
-        inner_frame = _Frame(sp_var=sp, env_var=env, info=mark_invariants(body))
+        inner_frame = _Frame(sp_var=sp, env_var=env, info=info)
         root_var = self._emit_plan(body, inner_frame)
 
         if descriptor.kind == "scalar":

@@ -385,8 +385,11 @@ def predict_nested(system, prepared, index_cache=None) -> NestedPrediction:
     # the probe always runs unfused, even for a fused program: path
     # prediction is structure-preserving (see predict_paths) and the
     # unfused time is a safe upper bound on the fused run
-    sp = SubqueryProgram(ctx, target.descriptor, target.inners[0],
-                         system.options.vector_batch)
+    spec = next(
+        spec for spec in prepared.program.specs
+        if spec.plan is target.inners[0]
+    )
+    sp = SubqueryProgram(ctx, spec, system.options.vector_batch)
     runtime = Runtime(ctx, prepared.program.nodes, [sp])
 
     corr = runtime.correlated_values(sp, outer_rel)

@@ -129,7 +129,9 @@ class PreparedQuery:
 
     block: object
     plan: object
-    program: DriveProgram
+    # None while only planned: auto mode's unnested loser is generated
+    # when it wins or when the adaptive governor reruns it
+    program: DriveProgram | None
     choice: str
     sql: str = ""
     # cost-model prediction for the chosen path (auto mode only)
@@ -246,9 +248,8 @@ class NestGPU:
             # and shown, not silent
             self._count("plan.unnest.attempted")
             try:
-                unnested = self._compile_candidate(
-                    block, "unnested", sql, tracer
-                )
+                # planned, not generated: the costing reads only its plan
+                unnested = self._plan_candidate(block, "unnested", sql, tracer)
             except UnnestingError as refusal:
                 self._count("plan.unnest.refused")
                 if span is not None:
@@ -269,7 +270,7 @@ class NestGPU:
             nested.unnested_ms = unnested_ms
             return nested
         unnested.predicted_ms = unnested_ms
-        return unnested
+        return self._generate(unnested, tracer)
 
     def run_prepared(
         self,
@@ -372,6 +373,7 @@ class NestGPU:
                     ctx.pools.restore_all(pool_marks)
                 else:
                     ctx.raw_alloc.free_all()
+                self._generate(effective, tracer)
                 with tracer.span("preload", "phase"):
                     self._preload(ctx, effective.program)
                 rel, runtime = self._execute_program(ctx, effective.program)
@@ -421,7 +423,6 @@ class NestGPU:
 
     def explain_prepared(self, prepared: PreparedQuery) -> str:
         """EXPLAIN rendered from an already-compiled query."""
-        from ..plan.invariants import mark_invariants
         from ..plan.nodes import explain as explain_plan
 
         lines = [f"execution path: {prepared.choice}"]
@@ -440,10 +441,11 @@ class NestGPU:
                 f"subquery #{k} ({descriptor.kind}"
                 f"{', correlated on ' + ', '.join(descriptor.free_quals) if descriptor.free_quals else ''}):"
             )
-            info = mark_invariants(spec.plan)
             depths = self._node_depth_map(spec.plan)
             for node in spec.plan.walk():
-                tag = "transient" if info.is_transient(node) else "invariant"
+                tag = (
+                    "transient" if spec.info.is_transient(node) else "invariant"
+                )
                 lines.append(
                     "  " * (depths[id(node)] + 1) + f"[{tag}] {node}"
                 )
@@ -551,17 +553,31 @@ class NestGPU:
     ) -> PreparedQuery:
         """Compile one candidate path (flat/nested/unnested) from the
         bound block: the plan tree-of-trees, then codegen."""
+        return self._generate(
+            self._plan_candidate(block, choice, sql, tracer), tracer
+        )
+
+    def _plan_candidate(
+        self, block, choice: str, sql: str, tracer,
+    ) -> PreparedQuery:
+        """One candidate's plan tree-of-trees, its program not yet
+        generated (:meth:`_generate` fills it in)."""
         with tracer.span("plan", "phase", path=choice):
             plan = PlanBuilder(
                 self.catalog, unnest=choice == "unnested",
                 magic_sets=self.magic_sets,
                 exact_selectivity=self.selectivity,
             ).build(block)
-        with tracer.span("codegen", "phase", path=choice):
-            program, decision = self._generate_with_fusion(plan)
-        return PreparedQuery(
-            block, plan, program, choice, sql=sql, fusion_decision=decision
-        )
+        return PreparedQuery(block, plan, None, choice, sql=sql)
+
+    def _generate(self, prepared: PreparedQuery, tracer) -> PreparedQuery:
+        """Generate a planned candidate's drive program, once."""
+        if prepared.program is None:
+            with tracer.span("codegen", "phase", path=prepared.choice):
+                program, decision = self._generate_with_fusion(prepared.plan)
+            prepared.fusion_decision = decision
+            prepared.program = program
+        return prepared
 
     def _generate_with_fusion(self, plan):
         """Generate the drive program under ``options.fusion``.
@@ -617,10 +633,7 @@ class NestGPU:
     def _execute_program(self, ctx, program: DriveProgram, governor=None):
         fused = program.fusion is not None
         subprograms = [
-            SubqueryProgram(
-                ctx, spec.descriptor, spec.plan, self.options.vector_batch,
-                fused=fused,
-            )
+            SubqueryProgram(ctx, spec, self.options.vector_batch, fused=fused)
             for spec in program.specs
         ]
         runtime = Runtime(ctx, program.nodes, subprograms)

@@ -40,7 +40,7 @@ from ..plan.expressions import (
     _replace_subquery_refs,
     referenced_params,
 )
-from ..plan.invariants import InvariantInfo, mark_invariants
+from ..plan.invariants import InvariantInfo
 from ..plan.nodes import Join, Plan, Scan, SubqueryFilter
 from . import replay, vectorize
 from .caching import SubqueryCache
@@ -55,16 +55,16 @@ from .subquery import (
 class SubqueryProgram:
     """Compiled state for one SUBQ: plan, invariants, caches, indexes."""
 
-    def __init__(self, ctx, descriptor, plan: Plan, batch_size: int,
-                 fused: bool = False):
+    def __init__(self, ctx, spec, batch_size: int, fused: bool = False):
         self.ctx = ctx
-        self.descriptor = descriptor
-        self.plan = plan
+        self.descriptor = descriptor = spec.descriptor
+        self.plan = plan = spec.plan
         # data-path fusion (core.fusion): fuse the predicate chains and
         # compaction tails of this subquery's scans/filters, including
         # the vectorized batch path
         self.fused = fused
-        self.info: InvariantInfo = mark_invariants(plan)
+        # the body's marking, made once by codegen (SubquerySpec.info)
+        self.info: InvariantInfo = spec.info
         self.param_quals: tuple[str, ...] = descriptor.free_quals
         self.cache = SubqueryCache(
             enabled=ctx.options.use_cache, namespace=descriptor.index

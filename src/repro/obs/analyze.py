@@ -119,8 +119,6 @@ class AnalyzeReport:
         return lines
 
     def render(self) -> str:
-        from ..plan.invariants import mark_invariants
-
         p, r = self.prepared, self.result
         lines = [f"EXPLAIN ANALYZE — execution path: {p.choice}"]
         if p.sql:
@@ -175,7 +173,7 @@ class AnalyzeReport:
                 "setup " + _ms(r.subquery_overhead_ns.get(key, 0.0))
             )
             lines.append("  " + "   ".join(stat_parts))
-            lines += self._tree_lines(spec.plan, mark_invariants(spec.plan))
+            lines += self._tree_lines(spec.plan, spec.info)
         acc = self.accounting()
         lines += [
             "",

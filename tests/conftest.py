@@ -74,6 +74,24 @@ def tpch_small() -> Catalog:
 
 
 @pytest.fixture
+def drive_compiles(monkeypatch):
+    """The sources ``builtins.compile`` is asked to compile as drive
+    programs (imports compile too; they are not counted)."""
+    import builtins
+
+    sources: list[str] = []
+    real = builtins.compile
+
+    def counting(source, filename, *args, **kwargs):
+        if filename == "<drive-program>":
+            sources.append(source)
+        return real(source, filename, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "compile", counting)
+    return sources
+
+
+@pytest.fixture
 def thread_guard():
     """A ThreadGuard that always uninstalls, even on test failure."""
     from repro.serve import ThreadGuard

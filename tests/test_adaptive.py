@@ -115,6 +115,34 @@ class TestAdaptiveSwitch:
         assert abandoned[0].attrs["abandoned_ms"] > 0.0
         assert "switch_reason" in abandoned[0].attrs
 
+    @pytest.mark.parametrize("traced", [False, True])
+    @pytest.mark.parametrize(
+        "fusion,total_ns",
+        [("off", 3443541.758142501), ("auto", 3439541.758142501)],
+    )
+    def test_a_trip_generates_the_rerun_and_keeps_the_clock(
+        self, fusion, total_ns, traced
+    ):
+        """The unnested twin is generated only when the governor trips,
+        and the trip's rows, total and sunk time are the ones the twin
+        generated eagerly gave (pinned from that engine)."""
+        import hashlib
+
+        engine = NestGPU(
+            make_switch_catalog(), device=TINY,
+            options=EngineOptions(fusion=fusion),
+            tracer=Tracer() if traced else None,
+        )
+        prepared = engine.prepare(SWITCH_SQL)
+        assert prepared.fallback.program is None
+        result = engine.run_prepared(prepared)
+        assert result.adaptive_switch
+        assert result.drive_source == prepared.fallback.program.source
+        digest = hashlib.sha256(repr(sorted(result.rows)).encode()).hexdigest()
+        assert (len(result.rows), digest[:16]) == (4098, "d9d8cff3eeca0bad")
+        assert result.stats.total_ns == total_ns
+        assert result.abandoned_ms == 1.4462116620594236
+
     def test_adaptive_off_runs_nested_to_completion(self):
         result = run_mode("auto", options=EngineOptions(adaptive=False))
         assert not result.adaptive_switch

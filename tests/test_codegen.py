@@ -38,14 +38,14 @@ class TestFlatPrograms:
     def test_only_the_program_that_runs_is_compiled_and_only_once(self, tpch_small):
         engine = NestGPU(tpch_small)
         prepared = engine.prepare(queries.TPCH_Q17)
-        loser = prepared.fallback.program
-        assert "code" not in vars(prepared.program) and "code" not in vars(loser)
+        assert prepared.fallback.program is None  # the loser is not generated
+        assert "code" not in vars(prepared.program)
         first = engine.run_prepared(prepared)
         drive = vars(prepared.program)["drive"]
         second = engine.run_prepared(prepared)
         assert vars(prepared.program)["drive"] is drive
         assert first.rows == second.rows
-        assert "code" not in vars(loser)
+        assert prepared.fallback.program is None
 
     def test_statement_per_operator(self, tpch_small):
         program = program_for(
@@ -182,3 +182,72 @@ def _indent_of(source: str, needle: str) -> int:
         if needle in line:
             return len(line) - len(line.lstrip())
     raise AssertionError(f"{needle!r} not found")
+
+
+class TestDriveCodeMemo:
+    """Drive code is compiled once per distinct source, process-wide."""
+
+    def test_two_fresh_engines_share_one_code_object(self, tpch_small):
+        first = NestGPU(tpch_small).prepare(queries.TPCH_Q17).program
+        second = NestGPU(tpch_small).prepare(queries.TPCH_Q17).program
+        assert first is not second and first.source == second.source
+        assert first.code is second.code
+        assert first.drive is not second.drive  # exec'd per program
+
+    def test_a_paper_pass_compiles_three_distinct_sources(self, drive_compiles):
+        from repro.core.codegen import _compile
+        from repro.engine import EngineOptions
+        from repro.tpch import ALL_EVALUATION_QUERIES, generate_tpch
+
+        catalog = generate_tpch(10)
+        _compile.cache_clear()
+        for _ in range(2):
+            for sql in ALL_EVALUATION_QUERIES.values():
+                NestGPU(
+                    catalog, mode="auto", options=EngineOptions(fusion="auto")
+                ).execute(sql)
+        assert len(drive_compiles) == len(set(drive_compiles)) == 3
+
+    def test_the_memo_stays_within_its_bound(self):
+        from repro.core.codegen import DriveProgram, _compile
+
+        bound = _compile.cache_info().maxsize
+        for k in range(bound + 1):
+            DriveProgram(f"def drive(rt):\n    return {k}\n", [], []).code
+        assert _compile.cache_info().currsize == bound
+
+    def test_a_syntax_error_raises_every_time_and_is_never_stored(
+        self, drive_compiles
+    ):
+        from repro.core.codegen import DriveProgram, _compile
+
+        source = "def drive(rt:\n    return 0\n"
+        hits = _compile.cache_info().hits
+        for _ in range(2):
+            with pytest.raises(SyntaxError):
+                DriveProgram(source, [], []).code
+        # compiled (and failed) on each access: nothing was stored
+        assert drive_compiles == [source, source]
+        assert _compile.cache_info().hits == hits
+
+    def test_two_threads_compiling_a_new_source_get_equal_code(self):
+        import threading
+
+        from repro.core.codegen import DriveProgram
+
+        source = "def drive(rt):\n    return 'two threads'\n"
+        barrier, codes = threading.Barrier(2), []
+
+        def compile_it():
+            barrier.wait()
+            codes.append(DriveProgram(source, [], []).code)
+
+        threads = [threading.Thread(target=compile_it) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert len(codes) == 2 and codes[0] == codes[1]
+        namespace: dict = {}
+        exec(codes[1], namespace)
+        assert namespace["drive"](None) == "two threads"

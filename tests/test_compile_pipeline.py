@@ -102,7 +102,7 @@ NO_SITE = "SELECT r_col1 FROM r"
 @pytest.mark.parametrize(
     "sql,mode,candidates",
     [(NO_SITE, "auto", 1), (FLAT, "auto", 1), (CORRELATED, "nested", 1),
-     (CORRELATED, "auto", 2), (REFUSED, "auto", 1)],
+     (CORRELATED, "auto", 1), (REFUSED, "auto", 1)],
     ids=["no-site", "flat", "forced-nested", "auto-both", "auto-refused"],
 )
 def test_one_codegen_pass_per_candidate_in_every_fusion_mode(
@@ -110,10 +110,13 @@ def test_one_codegen_pass_per_candidate_in_every_fusion_mode(
 ):
     """Launch-only programs are decided at plan time from the one fused
     emission, and a pass that finds nothing to fuse *is* the plain
-    program — no second emission in either case."""
+    program — no second emission in either case.  Auto mode's losing
+    candidate is planned and costed but never generated."""
     engine = NestGPU(catalog, options=EngineOptions(fusion=fusion))
     prepared = engine.prepare(sql, mode)
     assert calls["generate"] == candidates
+    if prepared.fallback is not None:
+        assert prepared.fallback.program is None
     if sql is NO_SITE:
         assert prepared.fusion_decision.source == "off"
         assert prepared.program.fusion is None
@@ -164,3 +167,130 @@ def test_sharded_prepared_reads_like_a_prepared_query(catalog):
     for prepared in (one, group):
         assert prepared.fusion_decision == solo.fusion_decision
         assert prepared.choice == solo.choice
+
+
+# -- each compile artifact once -------------------------------------------
+
+def _paper_and_fuzz(catalog, count: int = 100) -> list[str]:
+    from repro.fuzz.generator import generate_query
+    from repro.tpch import ALL_EVALUATION_QUERIES
+
+    return list(ALL_EVALUATION_QUERIES.values()) + [
+        generate_query(catalog, 7, index).sql for index in range(count)
+    ]
+
+
+@pytest.mark.parametrize("fusion", ["off", "auto"])
+def test_the_unnested_candidate_generated_on_demand_equals_the_eager_one(
+    fusion,
+):
+    """Auto mode generates the unnested candidate only when it wins or
+    the governor reruns it; either way its program is the one an eager
+    compile of that candidate writes."""
+    from repro.errors import ReproError
+    from repro.fuzz.runner import DEFAULT_SCALE
+    from repro.obs.tracer import NULL_TRACER
+    from repro.tpch import generate_tpch
+
+    catalog = generate_tpch(DEFAULT_SCALE)
+    options = EngineOptions(fusion=fusion)
+    compared = losers = 0
+    for sql in _paper_and_fuzz(catalog):
+        engine = NestGPU(catalog, options=options)
+        try:
+            prepared = engine.prepare(sql)
+        except ReproError:
+            continue
+        if prepared.fallback is not None:
+            losers += 1
+            assert prepared.fallback.program is None
+            candidate = engine._generate(prepared.fallback, NULL_TRACER)
+        elif prepared.choice == "unnested":
+            candidate = prepared
+        else:
+            continue
+        eager = NestGPU(catalog, options=options)._compile_candidate(
+            prepared.block, "unnested", sql, NULL_TRACER
+        )
+        assert candidate.program.source == eager.program.source
+        assert candidate.fusion_decision == eager.fusion_decision
+        compared += 1
+    assert losers > 0 and compared > losers
+
+
+def test_a_cold_auto_execute_marks_each_subq_body_once(monkeypatch):
+    """Codegen's marking rides on the SubquerySpec: the costing probe,
+    the run and EXPLAIN read it instead of marking the body again."""
+    from repro.core import codegen
+    from repro.plan import invariants
+    from repro.tpch import TPCH_Q17, generate_tpch
+
+    marked: list[int] = []
+    real = invariants.mark_invariants
+
+    def counting(plan):
+        marked.append(id(plan))
+        return real(plan)
+
+    for module in (codegen, invariants):
+        monkeypatch.setattr(module, "mark_invariants", counting)
+    engine = NestGPU(generate_tpch(2.0))
+    prepared = engine.prepare(TPCH_Q17)
+    result = engine.run_prepared(prepared)
+    assert result.rows
+    engine.explain_prepared(prepared)
+    bodies = [id(spec.plan) for spec in prepared.program.specs]
+    assert prepared.choice == "nested" and bodies
+    assert sorted(marked) == sorted(bodies)
+
+
+def test_plan_cache_misses_compile_once_sort_nothing_and_count_once(
+    monkeypatch, drive_compiles,
+):
+    """Tier-1 twin of CI's "Plan-cache-miss profile" step (a time share
+    there, call counts here): 50 distinct Q17 bindings after the first
+    compile no new drive source, sort no base column again and count
+    each (table, predicate) once."""
+    from repro.core.codegen import _compile
+    from repro.gpu import kernels
+    from repro.plan.selectivity import ExactSelectivity
+    from repro.tpch import TPCH_Q17, generate_tpch
+
+    catalog = generate_tpch(10)
+    part = catalog.table("part")
+    pairs = list(dict.fromkeys(zip(
+        part.column("p_brand").to_python(),
+        part.column("p_container").to_python(),
+    )))[:51]
+    assert len(pairs) == 51
+    session = EngineSession(catalog)
+    statement = session.prepare_statement(
+        TPCH_Q17.replace("'Brand#23'", "$1").replace("'MED BOX'", "$2")
+    )
+    counted: list[tuple] = []
+    real_compute = ExactSelectivity._compute
+
+    def compute(self, predicate, table):
+        share = real_compute(self, predicate, table)
+        if share is not None:  # a counting scan ran
+            counted.append((table.name, repr(predicate)))
+        return share
+
+    monkeypatch.setattr(ExactSelectivity, "_compute", compute)
+    _compile.cache_clear()
+    statement.execute(*pairs[0])  # residency and the shared l_partkey index
+    first_compiles, sorts = len(drive_compiles), []
+    real_order = kernels.stable_order
+
+    def stable_order(keys):
+        sorts.append(len(keys))
+        return real_order(keys)
+
+    monkeypatch.setattr(kernels, "stable_order", stable_order)
+    for pair in pairs[1:]:
+        statement.execute(*pair)
+    session.close()
+    assert session.plan_cache.stats()["misses"] >= 51
+    assert len(drive_compiles) - first_compiles <= 1
+    assert sorts == []
+    assert counted and len(counted) == len(set(counted))

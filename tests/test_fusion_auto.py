@@ -115,8 +115,11 @@ class TestPrepareLaunchesNothingForFusion:
         prepared = engine.prepare(ALL_EVALUATION_QUERIES[query])
         assert executions["measure"] == 0
         assert executions["execute"] <= 1
-        # one codegen pass per compiled candidate
-        candidates = 1 + (prepared.predicted_ms is not None)
+        # one codegen pass per generated candidate: the nested one the
+        # costing probes, the unnested one only when it wins
+        candidates = 1 + (
+            prepared.predicted_ms is not None and prepared.choice == "unnested"
+        )
         assert executions["generate"] == candidates
         assert engine.fusion_tuner.stats()["probes"] == 0
 

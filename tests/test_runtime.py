@@ -89,8 +89,9 @@ class TestHoistedHashReuse:
 
     def test_base_relation_cached(self, rst_catalog):
         """The transient scan's non-correlated base is evaluated once."""
+        from repro.core.codegen import SubquerySpec
         from repro.core.runtime import SubqueryProgram
-        from repro.plan import Binder, PlanBuilder
+        from repro.plan import Binder, PlanBuilder, mark_invariants
         from repro.sql import parse
 
         block = Binder(rst_catalog).bind(parse(queries.PAPER_Q3))
@@ -98,7 +99,8 @@ class TestHoistedHashReuse:
         builder.build(block)
         plan = builder.build(block.subqueries[0].block)
         ctx = ExecutionContext(rst_catalog, Device(DeviceSpec.v100()))
-        sp = SubqueryProgram(ctx, block.subqueries[0], plan, 1024)
+        sp = SubqueryProgram(ctx, SubquerySpec(
+            block.subqueries[0], plan, mark_invariants(plan)), 1024)
         from repro.plan.nodes import Scan
 
         scan = next(
@@ -149,10 +151,11 @@ class TestCorrelatedValues:
         assert result.stats.d2h_bytes > 0
 
     def test_missing_qual_raises(self, rst_catalog):
+        from repro.core.codegen import SubquerySpec
         from repro.core.runtime import Runtime, SubqueryProgram
         from repro.engine import operators as ops
         from repro.errors import ExecutionError
-        from repro.plan import Binder, PlanBuilder
+        from repro.plan import Binder, PlanBuilder, mark_invariants
         from repro.sql import parse
 
         block = Binder(rst_catalog).bind(parse(queries.PAPER_Q1))
@@ -160,7 +163,8 @@ class TestCorrelatedValues:
         builder.build(block)
         plan = builder.build(block.subqueries[0].block)
         ctx = ExecutionContext(rst_catalog, Device(DeviceSpec.v100()))
-        sp = SubqueryProgram(ctx, block.subqueries[0], plan, 1024)
+        sp = SubqueryProgram(ctx, SubquerySpec(
+            block.subqueries[0], plan, mark_invariants(plan)), 1024)
         runtime = Runtime(ctx, [], [sp])
         rel = ops.scan(ctx, "s", "s", [])  # lacks r.r_col1
         with pytest.raises(ExecutionError):
