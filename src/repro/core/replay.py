@@ -51,7 +51,8 @@ from ..engine.context import ExecutionContext
 from ..engine.exprs import evaluate
 from ..engine.relation import Relation, computed_column
 from ..errors import ReproError
-from ..gpu import Device, kernels
+from ..gpu import kernels
+from ..gpu.device import ScratchDevice
 from ..plan.expressions import AggRef, ColRef, referenced_params
 from ..plan.invariants import _node_has_params
 from ..plan.nodes import Aggregate, Filter, Join, Plan, Project, Scan
@@ -183,20 +184,13 @@ def _charge_select(ctx, templates, n: int, out: int, row_bytes: int,
     ctx.operator_done()
 
 
-class _ScratchDevice(Device):
-    """The scratch evaluation's device: its launches charge nothing."""
-
-    def launch(self, tag: str, elements: int, work: float = 1.0) -> float:
-        return 0.0
-
-
 def _scratch(sp):
     """The program's private twin on a scratch device (made once)."""
     scratch = sp._scratch
     if scratch is None:
         ctx = sp.ctx
         # a scratch device holds every key's rows at once: no capacity
-        device = _ScratchDevice(replace(ctx.device.spec, memory_bytes=1 << 62))
+        device = ScratchDevice(replace(ctx.device.spec, memory_bytes=1 << 62))
         # the program's plan, invariant marking and options, with its own
         # context and first-use memos
         scratch = sp._scratch = copy.copy(sp)

@@ -273,3 +273,12 @@ class Device:
         if self.tracer.enabled:
             # rebase so a trace spanning the reset stays monotonic
             self.tracer.bind_device(self)
+
+
+class ScratchDevice(Device):
+    """A device whose launches charge nothing and reach no observer:
+    host-side evaluation that must never touch a query's clock (the
+    replay's segmented body, the optimizer's counting scans)."""
+
+    def launch(self, tag: str, elements: int, work: float = 1.0) -> float:
+        return 0.0

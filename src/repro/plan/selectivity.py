@@ -51,13 +51,14 @@ from .expressions import (
 
 class _ScratchContext:
     """The minimal context the expression evaluator needs: a device to
-    charge.  The charges land on a private throwaway device — counting
-    happens at optimization time and must never touch a query clock."""
+    charge.  Counting happens at optimization time and must never touch
+    a query clock, so the device charges nothing."""
 
     def __init__(self):
-        from ..gpu import Device, DeviceSpec
+        from ..gpu import DeviceSpec
+        from ..gpu.device import ScratchDevice
 
-        self.device = Device(DeviceSpec.v100())
+        self.device = ScratchDevice(DeviceSpec.v100())
 
 
 class ExactSelectivity:
