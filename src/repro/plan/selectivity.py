@@ -18,10 +18,12 @@ expression evaluator over a throwaway device, so NULL semantics,
 dictionary codes and compound predicates behave exactly as they will
 at execution time — the count cannot disagree with the engine.
 
-Results are cached per predicate fingerprint under the immutable
-``Table`` the count was taken over.  ``Catalog.replace`` swaps that
-object, so a reloaded table misses and its old entries go with the old
-object; every other table's entries stay.  Anything unsupported —
+Results are kept per predicate fingerprint on the immutable ``Table``
+the count was taken over (``Table.selectivities``), beside its distinct
+counts: every engine on one catalog shares them, so a second engine
+counts nothing.  ``Catalog.replace`` swaps that object, so a reloaded
+table misses and its old entries go with the old object; every other
+table's entries stay.  Anything unsupported —
 correlated parameters, subquery operands, multi-binding predicates,
 missing columns — falls back to the heuristics by returning ``None``.
 """
@@ -29,7 +31,6 @@ missing columns — falls back to the heuristics by returning ``None``.
 from __future__ import annotations
 
 import threading
-import weakref
 
 import numpy as np
 
@@ -61,13 +62,18 @@ class _ScratchContext:
         self.device = ScratchDevice(DeviceSpec.v100())
 
 
+#: guards every ``Table.selectivities`` and the estimators' counters:
+#: serving workers and engines plan concurrently
+_LOCK = threading.Lock()
+
+
 class ExactSelectivity:
-    """Counting-scan selectivities cached per immutable table.
+    """Counting-scan selectivities kept on each immutable table.
 
     One instance is owned by the engine and shared by every
     :class:`~repro.plan.builder.PlanBuilder` it constructs (and by the
-    flat-plan estimator), so a served workload pays each count once.
-    The cache is internally locked: serving workers plan concurrently.
+    flat-plan estimator).  The counts live on the tables, so every
+    engine on one catalog pays each count once.
     """
 
     #: tables beyond this row count keep the heuristic estimate — the
@@ -77,17 +83,16 @@ class ExactSelectivity:
     def __init__(self, catalog, max_rows: int | None = None):
         self.catalog = catalog
         self.max_rows = self.MAX_ROWS if max_rows is None else max_rows
-        self._lock = threading.Lock()
-        self._cache: weakref.WeakKeyDictionary[Table, dict[str, float]] = (
-            weakref.WeakKeyDictionary()
-        )
         self._ctx = _ScratchContext()
-        # observability side channels
+        # observability side channels: this estimator's lookups answered
+        # from a table, and the counting scans it ran
         self.hits = 0
         self.computations = 0
 
     def __len__(self) -> int:
-        return sum(len(entries) for entries in self._cache.values())
+        """Counts kept on the catalog's current tables."""
+        with _LOCK:
+            return sum(len(table.selectivities) for table in self.catalog)
 
     def lookup(self, predicate: PlanExpr, table_name: str | None) -> float | None:
         """The exact selectivity, or ``None`` when unsupported."""
@@ -97,17 +102,16 @@ class ExactSelectivity:
             table = self.catalog.table(table_name)
         except CatalogError:
             return None
-        key = repr(predicate)
-        with self._lock:
-            cached = self._cache.get(table, {}).get(key)
-            if cached is not None:
-                self.hits += 1
-                return cached
-        value = self._compute(predicate, table)
-        if value is None:
+        if table.num_rows == 0 or table.num_rows > self.max_rows:
             return None
-        with self._lock:
-            self._cache.setdefault(table, {})[key] = value
+        key = repr(predicate)
+        with _LOCK:
+            if key in table.selectivities:
+                self.hits += 1
+                return table.selectivities[key]
+        value = self._compute(predicate, table)  # None is kept too
+        with _LOCK:
+            table.selectivities[key] = value
             self.computations += 1
         return value
 
@@ -120,8 +124,6 @@ class ExactSelectivity:
         if len(bindings) != 1:
             return None
         binding = next(iter(bindings))
-        if table.num_rows == 0 or table.num_rows > self.max_rows:
-            return None
         columns = {
             expr.column
             for expr in referenced_columns(predicate)

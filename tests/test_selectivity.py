@@ -16,7 +16,9 @@ from repro.plan.expressions import (
     ParamRef,
     SubqueryRef,
 )
+from repro.core import NestGPU
 from repro.plan.selectivity import ExactSelectivity, predicate_selectivity
+from repro.tpch import ALL_EVALUATION_QUERIES, generate_tpch
 
 R_COL1 = ColRef("r", "r_col1", "int")
 R_COL2 = ColRef("r", "r_col2", "int")
@@ -62,8 +64,10 @@ class TestExactCounts:
 
 
 class TestCache:
-    def test_second_lookup_is_a_hit(self, rst_catalog):
-        sel = ExactSelectivity(rst_catalog)
+    def test_second_lookup_is_a_hit(self):
+        # a fresh catalog: the counts live on its tables, which the
+        # session-wide fixture shares with every other test
+        sel = ExactSelectivity(make_rst_catalog())
         predicate = Compare("<", R_COL2, Const(25))
         first = sel.lookup(predicate, "r")
         second = sel.lookup(predicate, "r")
@@ -99,6 +103,33 @@ class TestCache:
         assert sel.computations == 3  # r, s, then the new r
         assert sel.hits == 1  # s survived the replace of r
         assert len(sel) == 2  # the old r's entry went with the old r
+
+
+    def test_a_second_engine_on_one_catalog_counts_nothing(self, monkeypatch):
+        """The counts are a statistic of the immutable table: the first
+        engine's cold queries count, a second engine's cold queries
+        plan from them, to the same rows and modelled clock."""
+        catalog = generate_tpch(0.05, use_cache=False)
+        computed: list[str] = []
+        compute = ExactSelectivity._compute
+
+        def counting(self, predicate, table):
+            computed.append(table.name)
+            return compute(self, predicate, table)
+
+        monkeypatch.setattr(ExactSelectivity, "_compute", counting)
+        runs = []
+        for _ in range(2):
+            engine = NestGPU(catalog)
+            runs.append([
+                (result.rows, result.stats.total_ns)
+                for result in map(engine.execute, ALL_EVALUATION_QUERIES.values())
+            ])
+            runs.append(len(computed))
+        first, first_count, second, second_count = runs
+        assert first_count > 0
+        assert second_count == first_count  # 0 calls by the second engine
+        assert repr(second) == repr(first)
 
 
 class TestPlanBuilderIntegration:
