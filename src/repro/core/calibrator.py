@@ -108,6 +108,18 @@ class _Ring:
         self.samples[self._next] = sample
         self._next = (self._next + 1) % self.capacity
 
+    def extend(self, samples: list) -> None:
+        """:meth:`add` of every sample, in order."""
+        self.seen += len(samples)
+        room = self.capacity - len(self.samples)
+        self.samples.extend(samples[:room])
+        samples = samples[room:]
+        while samples:  # wrap around, one slice at a time
+            chunk = samples[:self.capacity - self._next]
+            self.samples[self._next:self._next + len(chunk)] = chunk
+            self._next = (self._next + len(chunk)) % self.capacity
+            samples = samples[len(chunk):]
+
     def __len__(self) -> int:
         return len(self.samples)
 
@@ -162,6 +174,23 @@ class Calibrator:
             return
         with self._lock:
             self._materializes.add((float(nbytes), time_ns))
+
+    def record_bulk(self, kernels: list, materializes: list) -> None:
+        """:meth:`record_kernel` of each ``(elements, work, time_ns)`` and
+        :meth:`record_materialize` of each ``(nbytes, time_ns)``, in
+        order, under one acquisition of the lock."""
+        threads = self.threads
+        kernels = [
+            ((math.ceil(elements / threads) if elements > 0 else 0) * work, time_ns)
+            for elements, work, time_ns in kernels
+        ]
+        materializes = [
+            (float(nbytes), time_ns)
+            for nbytes, time_ns in materializes if nbytes > 0
+        ]
+        with self._lock:
+            self._kernels.extend(kernels)
+            self._materializes.extend(materializes)
 
     # -- inspection -----------------------------------------------------
 

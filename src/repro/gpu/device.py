@@ -10,6 +10,7 @@ substitution documented in DESIGN.md section 2.
 from __future__ import annotations
 
 import math
+from itertools import accumulate, repeat
 
 from ..errors import DeviceMemoryError
 from ..obs.tracer import NULL_TRACER
@@ -56,7 +57,7 @@ class Device:
     _GUARDED_METHODS = (
         "alloc", "free", "launch", "materialize",
         "transfer_h2d", "transfer_d2h", "transfer_peer", "reset",
-        "begin_fused", "end_fused",
+        "begin_fused", "end_fused", "book",
     )
 
     def __init__(self, spec: DeviceSpec, tracer=None):
@@ -212,6 +213,88 @@ class Device:
         if self.tracer.enabled:
             self.tracer.leaf("materialize", "materialize", time_ns, bytes=nbytes)
         return time_ns
+
+    def book(self, launches, scopes, nbytes) -> tuple[list, list]:
+        """Charge rows of launches and materialisations at once.
+
+        Each of ``launches`` is a column ``(tag, elements, works, made)``
+        of values per row (``made`` None: made in every row); row ``r``
+        calls ``launch(tag, elements[r], works[r])`` for each column made
+        in it, in order, then ``materialize(sizes[r])`` for each column of
+        ``nbytes``.  Each ``(first, last, tag)`` of ``scopes`` fuses the
+        launch columns ``first..last`` (always made) into one ``tag``
+        launch after ``last``.  Every counter, per-tag dict and sampler
+        ring ends as those calls, made in order with no scope open and no
+        tracer, would leave it: float totals accumulate in call order,
+        one addition at a time.  Returns the kernel time after each launch
+        and the materialise time after each materialisation, row-major,
+        each list led by the time before the run.
+        """
+        spec, stats = self.spec, self.stats
+        threads, overhead = spec.threads, spec.launch_overhead_ns
+        rows = len(nbytes[0]) if nbytes else len(launches[0][1])
+        columns = []  # (tag, elements, works, iterations, made, times)
+        for tag, elements, works, made in launches:
+            iterations = [math.ceil(e / threads) if e > 0 else 0 for e in elements]
+            times = [overhead + i * spec.iteration_ns * w
+                     for i, w in zip(iterations, works)]
+            if made is not None:  # nothing charged adds 0.0: nothing
+                times = [t if m else 0.0 for t, m in zip(times, made)]
+            columns.append([tag, elements, works, iterations, made, times])
+        for first, last, tag in scopes:
+            _, _, works, iterations, _, _ = columns[first]
+            absorbed = [0.0 + i * w for i, w in zip(iterations, works)]
+            for _, _, works, iterations, *_ in columns[first + 1:last + 1]:
+                absorbed = [a + i * w for a, i, w in zip(absorbed, iterations, works)]
+            for column in columns[first:last]:
+                column[0], column[5] = None, [0.0] * rows  # absorbed
+            columns[last] = [tag, [threads] * rows, absorbed, None, None,
+                             [overhead + a * spec.iteration_ns for a in absorbed]]
+            stats.fused_launches += rows
+            stats.fused_kernels += (last - first + 1) * rows
+        kernel = list(accumulate(
+            [t for row in zip(*(column[5] for column in columns)) for t in row],
+            initial=stats.kernel_time_ns,
+        ))
+        stats.kernel_time_ns = kernel[-1]
+        # per tag: its launches' times in call order, new tags entering
+        # the dicts in the order they are first charged
+        by_tag: dict[str, list] = {}
+        for c, (tag, _, _, _, made, times) in enumerate(columns):
+            if tag is not None:
+                first = c + len(columns) * (0 if made is None else made.index(True)
+                                            if True in made else rows)
+                by_tag.setdefault(tag, []).append((first, times, made))
+        for tag, found in sorted(by_tag.items(), key=lambda item: item[1][0][0]):
+            made = sum(rows if m is None else m.count(True) for _, _, m in found)
+            if not made:
+                continue
+            times = [t for row in zip(*(f[1] for f in found)) for t in row]
+            stats.kernel_time_by_tag[tag] = list(accumulate(
+                times, initial=stats.kernel_time_by_tag.get(tag, 0.0)
+            ))[-1]
+            stats.launches_by_tag[tag] = stats.launches_by_tag.get(tag, 0) + made
+            stats.kernel_launches += made
+        materialize_ns = [[b * spec.materialize_ns_per_byte for b in sizes]
+                          for sizes in nbytes]
+        materialized = list(accumulate(
+            [t for row in zip(*materialize_ns) for t in row],
+            initial=stats.materialize_time_ns,
+        ))
+        stats.materialize_time_ns = materialized[-1]
+        for sizes in nbytes:
+            stats.materialize_bytes += sum(sizes)
+        if self.sampler is not None:
+            self.sampler.record_bulk(
+                [(e, w, t)
+                 for row in zip(*(zip(c[1], c[2], c[5], c[4] or repeat(True))
+                                  for c in columns if c[0] is not None))
+                 for e, w, t, m in row if m],
+                [sample for row in zip(*(zip(sizes, times) for sizes, times
+                                         in zip(nbytes, materialize_ns)))
+                 for sample in row],
+            )
+        return kernel, materialized
 
     # -- transfers ----------------------------------------------------------
 
