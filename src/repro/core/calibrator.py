@@ -23,6 +23,8 @@ import math
 import threading
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class CostCoefficients:
@@ -175,19 +177,14 @@ class Calibrator:
         with self._lock:
             self._materializes.add((float(nbytes), time_ns))
 
-    def record_bulk(self, kernels: list, materializes: list) -> None:
-        """:meth:`record_kernel` of each ``(elements, work, time_ns)`` and
-        :meth:`record_materialize` of each ``(nbytes, time_ns)``, in
-        order, under one acquisition of the lock."""
-        threads = self.threads
-        kernels = [
-            ((math.ceil(elements / threads) if elements > 0 else 0) * work, time_ns)
-            for elements, work, time_ns in kernels
-        ]
-        materializes = [
-            (float(nbytes), time_ns)
-            for nbytes, time_ns in materializes if nbytes > 0
-        ]
+    def record_bulk(self, elements, works, kernel_ns, nbytes, materialize_ns):
+        """:meth:`record_kernel` and :meth:`record_materialize` over
+        arrays, in order, under one acquisition of the lock."""
+        iterations = np.ceil(elements / self.threads)  # 0 for no elements
+        kernels = list(zip((iterations * works).tolist(), kernel_ns.tolist()))
+        kept = nbytes > 0
+        materializes = list(zip(nbytes[kept].astype(np.float64).tolist(),
+                                materialize_ns[kept].tolist()))
         with self._lock:
             self._kernels.extend(kernels)
             self._materializes.extend(materializes)

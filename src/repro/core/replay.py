@@ -244,7 +244,8 @@ class _Step:
                 scope = device.begin_fused(fused)
             device.launch(tag, n[s], work[s])
             if closes:
-                scope = device.end_fused(scope) and None
+                device.end_fused(scope)
+                scope = None
         ctx.operator_done()
         return _Rows(self.rows[s])
 

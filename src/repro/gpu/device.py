@@ -10,7 +10,9 @@ substitution documented in DESIGN.md section 2.
 from __future__ import annotations
 
 import math
-from itertools import accumulate, repeat
+from itertools import accumulate
+
+import numpy as np
 
 from ..errors import DeviceMemoryError
 from ..obs.tracer import NULL_TRACER
@@ -217,82 +219,70 @@ class Device:
     def book(self, launches, scopes, nbytes) -> tuple[list, list]:
         """Charge rows of launches and materialisations at once.
 
-        Each of ``launches`` is a column ``(tag, elements, works, made)``
-        of values per row (``made`` None: made in every row); row ``r``
-        calls ``launch(tag, elements[r], works[r])`` for each column made
-        in it, in order, then ``materialize(sizes[r])`` for each column of
-        ``nbytes``.  Each ``(first, last, tag)`` of ``scopes`` fuses the
-        launch columns ``first..last`` (always made) into one ``tag``
-        launch after ``last``.  Every counter, per-tag dict and sampler
-        ring ends as those calls, made in order with no scope open and no
-        tracer, would leave it: float totals accumulate in call order,
-        one addition at a time.  Returns the kernel time after each launch
-        and the materialise time after each materialisation, row-major,
-        each list led by the time before the run.
+        Row ``r`` is ``launch(tag, elements[r], works[r])`` for each
+        column ``(tag, elements, works, made)`` of ``launches`` made in it
+        (``made`` None: always), then ``materialize(sizes[r])`` for each
+        column of ``nbytes``; each ``(first, last, tag)`` of ``scopes``
+        fuses launch columns ``first..last`` into one ``tag`` launch.
+        Counters, per-tag dicts and sampler rings end as those calls
+        (untraced, no scope open) leave them, every float total summed in
+        call order, one addition at a time.  Returns the kernel and the
+        materialise time after each launch and materialisation, row-major,
+        each led by the time before the run.
         """
         spec, stats = self.spec, self.stats
-        threads, overhead = spec.threads, spec.launch_overhead_ns
-        rows = len(nbytes[0]) if nbytes else len(launches[0][1])
-        columns = []  # (tag, elements, works, iterations, made, times)
-        for tag, elements, works, made in launches:
-            iterations = [math.ceil(e / threads) if e > 0 else 0 for e in elements]
-            times = [overhead + i * spec.iteration_ns * w
-                     for i, w in zip(iterations, works)]
-            if made is not None:  # nothing charged adds 0.0: nothing
-                times = [t if m else 0.0 for t, m in zip(times, made)]
-            columns.append([tag, elements, works, iterations, made, times])
+        tags = [column[0] for column in launches]
+        elements = np.array([column[1] for column in launches], dtype=np.int64)
+        works = np.array([column[2] for column in launches], dtype=np.float64)
+        charged = np.ones(elements.shape, dtype=bool)
+        for c, column in enumerate(launches):
+            if column[3] is not None:
+                charged[c] = column[3]
+        iterations = np.ceil(elements / spec.threads)  # 0 for no elements
+        times = spec.launch_overhead_ns + iterations * spec.iteration_ns * works
         for first, last, tag in scopes:
-            _, _, works, iterations, _, _ = columns[first]
-            absorbed = [0.0 + i * w for i, w in zip(iterations, works)]
-            for _, _, works, iterations, *_ in columns[first + 1:last + 1]:
-                absorbed = [a + i * w for a, i, w in zip(absorbed, iterations, works)]
-            for column in columns[first:last]:
-                column[0], column[5] = None, [0.0] * rows  # absorbed
-            columns[last] = [tag, [threads] * rows, absorbed, None, None,
-                             [overhead + a * spec.iteration_ns for a in absorbed]]
-            stats.fused_launches += rows
-            stats.fused_kernels += (last - first + 1) * rows
-        kernel = list(accumulate(
-            [t for row in zip(*(column[5] for column in columns)) for t in row],
-            initial=stats.kernel_time_ns,
-        ))
+            absorbed = 0.0 + iterations[first] * works[first]
+            for c in range(first + 1, last + 1):
+                absorbed = absorbed + iterations[c] * works[c]
+            charged[first:last] = False
+            tags[last] = tag
+            elements[last], works[last] = spec.threads, absorbed
+            times[last] = spec.launch_overhead_ns + absorbed * spec.iteration_ns
+            stats.fused_launches += elements.shape[1]
+            stats.fused_kernels += (last - first + 1) * elements.shape[1]
+        times = np.where(charged, times, 0.0)  # adds 0.0 where nothing is charged
+        kernel = list(accumulate(times.T.ravel().tolist(),
+                                 initial=stats.kernel_time_ns))
         stats.kernel_time_ns = kernel[-1]
-        # per tag: its launches' times in call order, new tags entering
-        # the dicts in the order they are first charged
-        by_tag: dict[str, list] = {}
-        for c, (tag, _, _, _, made, times) in enumerate(columns):
-            if tag is not None:
-                first = c + len(columns) * (0 if made is None else made.index(True)
-                                            if True in made else rows)
-                by_tag.setdefault(tag, []).append((first, times, made))
-        for tag, found in sorted(by_tag.items(), key=lambda item: item[1][0][0]):
-            made = sum(rows if m is None else m.count(True) for _, _, m in found)
+        # per tag, in the order each is first charged (new ones enter the
+        # dicts so), its launches' times in call order
+        columns: dict[str, list] = {}
+        for c, tag in enumerate(tags):
+            columns.setdefault(tag, []).append(c)
+        first = charged.argmax(axis=1) * len(tags) + np.arange(len(tags))
+        first = np.where(charged.any(axis=1), first, charged.size).tolist()
+        for tag, found in sorted(columns.items(), key=lambda item: min(
+                first[c] for c in item[1])):
+            made = int(charged[found].sum())
             if not made:
                 continue
-            times = [t for row in zip(*(f[1] for f in found)) for t in row]
             stats.kernel_time_by_tag[tag] = list(accumulate(
-                times, initial=stats.kernel_time_by_tag.get(tag, 0.0)
+                times[found].T.ravel().tolist(),
+                initial=stats.kernel_time_by_tag.get(tag, 0.0),
             ))[-1]
             stats.launches_by_tag[tag] = stats.launches_by_tag.get(tag, 0) + made
             stats.kernel_launches += made
-        materialize_ns = [[b * spec.materialize_ns_per_byte for b in sizes]
-                          for sizes in nbytes]
-        materialized = list(accumulate(
-            [t for row in zip(*materialize_ns) for t in row],
-            initial=stats.materialize_time_ns,
-        ))
+        nbytes = np.array(nbytes, dtype=np.int64).T.ravel()
+        materialize_ns = nbytes * spec.materialize_ns_per_byte
+        materialized = list(accumulate(materialize_ns.tolist(),
+                                       initial=stats.materialize_time_ns))
         stats.materialize_time_ns = materialized[-1]
-        for sizes in nbytes:
-            stats.materialize_bytes += sum(sizes)
+        stats.materialize_bytes += int(nbytes.sum())
         if self.sampler is not None:
+            charged = charged.T.ravel()
             self.sampler.record_bulk(
-                [(e, w, t)
-                 for row in zip(*(zip(c[1], c[2], c[5], c[4] or repeat(True))
-                                  for c in columns if c[0] is not None))
-                 for e, w, t, m in row if m],
-                [sample for row in zip(*(zip(sizes, times) for sizes, times
-                                         in zip(nbytes, materialize_ns)))
-                 for sample in row],
+                elements.T.ravel()[charged], works.T.ravel()[charged],
+                times.T.ravel()[charged], nbytes, materialize_ns,
             )
         return kernel, materialized
 
@@ -365,3 +355,4 @@ class ScratchDevice(Device):
 
     def launch(self, tag: str, elements: int, work: float = 1.0) -> float:
         return 0.0
+

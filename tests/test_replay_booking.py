@@ -14,6 +14,7 @@ device memory, and the calibrator's sample rings — small enough to wrap
 import dataclasses
 import threading
 
+import numpy as np
 import pytest
 
 import corpus
@@ -219,7 +220,10 @@ def test_a_bulk_sample_takes_the_calibrator_lock_once():
             return self._lock.__exit__(*exc)
 
     calibrator._lock = CountingLock()
-    calibrator.record_bulk([(4096, 1.0, 9.0)] * 20, [(64, 3.0), (0, 0.0)] * 5)
+    calibrator.record_bulk(
+        np.full(20, 4096), np.ones(20), np.full(20, 9.0),
+        np.array([64, 0] * 5), np.array([3.0, 0.0] * 5),
+    )
     assert acquired == [1]
     assert calibrator._kernels.seen == 20 and calibrator._materializes.seen == 5
     assert len(calibrator._kernels.samples) == RING
