@@ -101,9 +101,9 @@ def _digest(text: str) -> str:
 def observe(run, forced_loop: bool = False) -> tuple:
     """``run()`` with every ``Device.launch`` recorded as ``(tag,
     elements, work)``, and every launch a ``Device.book`` charges the
-    same way, in its row-major order; with ``forced_loop`` the replay refuses every
-    SUBQ.  Returns the result, or the ``ReproError`` raised, and the
-    launches."""
+    same way, in its row-major order; with ``forced_loop`` the replay
+    refuses every SUBQ.  Returns the result, or the ``ReproError``
+    raised, and the launches."""
     launches: list = []
     charge, book, refusal = Device.launch, Device.book, replay.refusal
 
