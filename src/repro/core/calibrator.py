@@ -23,8 +23,6 @@ import math
 import threading
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class CostCoefficients:
@@ -110,18 +108,6 @@ class _Ring:
         self.samples[self._next] = sample
         self._next = (self._next + 1) % self.capacity
 
-    def extend(self, samples: list) -> None:
-        """:meth:`add` of every sample, in order."""
-        self.seen += len(samples)
-        room = self.capacity - len(self.samples)
-        self.samples.extend(samples[:room])
-        samples = samples[room:]
-        while samples:  # wrap around, one slice at a time
-            chunk = samples[:self.capacity - self._next]
-            self.samples[self._next:self._next + len(chunk)] = chunk
-            self._next = (self._next + len(chunk)) % self.capacity
-            samples = samples[len(chunk):]
-
     def __len__(self) -> int:
         return len(self.samples)
 
@@ -176,18 +162,6 @@ class Calibrator:
             return
         with self._lock:
             self._materializes.add((float(nbytes), time_ns))
-
-    def record_bulk(self, elements, works, kernel_ns, nbytes, materialize_ns):
-        """:meth:`record_kernel` and :meth:`record_materialize` over
-        arrays, in order, under one acquisition of the lock."""
-        iterations = np.ceil(elements / self.threads)  # 0 for no elements
-        kernels = list(zip((iterations * works).tolist(), kernel_ns.tolist()))
-        kept = nbytes > 0
-        materializes = list(zip(nbytes[kept].astype(np.float64).tolist(),
-                                materialize_ns[kept].tolist()))
-        with self._lock:
-            self._kernels.extend(kernels)
-            self._materializes.extend(materializes)
 
     # -- inspection -----------------------------------------------------
 

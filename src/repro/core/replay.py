@@ -60,10 +60,6 @@ from . import vectorize
 
 #: ``SubqueryProgram.path`` of a loop this module replays
 REPLAYED = "replayed"
-#: the fewest misses after the first that one ``Device.book`` takes: on
-#: a shorter run the booking's fixed cost exceeds the steps' (the paper
-#: mix's 4-miss loops took 0.29-0.34 ms booked, 0.28-0.32 ms stepped)
-BOOK_MIN_MISSES = 8
 
 
 def refusal(sp) -> str | None:
@@ -170,84 +166,22 @@ def _template(expr, rel: Relation, env, array_only: bool = False):
     return recorder.launches
 
 
-class _Charges:
-    """A body node's charges on a miss, for every segment, in the order
-    the loop's operator makes them: a launch is ``(tag, elements, work,
-    made, scope, closes)``, each of the first three a value per segment,
-    ``made`` None (always) or a flag per segment, ``scope`` the tag of the
-    fused scope that absorbs it (None: none) and ``closes`` whether the
-    scope is charged after it; a materialisation is ``(None, bytes)``."""
-
-    def __init__(self, num_segments: int):
-        self.num_segments = num_segments
-        self.ops: list[tuple] = []
-        self.probes = 0
-
-    def per_segment(self, value) -> list:
-        return value if isinstance(value, list) else [value] * self.num_segments
-
-    def launch(self, tag: str, n, work=1.0, made=None) -> None:
-        self.ops.append(
-            (tag, self.per_segment(n), self.per_segment(work), made, None, False)
-        )
-
-    def materialize(self, row_bytes: int, rows) -> None:
-        self.ops.append((None, [row_bytes * n for n in self.per_segment(rows)]))
-
-    def select(self, templates, n, out, row_bytes: int, fused: bool) -> None:
-        """A selection as ``ops._select_all`` charges it: each predicate's
-        launches over ``n`` rows, joined by ``logical_and``, and the
-        compact, in one fused launch if ``fused``; then the materialise
-        of ``out`` rows."""
-        first = len(self.ops)
+def _charge_select(ctx, templates, n: int, out: int, row_bytes: int,
+                   fused: bool) -> None:
+    """A selection's charges as ``ops._select_all`` makes them: each
+    predicate's launches over ``n`` rows, joined by ``logical_and``,
+    and the compact, in one fused launch if ``fused``; then the
+    materialise of ``out`` rows."""
+    device = ctx.device
+    with kernels.fused(device, "fused_filter") if fused else kernels.UNFUSED:
         for k, template in enumerate(templates):
             for tag, work in template:
-                self.launch(tag, n, work)
+                device.launch(tag, n, work)
             if k:
-                self.launch("scan_and", n)
-        n = self.per_segment(n)  # kernels.charge_compact:
-        self.launch("prefix_sum", n, [kernels._log_work(v) for v in n])
-        self.launch("scatter", n)
-        if fused:
-            chain = self.ops[first:]
-            self.ops[first:] = [
-                (*launch[:4], "fused_filter", k == len(chain) - 1)
-                for k, launch in enumerate(chain)
-            ]
-        self.materialize(row_bytes, out)
-
-
-class _Step:
-    """A body node's per-miss step.  Its first call runs the node's
-    memoised first-use work and records its :class:`_Charges` through
-    ``record``; each call charges segment ``s``'s as the operator does."""
-
-    def __init__(self, ctx, num_segments: int, record):
-        self.ctx, self.num_segments, self.record = ctx, num_segments, record
-        self.charges = None
-
-    def __call__(self, s: int) -> _Rows:
-        if self.charges is None:
-            self.charges = _Charges(self.num_segments)
-            self.rows = self.charges.per_segment(self.record(self.charges))
-        ctx = self.ctx
-        device, scope = ctx.device, None
-        ctx.index_probes += self.charges.probes
-        for op in self.charges.ops:
-            if op[0] is None:
-                ops.charge_materialize(ctx, op[1][s])
-                continue
-            tag, n, work, made, fused, closes = op
-            if made is not None and not made[s]:
-                continue
-            if fused is not None and scope is None:
-                scope = device.begin_fused(fused)
-            device.launch(tag, n[s], work[s])
-            if closes:
-                device.end_fused(scope)
-                scope = None
-        ctx.operator_done()
-        return _Rows(self.rows[s])
+                device.launch("scan_and", n)
+        kernels.charge_compact(device, n)
+    ops.charge_materialize(ctx, row_bytes * out)
+    ctx.operator_done()
 
 
 def _scratch(sp):
@@ -284,7 +218,7 @@ class _Body:
                 first.append(row)
             seg_of.append(segment)
         self.seg_of = seg_of
-        self.steps: list[tuple[int, _Step]] = []
+        self.steps: list[tuple[int, object]] = []
         self.aggregate = None
         self.projects: list[Project] = []
         # over a whole-base scan: each evaluated stage's rows per key, and
@@ -424,16 +358,15 @@ class _Body:
             self._add_steps(rt, sp, child, node_ids)
         kind = type(node)
         if kind is Scan:
-            record = self._scan_step(sp, node)
+            step = self._scan_step(rt.ctx, sp, node)
         elif kind is Filter:
-            record = self._filter_step(sp, node)
+            step = self._filter_step(rt.ctx, sp, node)
         elif kind is Join:
-            record = self._join_step(sp, node)
+            step = self._join_step(rt.ctx, sp, node)
         elif kind is Aggregate:
-            record = self._aggregate_step(sp, node)
+            step = self._aggregate_step(rt.ctx, sp, node)
         else:
-            record = self._project_step(sp, node)
-        step = _Step(rt.ctx, self.num_segments, record)
+            step = self._project_step(rt.ctx, sp, node)
         self.steps.append((node_ids[id(node)], step))
 
     def _output(self, sp, node: Plan):
@@ -447,7 +380,7 @@ class _Body:
         seg_rel = self.scratch.stages[id(node)][-1]
         return seg_rel.rel, self._counts(seg_rel)
 
-    def _scan_step(self, sp, node: Scan):
+    def _scan_step(self, ctx, sp, node: Scan):
         stages = self.scratch.stages[id(node)]
         counts = (
             self.scan_counts if self.key_rows is not None
@@ -461,7 +394,7 @@ class _Body:
         ]
         # the loop's access path: an index only through `col = $p` first
         equality = vectorize._equality_correlation(correlated[0])
-        fused = sp.fused
+        device, fused = ctx.device, sp.fused
 
         def selections(first: int) -> list:
             # ops.filter_rel_multi over predicates first..: one selection
@@ -475,38 +408,43 @@ class _Body:
 
         after = [selections(0), selections(1)]  # without, with the index
 
-        def record(c: _Charges):
+        def step(s: int) -> _Rows:
             base = sp.base_relation(node)
             index = (
                 None if equality is None
                 else sp.scan_index(node, base, equality[0])
             )
-            n, first = base.num_rows, 0
             if index is not None:
-                c.probes += 1
-                c.launch("index_search", 1, kernels._log_work(max(len(index), 1)))
-                n, first = counts[0], 1
-                c.materialize(row_bytes, n)
+                ctx.index_probes += 1
+                kernels.charge_index_search(device, 1, len(index))
+                n = counts[0][s]
+                ops.charge_materialize(ctx, row_bytes * n)
+                first = 1
+            else:
+                n, first = base.num_rows, 0
             for chain, last in after[first]:
-                c.select(chain, n, counts[last], row_bytes, fused)
-                n = counts[last]
-            return n
+                out = counts[last][s]
+                _charge_select(ctx, chain, n, out, row_bytes, fused)
+                n = out
+            ctx.operator_done()
+            return _Rows(n)
 
-        return record
+        return step
 
-    def _filter_step(self, sp, node: Filter):
+    def _filter_step(self, ctx, sp, node: Filter):
         rel, rows_in = self._output(sp, node.child)
         template = _template(node.predicate, rel, self.env, array_only=True)
         rows_out = self._output(sp, node)[1]
         row_bytes = rel.row_bytes
 
-        def record(c: _Charges):
-            c.select([template], rows_in, rows_out, row_bytes, sp.fused)
-            return rows_out
+        def step(s: int) -> _Rows:
+            out = rows_out[s]
+            _charge_select(ctx, [template], rows_in[s], out, row_bytes, sp.fused)
+            return _Rows(out)
 
-        return record
+        return step
 
-    def _join_step(self, sp, node: Join):
+    def _join_step(self, ctx, sp, node: Join):
         # the loop's _t_join: the hash table is built once on the
         # invariant side and probed by the transient side
         if sp.info.is_transient(node.left):
@@ -519,21 +457,23 @@ class _Body:
         template = _template(probe_key, probe_rel, self.env)
         matches = self._output(sp, node)[1]
         probe_bytes = probe_rel.row_bytes
+        device = ctx.device
 
-        def record(c: _Charges):
+        def step(s: int) -> _Rows:
             build_rel = sp.invariant_relation(build)
             sp.hoisted_hash(node, build_rel, build_key)
+            n, out = probe_rows[s], matches[s]
             for tag, work in template:
-                c.launch(tag, probe_rows, work)
-            c.launch("hash_probe", probe_rows, 2.0)  # kernels.charge_probe
-            c.launch("join_expand", matches)
-            c.materialize(probe_bytes, matches)
-            c.materialize(build_rel.row_bytes, matches)
-            return matches
+                device.launch(tag, n, work)
+            kernels.charge_probe(device, n, out)
+            ops.charge_materialize(ctx, probe_bytes * out)
+            ops.charge_materialize(ctx, build_rel.row_bytes * out)
+            ctx.operator_done()
+            return _Rows(out)
 
-        return record
+        return step
 
-    def _aggregate_step(self, sp, node: Aggregate):
+    def _aggregate_step(self, ctx, sp, node: Aggregate):
         rel, rows_in = self._output(sp, node.child)
         specs = [
             (None, False) if spec.op == "count" and spec.arg is None
@@ -541,24 +481,24 @@ class _Body:
             for spec in node.aggs
         ]
         out_bytes = self.aggregate_rel.row_bytes
+        device = ctx.device
 
-        def record(c: _Charges):
+        def step(s: int) -> _Rows:
+            n = rows_in[s]
             for template, null_when_empty in specs:
                 if template is None:
                     continue
                 for tag, work in template:
-                    c.launch(tag, rows_in, work)
-                c.launch(  # kernels.charge_reduce
-                    "reduce", rows_in,
-                    [kernels._log_work(max(n, 1)) for n in rows_in],
-                    [n > 0 for n in rows_in] if null_when_empty else None,
-                )
-            c.materialize(out_bytes, 1)
-            return 1
+                    device.launch(tag, n, work)
+                if n or not null_when_empty:
+                    kernels.charge_reduce(device, n)
+            ops.charge_materialize(ctx, out_bytes)
+            ctx.operator_done()
+            return _Rows(1)
 
-        return record
+        return step
 
-    def _project_step(self, sp, node: Project):
+    def _project_step(self, ctx, sp, node: Project):
         above = [k for k, p in enumerate(self.projects) if p is node]
         if above:
             # above the aggregate: one row per iteration
@@ -571,13 +511,15 @@ class _Body:
             for expr in node.exprs if not isinstance(expr, (ColRef, AggRef))
             for launch in _template(expr, rel, None)
         ]
+        device = ctx.device
 
-        def record(c: _Charges):
+        def step(s: int) -> _Rows:
+            n = rows_in[s]
             for tag, work in templates:
-                c.launch(tag, rows_in, work)
-            return rows_in
+                device.launch(tag, n, work)
+            return _Rows(n)
 
-        return record
+        return step
 
     # -- the loop ----------------------------------------------------------------
 
@@ -600,12 +542,6 @@ class _Body:
         # a traced replay opens and closes each iteration span where
         # Runtime.param_env and the store_* calls of the loop do
         tracer = rt.tracer if rt.tracer.enabled else None
-        # the first miss pays the memoised first-use work through the
-        # steps; later ones queue for one Device.book, unless a tracer or
-        # the governor watches each miss, or without pools each frees its
-        # raw allocations
-        book = tracer is None and governor is None and marks is not None
-        pending: list[int] | None = None
         for i in range(n):
             if governor is not None and i > 0:
                 governor.iteration_done(sp, i)
@@ -618,88 +554,16 @@ class _Body:
                     tracer.end_iteration(cache_hit=True)
                 continue
             s = seg_of[i]
-            value, valid = results[s]
-            if pending is not None:
-                pending.append(s)
-                cache.put(key, value, valid)
-                continue
             for node_id, step in steps:
                 timed(node_id, step, s)
+            value, valid = results[s]
             cache.put(key, value, valid)
             if tracer is not None:
                 tracer.end_iteration(cache_hit=False)
             restore(marks)
-            if book:
-                pending = []
-        if pending and not self._book(rt, pending, marks):
-            for s in pending:
-                for node_id, step in steps:
-                    timed(node_id, step, s)
-                restore(marks)
         rows = np.asarray(seg_of)
         if exists:
             vector.store_rows(slice(None), self.flags[rows])
         else:
             values = self.values[rows]
             vector.store_rows(slice(None), values, ~np.isnan(values))
-
-    def _book(self, rt, segs: list[int], marks) -> bool:
-        """The misses of segments ``segs`` after the first, in order, as
-        one ``Device.book`` of the charges the steps recorded on the
-        first, with the ``Runtime._timed`` bookings, pool tails and
-        restores and index probes the steps would leave.  False, booking
-        nothing, for a run too short to pay for it or whose pool growth
-        might not fit the device (the steps then raise where the loop
-        does)."""
-        if len(segs) < BOOK_MIN_MISSES:
-            return False
-        ctx, m = rt.ctx, len(segs)
-        device, stats, pools = ctx.device, ctx.device.stats, ctx.pools
-        launches, scopes, counted, nbytes, ends = [], [], [], [], []
-        for _, step in self.steps:
-            for tag, n, *rest in step.charges.ops:
-                if tag is None:
-                    nbytes.append([n[s] for s in segs])
-                    continue
-                work, made, scope, closes = rest
-                made = None if made is None else [made[s] for s in segs]
-                if scope is not None and (not scopes or scopes[-1][1] is not None):
-                    scopes.append([len(launches), None, scope])
-                if closes:
-                    scopes[-1][1] = len(launches)
-                launches.append((tag, [n[s] for s in segs], [work[s] for s in segs], made))
-                # what _timed counts: a made launch no scope absorbs
-                counted.append(0 if scope is not None and not closes
-                               else m if made is None else made.count(True))
-            ends.append((len(launches), len(nbytes)))
-        peak = max(map(sum, zip(*nbytes)))
-        grow = pools.intermediate.tail + peak - pools.intermediate.reserved
-        if device.memory_in_use + max(grow, 0) > device.spec.memory_bytes:
-            return False
-        kernel, materialized = device.book(launches, scopes, nbytes)
-        # the six-term total_ns at each node boundary, in loop order
-        width, depth = len(launches), len(nbytes)
-        at = np.array([(0, 0)] + ends) + np.arange(m)[:, None, None] * (width, depth)
-        at = np.append(at[:, :-1].reshape(-1, 2), [at[-1, -1]], axis=0)
-        total = (
-            np.array(kernel)[at[:, 0]] + np.array(materialized)[at[:, 1]]
-            + stats.h2d_time_ns + stats.d2h_time_ns + stats.malloc_time_ns
-            + stats.peer_time_ns
-        ).tolist()
-        for k, (node_id, step) in enumerate(self.steps):
-            t = rt.node_times_ns.get(node_id, 0.0)
-            for b in range(k, len(total) - 1, len(self.steps)):
-                t = t + total[b + 1] - total[b]
-            rt.node_times_ns[node_id] = t
-            rt.node_calls[node_id] = rt.node_calls.get(node_id, 0) + m
-            rt.node_launches[node_id] = rt.node_launches.get(node_id, 0) + sum(
-                counted[ends[k - 1][0] if k else 0:ends[k][0]]
-            )
-            rt.node_output_rows[node_id] = rt.node_output_rows.get(
-                node_id, 0
-            ) + sum(step.rows[s] for s in segs)
-            ctx.index_probes += step.charges.probes * m
-        pools.intermediate.alloc(peak)
-        pools.restore_all(marks)
-        pools.restores += m - 1
-        return True

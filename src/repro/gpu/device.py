@@ -10,9 +10,6 @@ substitution documented in DESIGN.md section 2.
 from __future__ import annotations
 
 import math
-from itertools import accumulate
-
-import numpy as np
 
 from ..errors import DeviceMemoryError
 from ..obs.tracer import NULL_TRACER
@@ -59,7 +56,7 @@ class Device:
     _GUARDED_METHODS = (
         "alloc", "free", "launch", "materialize",
         "transfer_h2d", "transfer_d2h", "transfer_peer", "reset",
-        "begin_fused", "end_fused", "book",
+        "begin_fused", "end_fused",
     )
 
     def __init__(self, spec: DeviceSpec, tracer=None):
@@ -216,76 +213,6 @@ class Device:
             self.tracer.leaf("materialize", "materialize", time_ns, bytes=nbytes)
         return time_ns
 
-    def book(self, launches, scopes, nbytes) -> tuple[list, list]:
-        """Charge rows of launches and materialisations at once.
-
-        Row ``r`` is ``launch(tag, elements[r], works[r])`` for each
-        column ``(tag, elements, works, made)`` of ``launches`` made in it
-        (``made`` None: always), then ``materialize(sizes[r])`` for each
-        column of ``nbytes``; each ``(first, last, tag)`` of ``scopes``
-        fuses launch columns ``first..last`` into one ``tag`` launch.
-        Counters, per-tag dicts and sampler rings end as those calls
-        (untraced, no scope open) leave them, every float total summed in
-        call order, one addition at a time.  Returns the kernel and the
-        materialise time after each launch and materialisation, row-major,
-        each led by the time before the run.
-        """
-        spec, stats = self.spec, self.stats
-        tags = [column[0] for column in launches]
-        elements = np.array([column[1] for column in launches], dtype=np.int64)
-        works = np.array([column[2] for column in launches], dtype=np.float64)
-        charged = np.ones(elements.shape, dtype=bool)
-        for c, column in enumerate(launches):
-            if column[3] is not None:
-                charged[c] = column[3]
-        iterations = np.ceil(elements / spec.threads)  # 0 for no elements
-        times = spec.launch_overhead_ns + iterations * spec.iteration_ns * works
-        for first, last, tag in scopes:
-            absorbed = 0.0 + iterations[first] * works[first]
-            for c in range(first + 1, last + 1):
-                absorbed = absorbed + iterations[c] * works[c]
-            charged[first:last] = False
-            tags[last] = tag
-            elements[last], works[last] = spec.threads, absorbed
-            times[last] = spec.launch_overhead_ns + absorbed * spec.iteration_ns
-            stats.fused_launches += elements.shape[1]
-            stats.fused_kernels += (last - first + 1) * elements.shape[1]
-        times = np.where(charged, times, 0.0)  # adds 0.0 where nothing is charged
-        kernel = list(accumulate(times.T.ravel().tolist(),
-                                 initial=stats.kernel_time_ns))
-        stats.kernel_time_ns = kernel[-1]
-        # per tag, in the order each is first charged (new ones enter the
-        # dicts so), its launches' times in call order
-        columns: dict[str, list] = {}
-        for c, tag in enumerate(tags):
-            columns.setdefault(tag, []).append(c)
-        first = charged.argmax(axis=1) * len(tags) + np.arange(len(tags))
-        first = np.where(charged.any(axis=1), first, charged.size).tolist()
-        for tag, found in sorted(columns.items(), key=lambda item: min(
-                first[c] for c in item[1])):
-            made = int(charged[found].sum())
-            if not made:
-                continue
-            stats.kernel_time_by_tag[tag] = list(accumulate(
-                times[found].T.ravel().tolist(),
-                initial=stats.kernel_time_by_tag.get(tag, 0.0),
-            ))[-1]
-            stats.launches_by_tag[tag] = stats.launches_by_tag.get(tag, 0) + made
-            stats.kernel_launches += made
-        nbytes = np.array(nbytes, dtype=np.int64).T.ravel()
-        materialize_ns = nbytes * spec.materialize_ns_per_byte
-        materialized = list(accumulate(materialize_ns.tolist(),
-                                       initial=stats.materialize_time_ns))
-        stats.materialize_time_ns = materialized[-1]
-        stats.materialize_bytes += int(nbytes.sum())
-        if self.sampler is not None:
-            charged = charged.T.ravel()
-            self.sampler.record_bulk(
-                elements.T.ravel()[charged], works.T.ravel()[charged],
-                times.T.ravel()[charged], nbytes, materialize_ns,
-            )
-        return kernel, materialized
-
     # -- transfers ----------------------------------------------------------
 
     def transfer_h2d(self, nbytes: int) -> float:
@@ -355,4 +282,3 @@ class ScratchDevice(Device):
 
     def launch(self, tag: str, elements: int, work: float = 1.0) -> float:
         return 0.0
-

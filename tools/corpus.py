@@ -53,7 +53,6 @@ import math
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -100,25 +99,17 @@ def _digest(text: str) -> str:
 
 def observe(run, forced_loop: bool = False) -> tuple:
     """``run()`` with every ``Device.launch`` recorded as ``(tag,
-    elements, work)``, and every launch a ``Device.book`` charges the
-    same way, in its row-major order; with ``forced_loop`` the replay
-    refuses every SUBQ.  Returns the result, or the ``ReproError``
-    raised, and the launches."""
+    elements, work)``; with ``forced_loop`` the replay refuses every
+    SUBQ.  Returns the result, or the ``ReproError`` raised, and the
+    launches."""
     launches: list = []
-    charge, book, refusal = Device.launch, Device.book, replay.refusal
+    charge, refusal = Device.launch, replay.refusal
 
     def recording_launch(self, tag, elements, work=1.0):
         launches.append((tag, int(elements), float(work)))
         return charge(self, tag, elements, work)
 
-    def recording_book(self, columns, scopes, nbytes):
-        for row in zip(*(zip(repeat(tag), elements, works, made or repeat(True))
-                         for tag, elements, works, made in columns)):
-            launches.extend((tag, int(elements), float(work))
-                            for tag, elements, work, made in row if made)
-        return book(self, columns, scopes, nbytes)
-
-    Device.launch, Device.book = recording_launch, recording_book
+    Device.launch = recording_launch
     if forced_loop:
         replay.refusal = lambda sp: "forced"
     try:
@@ -126,7 +117,7 @@ def observe(run, forced_loop: bool = False) -> tuple:
     except ReproError as exc:  # an unnester refusal is part of the record
         return exc, launches
     finally:
-        Device.launch, Device.book, replay.refusal = charge, book, refusal
+        Device.launch, replay.refusal = charge, refusal
 
 
 def record(outcome: tuple) -> dict:
