@@ -28,7 +28,7 @@ produced source is kept on the program object — ``print(result
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 from ..errors import PlanError
@@ -85,6 +85,9 @@ class SubquerySpec:
     descriptor: SubqueryDescriptor
     plan: Plan
     info: InvariantInfo
+    #: the replay's segmented evaluation of the body (core.replay), kept
+    #: for the next execution that binds the same correlated values
+    replayed: object = field(default=None, compare=False, repr=False)
 
 
 @lru_cache(maxsize=256)

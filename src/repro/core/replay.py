@@ -6,7 +6,7 @@ outer tuple, and the modelled clock has to keep doing that: Eqs. 1-9,
 the vectorisation ablation and every configuration that does not
 vectorise a body are built on it.  The host does not have to.  For a
 correlated body the replay covers (:func:`refusal` is None),
-:func:`replay_loop` evaluates the body once per execution with
+:func:`replay_loop` evaluates the body once with
 :mod:`repro.core.vectorize`, against a scratch device and context that
 nothing reads afterwards, from one of two segment sources chosen as the
 loop's ``Runtime._t_scan`` chooses its access path:
@@ -20,8 +20,13 @@ loop's ``Runtime._t_scan`` chooses its access path:
   row; per key, the correlated predicates are one mask over the base,
   and a node's rows for that key are those whose base row passes.
 
-It then walks the outer rows in order and charges each iteration
-exactly what the loop would, from that iteration's segment counts:
+The evaluation charges nothing and reads only the loop's correlated
+values, the catalog and the options, so the program's ``SubquerySpec``
+keeps it for the next execution that binds the same values: a warm
+session's loop evaluates its body once, not once per execution.  Each
+execution then walks the outer rows in order and charges each
+iteration exactly what the loop would, from that iteration's segment
+counts:
 
 * the governor check, the cache get and put and the pool restore;
 * per body node, the ``Runtime._timed`` booking around the node's
@@ -114,15 +119,16 @@ def replay_loop(rt, sp, corr: dict[str, np.ndarray], vector, marks) -> bool:
     ):
         reason = "NULL parameter"
     else:
-        keys = list(zip(*(corr[q].tolist() for q in sp.param_quals)))
-        try:
-            body = _Body(rt, sp, corr, keys)
-        except _Refused as refused:
-            reason = str(refused)
+        body = sp.spec.replayed
+        if body is None or not body.evaluates(sp, corr):
+            try:
+                body = sp.spec.replayed = _Body(sp, corr)
+            except _Refused as refused:
+                reason = str(refused)
     if reason is not None:
         sp.path = f"loop: {reason}"
         return False
-    body.drive(rt, sp, keys, vector, marks)
+    body.drive(rt, sp, vector, marks)
     return True
 
 
@@ -204,10 +210,23 @@ def _scratch(sp):
     return scratch
 
 
-class _Body:
-    """Per-segment results and the per-node charge steps of one loop."""
+def _source(sp) -> tuple:
+    """What a body's evaluation reads besides the correlated values: the
+    catalog's data, the options and whether the program is fused."""
+    ctx = sp.ctx
+    return ctx.catalog, ctx.catalog.version, ctx.options, sp.fused
 
-    def __init__(self, rt, sp, corr, keys):
+
+class _Body:
+    """Per-segment results and the per-node charge steps of one loop,
+    kept on its ``SubquerySpec`` while executions bind the same values
+    (:meth:`evaluates`).  A step takes the execution's context and
+    program, whose first-use memos each execution pays afresh."""
+
+    def __init__(self, sp, corr):
+        self.source = _source(sp)
+        self.corr = {q: corr[q].copy() for q in sp.param_quals}
+        self.keys = keys = list(zip(*(corr[q].tolist() for q in sp.param_quals)))
         seen: dict[tuple, int] = {}
         first: list[int] = []
         seg_of: list[int] = []
@@ -218,7 +237,7 @@ class _Body:
                 first.append(row)
             seg_of.append(segment)
         self.seg_of = seg_of
-        self.steps: list[tuple[int, object]] = []
+        self.steps: list[tuple[Plan, object]] = []
         self.aggregate = None
         self.projects: list[Project] = []
         # over a whole-base scan: each evaluated stage's rows per key, and
@@ -248,8 +267,18 @@ class _Body:
                 self._scalar_values(sp, spine, scan, batch)
         except ReproError as exc:
             raise _Refused(f"segmented evaluation failed: {exc}") from None
-        node_ids = {id(node): i for i, node in enumerate(rt.nodes)}
-        self._add_steps(rt, sp, sp.plan, node_ids)
+        self._add_steps(sp, sp.plan)
+        self.scratch = None  # the segmented stages: read by the steps' set-up only
+
+    def evaluates(self, sp, corr) -> bool:
+        """Whether this is the body ``sp``'s loop evaluates over ``corr``."""
+        return (
+            _source(sp) == self.source
+            and all(
+                corr[q].dtype == values.dtype and np.array_equal(corr[q], values)
+                for q, values in self.corr.items()
+            )
+        )
 
     # -- values --------------------------------------------------------------
 
@@ -350,24 +379,24 @@ class _Body:
 
     # -- charge steps ----------------------------------------------------------
 
-    def _add_steps(self, rt, sp, node: Plan, node_ids) -> None:
+    def _add_steps(self, sp, node: Plan) -> None:
         """One step per transient node, in the loop's statement order."""
         if not sp.info.is_transient(node):
             return
         for child in node.children():
-            self._add_steps(rt, sp, child, node_ids)
+            self._add_steps(sp, child)
         kind = type(node)
         if kind is Scan:
-            step = self._scan_step(rt.ctx, sp, node)
+            step = self._scan_step(sp, node)
         elif kind is Filter:
-            step = self._filter_step(rt.ctx, sp, node)
+            step = self._filter_step(sp, node)
         elif kind is Join:
-            step = self._join_step(rt.ctx, sp, node)
+            step = self._join_step(sp, node)
         elif kind is Aggregate:
-            step = self._aggregate_step(rt.ctx, sp, node)
+            step = self._aggregate_step(sp, node)
         else:
-            step = self._project_step(rt.ctx, sp, node)
-        self.steps.append((node_ids[id(node)], step))
+            step = self._project_step(sp, node)
+        self.steps.append((node, step))
 
     def _output(self, sp, node: Plan):
         """``(relation, per-segment rows)`` of a node's output; an
@@ -380,7 +409,7 @@ class _Body:
         seg_rel = self.scratch.stages[id(node)][-1]
         return seg_rel.rel, self._counts(seg_rel)
 
-    def _scan_step(self, ctx, sp, node: Scan):
+    def _scan_step(self, sp, node: Scan):
         stages = self.scratch.stages[id(node)]
         counts = (
             self.scan_counts if self.key_rows is not None
@@ -394,7 +423,7 @@ class _Body:
         ]
         # the loop's access path: an index only through `col = $p` first
         equality = vectorize._equality_correlation(correlated[0])
-        device, fused = ctx.device, sp.fused
+        fused = sp.fused
 
         def selections(first: int) -> list:
             # ops.filter_rel_multi over predicates first..: one selection
@@ -408,7 +437,7 @@ class _Body:
 
         after = [selections(0), selections(1)]  # without, with the index
 
-        def step(s: int) -> _Rows:
+        def step(ctx, sp, s: int) -> _Rows:
             base = sp.base_relation(node)
             index = (
                 None if equality is None
@@ -416,7 +445,7 @@ class _Body:
             )
             if index is not None:
                 ctx.index_probes += 1
-                kernels.charge_index_search(device, 1, len(index))
+                kernels.charge_index_search(ctx.device, 1, len(index))
                 n = counts[0][s]
                 ops.charge_materialize(ctx, row_bytes * n)
                 first = 1
@@ -431,20 +460,20 @@ class _Body:
 
         return step
 
-    def _filter_step(self, ctx, sp, node: Filter):
+    def _filter_step(self, sp, node: Filter):
         rel, rows_in = self._output(sp, node.child)
         template = _template(node.predicate, rel, self.env, array_only=True)
         rows_out = self._output(sp, node)[1]
         row_bytes = rel.row_bytes
 
-        def step(s: int) -> _Rows:
+        def step(ctx, sp, s: int) -> _Rows:
             out = rows_out[s]
             _charge_select(ctx, [template], rows_in[s], out, row_bytes, sp.fused)
             return _Rows(out)
 
         return step
 
-    def _join_step(self, ctx, sp, node: Join):
+    def _join_step(self, sp, node: Join):
         # the loop's _t_join: the hash table is built once on the
         # invariant side and probed by the transient side
         if sp.info.is_transient(node.left):
@@ -457,15 +486,14 @@ class _Body:
         template = _template(probe_key, probe_rel, self.env)
         matches = self._output(sp, node)[1]
         probe_bytes = probe_rel.row_bytes
-        device = ctx.device
 
-        def step(s: int) -> _Rows:
+        def step(ctx, sp, s: int) -> _Rows:
             build_rel = sp.invariant_relation(build)
             sp.hoisted_hash(node, build_rel, build_key)
             n, out = probe_rows[s], matches[s]
             for tag, work in template:
-                device.launch(tag, n, work)
-            kernels.charge_probe(device, n, out)
+                ctx.device.launch(tag, n, work)
+            kernels.charge_probe(ctx.device, n, out)
             ops.charge_materialize(ctx, probe_bytes * out)
             ops.charge_materialize(ctx, build_rel.row_bytes * out)
             ctx.operator_done()
@@ -473,7 +501,7 @@ class _Body:
 
         return step
 
-    def _aggregate_step(self, ctx, sp, node: Aggregate):
+    def _aggregate_step(self, sp, node: Aggregate):
         rel, rows_in = self._output(sp, node.child)
         specs = [
             (None, False) if spec.op == "count" and spec.arg is None
@@ -481,24 +509,23 @@ class _Body:
             for spec in node.aggs
         ]
         out_bytes = self.aggregate_rel.row_bytes
-        device = ctx.device
 
-        def step(s: int) -> _Rows:
+        def step(ctx, sp, s: int) -> _Rows:
             n = rows_in[s]
             for template, null_when_empty in specs:
                 if template is None:
                     continue
                 for tag, work in template:
-                    device.launch(tag, n, work)
+                    ctx.device.launch(tag, n, work)
                 if n or not null_when_empty:
-                    kernels.charge_reduce(device, n)
+                    kernels.charge_reduce(ctx.device, n)
             ops.charge_materialize(ctx, out_bytes)
             ctx.operator_done()
             return _Rows(1)
 
         return step
 
-    def _project_step(self, ctx, sp, node: Project):
+    def _project_step(self, sp, node: Project):
         above = [k for k, p in enumerate(self.projects) if p is node]
         if above:
             # above the aggregate: one row per iteration
@@ -511,26 +538,27 @@ class _Body:
             for expr in node.exprs if not isinstance(expr, (ColRef, AggRef))
             for launch in _template(expr, rel, None)
         ]
-        device = ctx.device
 
-        def step(s: int) -> _Rows:
+        def step(ctx, sp, s: int) -> _Rows:
             n = rows_in[s]
             for tag, work in templates:
-                device.launch(tag, n, work)
+                ctx.device.launch(tag, n, work)
             return _Rows(n)
 
         return step
 
     # -- the loop ----------------------------------------------------------------
 
-    def drive(self, rt, sp, keys, vector, marks) -> None:
+    def drive(self, rt, sp, vector, marks) -> None:
         """Every iteration's charges in order, then the result vector."""
-        index = sp.descriptor.index
+        index, keys = sp.descriptor.index, self.keys
         n = len(keys)
         if not n:
             return
         rt.subquery_iterations[index] = rt.subquery_iterations.get(index, 0) + n
-        governor, cache, steps = rt.governor, sp.cache, self.steps
+        node_ids = {id(node): i for i, node in enumerate(rt.nodes)}
+        steps = [(node_ids[id(node)], step) for node, step in self.steps]
+        governor, cache, ctx = rt.governor, sp.cache, rt.ctx
         seg_of, timed, restore = self.seg_of, rt._timed, rt.restore_pools
         exists = sp.descriptor.kind == "exists"
         if exists:
@@ -555,7 +583,7 @@ class _Body:
                 continue
             s = seg_of[i]
             for node_id, step in steps:
-                timed(node_id, step, s)
+                timed(node_id, step, ctx, sp, s)
             value, valid = results[s]
             cache.put(key, value, valid)
             if tracer is not None:

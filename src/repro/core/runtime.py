@@ -56,7 +56,7 @@ class SubqueryProgram:
     """Compiled state for one SUBQ: plan, invariants, caches, indexes."""
 
     def __init__(self, ctx, spec, batch_size: int, fused: bool = False):
-        self.ctx = ctx
+        self.ctx, self.spec = ctx, spec
         self.descriptor = descriptor = spec.descriptor
         self.plan = plan = spec.plan
         # data-path fusion (core.fusion): fuse the predicate chains and

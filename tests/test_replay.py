@@ -20,6 +20,7 @@ from repro.engine import EngineOptions
 from repro.obs import Tracer
 from repro.obs.telemetry import span_to_dict
 from repro.plan.invariants import mark_invariants
+from repro.serve import EngineSession
 from repro.storage import Catalog, Table, decimal_type, int_type
 from repro.tpch import ALL_EVALUATION_QUERIES, generate_tpch
 
@@ -180,6 +181,96 @@ def test_replay_runs_no_body_operator_per_miss(monkeypatch):
     assert result.cache_misses > 40
     # the outer plan's four joins and the hoisted subtree's two
     assert calls == ["join"] * 6
+
+
+#: the nested_loop benchmark workload's statements
+NESTED_LOOP_MIX = ("tpch_q2", "tpch_q17", "paper_q4v", "paper_q5", "paper_q7",
+                   "paper_q8")
+
+
+def _full_state(outcome) -> dict:
+    """Everything an execution leaves: the replay view, every
+    ``ExecutionStats`` field, the cache counters and the paths."""
+    result = outcome[0]
+    return {
+        **corpus.replay_view(outcome),
+        "stats": dataclasses.asdict(result.stats),
+        "cache": (result.cache_hits, result.cache_misses),
+        "paths": result.subquery_paths,
+    }
+
+
+def _counting_evaluations(monkeypatch) -> list:
+    evaluated: list = []
+    init = replay._Body.__init__
+
+    def counting(self, *args):
+        evaluated.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(replay._Body, "__init__", counting)
+    return evaluated
+
+
+@pytest.mark.parametrize("config", sorted(LOOP_CONFIGS))
+def test_a_warm_session_reuses_each_evaluated_body(catalog, config, monkeypatch):
+    """A warm session's next execution of a statement binds the same
+    correlated values, so its replayed loops reuse the evaluated body:
+    no ``_Body`` is made, and the execution leaves exactly what one that
+    evaluates its body afresh leaves."""
+    session = EngineSession(catalog, mode="nested", options=EngineOptions(
+        use_vectorization=False, **LOOP_CONFIGS[config]))
+    evaluated = _counting_evaluations(monkeypatch)
+    replayed = 0
+    for name in NESTED_LOOP_MIX:
+        sql = ALL_EVALUATION_QUERIES[name]
+        session.execute(sql)  # plan cached, columns resident
+        with monkeypatch.context() as fresh_body:
+            fresh_body.setattr(replay._Body, "evaluates", lambda *args: False)
+            fresh = corpus.observe(lambda: session.execute(sql))
+        before = len(evaluated)
+        reused = corpus.observe(lambda: session.execute(sql))
+        assert len(evaluated) == before, name
+        assert _full_state(reused) == _full_state(fresh), name
+        replayed += list(fresh[0].subquery_paths.values()).count("replayed")
+    assert replayed >= len(NESTED_LOOP_MIX)
+
+
+def test_new_data_or_new_values_evaluate_the_body_again(monkeypatch):
+    """A body is reused only for correlated values equal in every value
+    and dtype, and a prepared statement rerun over a replaced table
+    evaluates its body again, leaving what a fresh evaluation leaves."""
+    catalog = generate_tpch(0.05, use_cache=False)
+    options = EngineOptions(use_vectorization=False)
+    engine = NestGPU(catalog, options=options, mode="nested")
+    prepared = engine.prepare(ALL_EVALUATION_QUERIES["tpch_q2"])
+    engine.run_prepared(prepared)
+    evaluated = _counting_evaluations(monkeypatch)
+    loops: list = []
+    replay_loop = replay.replay_loop
+
+    def capturing(rt, sp, corr, *args):
+        loops.append((sp, corr))
+        return replay_loop(rt, sp, corr, *args)
+
+    monkeypatch.setattr(replay, "replay_loop", capturing)
+    engine.run_prepared(prepared)
+    assert evaluated == []
+    (sp, corr), = loops
+    body = sp.spec.replayed
+    assert body.evaluates(sp, {q: v.copy() for q, v in corr.items()})
+    for q, values in corr.items():
+        changed = values.copy()
+        changed[-1] += 1
+        assert not body.evaluates(sp, {**corr, q: changed})
+        assert not body.evaluates(sp, {**corr, q: values.astype(np.float64)})
+    catalog.replace(generate_tpch(0.1, use_cache=False).table("part"))
+    rerun = corpus.observe(lambda: engine.run_prepared(prepared))
+    assert len(evaluated) == 1 and sp.spec.replayed is not body
+    with monkeypatch.context() as fresh_body:
+        fresh_body.setattr(replay._Body, "evaluates", lambda *args: False)
+        fresh = corpus.observe(lambda: engine.run_prepared(prepared))
+    assert _full_state(rerun) == _full_state(fresh)
 
 
 @pytest.mark.parametrize("sql", [
