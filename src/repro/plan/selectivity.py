@@ -79,6 +79,9 @@ class ExactSelectivity:
     #: tables beyond this row count keep the heuristic estimate — the
     #: exact count would make optimization superlinear in data size
     MAX_ROWS = 5_000_000
+    #: counts kept per table, least recently used dropped first: every
+    #: distinct literal is a new predicate, and a table outlives engines
+    PER_TABLE = 256
 
     def __init__(self, catalog, max_rows: int | None = None):
         self.catalog = catalog
@@ -105,13 +108,18 @@ class ExactSelectivity:
         if table.num_rows == 0 or table.num_rows > self.max_rows:
             return None
         key = repr(predicate)
+        kept = table.selectivities
         with _LOCK:
-            if key in table.selectivities:
+            if key in kept:
                 self.hits += 1
-                return table.selectivities[key]
+                kept[key] = value = kept.pop(key)  # now the most recent
+                return value
         value = self._compute(predicate, table)  # None is kept too
         with _LOCK:
-            table.selectivities[key] = value
+            kept.pop(key, None)
+            kept[key] = value
+            while len(kept) > self.PER_TABLE:
+                del kept[next(iter(kept))]
             self.computations += 1
         return value
 

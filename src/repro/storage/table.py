@@ -32,8 +32,9 @@ class Table:
         self._by_name = {c.name: c for c in columns}
         self._distinct: dict[str, int] = {}  # column -> distinct_count
         self._sorted: dict[str, tuple] = {}  # column -> sorted_column
-        #: predicate repr -> exact selectivity (None: not countable),
-        #: kept by ``plan.selectivity.ExactSelectivity`` under its lock
+        #: predicate repr -> exact selectivity (None: not countable), the
+        #: most recently used ``ExactSelectivity.PER_TABLE``, kept by
+        #: ``plan.selectivity.ExactSelectivity`` under its lock
         self.selectivities: dict[str, float | None] = {}
         if len(self._by_name) != len(columns):
             raise CatalogError(f"table {name!r}: duplicate column names")

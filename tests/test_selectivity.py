@@ -104,6 +104,24 @@ class TestCache:
         assert sel.hits == 1  # s survived the replace of r
         assert len(sel) == 2  # the old r's entry went with the old r
 
+    def test_each_table_keeps_a_bounded_count_of_predicates(self, monkeypatch):
+        """Each distinct literal is a new predicate: a table keeps the
+        most recently used ``PER_TABLE`` counts, so a long-lived catalog
+        does not grow with the bindings it has seen."""
+        monkeypatch.setattr(ExactSelectivity, "PER_TABLE", 4)
+        catalog = make_rst_catalog()
+        sel = ExactSelectivity(catalog)
+        for bound in range(10):
+            sel.lookup(Compare("<", R_COL2, Const(bound)), "r")
+        assert len(catalog.table("r").selectivities) == 4
+        assert sel.computations == 10
+        # a hit makes its count the most recent: three new ones evict
+        # the other three
+        sel.lookup(Compare("<", R_COL2, Const(6)), "r")
+        for bound in range(10, 13):
+            sel.lookup(Compare("<", R_COL2, Const(bound)), "r")
+        assert sel.lookup(Compare("<", R_COL2, Const(6)), "r") is not None
+        assert (sel.hits, sel.computations) == (2, 13)
 
     def test_a_second_engine_on_one_catalog_counts_nothing(self, monkeypatch):
         """The counts are a statistic of the immutable table: the first
