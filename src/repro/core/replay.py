@@ -226,7 +226,9 @@ class _Body:
     def __init__(self, sp, corr):
         self.source = _source(sp)
         self.corr = {q: corr[q].copy() for q in sp.param_quals}
-        self.keys = keys = list(zip(*(corr[q].tolist() for q in sp.param_quals)))
+        self.keys = keys = list(
+            zip(*(corr[q].tolist() for q in sp.param_quals))
+        )
         seen: dict[tuple, int] = {}
         first: list[int] = []
         seg_of: list[int] = []
@@ -268,14 +270,16 @@ class _Body:
         except ReproError as exc:
             raise _Refused(f"segmented evaluation failed: {exc}") from None
         self._add_steps(sp, sp.plan)
-        self.scratch = None  # the segmented stages: read by the steps' set-up only
+        # the segmented stages are read by the steps' set-up only
+        self.scratch = None
 
     def evaluates(self, sp, corr) -> bool:
         """Whether this is the body ``sp``'s loop evaluates over ``corr``."""
         return (
             _source(sp) == self.source
             and all(
-                corr[q].dtype == values.dtype and np.array_equal(corr[q], values)
+                corr[q].dtype == values.dtype
+                and np.array_equal(corr[q], values)
                 for q, values in self.corr.items()
             )
         )
