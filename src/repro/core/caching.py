@@ -15,21 +15,16 @@ import numpy as np
 class SubqueryCache:
     """Maps parameter tuples to subquery results (scalar or boolean).
 
-    ``namespace`` (the subquery's index within its query) is folded
-    into every key: two SUBQs correlated on the same outer column see
-    identical parameter tuples, and must never read each other's
-    entries — even if a cache instance is ever shared between them.
+    One cache per SUBQ (each :class:`~repro.core.runtime.SubqueryProgram`
+    owns its own), so two SUBQs correlated on the same outer column
+    never read each other's entries.
     """
 
-    def __init__(self, enabled: bool = True, namespace: object = None):
+    def __init__(self, enabled: bool = True):
         self.enabled = enabled
-        self.namespace = namespace
         self._entries: dict[tuple, tuple[float, bool]] = {}
         self.hits = 0
         self.misses = 0
-
-    def _key(self, key: tuple) -> tuple:
-        return (self.namespace,) + tuple(key)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -43,7 +38,7 @@ class SubqueryCache:
         if not self.enabled:
             self.misses += 1
             return None
-        entry = self._entries.get(self._key(key))
+        entry = self._entries.get(key)
         if entry is None:
             self.misses += 1
             return None
@@ -52,7 +47,7 @@ class SubqueryCache:
 
     def put(self, key: tuple, value: float, valid: bool) -> None:
         if self.enabled:
-            self._entries[self._key(key)] = (value, valid)
+            self._entries[key] = (value, valid)
 
     # -- batch interface for the vectorized path -------------------------
 
@@ -70,7 +65,7 @@ class SubqueryCache:
         if not self.enabled:
             return [], [], list(range(len(keys)))
         for row, key in enumerate(keys):
-            entry = self._entries.get(self._key(key))
+            entry = self._entries.get(key)
             if entry is None:
                 miss_rows.append(row)
                 self.misses += 1
@@ -86,4 +81,4 @@ class SubqueryCache:
         if not self.enabled:
             return
         for key, value, ok in zip(keys, values, valid):
-            self._entries[self._key(key)] = (float(value), bool(ok))
+            self._entries[key] = (float(value), bool(ok))

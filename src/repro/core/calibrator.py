@@ -5,8 +5,11 @@ device spec's coefficients — kernel launch constant ``C``, per-thread-
 iteration time ``K``, materialization cost ``M`` per byte, and PCIe
 bandwidth.  Those start as static guesses; once queries run, every
 kernel launch, transfer and materialization the device charges is an
-observation of the true coefficients.  The :class:`Calibrator` collects
-those observations and re-fits the coefficients by least squares, and
+observation of the true coefficients.  The device's
+:class:`~repro.gpu.stats.ExecutionStats` already sums what a refit
+needs (the launches' Eq. (1) regressor moments, bytes and ns per
+transfer kind), so :func:`fit` is a pure function of one such record —
+a session folds every run's stats into one and refits from it — and
 :class:`CostCoefficients` packages one fitted set with a monotonically
 increasing version, so a session can swap coefficient sets atomically
 and evict the plans the old set decided (auto-mode and tuned-fusion
@@ -19,9 +22,9 @@ functions read, so ``_kernel_ns`` and friends take either unchanged.
 
 from __future__ import annotations
 
-import math
-import threading
 from dataclasses import dataclass, replace
+
+from ..gpu.stats import ExecutionStats
 
 
 @dataclass(frozen=True)
@@ -88,146 +91,64 @@ class CostCoefficients:
         }
 
 
-class _Ring:
-    """A capped sample buffer: appends wrap around once full, so the fit
-    always sees the most recent window without unbounded growth."""
+def fit(
+    observed: ExecutionStats, base: CostCoefficients, min_samples: int = 32,
+) -> CostCoefficients | None:
+    """Fit fresh coefficients from ``observed``, or ``None`` if the
+    evidence is thin.
 
-    __slots__ = ("capacity", "samples", "_next", "seen")
-
-    def __init__(self, capacity: int):
-        self.capacity = capacity
-        self.samples: list[tuple[float, float]] = []
-        self._next = 0
-        self.seen = 0
-
-    def add(self, sample: tuple[float, float]) -> None:
-        self.seen += 1
-        if len(self.samples) < self.capacity:
-            self.samples.append(sample)
-            return
-        self.samples[self._next] = sample
-        self._next = (self._next + 1) % self.capacity
-
-    def __len__(self) -> int:
-        return len(self.samples)
-
-
-class Calibrator:
-    """Regresses the Eq. (1)-(5) coefficients from observed timings.
-
-    Attached to a device as its ``sampler``, the calibrator receives
-    every charged kernel launch as ``(elements, work, time_ns)`` plus
-    every transfer and materialization as ``(bytes, time_ns)``.  The
-    kernel model is linear in the per-thread iteration count::
+    ``observed`` holds everything a device charged (a session folds each run's into one).
+    The kernel model is linear in the per-thread iteration count::
 
         time_ns = C + ceil(elements / Th) * work * K
 
-    so ordinary least squares over ``x = ceil(elements/Th) * work``
-    recovers ``C`` (intercept) and ``K`` (slope); bandwidth and the
-    materialization rate are ratio fits.  On the simulated device the
-    observations are exact, so a fit converges to the device spec in one
-    pass — which is precisely what makes a deliberately stale model
-    recoverable (see the calibration smoke).
-
-    Thread safety: recording happens on the device's hot path, which the
-    owning session already serializes, but the calibrator keeps its own
-    lock so ``fit`` may run concurrently with another session's probes
-    and the stats read cheaply from any thread.
+    so ordinary least squares over every charged launch's ``x =
+    ceil(elements/Th) * work`` recovers ``C`` (intercept) and ``K``
+    (slope), computed from the moments the device keeps (``n``, Σx,
+    Σx², Σt, Σx·t); bandwidth and the materialization rate are
+    ``Σbytes / Σns`` ratios.  ``base`` supplies the thread count (the
+    observing device's, which ``x`` was computed with), the fallback
+    for terms without observations (e.g. a workload that never
+    materialized) and the version the result increments.  The kernel
+    fit is the gate: without enough launches, or without variance in
+    the iteration counts (C and K are then unidentifiable), no new
+    coefficient set is issued.
     """
+    n = observed.kernel_launches
+    if n == 0 or n < min_samples:
+        return None
+    sum_x, sum_xx = observed.kernel_x, observed.kernel_xx
+    mean_x = sum_x / n
+    mean_y = observed.kernel_time_ns / n
+    var_x = sum_xx - sum_x * mean_x
+    # relative: equal x values leave rounding of Σx² behind, not zero
+    if var_x <= 1e-9 * sum_xx:
+        return None
+    cov_xy = observed.kernel_xt - sum_x * mean_y
+    iteration_ns = max(1e-9, cov_xy / var_x)
+    launch_overhead_ns = max(0.0, mean_y - iteration_ns * mean_x)
 
-    def __init__(self, threads: int, capacity: int = 4096):
-        if threads < 1:
-            raise ValueError("thread count must be positive")
-        self.threads = threads
-        self._lock = threading.Lock()
-        self._kernels = _Ring(capacity)
-        self._transfers = _Ring(capacity)
-        self._materializes = _Ring(capacity)
+    pcie = base.pcie_bytes_per_ns
+    transfer_bytes = observed.h2d_bytes + observed.d2h_bytes
+    transfer_ns = observed.h2d_time_ns + observed.d2h_time_ns
+    if transfer_bytes > 0 and transfer_ns > 0:
+        pcie = transfer_bytes / transfer_ns
 
-    # -- recording (device sampler protocol) ----------------------------
-
-    def record_kernel(self, elements: int, work: float, time_ns: float) -> None:
-        iterations = math.ceil(elements / self.threads) if elements > 0 else 0
-        with self._lock:
-            self._kernels.add((iterations * work, time_ns))
-
-    def record_transfer(self, nbytes: int, time_ns: float) -> None:
-        if nbytes <= 0:
-            return
-        with self._lock:
-            self._transfers.add((float(nbytes), time_ns))
-
-    def record_materialize(self, nbytes: int, time_ns: float) -> None:
-        if nbytes <= 0:
-            return
-        with self._lock:
-            self._materializes.add((float(nbytes), time_ns))
-
-    # -- inspection -----------------------------------------------------
-
-    def sample_counts(self) -> dict:
-        with self._lock:
-            return {
-                "kernels": self._kernels.seen,
-                "transfers": self._transfers.seen,
-                "materializations": self._materializes.seen,
-                "kernel_window": len(self._kernels),
-            }
-
-    # -- fitting --------------------------------------------------------
-
-    def fit(
-        self, base: CostCoefficients, min_samples: int = 32,
-    ) -> CostCoefficients | None:
-        """Fit fresh coefficients, or ``None`` if the evidence is thin.
-
-        ``base`` supplies the fallback for terms without observations
-        (e.g. a workload that never materialized) and the version the
-        result increments.  The kernel fit is the gate: without enough
-        launches, or without variance in the iteration counts (C and K
-        are then unidentifiable), no new coefficient set is issued.
-        """
-        with self._lock:
-            kernel_samples = list(self._kernels.samples)
-            transfer_samples = list(self._transfers.samples)
-            materialize_samples = list(self._materializes.samples)
-        if len(kernel_samples) < min_samples:
-            return None
-        n = float(len(kernel_samples))
-        sum_x = sum(x for x, _ in kernel_samples)
-        sum_y = sum(y for _, y in kernel_samples)
-        mean_x = sum_x / n
-        mean_y = sum_y / n
-        var_x = sum((x - mean_x) ** 2 for x, _ in kernel_samples)
-        if var_x <= 1e-12:
-            return None
-        cov_xy = sum(
-            (x - mean_x) * (y - mean_y) for x, y in kernel_samples
+    materialize = base.materialize_ns_per_byte
+    if observed.materialize_bytes > 0:
+        materialize = (
+            observed.materialize_time_ns / observed.materialize_bytes
         )
-        iteration_ns = max(1e-9, cov_xy / var_x)
-        launch_overhead_ns = max(0.0, mean_y - iteration_ns * mean_x)
 
-        pcie = base.pcie_bytes_per_ns
-        total_bytes = sum(b for b, _ in transfer_samples)
-        total_ns = sum(t for _, t in transfer_samples)
-        if total_bytes > 0 and total_ns > 0:
-            pcie = total_bytes / total_ns
-
-        materialize = base.materialize_ns_per_byte
-        mat_bytes = sum(b for b, _ in materialize_samples)
-        mat_ns = sum(t for _, t in materialize_samples)
-        if mat_bytes > 0:
-            materialize = mat_ns / mat_bytes
-
-        return CostCoefficients(
-            threads=self.threads,
-            launch_overhead_ns=launch_overhead_ns,
-            iteration_ns=iteration_ns,
-            materialize_ns_per_byte=materialize,
-            pcie_bytes_per_ns=pcie,
-            version=base.version + 1,
-            source="calibrated",
-        )
+    return replace(
+        base,
+        launch_overhead_ns=launch_overhead_ns,
+        iteration_ns=iteration_ns,
+        materialize_ns_per_byte=materialize,
+        pcie_bytes_per_ns=pcie,
+        version=base.version + 1,
+        source="calibrated",
+    )
 
 
 def cost_error_summary(results) -> dict:

@@ -302,7 +302,13 @@ def estimate_flat_plan_ns(
             return _Estimate(min(child.rows, node.count), child.row_bytes, child.cost_ns)
         raise ValueError(f"cannot estimate node {node!r}")
 
-    return walk(plan).cost_ns
+    try:
+        return walk(plan).cost_ns
+    finally:
+        # walk reaches itself through its closure; breaking that cycle
+        # frees the catalog it holds with its session, not at the next
+        # cyclic collection
+        del walk
 
 
 def _join_matches(catalog, node: Join, left_rows: float, right_rows: float) -> float:

@@ -66,9 +66,7 @@ class SubqueryProgram:
         # the body's marking, made once by codegen (SubquerySpec.info)
         self.info: InvariantInfo = spec.info
         self.param_quals: tuple[str, ...] = descriptor.free_quals
-        self.cache = SubqueryCache(
-            enabled=ctx.options.use_cache, namespace=descriptor.index
-        )
+        self.cache = SubqueryCache(enabled=ctx.options.use_cache)
         self.vectorized = (
             ctx.options.use_vectorization
             and vectorize.can_vectorize(plan, self.info, descriptor.kind)

@@ -37,6 +37,11 @@ class _FusionScope:
 class Device:
     """A simulated GPU accumulating modelled time and memory usage.
 
+    Every charge lands in ``stats``; a kernel launch also adds its
+    Eq. (1) regressor sums there, so the cost model refits ``C`` and
+    ``K`` from a session's folded stats (:func:`repro.core.calibrator.fit`)
+    with no observer on the device.
+
     A :class:`~repro.obs.tracer.Tracer` may be attached; every charge
     then also records a leaf span on the modelled clock.  The default
     is the no-op tracer, so untraced runs pay one ``enabled`` check per
@@ -64,11 +69,6 @@ class Device:
         self.tracer = NULL_TRACER if tracer is None else tracer
         self.stats = ExecutionStats()
         self._in_use = 0
-        # optional observer of charged costs (a cost-model Calibrator):
-        # receives every kernel/transfer/materialization observation.
-        # Like the tracer, None keeps the hot path at one attribute
-        # check and modelled times bit-identical.
-        self.sampler = None
         # open fusion scope (see begin_fused); None keeps launch() at
         # one attribute check when fusion is off.
         self._fusion = None
@@ -136,14 +136,17 @@ class Device:
                 scope.elements = elements
             return 0.0
         time_ns = self.spec.launch_overhead_ns + iterations * self.spec.iteration_ns * work
-        self.stats.kernel_launches += 1
-        self.stats.kernel_time_ns += time_ns
-        self.stats.kernel_time_by_tag[tag] = (
-            self.stats.kernel_time_by_tag.get(tag, 0.0) + time_ns
+        stats = self.stats
+        stats.kernel_launches += 1
+        stats.kernel_time_ns += time_ns
+        x = iterations * work
+        stats.kernel_x += x
+        stats.kernel_xx += x * x
+        stats.kernel_xt += x * time_ns
+        stats.kernel_time_by_tag[tag] = (
+            stats.kernel_time_by_tag.get(tag, 0.0) + time_ns
         )
-        self.stats.launches_by_tag[tag] = self.stats.launches_by_tag.get(tag, 0) + 1
-        if self.sampler is not None:
-            self.sampler.record_kernel(elements, work, time_ns)
+        stats.launches_by_tag[tag] = stats.launches_by_tag.get(tag, 0) + 1
         if self.tracer.enabled:
             self.tracer.leaf(tag, "kernel", time_ns, elements=elements)
         return time_ns
@@ -178,23 +181,23 @@ class Device:
             self.spec.launch_overhead_ns
             + scope.iterations * self.spec.iteration_ns
         )
-        self.stats.kernel_launches += 1
-        self.stats.fused_launches += 1
-        self.stats.fused_kernels += scope.kernels
-        self.stats.kernel_time_ns += time_ns
-        self.stats.kernel_time_by_tag[scope.tag] = (
-            self.stats.kernel_time_by_tag.get(scope.tag, 0.0) + time_ns
+        stats = self.stats
+        stats.kernel_launches += 1
+        stats.fused_launches += 1
+        stats.fused_kernels += scope.kernels
+        stats.kernel_time_ns += time_ns
+        # x is the combined iteration count: the fused charge lies on
+        # the same C + K*x line as a plain launch
+        x = scope.iterations
+        stats.kernel_x += x
+        stats.kernel_xx += x * x
+        stats.kernel_xt += x * time_ns
+        stats.kernel_time_by_tag[scope.tag] = (
+            stats.kernel_time_by_tag.get(scope.tag, 0.0) + time_ns
         )
-        self.stats.launches_by_tag[scope.tag] = (
-            self.stats.launches_by_tag.get(scope.tag, 0) + 1
+        stats.launches_by_tag[scope.tag] = (
+            stats.launches_by_tag.get(scope.tag, 0) + 1
         )
-        if self.sampler is not None:
-            # elements=threads makes ceil(elements/threads) == 1, so the
-            # sample's x is exactly the combined iteration count and the
-            # fused charge stays on the calibrator's C + K*x line.
-            self.sampler.record_kernel(
-                self.spec.threads, scope.iterations, time_ns
-            )
         if self.tracer.enabled:
             self.tracer.leaf(
                 scope.tag, "kernel", time_ns,
@@ -207,8 +210,6 @@ class Device:
         time_ns = nbytes * self.spec.materialize_ns_per_byte
         self.stats.materialize_bytes += nbytes
         self.stats.materialize_time_ns += time_ns
-        if self.sampler is not None:
-            self.sampler.record_materialize(nbytes, time_ns)
         if self.tracer.enabled:
             self.tracer.leaf("materialize", "materialize", time_ns, bytes=nbytes)
         return time_ns
@@ -220,8 +221,6 @@ class Device:
         time_ns = nbytes / self.spec.pcie_bytes_per_ns
         self.stats.h2d_bytes += nbytes
         self.stats.h2d_time_ns += time_ns
-        if self.sampler is not None:
-            self.sampler.record_transfer(nbytes, time_ns)
         if self.tracer.enabled:
             self.tracer.leaf("h2d", "transfer", time_ns, bytes=nbytes)
         return time_ns
@@ -231,8 +230,6 @@ class Device:
         time_ns = nbytes / self.spec.pcie_bytes_per_ns
         self.stats.d2h_bytes += nbytes
         self.stats.d2h_time_ns += time_ns
-        if self.sampler is not None:
-            self.sampler.record_transfer(nbytes, time_ns)
         if self.tracer.enabled:
             self.tracer.leaf("d2h", "transfer", time_ns, bytes=nbytes)
         return time_ns
@@ -276,7 +273,7 @@ class Device:
 
 
 class ScratchDevice(Device):
-    """A device whose launches charge nothing and reach no observer:
+    """A device whose launches charge nothing and count in no stats:
     host-side evaluation that must never touch a query's clock (the
     replay's segmented body, the optimizer's counting scans)."""
 

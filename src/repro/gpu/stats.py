@@ -25,6 +25,15 @@ class ExecutionStats:
     #: fused_launches`` is the number of launches fusion saved.
     fused_launches: int = 0
     fused_kernels: int = 0
+    #: Eq. (1)'s regressor over the charged launches: with ``x =
+    #: ceil(elements/threads) * work`` (a fused launch: its combined
+    #: iterations) and ``t`` the launch's charged ns, these are Σx,
+    #: Σx² and Σx·t — with ``kernel_launches`` and ``kernel_time_ns``
+    #: the moments a least-squares refit of ``C`` and ``K`` reads
+    #: (:func:`repro.core.calibrator.fit`).
+    kernel_x: float = 0.0
+    kernel_xx: float = 0.0
+    kernel_xt: float = 0.0
     materialize_bytes: int = 0
     materialize_time_ns: float = 0.0
     h2d_bytes: int = 0

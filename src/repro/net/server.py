@@ -165,6 +165,10 @@ class NetServer:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
+            # the listener's protocol factory holds this server's
+            # handler: dropping it leaves no cycle to keep the engine
+            # (and its catalog) alive until a cyclic collection
+            self._server = None
         for conn in list(self._connections):
             for task in conn.tasks:
                 task.cancel()

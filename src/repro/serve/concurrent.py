@@ -1141,6 +1141,9 @@ class AsyncEngine:
                     metrics.counter(f"{prefix}.{status}").inc()
         with self._work:
             ticket.status = status
+            # a terminal ticket cannot be cancelled; without its engine
+            # back-reference the engine's ticket list forms no cycle
+            ticket._engine = None
             if status == "done":
                 run_s = ticket.wall_run_ms / 1e3
                 self._service_ema_s = (

@@ -30,10 +30,10 @@ import re
 from decimal import Decimal
 
 from ..core import NestGPU, PreparedQuery, QueryResult, ShardedEngine
-from ..core.calibrator import Calibrator, CostCoefficients
+from ..core.calibrator import CostCoefficients, fit
 from ..core.executor import _sql_snippet, _sum_dicts, preload_columns
 from ..engine import EngineOptions, ExecutionContext
-from ..gpu import Device, DeviceSpec
+from ..gpu import Device, DeviceSpec, ExecutionStats
 from ..gpu.spec import InterconnectSpec
 from ..obs.tracer import NULL_TRACER
 from ..storage import Catalog
@@ -171,17 +171,12 @@ class EngineSession:
             )]
         #: the coordinator (shard 0) of a group; the device of a solo session
         self.device = self.states[0].device
-        # the feedback loop's observe side: the session device samples
-        # every kernel/transfer/materialization into the calibrator,
-        # and recalibrate() refits the cost-model coefficients from them.
-        # It fits single-device kernel samples; a group's interleaved
-        # clocks would poison the fit
-        self.calibrator = (
-            Calibrator(self.engine.device_spec.threads) if shards == 1
-            else None
-        )
-        if self.calibrator is not None:
-            self.device.sampler = self.calibrator
+        # the feedback loop's observe side: everything the session
+        # device charged, each run's stats folded in as it ends, and
+        # recalibrate() refits the cost-model coefficients from it.
+        # The fit reads one device's launches; a group's interleaved
+        # clocks would poison it
+        self.observed = ExecutionStats() if shards == 1 else None
         self.plan_cache = PlanCache()
         self.queries_run = 0
         self._catalog_version = catalog.version
@@ -279,25 +274,29 @@ class EngineSession:
         """Refit cost-model coefficients from observed device timings.
 
         The predict → observe → correct loop's correct step: least
-        squares over the kernel/transfer samples the session device
-        collected (Eq. (1)'s ``C`` and ``K``, the PCIe bandwidth, the
-        materialization rate).  On success the engine's coefficient set
-        is swapped atomically (version bumped) and every mode-sensitive
-        (``auto``) plan cache entry is evicted, because the
-        nested-vs-unnested choice baked into those plans may flip under
-        the new coefficients; so is every plan holding a tuned fusion
-        program.  This is the one handler of a refit.
+        squares over every launch the session device charged, and the
+        ratios of its transfers and materializations (Eq. (1)'s ``C``
+        and ``K``, the PCIe bandwidth, the materialization rate).  On
+        success the engine's coefficient set is swapped atomically
+        (version bumped) and every mode-sensitive (``auto``) plan cache
+        entry is evicted, because the nested-vs-unnested choice baked
+        into those plans may flip under the new coefficients; so is
+        every plan holding a tuned fusion program.  This is the one
+        handler of a refit.
 
-        Returns a summary dict, or ``None`` when the sample window is
-        too small to fit (the engine keeps its current coefficients).
+        Returns a summary dict, or ``None`` when too few launches were
+        observed to fit (the engine keeps its current coefficients).
         """
         with self.lock:
             if self._closed:
                 raise RuntimeError("session is closed")
-            if self.calibrator is None:
-                raise RuntimeError("a sharded session has no calibrator")
-            fitted = self.calibrator.fit(
-                self.engine.coefficients, min_samples=min_samples
+            if self.observed is None:
+                raise RuntimeError(
+                    "a sharded session has no single device clock to fit"
+                )
+            fitted = fit(
+                self.observed, self.engine.coefficients,
+                min_samples=min_samples,
             )
             if fitted is None:
                 return None
@@ -322,8 +321,18 @@ class EngineSession:
                 "version": fitted.version,
                 "plan_cache_evicted": evicted,
                 "fusion_plans_evicted": fusion_evicted,
-                "samples": self.calibrator.sample_counts(),
+                "samples": self._samples(),
             }
+
+    def _samples(self) -> dict:
+        """What the next refit would read: launches and the bytes
+        behind the two ratio fits."""
+        observed = self.observed
+        return {
+            "kernels": observed.kernel_launches,
+            "transfer_bytes": observed.h2d_bytes + observed.d2h_bytes,
+            "materialize_bytes": observed.materialize_bytes,
+        }
 
     # -- execution -------------------------------------------------------
 
@@ -402,6 +411,8 @@ class EngineSession:
                         # after the result's snapshot and is wiped by the
                         # next query's clock reset
                         self.states[0].end_query()
+                        # observed after the cleanup, raised or not
+                        self.observed.accumulate(self.device.stats)
             finally:
                 for state, prev in zip(self.states, previous):
                     state.device.tracer = prev
@@ -525,9 +536,7 @@ class EngineSession:
                 "version": self.engine.coefficients.version,
                 "source": self.engine.coefficients.source,
                 "samples": (
-                    self.calibrator.sample_counts()
-                    if self.calibrator is not None
-                    else None
+                    self._samples() if self.observed is not None else None
                 ),
             },
         }

@@ -39,28 +39,6 @@ class TestCacheBasics:
         cache.put((2,), 3.0, True)
         assert len(cache) == 2
 
-    def test_namespaces_do_not_collide(self):
-        # Two SUBQs correlated on the same outer column present
-        # identical parameter tuples; entries must stay per-subquery.
-        first = SubqueryCache(namespace=0)
-        second = SubqueryCache(namespace=1)
-        second._entries = first._entries  # worst case: shared store
-        first.put((7,), 1.0, True)
-        assert second.get((7,)) is None
-        second.put((7,), 2.0, True)
-        assert first.get((7,)) == (1.0, True)
-        assert second.get((7,)) == (2.0, True)
-
-    def test_namespace_applies_to_batch_interface(self):
-        first = SubqueryCache(namespace=0)
-        second = SubqueryCache(namespace=1)
-        second._entries = first._entries
-        first.put_batch([(7,)], np.array([1.0]), np.array([True]))
-        hit_rows, _, miss_rows = second.probe_batch([(7,)])
-        assert hit_rows == [] and miss_rows == [0]
-        hit_rows, hit_values, _ = first.probe_batch([(7,)])
-        assert hit_rows == [0] and hit_values == [(1.0, True)]
-
 
 class TestBatchInterface:
     def test_probe_batch_split(self):
@@ -120,7 +98,7 @@ class TestHitRatio:
     def test_tracks_probes(self):
         from repro.core.caching import SubqueryCache
 
-        cache = SubqueryCache(namespace=0)
+        cache = SubqueryCache()
         assert cache.get((1,)) is None
         cache.put((1,), 2.0, True)
         assert cache.get((1,)) == (2.0, True)
