@@ -146,8 +146,8 @@ def join(
     table = prebuilt
     if table is None:
         table = build_hash(ctx, build_rel, build_key, env)
-    probe_keys = _key_array(ctx, probe_rel, probe_key, env)
-    probe_idx, build_idx = kernels.hash_probe(ctx.device, table, probe_keys)
+    probe_keys, kept = _probe_keys(ctx, probe_rel, probe_key, env)
+    probe_idx, build_idx = kernels.hash_probe(ctx.device, table, probe_keys, kept)
     probe_out = probe_rel.take_no_charge(probe_idx)
     build_out = build_rel.take_no_charge(build_idx)
     out = probe_out.merged(build_out)
@@ -185,8 +185,8 @@ def semi_join(
     table = prebuilt
     if table is None:
         table = build_hash(ctx, inner_rel, inner_key, env)
-    outer_keys = _key_array(ctx, outer_rel, outer_key, env)
-    mask = kernels.semi_probe(ctx.device, table, outer_keys)
+    outer_keys, kept = _probe_keys(ctx, outer_rel, outer_key, env)
+    mask = kernels.semi_probe(ctx.device, table, outer_keys, kept)
     if negated:
         mask = kernels.logical_not(ctx.device, mask)
     return _finish(ctx, outer_rel, kernels.compact(ctx.device, mask))
@@ -212,9 +212,9 @@ def left_lookup(
     """
     inner_keys = _key_array(ctx, inner, inner_key, env)
     table = kernels.hash_build(ctx.device, inner_keys)
-    outer_keys = _key_array(ctx, child, outer_key, env)
+    outer_keys, kept = _probe_keys(ctx, child, outer_key, env)
     ctx.device.launch("left_lookup", child.num_rows, work=2.0)
-    matched, rows = table.first_matches(outer_keys)
+    matched, rows = table.first_matches(outer_keys, kept)
     values = np.full(child.num_rows, default, dtype=np.float64)
     values[matched] = inner.column(value_column).data[rows]
     return _finish(ctx, child.with_columns(
@@ -365,3 +365,14 @@ def _key_array(ctx, rel: Relation, key: PlanExpr, env) -> np.ndarray:
     if not isinstance(data, np.ndarray):
         data = np.full(rel.num_rows, data)
     return data
+
+
+def _probe_keys(ctx, rel: Relation, key: PlanExpr, env) -> tuple:
+    """A probe side's keys and, when they are a whole base column with a
+    kept sort, that sort and its distinct count (nothing is sorted here)."""
+    keys = _key_array(ctx, rel, key, env)
+    table = rel.whole_of and rel.whole_of()
+    kept = table and isinstance(key, ColRef) and table.kept_sort(key.column)
+    if not kept or keys is not table.column(key.column).data:
+        return keys, None
+    return keys, (*kept, table.distinct_count(key.column))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import weakref
 from types import MappingProxyType
 
 import numpy as np
@@ -24,6 +25,9 @@ class Relation:
     on first read.  These host gathers are uncharged: operators charge
     the modelled materialisation by the logical width (``nbytes``).
     """
+
+    #: weakly, the table this is every row of, in order (:meth:`from_table`)
+    whole_of = None
 
     def __init__(self, columns: dict[str, Column], num_rows: int | None = None):
         if num_rows is None:
@@ -49,7 +53,9 @@ class Relation:
     ) -> "Relation":
         names = columns if columns is not None else table.column_names
         cols = {f"{binding}.{name}": table.column(name) for name in names}
-        return cls(cols, table.num_rows)
+        rel = cls(cols, table.num_rows)
+        rel.whole_of = weakref.ref(table)
+        return rel
 
     # -- access -----------------------------------------------------------
 

@@ -268,6 +268,23 @@ def segmented_any(
 _DENSE_SLOTS_PER_KEY = 4
 _DENSE_FREE_SLOTS = 1024
 
+# Probe-sort rule.  Integer probes that are a whole base column with a
+# kept sort (``Table.sorted_column``) may be answered from the build side:
+# the m build keys are searched in the n sorted probes (two searches of
+# log2 n steps, ~25 ns a step once m is in the thousands: cache misses),
+# then the h hits are put in probe order by one sort of packed pairs (~3
+# ns per h log2 h); the direct path makes four ~1 ns passes over the n
+# probes.  h is estimated as m n / distinct probes, then counted.
+_SEARCH_NS_PER_STEP = 25.0
+_ORDER_NS_PER_STEP = 3.0
+_DIRECT_NS_PER_PROBE = 4.0
+
+
+def _probe_sort_pays(builds: int, probes: int, hits: float) -> bool:
+    search = builds * _log_work(probes) * _SEARCH_NS_PER_STEP
+    reorder = hits * _log_work(hits) * _ORDER_NS_PER_STEP
+    return search + reorder < probes * _DIRECT_NS_PER_PROBE
+
 
 class _Direct(NamedTuple):
     """A direct-address table: key ``k`` sits in slot ``k - base``;
@@ -296,6 +313,8 @@ class JoinHash:
     sparse span).  ``JoinHash(keys_sorted, order)`` is a table handed
     its sort, as the correlated index is; it gets no row map.  The
     direct table and the sort are host memory, never modelled HBM.
+    ``probe_sort`` is the probes' own kept sort ``(keys ascending, stable
+    order, distinct keys)``: the probe-sort rule may search it instead.
     """
 
     def __init__(self, keys_sorted: np.ndarray, order: np.ndarray | None):
@@ -340,27 +359,36 @@ class JoinHash:
             return np.zeros(len(probe_keys), np.intp), np.zeros(len(probe_keys), np.intp)
         return self._runs(probe_keys, *self._direct(probe_keys))
 
-    def matches(self, probe_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def matches(self, probe_keys: np.ndarray, probe_sort=None) -> tuple[np.ndarray, np.ndarray]:
         """Every match -> ``(probe_indices, build_rows)``, in probe order
         and, within a probe, in build order."""
-        return self._match(probe_keys, every=True)
+        return self._match(probe_keys, True, probe_sort)
 
-    def first_matches(self, probe_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def first_matches(self, probe_keys: np.ndarray, probe_sort=None) -> tuple[np.ndarray, np.ndarray]:
         """Each matched probe and its first build row, as :meth:`matches`."""
-        return self._match(probe_keys, every=False)
+        return self._match(probe_keys, False, probe_sort)
 
-    def contains(self, probe_keys: np.ndarray) -> np.ndarray:
+    def contains(self, probe_keys: np.ndarray, probe_sort=None) -> np.ndarray:
         """Presence mask over the probes: a semi-join's answer."""
         if not len(self._keys):
             return np.zeros(len(probe_keys), dtype=bool)
+        pairs = self._by_probe_sort(len(probe_keys), probe_sort)
+        if pairs is not None:
+            return np.bincount(pairs[0], minlength=len(probe_keys)).astype(bool)
         dense, slot = self._direct(probe_keys)
         if dense is None:
             return self._search(probe_keys)[1] > 0
         return dense.present.take(slot)
 
-    def _match(self, probe_keys: np.ndarray, every: bool) -> tuple[np.ndarray, np.ndarray]:
+    def _match(self, probe_keys: np.ndarray, every: bool, probe_sort) -> tuple[np.ndarray, np.ndarray]:
         if not len(self._keys):
             return np.empty(0, np.intp), np.empty(0, np.intp)
+        pairs = self._by_probe_sort(len(probe_keys), probe_sort)
+        if pairs is not None and not every:
+            hit, first = np.unique(pairs[0], return_index=True)
+            return hit, pairs[1][first]
+        if pairs is not None:
+            return pairs
         dense, slot = self._direct(probe_keys)
         if dense is not None and dense.row is not None:
             hit = np.flatnonzero(dense.present.take(slot))
@@ -386,6 +414,32 @@ class JoinHash:
         )
         slot -= dense.base
         return dense, slot
+
+    def _by_probe_sort(self, probes: int, probe_sort) -> tuple | None:
+        """Every ``(probe, build row)`` pair in :meth:`matches`' order, or
+        None where the probe-sort rule or the keys' dtypes decline it."""
+        if probe_sort is None:
+            return None
+        sorted_probes, order, distinct = probe_sort
+        keys, builds = self._keys, len(self._keys)
+        if not (  # a table handed its sort holds no build rows' order
+            (self._sorted is None or self._sorted[0] is not keys)
+            and np.can_cast(np.result_type(keys, sorted_probes), np.int64)
+            and probes << builds.bit_length() < 1 << 62
+            and _probe_sort_pays(builds, probes, builds * probes / distinct)
+        ):
+            return None
+        lo = np.searchsorted(sorted_probes, keys, side="left")
+        counts = np.searchsorted(sorted_probes, keys, side="right") - lo
+        rows, positions, hits = expand_ranges(lo, counts)
+        if not _probe_sort_pays(builds, probes, hits):
+            return None
+        # packed (probe, build row) pairs are distinct: one plain sort
+        shift = builds.bit_length()
+        packed = order[positions] << shift
+        packed |= rows
+        packed.sort()
+        return packed >> shift, packed & ((1 << shift) - 1)
 
     def _runs(self, probe_keys, dense, slot) -> tuple[np.ndarray, np.ndarray]:
         if dense is None:
@@ -447,10 +501,10 @@ def hash_build(device: Device, keys: np.ndarray) -> JoinHash:
 
 
 def hash_probe(
-    device: Device, table: JoinHash, probe_keys: np.ndarray
+    device: Device, table: JoinHash, probe_keys: np.ndarray, probe_sort=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Probe -> aligned (probe_indices, build_indices) of every match."""
-    probe_idx, build_idx = table.matches(probe_keys)
+    probe_idx, build_idx = table.matches(probe_keys, probe_sort)
     charge_probe(device, len(probe_keys), len(probe_idx))
     return probe_idx, build_idx
 
@@ -462,10 +516,10 @@ def charge_probe(device: Device, probes: int, matches: int) -> None:
     device.launch("join_expand", matches)
 
 
-def semi_probe(device: Device, table: JoinHash, probe_keys: np.ndarray) -> np.ndarray:
+def semi_probe(device: Device, table: JoinHash, probe_keys, probe_sort=None) -> np.ndarray:
     """EXISTS probe -> mask over probe side (the paper's Q4 semi-join)."""
     device.launch("semi_probe", len(probe_keys), work=2.0)
-    return table.contains(probe_keys)
+    return table.contains(probe_keys, probe_sort)
 
 
 # ---------------------------------------------------------------------------

@@ -74,13 +74,12 @@ class ExecutionStats:
         return self.transfer_time_ns / total if total else 0.0
 
     def copy(self) -> "ExecutionStats":
-        clone = ExecutionStats()
-        for spec in fields(self):
-            value = getattr(self, spec.name)
-            setattr(
-                clone, spec.name,
-                dict(value) if isinstance(value, dict) else value,
-            )
+        clone = object.__new__(ExecutionStats)
+        mine, state = self.__dict__, clone.__dict__
+        for name in _SCALAR_FIELDS:
+            state[name] = mine[name]
+        for name in _DICT_FIELDS:
+            state[name] = dict(mine[name])
         return clone
 
     def accumulate(self, other: "ExecutionStats") -> None:
@@ -90,14 +89,19 @@ class ExecutionStats:
         the maximum — the group-wide peak is the worst single device
         since shards never share one memory.
         """
-        for spec in fields(self):
-            value = getattr(other, spec.name)
-            if spec.name in _LEVEL_FIELDS:
-                setattr(self, spec.name, max(getattr(self, spec.name), value))
-            elif isinstance(value, dict):
-                mine = getattr(self, spec.name)
-                for tag, amount in value.items():
-                    mine[tag] = mine.get(tag, type(amount)()) + amount
-            else:
-                setattr(self, spec.name, getattr(self, spec.name) + value)
+        mine, theirs = self.__dict__, other.__dict__
+        for name in _FLOW_FIELDS:
+            mine[name] += theirs[name]
+        for name in _LEVEL_FIELDS:
+            mine[name] = max(mine[name], theirs[name])
+        for name in _DICT_FIELDS:
+            tags = mine[name]
+            for tag, amount in theirs[name].items():
+                tags[tag] = tags.get(tag, type(amount)()) + amount
+
+
+#: The field split ``copy`` and ``accumulate`` walk, computed once.
+_DICT_FIELDS = tuple(f.name for f in fields(ExecutionStats) if f.default_factory is dict)
+_SCALAR_FIELDS = tuple(f.name for f in fields(ExecutionStats) if f.name not in _DICT_FIELDS)
+_FLOW_FIELDS = tuple(name for name in _SCALAR_FIELDS if name not in _LEVEL_FIELDS)
 

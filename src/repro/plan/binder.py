@@ -694,22 +694,23 @@ def _free_quals(block: BoundBlock) -> tuple[str, ...]:
     """Outer quals needed by ``block`` and everything nested in it."""
     provided = set()
     needed: list[str] = []
-
-    def visit(b: BoundBlock) -> None:
-        for table in b.tables:
-            for col in table.columns:
-                provided.add(f"{table.binding}.{col.name}")
-            if table.is_derived:
-                visit(table.block)
-        for param in b.params:
-            needed.append(param.qual)
-        for descriptor in b.subqueries:
-            visit(descriptor.block)
-
-    visit(block)
+    _visit_quals(block, provided, needed)
     # preserve order, drop quals satisfied inside the subtree
     result = []
     for qual in needed:
         if qual not in provided and qual not in result:
             result.append(qual)
     return tuple(result)
+
+
+def _visit_quals(block: BoundBlock, provided: set, needed: list) -> None:
+    """The quals ``block``'s subtree provides and needs (not a cyclic closure)."""
+    for table in block.tables:
+        for col in table.columns:
+            provided.add(f"{table.binding}.{col.name}")
+        if table.is_derived:
+            _visit_quals(table.block, provided, needed)
+    for param in block.params:
+        needed.append(param.qual)
+    for descriptor in block.subqueries:
+        _visit_quals(descriptor.block, provided, needed)

@@ -87,32 +87,32 @@ def mark_invariants(plan: Plan) -> InvariantInfo:
     SUBQ filters.
     """
     info = InvariantInfo()
-
-    def visit(node: Plan) -> bool:
-        child_transient = [visit(c) for c in node.children()]
-        transient = _node_has_params(node) or any(child_transient)
-        if isinstance(node, (SubqueryFilter, SubqueryColumn)):
-            # nested subqueries correlated with *this* block make the
-            # node transient; ones correlated only with outer blocks
-            # also re-evaluate per outer iteration, so stay conservative
-            transient = True
-        info.transient[id(node)] = transient
-        if isinstance(node, Join) and transient:
-            left_transient = child_transient[0]
-            right_transient = child_transient[1]
-            if left_transient != right_transient:
-                info.hoisted_joins.add(id(node))
-        if not transient:
-            return False
-        # children that are invariant while this node is transient are
-        # maximal invariant subtrees
-        for child, is_transient in zip(node.children(), child_transient):
-            if not is_transient:
-                info.invariant_roots.add(id(child))
-        return True
-
-    root_transient = visit(plan)
-    if not root_transient:
+    if not _mark(plan, info):
         # the whole subquery is invariant (type-A/N): evaluate once
         info.invariant_roots.add(id(plan))
     return info
+
+
+def _mark(node: Plan, info: InvariantInfo) -> bool:
+    """Mark ``node``'s subtree; True if it is transient (not a cyclic closure)."""
+    child_transient = [_mark(c, info) for c in node.children()]
+    transient = _node_has_params(node) or any(child_transient)
+    if isinstance(node, (SubqueryFilter, SubqueryColumn)):
+        # nested subqueries correlated with *this* block make the
+        # node transient; ones correlated only with outer blocks
+        # also re-evaluate per outer iteration, so stay conservative
+        transient = True
+    info.transient[id(node)] = transient
+    if isinstance(node, Join) and transient:
+        left_transient = child_transient[0]
+        right_transient = child_transient[1]
+        if left_transient != right_transient:
+            info.hoisted_joins.add(id(node))
+    if not transient:
+        return False
+    # children that are invariant while this node is transient are
+    # maximal invariant subtrees
+    for child, is_transient in zip(node.children(), child_transient):
+        if not is_transient:
+            info.invariant_roots.add(id(child))
+    return True

@@ -36,27 +36,7 @@ def prune_scan_columns(plan: Plan, catalog) -> None:
     entered: the builder prunes each body when it plans it.
     """
     required: set[str] = set()
-
-    def collect(node: Plan) -> None:
-        from .invariants import _exprs_of  # shared expression walker
-
-        for expr in _exprs_of(node):
-            for ref in expr.walk():
-                if isinstance(ref, ColRef):
-                    required.add(ref.qual)
-        if isinstance(node, SubqueryFilter):
-            for descriptor in node.descriptors:
-                required.update(descriptor.free_quals)
-                if descriptor.in_operand is not None:
-                    for ref in descriptor.in_operand.walk():
-                        if isinstance(ref, ColRef):
-                            required.add(ref.qual)
-        if isinstance(node, SubqueryColumn):
-            required.update(node.descriptor.free_quals)
-        for child in node.children():
-            collect(child)
-
-    collect(plan)
+    _collect_quals(plan, required)
     for node in plan.walk():
         if isinstance(node, Scan):
             all_columns = catalog.table(node.table).column_names
@@ -66,6 +46,27 @@ def prune_scan_columns(plan: Plan, catalog) -> None:
                 if f"{node.binding}.{column}" in required
             ]
             node.columns = keep or [all_columns[0]]
+
+
+def _collect_quals(node: Plan, required: set[str]) -> None:
+    """Add the quals ``node``'s subtree reads (not a cyclic closure)."""
+    from .invariants import _exprs_of  # shared expression walker
+
+    for expr in _exprs_of(node):
+        for ref in expr.walk():
+            if isinstance(ref, ColRef):
+                required.add(ref.qual)
+    if isinstance(node, SubqueryFilter):
+        for descriptor in node.descriptors:
+            required.update(descriptor.free_quals)
+            if descriptor.in_operand is not None:
+                for ref in descriptor.in_operand.walk():
+                    if isinstance(ref, ColRef):
+                        required.add(ref.qual)
+    if isinstance(node, SubqueryColumn):
+        required.update(node.descriptor.free_quals)
+    for child in node.children():
+        _collect_quals(child, required)
 
 
 # ---------------------------------------------------------------------------

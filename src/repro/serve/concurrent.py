@@ -1020,10 +1020,7 @@ class AsyncEngine:
             self._finish(ticket, "cancelled", str(exc))
             return
         ticket.wall_admitted_s = time.perf_counter()
-        try:
-            self._execute(ticket, prepared, hit, worker_id)
-        finally:
-            self._admission.release(admission)
+        self._execute(ticket, prepared, hit, worker_id)
 
     def _execute(
         self,
@@ -1091,9 +1088,11 @@ class AsyncEngine:
         self._finish(ticket, "ok")
 
     def _finish(self, ticket: QueryTicket, outcome: str, detail: str = "") -> None:
-        """Record the outcome, update every sink from the ticket, then
-        publish: nothing that waits on the ticket or the engine wakes
-        before each sink holds the query."""
+        """Release the admission, record the outcome, update every sink
+        from the ticket, then publish: nothing that waits on the ticket or
+        the engine wakes before each sink holds the query."""
+        if ticket._admission is not None:
+            self._admission.release(ticket._admission)
         status = _STATUS.get(outcome, outcome)
         with self._work:
             if detail:

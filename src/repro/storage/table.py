@@ -105,6 +105,10 @@ class Table:
             self._sorted[name] = (data[order], order)
         return self._sorted[name]
 
+    def kept_sort(self, name: str) -> tuple[np.ndarray, np.ndarray] | None:
+        """:meth:`sorted_column` if a reader has computed it, else None."""
+        return self._sorted.get(name)
+
     def take(self, indices: np.ndarray) -> "Table":
         """Gather rows by position across all columns."""
         return Table(self.name, [c.take(indices) for c in self._columns])

@@ -398,3 +398,43 @@ class TestSharedStateRegressions:
         assert tracer.dropped == 0
         recorded = sum(1 for root in tracer.roots for _ in root.walk())
         assert recorded == 8_000
+
+
+class TestAdmissionReleasedBeforePublish:
+    """A terminal ticket gives its admission reservation back before it
+    is published, so ``drain()`` cannot return while the ledger still
+    holds the last query: each outcome, inline and threaded."""
+
+    @pytest.mark.parametrize("threaded", [False, True])
+    @pytest.mark.parametrize("outcome", ["ok", "error", "cancelled"])
+    def test_reservation_gone_when_the_ticket_is_published(
+        self, catalog, monkeypatch, threaded, outcome,
+    ):
+        from repro.errors import ExecutionError
+
+        with EngineSession(catalog) as session:
+            engine = AsyncEngine(session, workers=2, autostart=threaded)
+            published = []
+            finish, execute = engine._finish, engine._execute
+
+            def spy_finish(ticket, *args):
+                finish(ticket, *args)  # publishes the terminal ticket
+                published.append((ticket.status, ticket._admission.state))
+
+            def cancelling_execute(ticket, *args):
+                ticket._cancel = True  # after admission, before the run
+                execute(ticket, *args)
+
+            def failing_run(*args, **kwargs):
+                raise ExecutionError("injected")
+
+            monkeypatch.setattr(engine, "_finish", spy_finish)
+            if outcome == "cancelled":
+                monkeypatch.setattr(engine, "_execute", cancelling_execute)
+            if outcome == "error":
+                monkeypatch.setattr(session, "run", failing_run)
+            engine.run_batch(paper_mix_statements()[:3], timeout=DRAIN_TIMEOUT)
+            assert engine.admission.in_use == 0
+            engine.shutdown(timeout=10.0)
+        status = {"ok": "done", "error": "error", "cancelled": "cancelled"}
+        assert published == [(status[outcome], "released")] * 3

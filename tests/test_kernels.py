@@ -4,6 +4,7 @@ Every primitive is checked against a plain-numpy oracle; hypothesis
 drives the property cases.
 """
 
+import dataclasses
 import sys
 import threading
 from contextlib import ExitStack
@@ -23,7 +24,7 @@ from repro.plan.expressions import ColRef, Compare, ParamRef
 from repro.plan.nodes import Scan
 from repro.serve import EngineSession, paper_mix_statements
 from repro.storage import BIGINT, DECIMAL, Catalog, Column
-from repro.tpch import generate_tpch
+from repro.tpch import TPCH_Q17, generate_tpch
 
 
 @pytest.fixture()
@@ -832,6 +833,160 @@ def test_warm_paper_mix_sorts_no_build_and_searches_no_key():
     assert calls["_direct"].call_count > 0  # the spies are live
     assert calls["_sort"].call_count == 0
     assert calls["_search"].call_count == 0
+
+
+def probe_sort_of(probe):
+    """A probe column's kept sort as ``Table.sorted_column`` keeps it,
+    with its distinct count: what ``operators._probe_keys`` hands over."""
+    order = kernels.stable_order([probe]) if len(probe) else np.arange(0)
+    return probe[order], order, max(1, len(np.unique(probe)))
+
+
+def parent_first_matches(table, probe):
+    probe_idx, build_idx = parent_hash_probe(RecordingDevice(), table, probe)
+    first = np.unique(probe_idx, return_index=True)[1]
+    return probe_idx[first], build_idx[first]
+
+
+_I64 = np.iinfo(np.int64)
+_I32 = np.iinfo(np.int32)
+# small keys collide (duplicates on both sides, hits and misses); the
+# sampled ones sit at the int64 limits and within 2^62 of them
+edge_keys = st.one_of(
+    st.integers(min_value=-40, max_value=40),
+    st.sampled_from([
+        int(_I64.min), int(_I64.min) + 1, -(2**62) - 1, -(2**62), 2**62,
+        2**62 + 1, int(_I64.max) - 1, int(_I64.max),
+    ]),
+)
+edge_arrays = st.builds(
+    lambda xs, dtype: (
+        np.asarray(xs, dtype=np.int64) if dtype is np.int64
+        else np.clip(np.asarray(xs, dtype=np.int64), _I32.min, _I32.max).astype(np.int32)
+    ),
+    st.lists(edge_keys, max_size=80),
+    st.sampled_from([np.int64, np.int32]),
+)
+
+
+class TestProbeSortPath:
+    """Answering from the probe column's kept sort changes no answer."""
+
+    @given(build=edge_arrays, probe=edge_arrays, forced=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    @example(build=np.empty(0, np.int64), probe=np.arange(5), forced=True)
+    @example(build=np.array([7, 7, -3]), probe=np.arange(-2, 3), forced=True)
+    def test_lookups_match_parent_and_todays_paths(self, build, probe, forced):
+        sort = probe_sort_of(probe)
+        reference = kernels.JoinHash.build(build)
+        expected = parent_hash_probe(RecordingDevice(), reference, probe)
+        pays = (lambda *_: True) if forced else kernels._probe_sort_pays
+        with mock.patch.object(kernels, "_probe_sort_pays", pays):
+            new_dev, old_dev = RecordingDevice(), RecordingDevice()
+            got = kernels.hash_probe(new_dev, kernels.JoinHash.build(build), probe, sort)
+            parent_hash_probe(old_dev, reference, probe)
+            assert new_dev.launches == old_dev.launches  # charged as ever
+            assert_identical(got, expected)
+            assert_identical(got, kernels.JoinHash.build(build).matches(probe))
+            assert_identical(
+                kernels.JoinHash.build(build).first_matches(probe, sort),
+                parent_first_matches(reference, probe),
+            )
+            assert_identical(
+                kernels.JoinHash.build(build).first_matches(probe, sort),
+                kernels.JoinHash.build(build).first_matches(probe),
+            )
+            assert_identical(
+                (kernels.semi_probe(RecordingDevice(), kernels.JoinHash.build(build),
+                                    probe, sort),),
+                parent_semi_probe(RecordingDevice(), reference, probe),
+            )
+            # a table handed its sort (the correlated index) keeps keys
+            # in sorted order, not build order: it declines the path
+            handed = kernels.JoinHash(build[kernels.stable_order([build])],
+                                      kernels.stable_order([build]))
+            assert_identical(handed.matches(probe, sort), expected)
+            if forced and len(build):
+                table = kernels.JoinHash.build(build)
+                assert table._by_probe_sort(len(probe), sort) is not None
+                table.matches(probe, sort)
+                assert table._dense is None and table._sorted is None
+
+    @pytest.mark.parametrize("case", [
+        "float keys", "NaN keys on both sides", "float probes of an int build",
+        "int probes of a float build", "uint64 keys (no int64 image: sorted path)",
+    ])
+    def test_float_nan_and_uint64_keys_never_take_the_path(self, case):
+        build, probe = KEY_CASES[case]
+        with mock.patch.object(kernels, "_probe_sort_pays", lambda *_: True):
+            table = kernels.JoinHash.build(build)
+            assert table._by_probe_sort(len(probe), probe_sort_of(probe)) is None
+            assert_identical(
+                table.matches(probe, probe_sort_of(probe)),
+                parent_hash_probe(RecordingDevice(), table, probe),
+            )
+
+    def test_the_rule_keeps_a_wide_build_on_the_direct_path(self):
+        rng = np.random.default_rng(3)
+        probe = rng.integers(0, 20_000, size=120_000)
+        sort = probe_sort_of(probe)
+        narrow = kernels.JoinHash.build(rng.choice(20_000, 16, replace=False))
+        wide = kernels.JoinHash.build(rng.choice(20_000, 2_000, replace=False))
+        assert narrow._by_probe_sort(len(probe), sort) is not None
+        assert wide._by_probe_sort(len(probe), sort) is None
+
+
+def _result_fields(result):
+    return {
+        spec.name: repr(getattr(result, spec.name))
+        for spec in dataclasses.fields(result)
+    }
+
+
+def test_warm_q17_with_and_without_the_probe_sort_path_is_identical():
+    """Rows, every ExecutionStats field and every result counter of a
+    warm Q17 are the same whichever path answers its outer join."""
+    session = EngineSession(generate_tpch(10))
+    session.execute(TPCH_Q17)  # sorts l_partkey for the correlated index
+    with mock.patch.object(kernels.JoinHash, "_by_probe_sort",
+                           lambda *_: None):
+        off = session.execute(TPCH_Q17)
+    on = session.execute(TPCH_Q17)
+    assert _result_fields(on) == _result_fields(off)
+    assert {spec.name: getattr(on.stats, spec.name)
+            for spec in dataclasses.fields(on.stats)} == {
+        spec.name: getattr(off.stats, spec.name)
+        for spec in dataclasses.fields(off.stats)}
+
+
+#: The (table, column) sorts a warm paper-mix pass keeps: the correlated
+#: indexes' own.  The probe-sort rule reads kept sorts and makes none.
+SORTED_AFTER_WARM_MIX = [("lineitem", "l_partkey"), ("partsupp", "ps_partkey")]
+
+
+def test_warm_q17_joins_through_the_probe_sort_and_sorts_nothing_new():
+    """Tier-1 twin of CI's "Warm Q17 joins through the probe sort" step."""
+    catalog = generate_tpch(10, use_cache=False)
+    session = EngineSession(catalog)
+    mix = paper_mix_statements()
+    for sql in mix:
+        session.execute(sql)
+    answered, original = [], kernels.JoinHash._by_probe_sort
+
+    def spy(self, probes, probe_sort):
+        pairs = original(self, probes, probe_sort)
+        answered.append(pairs is not None)
+        return pairs
+
+    with mock.patch.object(kernels.JoinHash, "_by_probe_sort", spy):
+        session.execute(TPCH_Q17)
+        assert answered.count(True) == 1  # the outer lineitem join
+        for sql in mix:
+            session.execute(sql)
+    assert sorted(
+        (table.name, column) for table in catalog
+        for column in table.column_names if table.kept_sort(column) is not None
+    ) == SORTED_AFTER_WARM_MIX
 
 
 class TestDensityRule:

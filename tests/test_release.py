@@ -11,6 +11,7 @@ the stack is closed and dropped.
 from __future__ import annotations
 
 import gc
+import types
 import weakref
 
 import pytest
@@ -77,3 +78,40 @@ class TestFreedWithoutACyclicCollection:
         session.close()
         del session, engine, server, client, catalog
         assert all(ref() is None for ref in tables)
+
+
+#: The recursive walkers of the compile pipeline that were closures:
+#: each reached itself through its cell, so every compile left a cycle
+#: for the collector.
+_RECURSIVE_WALKERS = {
+    "prune_scan_columns.<locals>.collect",
+    "_free_quals.<locals>.visit",
+    "mark_invariants.<locals>.visit",
+}
+
+
+def test_compiling_the_paper_queries_leaves_no_recursive_closure():
+    from repro.core import NestGPU
+    from repro.tpch import ALL_EVALUATION_QUERIES, generate_tpch
+
+    engine = NestGPU(generate_tpch(0.05))
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for sql in ALL_EVALUATION_QUERIES.values():
+            for mode in ("nested", "unnested", "auto"):
+                try:
+                    engine.prepare(sql, mode=mode)
+                except Exception:  # an unnesting refusal still compiled
+                    pass
+        gc.collect()
+        leaked = {
+            obj.__qualname__ for obj in gc.garbage
+            if isinstance(obj, types.FunctionType)
+        }
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert not leaked & _RECURSIVE_WALKERS

@@ -57,3 +57,63 @@ class TestDerived:
     def test_transfer_fraction_zero_total(self):
         assert ExecutionStats().transfer_fraction == 0.0
 
+
+
+def _parent_copy(stats):
+    """``copy`` as it was written before the field split was kept."""
+    clone = ExecutionStats()
+    for spec in fields(stats):
+        value = getattr(stats, spec.name)
+        setattr(clone, spec.name, dict(value) if isinstance(value, dict) else value)
+    return clone
+
+
+def _parent_accumulate(mine, other):
+    for spec in fields(mine):
+        value = getattr(other, spec.name)
+        if spec.name in _LEVEL_FIELDS:
+            setattr(mine, spec.name, max(getattr(mine, spec.name), value))
+        elif isinstance(value, dict):
+            tags = getattr(mine, spec.name)
+            for tag, amount in value.items():
+                tags[tag] = tags.get(tag, type(amount)()) + amount
+        else:
+            setattr(mine, spec.name, getattr(mine, spec.name) + value)
+
+
+def _distinct(offset: int) -> ExecutionStats:
+    """Every field set to its own value (dicts: an own tag and a shared one)."""
+    stats = ExecutionStats()
+    for i, spec in enumerate(fields(stats)):
+        value = getattr(stats, spec.name)
+        if isinstance(value, dict):
+            setattr(stats, spec.name, {f"own{offset}": 1.5 * i, "shared": i + offset})
+        else:
+            setattr(stats, spec.name, type(value)(7 * i + offset))
+    return stats
+
+
+def _state(stats):
+    return {spec.name: getattr(stats, spec.name) for spec in fields(stats)}
+
+
+class TestFieldSplitAgainstParent:
+    def test_copy_treats_every_field_as_before(self):
+        stats = _distinct(3)
+        clone, expected = stats.copy(), _parent_copy(stats)
+        assert _state(clone) == _state(expected)
+        assert type(clone) is ExecutionStats
+        for spec in fields(stats):
+            if isinstance(getattr(stats, spec.name), dict):
+                assert getattr(clone, spec.name) is not getattr(stats, spec.name)
+
+    def test_accumulate_treats_every_field_as_before(self):
+        # the level field is larger on either side in one of the two folds
+        for low, high in ((2, 900), (900, 2)):
+            mine, expected = _distinct(low), _distinct(low)
+            mine.accumulate(_distinct(high))
+            _parent_accumulate(expected, _distinct(high))
+            assert _state(mine) == _state(expected)
+            for name in _LEVEL_FIELDS:
+                assert getattr(mine, name) == max(
+                    getattr(_distinct(low), name), getattr(_distinct(high), name))
