@@ -107,11 +107,13 @@ def test_compiling_the_paper_queries_leaves_no_recursive_closure():
                     pass
         gc.collect()
         leaked = {
-            obj.__qualname__ for obj in gc.garbage
+            (obj.__module__, obj.__qualname__) for obj in gc.garbage
             if isinstance(obj, types.FunctionType)
         }
     finally:
         gc.set_debug(0)
         gc.garbage.clear()
         gc.enable()
-    assert not leaked & _RECURSIVE_WALKERS
+    assert not {name for _, name in leaked} & _RECURSIVE_WALKERS
+    # nor does any other function of the planner
+    assert not {name for module, name in leaked if (module or "").startswith("repro.plan")}
